@@ -8,11 +8,12 @@ band storage) are fixed in one place.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-import scipy.sparse
-import scipy.sparse.linalg
 
 __all__ = [
     "hermitian_eigen",
@@ -25,9 +26,22 @@ __all__ = [
 #: Relative tolerance for accepting a matrix as Hermitian.
 HERMITICITY_TOL = 1e-12
 
-#: Band count above which the banded extreme-eigenpair path switches from
-#: LAPACK to a Krylov (Lanczos) solver.
-SPARSE_EIGEN_THRESHOLD = 2000
+#: Matrix order from which ``lowest_eigen_banded`` uses inertia bisection
+#: instead of LAPACK ``sbevx``; the per-call timings that place it are in
+#: its docstring.
+INERTIA_CROSSOVER = 200
+
+#: Width of the certified eigenvalue bracket, relative to ``||H||_inf``.
+INERTIA_RTOL = 1e-12
+
+#: Step cap of the inertia iteration; each step is one solve and at most one
+#: factorisation.
+INERTIA_MAX_STEPS = 200
+
+_SBEVX, _PBTRF, _PBTRS, _LAMCH = scipy.linalg.get_lapack_funcs(
+    ("sbevx", "pbtrf", "pbtrs", "lamch"), dtype=np.float64
+)
+_SBEVX_ABSTOL = 2 * _LAMCH("s")  # the value scipy.linalg.eig_banded passes
 
 
 def hermitian_eigen(matrix):
@@ -110,19 +124,45 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64):
     return best_x, best_f
 
 
-def lowest_eigen_banded(bands, want_vector=True, krylov_tol=1e-7):
+def lowest_eigen_banded(bands, want_vector=True):
     """Lowest eigenpair of a real symmetric banded matrix.
+
+    Two paths, split at ``INERTIA_CROSSOVER`` on the order n of the matrix:
+
+    * ``n < INERTIA_CROSSOVER``: LAPACK ``sbevx`` for the lowest index,
+      through a handle cached at import.  It gives the same numbers as
+      ``scipy.linalg.eig_banded(..., select="i")`` without its wrapper
+      cost: 22 us against 41 us per call at n = 21.
+    * ``n >= INERTIA_CROSSOVER``: Sylvester-inertia bisection with inverse
+      iteration (:func:`_lowest_by_inertia`), O(n b^2) per step.  The lower
+      end ``lo`` of a bracket is a shift at which the banded Cholesky
+      factorisation of ``H - lo I`` exists, so every eigenvalue lies above
+      ``lo``.  The upper end ``hi`` is the Rayleigh quotient of the
+      inverse-iteration vector, so the lowest eigenvalue is at most ``hi``.
+
+    Why the split is where it is: the band-to-tridiagonal reduction in
+    ``sbevx`` is O(n^2), while the inertia path costs 10 to 14
+    factorisations and solves per call.  On murcia Bell operators, averaged
+    over 64 angles in [0, pi] on a 2-core Xeon with one BLAS thread,
+    ``sbevx`` took 116, 199, 335 and 673 us per call at n = 101, 151, 201
+    and 301, and the inertia path 260, 235, 307 and 387 us.  At n = 1501
+    it was 12.8 ms against 1.7 ms, at n = 2001 (three angles) 17 ms against
+    2.2 ms, and the inertia path took 2.7 ms at n = 2501.
+
+    Accuracy contract: below the crossover, the backward-stable LAPACK
+    result.  From the crossover up, ``w`` is the upper end of a bracket of
+    width at most ``INERTIA_RTOL * ||H||_inf`` (largest absolute row sum)
+    that contains the lowest eigenvalue, and the vector is the one whose
+    Rayleigh quotient is ``w``.  Neither path falls back to the other or to
+    any other method.
 
     Parameters
     ----------
     bands : ndarray, shape (b + 1, n)
         Lower band storage: ``bands[i, j] = A[i + j, j]``; row 0 is the
-        diagonal.
+        diagonal.  Must be finite.
     want_vector : bool
         Also return the eigenvector.
-    krylov_tol : float
-        Relative accuracy of the Krylov path used for n above
-        ``SPARSE_EIGEN_THRESHOLD``.
 
     Returns
     -------
@@ -131,38 +171,113 @@ def lowest_eigen_banded(bands, want_vector=True, krylov_tol=1e-7):
     v : ndarray or None
         Corresponding unit eigenvector (sign-normalised so its largest
         entry is positive), or None if ``want_vector`` is False.
+
+    Raises
+    ------
+    ValueError
+        If ``bands`` is not a non-empty 2-D array of finite numbers.
+    ArithmeticError
+        If LAPACK reports a failure or the inertia iteration does not close
+        its bracket within ``INERTIA_MAX_STEPS`` steps.
     """
     bands = np.ascontiguousarray(bands, dtype=float)
-    n = bands.shape[1]
-    if n <= SPARSE_EIGEN_THRESHOLD:
-        if want_vector:
-            w, v = scipy.linalg.eig_banded(
-                bands, lower=True, select="i", select_range=(0, 0)
-            )
-            vec = v[:, 0]
-        else:
-            w = scipy.linalg.eig_banded(
-                bands, lower=True, select="i", select_range=(0, 0),
-                eigvals_only=True,
-            )
-            vec = None
+    if bands.ndim != 2 or bands.size == 0:
+        raise ValueError(f"expected non-empty 2-D band storage, got shape {bands.shape}")
+    if not np.isfinite(bands).all():
+        raise ValueError("band storage contains NaN or infinite entries")
+    if bands.shape[1] < INERTIA_CROSSOVER:
+        w, vecs, _, _, info = _SBEVX(
+            bands, 0.0, 1.0, 1, 1, compute_v=int(want_vector), range=2,
+            lower=1, abstol=_SBEVX_ABSTOL, mmax=1, overwrite_ab=0,
+        )
+        if info != 0:
+            raise ArithmeticError(f"LAPACK sbevx failed with info = {info}")
+        w, vec = float(w[0]), (vecs[:, 0] if want_vector else None)
     else:
-        nb = bands.shape[0] - 1
-        diags = [bands[0]]
-        offsets = [0]
-        for k in range(1, nb + 1):
-            diags += [bands[k][: n - k], bands[k][: n - k]]
-            offsets += [-k, k]
-        a = scipy.sparse.diags(diags, offsets, shape=(n, n), format="csr")
-        w_arr, v_arr = scipy.sparse.linalg.eigsh(a, k=1, which="SA", tol=krylov_tol)
-        w, vec = w_arr, v_arr[:, 0]
-    w = float(np.atleast_1d(w)[0])
+        w, vec = _lowest_by_inertia(bands)
+        if not want_vector:
+            vec = None
     if vec is not None:
         j = int(np.argmax(np.abs(vec)))
         if vec[j] < 0:
             vec = -vec
-        return w, vec
-    return w, None
+    return w, vec
+
+
+def _lowest_by_inertia(bands):
+    """Certified bracket on the lowest eigenvalue of a banded matrix.
+
+    Starts from the Gershgorin lower bound.  Each step makes one
+    inverse-iteration solve ``(H - lo I) y = x`` with the Cholesky factor
+    at ``lo``.  Since ``H y = x + lo y``, the Rayleigh quotient of ``y`` is
+    ``hi = lo + (y.x)/(y.y)`` and its residual is ``|x - (hi - lo) y|/|y|``,
+    with no product by ``H``.  The next trial shift is ``hi - r`` (some
+    eigenvalue lies within ``r`` of ``hi``), kept inside the open bracket,
+    or the midpoint after a failed trial.  A trial whose factorisation
+    succeeds becomes the new ``lo``.
+    """
+    nb = bands.shape[0] - 1
+    n = bands.shape[1]
+    diag = bands[0]
+    off = np.zeros(n)
+    for k in range(1, nb + 1):
+        a = np.abs(bands[k, : n - k])
+        off[: n - k] += a
+        off[k:] += a
+    norm = float(np.max(np.abs(diag) + off))
+    tol = INERTIA_RTOL * (norm if norm > 0 else 1.0)
+    bands = np.asfortranarray(bands)
+    lo = float(np.min(diag - off)) - 0.25 * tol
+    factor = _shifted_cholesky(bands, lo)
+    if factor is None:
+        raise ArithmeticError(f"banded Cholesky failed below the Gershgorin bound {lo!r}")
+    # top: least shift known to lie at or above the lowest eigenvalue; the
+    # smallest diagonal entry is the Rayleigh quotient of a unit vector
+    top = float(np.min(diag))
+    x = _start_vector(n)
+    failed = False
+    for _ in range(INERTIA_MAX_STEPS):
+        y = _PBTRS(factor, x[:, None], lower=1)[0][:, 0]
+        ynorm = math.sqrt(float(y @ y))
+        delta = float(y @ x) / (ynorm * ynorm)
+        hi = lo + delta
+        if hi - lo <= tol:
+            return hi, y / ynorm
+        top = min(top, hi)
+        if failed:
+            sigma = 0.5 * (lo + top)
+        else:
+            r = float(np.linalg.norm(x - delta * y)) / ynorm
+            sigma = hi - max(r, 0.25 * tol)
+            if not lo < sigma < top:
+                sigma = 0.5 * (lo + top)
+        x = y / ynorm
+        trial = _shifted_cholesky(bands, sigma)
+        failed = trial is None
+        if failed:
+            top = sigma
+        else:
+            lo, factor = sigma, trial
+    raise ArithmeticError(
+        f"inertia bisection did not close [{lo!r}, {top!r}] to {tol:.3e} "
+        f"in {INERTIA_MAX_STEPS} steps"
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _start_vector(n):
+    """Fixed seeded start vector for inverse iteration (read-only)."""
+    x = np.random.default_rng(n).standard_normal(n)
+    x.setflags(write=False)
+    return x
+
+
+def _shifted_cholesky(bands, sigma):
+    """Banded Cholesky factor of ``H - sigma I``, or None if not positive definite."""
+    ab = bands.copy(order="F")
+    ab[0] -= sigma
+    factor, info = _PBTRF(ab, lower=1, overwrite_ab=1)
+    return factor if info == 0 else None
 
 
 class RandomSource:

@@ -364,6 +364,12 @@ class TestScans:
         flagged = [r.violated for r in rows]
         assert any(flagged) and not all(flagged)
 
+    def test_degenerate_sweep_endpoint_at_large_n(self):
+        # at theta = pi the two lowest levels, -5000 and -4996, are 3e-7 of
+        # the operator norm apart
+        (row,) = theta_sweep(murcia(2500), [math.pi])
+        assert row.value == pytest.approx(-5000.0, rel=1e-9)
+
     def test_sweep_rows_match_dense_eigenvalues(self):
         expr = dicke_expression(5)
         rows = theta_sweep(expr, [0.5, 1.5, 2.5])

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bellscope import numerics
 from bellscope.numerics import (
+    INERTIA_CROSSOVER,
     RandomSource,
     hermitian_eigen,
     lowest_eigen_banded,
@@ -149,6 +154,82 @@ class TestLowestEigenBanded:
         lam, _ = lowest_eigen_banded(bands)
         ref = np.linalg.eigvalsh(full)[0]
         assert abs(lam - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
+def random_banded(dim, bandwidth, seed, degenerate):
+    """Random symmetric band matrix: (lower band storage, dense copy).
+
+    ``degenerate`` puts the two lowest diagonal entries 1e-7 of the norm
+    apart under off-diagonal bands of 1e-16 to 1e-9, the shape of the Bell
+    operator at theta = pi.
+    """
+    rng = np.random.default_rng(seed)
+    bands = np.zeros((bandwidth + 1, dim))
+    if degenerate:
+        bands[0] = rng.uniform(0.0, 1.0, dim)
+        i, j = rng.choice(dim, 2, replace=False)
+        bands[0, i], bands[0, j] = -1.0, -1.0 + 1e-7
+        off_scale = 10.0 ** rng.uniform(-16, -9)
+    else:
+        bands[0] = rng.normal(size=dim)
+        off_scale = 1.0
+    full = np.diag(bands[0])
+    for k in range(1, bandwidth + 1):
+        off = off_scale * rng.normal(size=dim - k)
+        bands[k, : dim - k] = off
+        full += np.diag(off, -k) + np.diag(off, k)
+    return bands, full
+
+
+class TestLowestEigenBandedContract:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.one_of(st.integers(2, INERTIA_CROSSOVER - 1),
+                      st.integers(INERTIA_CROSSOVER, 600)),
+        bandwidth=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+    )
+    @example(dim=INERTIA_CROSSOVER - 1, bandwidth=2, seed=1, degenerate=False)
+    @example(dim=INERTIA_CROSSOVER, bandwidth=2, seed=1, degenerate=False)
+    @example(dim=INERTIA_CROSSOVER - 1, bandwidth=2, seed=2, degenerate=True)
+    @example(dim=600, bandwidth=2, seed=2, degenerate=True)
+    @example(dim=600, bandwidth=1, seed=3, degenerate=False)
+    def test_matches_dense_eigvalsh(self, dim, bandwidth, seed, degenerate):
+        bands, full = random_banded(dim, bandwidth, seed, degenerate)
+        norm = np.max(np.abs(full).sum(axis=1))
+        lam, vec = lowest_eigen_banded(bands)
+        ref = np.linalg.eigvalsh(full)[0]
+        assert abs(lam - ref) <= 1e-12 * norm
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        assert np.linalg.norm(full @ vec - lam * vec) <= 1e-8 * norm
+        assert vec[np.argmax(np.abs(vec))] > 0
+        assert lowest_eigen_banded(bands, want_vector=False) == (lam, None)
+
+    def test_small_path_is_lapack_eig_banded(self):
+        bands, _ = random_banded(INERTIA_CROSSOVER - 1, 2, 5, False)
+        lam, vec = lowest_eigen_banded(bands)
+        w, v = scipy.linalg.eig_banded(bands, lower=True, select="i",
+                                       select_range=(0, 0))
+        assert lam == w[0]
+        assert np.array_equal(np.abs(vec), np.abs(v[:, 0]))
+
+    @pytest.mark.parametrize("dim", [50, INERTIA_CROSSOVER + 200])
+    def test_rejects_nan_band(self, dim):
+        bands, _ = random_banded(dim, 2, 6, False)
+        bands[1, dim // 2] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            lowest_eigen_banded(bands)
+
+    def test_rejects_one_dimensional_input(self):
+        with pytest.raises(ValueError, match="2-D"):
+            lowest_eigen_banded(np.ones(5))
+
+    def test_step_cap_raises(self, monkeypatch):
+        bands, _ = random_banded(INERTIA_CROSSOVER + 100, 2, 7, False)
+        monkeypatch.setattr(numerics, "INERTIA_MAX_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not close"):
+            lowest_eigen_banded(bands)
 
 
 class TestRandomSource:
