@@ -4,7 +4,8 @@ Every subcommand resolves its configuration, echoes it to stderr as one JSON
 line, computes a row table, and writes CSV (default) or JSON to stdout or to
 ``--out PATH``.  File outputs are written to a temporary file and renamed
 into place, and get a ``<out>.run.json`` sidecar with the resolved config
-and library version.  Floats are printed with 12 significant digits.
+and library version.  Floats are printed with 12 significant digits; exact
+rationals print in full, as integers or as 'p/q' strings.
 
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 """
@@ -40,7 +41,7 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (np.floating,)):
         return float(value)
-    return value
+    return correlations.number_to_json(value)
 
 
 def _emit(args, header, rows, sidecar_extra=None):
@@ -136,9 +137,9 @@ def _cmd_bound(args):
     if "kind" not in data and "alpha" in data:
         expr = symmetric.expression_from_json(data)
         bound, witness = symmetric.classical_bound_symmetric(expr)
-        rows.append(("enumerated_bound", float(bound)))
+        rows.append(("enumerated_bound", bound))
         if expr.bound is not None:
-            rows.append(("declared_bound", float(expr.bound)))
+            rows.append(("declared_bound", expr.bound))
             rows.append(("match", bound == expr.bound))
         rows.append(("witness_counts", f"{witness.a}|{witness.b}|{witness.c}|{witness.d}"))
     else:

@@ -41,6 +41,9 @@ __all__ = [
     "qubit_projectors",
     "expression_to_json",
     "expression_from_json",
+    "number_to_json",
+    "number_from_json",
+    "to_common_denominator",
 ]
 
 TABLE_GUARD = 10**7  # max dense-table entries (m*d)^n
@@ -539,8 +542,12 @@ class TIExpression:
         self.omega = pad(self.omega, self.n - 1, "omega")
 
 
-def _exact_coeffs(values):
-    """Common-denominator integer form of a coefficient list."""
+def to_common_denominator(values):
+    """Common-denominator integer form ``(ints, den)`` of exact coefficients.
+
+    ``ints[k] == values[k] * den`` exactly, with ``den`` the least common
+    denominator of the values as Fractions.
+    """
     fracs = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
     den = 1
     for f in fracs:
@@ -561,7 +568,7 @@ def ti_classical_bound(expr, max_parties=12):
         raise ValueError(f"4^{n} strategies exceed the enumeration guard")
     half = n // 2
     coeffs = [expr.alpha, expr.beta, *expr.gamma, *expr.epsilon, *expr.omega]
-    ints, den = _exact_coeffs(coeffs)
+    ints, den = to_common_denominator(coeffs)
     a_int, b_int = ints[0], ints[1]
     g_int = ints[2 : 2 + half]
     e_int = ints[2 + half : 2 + 2 * half]
@@ -641,16 +648,16 @@ def expression_to_json(obj):
         return {
             "kind": "ti",
             "parties": int(obj.n),
-            "alpha": _num_json(obj.alpha),
-            "beta": _num_json(obj.beta),
-            "gamma": [_num_json(v) for v in obj.gamma],
-            "epsilon": [_num_json(v) for v in obj.epsilon],
-            "omega": [_num_json(v) for v in obj.omega],
+            "alpha": number_to_json(obj.alpha),
+            "beta": number_to_json(obj.beta),
+            "gamma": [number_to_json(v) for v in obj.gamma],
+            "epsilon": [number_to_json(v) for v in obj.epsilon],
+            "omega": [number_to_json(v) for v in obj.omega],
         }
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
-def _num_json(v):
+def number_to_json(v):
     """Numbers stay numbers; non-dyadic rationals become 'p/q' strings."""
     if isinstance(v, Fraction):
         if v.denominator == 1:
@@ -659,7 +666,8 @@ def _num_json(v):
     return v
 
 
-def _num_parse(v):
+def number_from_json(v):
+    """Inverse of :func:`number_to_json`: 'p/q' strings load as Fractions."""
     if isinstance(v, str):
         return Fraction(v)
     return v
@@ -689,10 +697,10 @@ def expression_from_json(data):
     if kind == "ti":
         return TIExpression(
             n=int(data["parties"]),
-            alpha=_num_parse(data["alpha"]),
-            beta=_num_parse(data["beta"]),
-            gamma=tuple(_num_parse(v) for v in data["gamma"]),
-            epsilon=tuple(_num_parse(v) for v in data["epsilon"]),
-            omega=tuple(_num_parse(v) for v in data["omega"]),
+            alpha=number_from_json(data["alpha"]),
+            beta=number_from_json(data["beta"]),
+            gamma=tuple(number_from_json(v) for v in data["gamma"]),
+            epsilon=tuple(number_from_json(v) for v in data["epsilon"]),
+            omega=tuple(number_from_json(v) for v in data["omega"]),
         )
     raise ValueError(f"unknown expression kind {kind!r}")

@@ -21,6 +21,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from .correlations import (
+    OUTCOME_SIGNS,
+    BellFunctional,
+    Scenario,
+    number_from_json,
+    number_to_json,
+    to_common_denominator,
+)
+
 __all__ = [
     "StrategyCounts",
     "SymmetrizedCorrelators",
@@ -36,7 +45,10 @@ __all__ = [
     "rioja_parity_ok",
 ]
 
-COUNT_GUARD = 3000  # max n for the count enumeration
+# max n for the count enumeration.  The O(n) scan needs no memory or time
+# guard (murcia(10**5) takes about 2 s); the limit stays because callers rely
+# on n above it being refused, and lifting it is an API change of its own.
+COUNT_GUARD = 3000
 
 
 @dataclass(frozen=True)
@@ -142,28 +154,26 @@ def correlators_of_counts(counts):
     )
 
 
-def _exact5(expr):
-    """Integer-scaled (2*alpha, 2*beta, gamma, 2*delta, epsilon) with denominator.
-
-    The expression value is scaled by 2*den so every term is integral:
-    2*den*I = A*Sig0 + B*Sig1 + G*(Sig0^2-n) + D2*(Sig0*Sig1-D) + E*(Sig1^2-n).
-    """
-    vals = [Fraction(v) if not isinstance(v, Fraction) else v
-            for v in expr.coefficients()]
-    den = 1
-    for f in vals:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    a, b, g, d, e = (int(f * den) for f in vals)
-    return 2 * a, 2 * b, g, 2 * d, e, 2 * den
-
-
 def classical_bound_symmetric(expr):
     """Exact classical bound of a permutationally invariant expression.
 
-    Enumerates strategies through their occupation counts.  For fixed
-    one-body sums the value is linear in the same-site product sum, so only
-    its two extremes matter; that reduces the search to the O(n^2) grid of
-    (number of +1 answers on setting 0, number on setting 1).
+    A deterministic strategy enters only through its occupation counts.
+    Write p and q for the number of +1 answers on settings 0 and 1 and a
+    for the number of (+,+) parties.  For fixed (p, q) the value is linear
+    in the same-site sum D = 4a + n - 2p - 2q, so the best a is
+    a_hi = min(p, q) when the (scaled) delta is positive and
+    a_lo = max(0, p + q - n) otherwise.  With that a, the value at fixed p
+    is, in q, a quadratic with leading coefficient 4*epsilon made of two
+    pieces that meet at one kink: q = p (delta > 0) or q = n - p.  Its
+    minimum over the integers 0..n is therefore at 0, the kink or n, or,
+    when epsilon > 0, at the floor or ceiling of a piece's vertex clipped
+    to that piece.  Only these candidates are evaluated, so one expression
+    costs O(n) evaluations instead of the (n+1)^2 grid of (p, q).
+
+    Ties resolve as the full grid would: the lexicographically smallest
+    (p, q) attaining the minimum, then a_lo over a_hi.  The arithmetic is
+    Python integers on the common-denominator form of the coefficients,
+    so the bound is exact at any coefficient size.
 
     Returns
     -------
@@ -175,52 +185,35 @@ def classical_bound_symmetric(expr):
     n = expr.n
     if n > COUNT_GUARD:
         raise ValueError(f"n = {n} exceeds the enumeration guard {COUNT_GUARD}")
-    a2, b2, g, d2, e, scale = _exact5(expr)
+    (a, b, g, d, e), den = to_common_denominator(expr.coefficients())
+    # 2*den*I = a2*Sig0 + b2*Sig1 + g*(Sig0^2-n) + d2*(Sig0*Sig1-D) + e*(Sig1^2-n)
+    a2, b2, d2 = 2 * a, 2 * b, 2 * d
 
-    # worst-case magnitude: is int64 safe?
-    mag = (abs(a2) + abs(b2)) * n + (abs(g) + abs(e)) * (n * n + n) \
-        + abs(d2) * (n * n + n)
-    use_numpy = mag < 2**62
+    def same_plus(p, q):  # best count of (+,+) parties at fixed (p, q)
+        return min(p, q) if d2 > 0 else max(0, p + q - n)
 
-    best = None
-    witness = None
-    if use_numpy:
-        p = np.arange(n + 1, dtype=np.int64)
-        sig0 = (2 * p - n)[:, None]           # p = #(+1) on setting 0
-        sig1 = (2 * p - n)[None, :]           # q = #(+1) on setting 1
-        base = (
-            a2 * sig0 + b2 * sig1
-            + g * (sig0 * sig0 - n) + e * (sig1 * sig1 - n)
-            + d2 * (sig0 * sig1)
-        )
-        # same-site sum D = 4a + n - 2p - 2q is monotone in a; check both ends
-        a_lo = np.maximum(0, p[:, None] + p[None, :] - n)
-        a_hi = np.minimum(p[:, None], p[None, :])
-        d_lo = 4 * a_lo + n - 2 * p[:, None] - 2 * p[None, :]
-        d_hi = 4 * a_hi + n - 2 * p[:, None] - 2 * p[None, :]
-        v_lo = base - d2 * d_lo
-        v_hi = base - d2 * d_hi
-        values = np.minimum(v_lo, v_hi)
-        flat = int(np.argmin(values))
-        i, j = np.unravel_index(flat, values.shape)
-        best = int(values[i, j])
-        pa = int(a_lo[i, j]) if v_lo[i, j] <= v_hi[i, j] else int(a_hi[i, j])
-        pi, qj = int(p[i]), int(p[j])
-        witness = StrategyCounts(pa, pi - pa, qj - pa, n - pi - qj + pa)
-    else:
-        for pi in range(n + 1):
-            for qj in range(n + 1):
-                s0 = 2 * pi - n
-                s1 = 2 * qj - n
-                base = (a2 * s0 + b2 * s1 + g * (s0 * s0 - n)
-                        + e * (s1 * s1 - n) + d2 * s0 * s1)
-                for aa in (max(0, pi + qj - n), min(pi, qj)):
-                    same = 4 * aa + n - 2 * pi - 2 * qj
-                    v = base - d2 * same
-                    if best is None or v < best:
-                        best = v
-                        witness = StrategyCounts(aa, pi - aa, qj - aa, n - pi - qj + aa)
-    return Fraction(-best, scale), witness
+    def value(p, q):
+        s0, s1 = 2 * p - n, 2 * q - n
+        same = 4 * same_plus(p, q) + n - 2 * p - 2 * q
+        return (a2 * s0 + b2 * s1 + g * (s0 * s0 - n) + e * (s1 * s1 - n)
+                + d2 * (s0 * s1 - same))
+
+    def candidates(p):
+        kink = p if d2 > 0 else n - p
+        qs = {0, kink, n}
+        if e > 0:
+            # on a piece D = tau*Sig1 + const, so the vertex in q is
+            # (2en - b2 - d2*Sig0 + d2*tau) / 4e
+            sign = 1 if d2 > 0 else -1
+            for lo, hi, tau in ((0, kink, sign), (kink, n, -sign)):
+                num = 2 * e * n - b2 - d2 * (2 * p - n) + d2 * tau
+                floor = num // (4 * e)
+                qs.update(min(max(q, lo), hi) for q in (floor, floor + 1))
+        return qs
+
+    best, p, q = min((value(p, q), p, q) for p in range(n + 1) for q in candidates(p))
+    pa = same_plus(p, q)
+    return Fraction(-best, 2 * den), StrategyCounts(pa, p - pa, q - pa, n - p - q + pa)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +328,6 @@ def pi_to_functional(expr):
     the relevant settings and everyone else measures setting 0.  On
     nonsignalling behaviors the value is placement-independent.
     """
-    from .correlations import OUTCOME_SIGNS, BellFunctional, Scenario
-
     n = expr.n
     sc = Scenario(n, 2, 2)
     coeffs = np.zeros(sc.table_shape)
@@ -382,33 +373,29 @@ def pi_to_functional(expr):
 
 
 def expression_to_json(expr):
-    from .correlations import _num_json
-
     return {
         "n": int(expr.n),
-        "alpha": _num_json(expr.alpha),
-        "beta": _num_json(expr.beta),
-        "gamma": _num_json(expr.gamma),
-        "delta": _num_json(expr.delta),
-        "epsilon": _num_json(expr.epsilon),
-        "bound": _num_json(expr.bound) if expr.bound is not None else None,
+        "alpha": number_to_json(expr.alpha),
+        "beta": number_to_json(expr.beta),
+        "gamma": number_to_json(expr.gamma),
+        "delta": number_to_json(expr.delta),
+        "epsilon": number_to_json(expr.epsilon),
+        "bound": number_to_json(expr.bound) if expr.bound is not None else None,
         "bound_provenance": expr.bound_provenance,
         "name": expr.name,
     }
 
 
 def expression_from_json(data):
-    from .correlations import _num_parse
-
     bound = data.get("bound")
     return PIBellExpression(
         n=int(data["n"]),
-        alpha=_num_parse(data["alpha"]),
-        beta=_num_parse(data["beta"]),
-        gamma=_num_parse(data["gamma"]),
-        delta=_num_parse(data["delta"]),
-        epsilon=_num_parse(data["epsilon"]),
-        bound=_num_parse(bound) if bound is not None else None,
+        alpha=number_from_json(data["alpha"]),
+        beta=number_from_json(data["beta"]),
+        gamma=number_from_json(data["gamma"]),
+        delta=number_from_json(data["delta"]),
+        epsilon=number_from_json(data["epsilon"]),
+        bound=number_from_json(bound) if bound is not None else None,
         bound_provenance=data.get("bound_provenance", ""),
         name=data.get("name", ""),
     )

@@ -7,6 +7,7 @@ checked against code with no shared machinery.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -178,3 +179,28 @@ def full_space_bell(expr, theta):
             out += d * embed(m0, i, n) @ embed(m1, j, n)
             out += e / 2 * embed(m1, i, n) @ embed(m1, j, n)
     return out
+
+
+def pi_bound_grid(coeffs, n):
+    """Exact classical bound and witness counts (a, b, c, d) over the full
+    (p, q) grid of +1 counts on settings 0 and 1.
+
+    For each (p, q) both extremes of the (+,+) count a are tried, since the
+    value is linear in it.  Ties go to the first (p, q) in row-major order,
+    then to the smaller a.  All arithmetic is in integers: the value is
+    scaled by twice the common denominator of the coefficients.
+    """
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    al, be, ga, de, ep = (int(Fraction(c) * 2 * den) for c in coeffs)
+    best = witness = None
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for a in (max(0, p + q - n), min(p, q)):
+                b, c, d = p - a, q - a, n - p - q + a
+                sig0, sig1, same = a + b - c - d, a - b + c - d, a - b - c + d
+                # Sig^2 - n is even, so the halvings are exact
+                value = (al * sig0 + be * sig1 + ga * (sig0 * sig0 - n) // 2
+                         + de * (sig0 * sig1 - same) + ep * (sig1 * sig1 - n) // 2)
+                if best is None or value < best:
+                    best, witness = value, (a, b, c, d)
+    return Fraction(-best, 2 * den), witness

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from bellscope.correlations import TIExpression, chsh_correlator_functional
 from bellscope.correlations import expression_to_json as functional_to_json
 from bellscope.quantum import max_entangled, state_to_json
 from bellscope.symmetric import expression_to_json as pi_to_json
-from bellscope.symmetric import murcia
+from bellscope.symmetric import PIBellExpression, murcia
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,38 @@ class TestJsonInputs:
         assert values["declared_bound"] == "10"
         assert values["match"] == "true"
         assert len(values["witness_counts"].split("|")) == 4
+
+    def test_bound_prints_large_integer_exactly(self, capsys, tmp_path):
+        k = 12345678901234
+        scaled = PIBellExpression(n=1000, alpha=-2 * k, beta=0, gamma=k, delta=-k,
+                                  epsilon=k, bound=2000 * k)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(pi_to_json(scaled)))
+        code, out, _ = run_cli(capsys, "bound", "--expr", str(path))
+        assert code == 0
+        values = {r["quantity"]: r["value"] for r in parse_csv(out)[1]}
+        assert values["enumerated_bound"] == values["declared_bound"] == str(2000 * k)
+        code, out, _ = run_cli(capsys, "bound", "--expr", str(path), "--format", "json")
+        assert code == 0
+        values = {r["quantity"]: r["value"] for r in json.loads(out)}
+        assert values["enumerated_bound"] == values["declared_bound"] == 2000 * k
+
+    def test_bound_prints_rational_exactly(self, capsys, tmp_path):
+        # min over Sig0 in {-2, 0, 2} of Sig0/3 is -2/3
+        expr = PIBellExpression(n=2, alpha=Fraction(1, 3), beta=0, gamma=0, delta=0,
+                                epsilon=0, bound=Fraction(2, 3))
+        path = tmp_path / "third.json"
+        path.write_text(json.dumps(pi_to_json(expr)))
+        code, out, _ = run_cli(capsys, "bound", "--expr", str(path))
+        assert code == 0
+        values = {r["quantity"]: r["value"] for r in parse_csv(out)[1]}
+        assert values["enumerated_bound"] == values["declared_bound"] == "2/3"
+        assert values["match"] == "true"
+        code, out, _ = run_cli(capsys, "bound", "--expr", str(path), "--format", "json")
+        assert code == 0
+        values = {r["quantity"]: r["value"] for r in json.loads(out)}
+        assert values["enumerated_bound"] == values["declared_bound"] == "2/3"
+        assert values["match"] is True
 
     def test_bound_on_functional(self, capsys, tmp_path):
         path = tmp_path / "chsh.json"

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellscope.correlations import DeterministicStrategy, local_bound_bruteforce
 from bellscope.numerics import RandomSource
 from bellscope.symmetric import (
+    COUNT_GUARD,
     PIBellExpression,
     StrategyCounts,
     classical_bound_symmetric,
@@ -21,7 +24,7 @@ from bellscope.symmetric import (
     rioja_parity_ok,
 )
 
-from helpers import five_tuple_of_assignment, pi_min_bruteforce
+from helpers import five_tuple_of_assignment, pi_bound_grid, pi_min_bruteforce
 
 
 def counts_assignment(counts):
@@ -143,6 +146,50 @@ class TestClassicalBound:
                 if base is None:
                     base = v
                 assert v == base
+
+
+# small integers, integers past the old int64 switch (2^62 ~ 4.6e18), rationals
+MAGNITUDES = st.one_of(
+    st.integers(1, 4),
+    st.integers(10**19, 10**22),
+    st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12),
+)
+SIGNED = st.one_of(st.just(0), MAGNITUDES, MAGNITUDES.map(lambda v: -v))
+
+
+class TestBoundAgainstGridOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 40), coeffs=st.tuples(SIGNED, SIGNED, SIGNED, SIGNED, SIGNED))
+    @example(n=5, coeffs=(-2, 0, 1, -1, 1))
+    @example(n=4, coeffs=(0, 0, 6, 2, -1))
+    @example(n=5, coeffs=(3, -1, 2, 0, 0))
+    @example(n=40, coeffs=(10**20, -3, Fraction(1, 3), -(10**21), 10**19 + 1))
+    @example(n=3, coeffs=(Fraction(1, 3), Fraction(-1, 2), Fraction(2, 3), 1, Fraction(1, 6)))
+    def test_bound_and_witness_match_grid(self, n, coeffs):
+        expr = PIBellExpression(n, *coeffs)
+        bound, witness = classical_bound_symmetric(expr)
+        want_bound, want_witness = pi_bound_grid(coeffs, n)
+        assert isinstance(bound, Fraction)
+        assert bound == want_bound
+        assert (witness.a, witness.b, witness.c, witness.d) == want_witness
+        if n <= 5:
+            assert bound == -pi_min_bruteforce([Fraction(c) for c in coeffs], n)
+
+    def test_murcia_at_the_guard(self):
+        bound, witness = classical_bound_symmetric(murcia(COUNT_GUARD))
+        assert bound == 2 * COUNT_GUARD
+        assert murcia(COUNT_GUARD).value(correlators_of_counts(witness)) == -bound
+
+    def test_dicke_at_3000_matches_closed_form(self):
+        expr = dicke_expression(3000)
+        assert classical_bound_symmetric(expr)[0] == expr.bound
+
+    def test_scaled_murcia_past_int64(self):
+        k = 12345678901234
+        expr = PIBellExpression(1000, *(k * c for c in murcia(1000).coefficients()))
+        bound, witness = classical_bound_symmetric(expr)
+        assert bound == 2000 * k
+        assert expr.value(correlators_of_counts(witness)) == -bound
 
 
 class TestRiojaFamily:
