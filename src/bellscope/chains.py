@@ -12,10 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .quantum import DensityOperator, StateVector, partial_trace, vn_entropy
+from .quantum import (
+    DensityOperator,
+    StateVector,
+    _entropy_of_probs,
+    partial_trace,
+    vn_entropy,
+)
 
 __all__ = [
     "SIGMA_X",
@@ -87,6 +91,8 @@ class ChainHamiltonian:
         """Assemble the full Hamiltonian as a sparse matrix."""
         if self.dimension > DENSE_GUARD:
             raise ValueError(f"assembly guard is dimension <= {DENSE_GUARD}")
+        import scipy.sparse
+
         n, d = self.n_sites, self.local_dim
         dim = self.dimension
         h = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
@@ -112,6 +118,8 @@ class ChainHamiltonian:
 
     def _wrap_term(self, term):
         """kron-embed a (site N-1, site 0) term without reordering sites."""
+        import scipy.sparse
+
         n, d = self.n_sites, self.local_dim
         t4 = np.asarray(term).reshape(d, d, d, d)  # (a' b' | a b) on (N-1, 0)
         mid = scipy.sparse.identity(d ** (n - 2), format="coo")
@@ -183,6 +191,8 @@ def ground_state_exact(ham):
     if dim <= 512:
         w, v = np.linalg.eigh(ham.dense())
         return float(w[0]), StateVector(dims, v[:, 0])
+    import scipy.sparse.linalg
+
     h = ham.sparse()
     w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA")
     vec = v[:, 0]
@@ -205,9 +215,7 @@ def block_entropy_curve(psi, max_block=None, base=2):
     out = np.empty(max_block)
     for r in range(1, max_block + 1):
         s = np.linalg.svd(psi.amplitudes.reshape(d**r, -1), compute_uv=False)
-        p = s * s
-        p = p[p > 0.0]
-        out[r - 1] = float(-(p * np.log(p)).sum() / math.log(base))
+        out[r - 1] = _entropy_of_probs(s * s, base)
     return out
 
 

@@ -157,9 +157,9 @@ def _rioja_row(x, y, sigma, mu, n, branch, check_parity, verify):
     expr = symmetric.rioja(x, y, sigma, mu, n, branch=branch, check_parity=check_parity)
     if verify:
         enum, _ = symmetric.classical_bound_symmetric(expr)
-        tail = (float(expr.bound), float(enum), expr.bound == enum)
+        tail = (expr.bound, enum, expr.bound == enum)
     else:
-        tail = (float(expr.bound), "", "")
+        tail = (expr.bound, "", "")
     return (n, x, y, sigma, mu, branch) + tail, expr
 
 
@@ -177,7 +177,7 @@ def _cmd_murcia(args):
     enum, _ = symmetric.classical_bound_symmetric(expr)
     header = ["n", "alpha", "beta", "gamma", "delta", "epsilon",
               "bound_closed", "bound_enum", "match"]
-    row = (args.n, -2, 0, 1, -1, 1, float(expr.bound), float(enum), expr.bound == enum)
+    row = (args.n, -2, 0, 1, -1, 1, expr.bound, enum, expr.bound == enum)
     return header, [row], {"expression": symmetric.expression_to_json(expr)}
 
 
@@ -291,11 +291,10 @@ def _mps_input_state(args):
 def _cmd_mps(args):
     amp, d = _mps_input_state(args)
     spectra = mps.cut_spectra(amp, d)
-    full = mps.mps_from_dense(amp, d)
-    n_sites = full.n_sites
+    n_sites = len(spectra) + 1
     rows = []
     for dmax in args.dmax:
-        truncated, err2 = mps.truncate(full, dmax)
+        truncated, err2 = mps.truncate(amp, dmax, d)
         bound = mps.truncation_bound(spectra, dmax)
         rows.append((n_sites, dmax, err2, bound, err2 <= bound + 1e-12,
                      max(truncated.bond_dimensions, default=1)))

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantum import StateVector, _entropy_of_probs
+
 __all__ = [
     "MpsState",
     "cut_spectra",
@@ -81,8 +83,6 @@ def _infer_sites(size, d):
 
 
 def _as_amplitudes(psi, d):
-    from .quantum import StateVector
-
     if isinstance(psi, StateVector):
         dims = set(psi.dims)
         if dims != {psi.dims[0]}:
@@ -109,25 +109,47 @@ def cut_spectra(psi, d=2):
     return out
 
 
+def _left_sweep(amp, d, dmax=None):
+    """Left-to-right SVD sweep over every cut of a dense state.
+
+    Each cut keeps its singular values above the relative cutoff, at most
+    ``dmax`` of them when ``dmax`` is set, and always at least one.
+
+    Returns
+    -------
+    blocks : list of ndarray
+        Left-isometric pieces, ``blocks[k]`` of shape (D_k * d, D_{k+1}).
+    svals : list of ndarray
+        The kept singular values of each cut.
+    rest : ndarray, shape (D_{N-1}, d)
+        What remains after the last cut.
+    """
+    n = _infer_sites(amp.size, d)
+    work = amp.reshape(1, -1)
+    left_dim = 1
+    blocks = []
+    svals = []
+    for _ in range(n - 1):
+        work = work.reshape(left_dim * d, -1)
+        u, s, vh = np.linalg.svd(work, full_matrices=False)
+        keep = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s[0] > 0 else 1
+        if dmax is not None:
+            keep = min(keep, dmax)
+        keep = max(1, keep)
+        blocks.append(u[:, :keep])
+        svals.append(s[:keep])
+        work = s[:keep, None] * vh[:keep]
+        left_dim = keep
+    return blocks, svals, work
+
+
 def _project_tails(amp, d, dmax):
     """Sequentially project every cut onto its top-dmax Schmidt space.
 
     Returns the (generally unnormalised) projected amplitudes; the squared
     norm deficit is the truncation error the tail-sum bound controls.
     """
-    n = _infer_sites(amp.size, d)
-    work = amp.reshape(1, -1)
-    left_dim = 1
-    blocks = []  # left-isometric pieces, blocks[k]: (D_k * d, D_{k+1})
-    for _ in range(n - 1):
-        work = work.reshape(left_dim * d, -1)
-        u, s, vh = np.linalg.svd(work, full_matrices=False)
-        keep = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s[0] > 0 else 1
-        keep = max(1, min(keep, dmax))
-        blocks.append(u[:, :keep])
-        work = s[:keep, None] * vh[:keep]
-        left_dim = keep
-    out = work  # (D_{N-1}, d)
+    blocks, _, out = _left_sweep(amp, d, dmax)
     for u in reversed(blocks):
         out = u @ out.reshape(u.shape[1], -1)   # (D_k * d, rest)
         out = out.reshape(u.shape[0] // d, -1)  # (D_k, d * rest)
@@ -149,20 +171,9 @@ def mps_from_dense(psi, d=2, dmax=None):
     n = _infer_sites(amp.size, d)
 
     # left sweep: psi = L^[0] ... L^[N-1] with isometric L and cut spectra s
-    ls = []
-    svals = []
-    work = amp.reshape(1, -1)
-    left_dim = 1
-    for _ in range(n - 1):
-        work = work.reshape(left_dim * d, -1)
-        u, s, vh = np.linalg.svd(work, full_matrices=False)
-        keep = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s[0] > 0 else 1
-        keep = max(1, keep)
-        ls.append(u[:, :keep].reshape(left_dim, d, keep))
-        svals.append(s[:keep])
-        work = s[:keep, None] * vh[:keep]
-        left_dim = keep
-    ls.append(work.reshape(left_dim, d, 1))
+    blocks, svals, rest = _left_sweep(amp, d)
+    ls = [u.reshape(u.shape[0] // d, d, u.shape[1]) for u in blocks]
+    ls.append(rest.reshape(rest.shape[0], d, 1))
 
     # rescale into canonical tensors: A^[k] = diag(1/s^[k-1]) L^[k] diag(s^[k])
     tensors = []
@@ -269,8 +280,4 @@ def renyi_tail_bound(spectrum, alpha, dmax):
 
 def bond_entropies(mps, base=2):
     """Entanglement entropy at every bond, from the canonical spectra."""
-    out = []
-    for lam in mps.lambdas:
-        lam = lam[lam > 0.0]
-        out.append(float(-(lam * np.log(lam)).sum() / math.log(base)))
-    return np.asarray(out)
+    return np.asarray([_entropy_of_probs(lam, base) for lam in mps.lambdas])

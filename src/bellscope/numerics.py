@@ -4,6 +4,11 @@ minimisation, banded extreme eigenpairs, and seeded random streams.
 Everything downstream funnels its linear algebra through this module so that
 tolerances and conventions (eigenvalue ordering, singular-value ordering,
 band storage) are fixed in one place.
+
+scipy is loaded on first use, not at import: ``scipy.optimize`` by
+:func:`scalar_minimize` and the LAPACK handles by the first
+:func:`lowest_eigen_banded` call, so commands that need neither start
+without it.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 __all__ = [
     "hermitian_eigen",
@@ -38,10 +41,20 @@ INERTIA_RTOL = 1e-12
 #: factorisation.
 INERTIA_MAX_STEPS = 200
 
-_SBEVX, _PBTRF, _PBTRS, _LAMCH = scipy.linalg.get_lapack_funcs(
-    ("sbevx", "pbtrf", "pbtrs", "lamch"), dtype=np.float64
-)
-_SBEVX_ABSTOL = 2 * _LAMCH("s")  # the value scipy.linalg.eig_banded passes
+
+@functools.cache
+def _lapack():
+    """LAPACK handles ``(sbevx, pbtrf, pbtrs)`` and the ``sbevx`` abstol.
+
+    Fetched once, on the first eigen call; the abstol is the value
+    ``scipy.linalg.eig_banded`` passes.
+    """
+    import scipy.linalg
+
+    sbevx, pbtrf, pbtrs, lamch = scipy.linalg.get_lapack_funcs(
+        ("sbevx", "pbtrf", "pbtrs", "lamch"), dtype=np.float64
+    )
+    return sbevx, pbtrf, pbtrs, 2 * lamch("s")
 
 
 def hermitian_eigen(matrix):
@@ -115,6 +128,8 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64):
     b = xs[min(i + 1, grid_points - 1)]
     best_x, best_f = float(xs[i]), float(fs[i])
     if b > a:
+        import scipy.optimize
+
         res = scipy.optimize.minimize_scalar(
             f, bounds=(a, b), method="bounded", options={"xatol": tol}
         )
@@ -130,7 +145,7 @@ def lowest_eigen_banded(bands, want_vector=True):
     Two paths, split at ``INERTIA_CROSSOVER`` on the order n of the matrix:
 
     * ``n < INERTIA_CROSSOVER``: LAPACK ``sbevx`` for the lowest index,
-      through a handle cached at import.  It gives the same numbers as
+      through a handle cached on the first call.  It gives the same numbers as
       ``scipy.linalg.eig_banded(..., select="i")`` without its wrapper
       cost: 22 us against 41 us per call at n = 21.
     * ``n >= INERTIA_CROSSOVER``: Sylvester-inertia bisection with inverse
@@ -186,9 +201,10 @@ def lowest_eigen_banded(bands, want_vector=True):
     if not np.isfinite(bands).all():
         raise ValueError("band storage contains NaN or infinite entries")
     if bands.shape[1] < INERTIA_CROSSOVER:
-        w, vecs, _, _, info = _SBEVX(
+        sbevx, _, _, abstol = _lapack()
+        w, vecs, _, _, info = sbevx(
             bands, 0.0, 1.0, 1, 1, compute_v=int(want_vector), range=2,
-            lower=1, abstol=_SBEVX_ABSTOL, mmax=1, overwrite_ab=0,
+            lower=1, abstol=abstol, mmax=1, overwrite_ab=0,
         )
         if info != 0:
             raise ArithmeticError(f"LAPACK sbevx failed with info = {info}")
@@ -216,6 +232,7 @@ def _lowest_by_inertia(bands):
     or the midpoint after a failed trial.  A trial whose factorisation
     succeeds becomes the new ``lo``.
     """
+    _, pbtrf, pbtrs, _ = _lapack()
     nb = bands.shape[0] - 1
     n = bands.shape[1]
     diag = bands[0]
@@ -228,7 +245,7 @@ def _lowest_by_inertia(bands):
     tol = INERTIA_RTOL * (norm if norm > 0 else 1.0)
     bands = np.asfortranarray(bands)
     lo = float(np.min(diag - off)) - 0.25 * tol
-    factor = _shifted_cholesky(bands, lo)
+    factor = _shifted_cholesky(pbtrf, bands, lo)
     if factor is None:
         raise ArithmeticError(f"banded Cholesky failed below the Gershgorin bound {lo!r}")
     # top: least shift known to lie at or above the lowest eigenvalue; the
@@ -237,7 +254,7 @@ def _lowest_by_inertia(bands):
     x = _start_vector(n)
     failed = False
     for _ in range(INERTIA_MAX_STEPS):
-        y = _PBTRS(factor, x[:, None], lower=1)[0][:, 0]
+        y = pbtrs(factor, x[:, None], lower=1)[0][:, 0]
         ynorm = math.sqrt(float(y @ y))
         delta = float(y @ x) / (ynorm * ynorm)
         hi = lo + delta
@@ -252,7 +269,7 @@ def _lowest_by_inertia(bands):
             if not lo < sigma < top:
                 sigma = 0.5 * (lo + top)
         x = y / ynorm
-        trial = _shifted_cholesky(bands, sigma)
+        trial = _shifted_cholesky(pbtrf, bands, sigma)
         failed = trial is None
         if failed:
             top = sigma
@@ -272,11 +289,11 @@ def _start_vector(n):
     return x
 
 
-def _shifted_cholesky(bands, sigma):
+def _shifted_cholesky(pbtrf, bands, sigma):
     """Banded Cholesky factor of ``H - sigma I``, or None if not positive definite."""
     ab = bands.copy(order="F")
     ab[0] -= sigma
-    factor, info = _PBTRF(ab, lower=1, overwrite_ab=1)
+    factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
     return factor if info == 0 else None
 
 

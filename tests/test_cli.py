@@ -55,6 +55,21 @@ class TestBasicCommands:
         row = rows[0]
         assert (row["bound_closed"], row["bound_enum"], row["match"]) == ("24", "24", "true")
 
+    def test_rioja_prints_exact_bounds(self, capsys):
+        argv = ["rioja", "--x", "100000", "--y", "100001", "--sigma", "1",
+                "--mu", "2", "--n", "1001", "--verify"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        row = rows[0]
+        assert (row["bound_closed"], row["bound_enum"], row["match"]) == (
+            "20025200400502", "20020299999502", "false")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["bound_closed"] == 20025200400502
+        assert row["bound_enum"] == 20020299999502
+
     def test_rioja_without_verification_leaves_blanks(self, capsys):
         code, out, _ = run_cli(
             capsys, "rioja", "--x", "2", "--y", "1", "--sigma", "1",
@@ -319,6 +334,14 @@ class TestOutputsAndReproducibility:
 
     def test_console_entry_point_installed(self):
         assert shutil.which("bellscope") is not None
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, bellscope.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_invocation(self):
         proc = subprocess.run(

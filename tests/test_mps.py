@@ -170,6 +170,18 @@ class TestTruncation:
         assert abs(np.vdot(v1, mps_to_dense(m2))) >= 1 - 1e-12
         assert abs(np.vdot(v1, mps_to_dense(m3))) >= 1 - 1e-10
 
+    def test_dense_input_matches_mps_input(self):
+        rng = RandomSource(15).generator
+        states = [(haar_vector(2**6, rng), 2), (haar_vector(2**9, rng), 2),
+                  (haar_vector(3**4, rng), 3), (ghz(5), 2)]
+        for amp, d in states:
+            full = mps_from_dense(amp, d)
+            for dmax in (1, 2, 3, 8, amp.size):
+                m1, e1 = truncate(amp, dmax, d)
+                m2, e2 = truncate(full, dmax)
+                assert abs(e1 - e2) <= 1e-12
+                assert m1.bond_dimensions == m2.bond_dimensions
+
     def test_truncated_state_is_canonical(self):
         rng = RandomSource(14).generator
         amp = haar_vector(2**6, rng)

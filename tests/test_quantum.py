@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bellscope import quantum
 from bellscope.numerics import RandomSource
 from bellscope.quantum import (
     DensityOperator,
@@ -30,6 +31,7 @@ from bellscope.quantum import (
 from helpers import (
     entropy_of_matrix,
     haar_vector,
+    page_oracle,
     partial_trace_loops,
     pure_density,
     random_rank_r_state,
@@ -372,6 +374,43 @@ class TestPageExperiment:
         exact = sum(1.0 / k for k in range(9, 17)) - 1.0 / 16
         mean, se, _ = page_experiment(2, 8, 3000, RandomSource(45))
         assert abs(mean - exact) < 4 * se
+
+
+class TestPageBlocks:
+    """The blocked sampler against the per-sample loop, across block edges."""
+
+    SHAPES = [(1, 1), (1, 16), (2, 3), (2, 16), (3, 5), (3, 16)]
+
+    @staticmethod
+    def assert_matches_oracle(m, n, samples, seed):
+        got = page_experiment(m, n, samples, RandomSource(seed))
+        want = page_oracle(m, n, samples, RandomSource(seed))
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_counts_around_block_edges(self, monkeypatch, m, n):
+        # blocks of 5 samples, from a constant one amplitude short of 6 samples
+        monkeypatch.setattr(quantum, "PAGE_BLOCK_AMPLITUDES", 6 * m * n - 1)
+        block = 5
+        for samples in (1, 2, block - 1, block, block + 1, 3 * block + 7):
+            self.assert_matches_oracle(m, n, samples, seed=100 * m + n + samples)
+
+    def test_one_past_a_full_block(self):
+        block = quantum.PAGE_BLOCK_AMPLITUDES // (3 * 16)
+        self.assert_matches_oracle(3, 16, block + 1, seed=61)
+
+    def test_draws_at_most_the_block_size(self):
+        class Recording(RandomSource):
+            def normal(self, size=None):
+                sizes.append(size)
+                return super().normal(size)
+
+        sizes = []
+        block = quantum.PAGE_BLOCK_AMPLITUDES // (3 * 16)
+        page_experiment(3, 16, 3 * block + 7, Recording(62))
+        assert sizes == [(block, 2, 48)] * 3 + [(7, 2, 48)]
+        assert block * 48 <= 2**20
 
 
 class TestJsonRoundTrip:
