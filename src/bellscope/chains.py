@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _start_vector
 from .quantum import (
     DensityOperator,
     StateVector,
@@ -184,7 +185,9 @@ def random_chain(n, d, rng, boundary="open", field_scale=0.0):
 def ground_state_exact(ham):
     """Lowest eigenpair of the assembled chain Hamiltonian.
 
-    Dense for dimensions up to 512, Lanczos above.
+    Dense for dimensions up to 512, Lanczos above, started from the fixed
+    seeded vector ``numerics._start_vector(dim)`` so that the result is the
+    same in every process.
     """
     dim = ham.dimension
     dims = (ham.local_dim,) * ham.n_sites
@@ -194,7 +197,7 @@ def ground_state_exact(ham):
     import scipy.sparse.linalg
 
     h = ham.sparse()
-    w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA")
+    w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=_start_vector(dim))
     vec = v[:, 0]
     vec = vec / np.linalg.norm(vec)
     return float(w[0]), StateVector(dims, vec)

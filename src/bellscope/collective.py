@@ -14,6 +14,7 @@ bands, which keeps scans over n in the thousands cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -219,7 +220,33 @@ def symmetrized_correlators(state, theta):
 
 
 def _float_coeffs(expr):
-    return tuple(float(v) for v in expr.coefficients())
+    return tuple(map(float, expr.coefficients()))
+
+
+@functools.lru_cache(maxsize=8)
+def _band_terms(n, coeffs):
+    """Read-only (6, 3 (n+1)) array: the bands of the Bell operator as
+    ``sum_k w_k P_k`` with ``w = (1, c, s, c^2, c s, s^2)``, c = cos(theta)
+    and s = sin(theta); row k is the flattened lower band storage of P_k.
+    """
+    alpha, beta, gamma, delta, epsilon = coeffs
+    a = 2.0 * _jz_diag(n)            # diagonal of A; B has diagonal c a
+    f = _ladder_offdiag(n)           # B has off-diagonal s f, f[k] couples k, k+1
+    fsq = np.zeros(n + 1)
+    fsq[:-1] += f * f               # f_{k+1}^2 contribution at k
+    fsq[1:] += f * f                # f_k^2 contribution at k
+    asum = a[:-1] + a[1:]
+    terms = np.zeros((6, 3, n + 1))
+    terms[0, 0] = alpha * a + 0.5 * gamma * (a * a - n) - 0.5 * epsilon * n
+    terms[1, 0] = beta * a + delta * (a * a - n)
+    terms[3, 0] = 0.5 * epsilon * a * a
+    terms[5, 0] = 0.5 * epsilon * fsq
+    terms[2, 1, :n] = beta * f + 0.5 * delta * f * asum
+    terms[4, 1, :n] = 0.5 * epsilon * f * asum
+    terms[5, 2, : n - 1] = 0.5 * epsilon * f[:-1] * f[1:]
+    terms = terms.reshape(6, -1)
+    terms.setflags(write=False)
+    return terms
 
 
 def bell_operator_bands(expr, theta):
@@ -230,36 +257,28 @@ def bell_operator_bands(expr, theta):
         alpha A + beta B + (gamma/2)(A^2 - n)
         + delta((AB + BA)/2 - n cos t) + (epsilon/2)(B^2 - n),
 
-    real symmetric with bandwidth 2 in the Dicke basis.
+    real symmetric with bandwidth 2 in the Dicke basis.  It is a degree-2
+    trigonometric polynomial in theta, so the bands are one weighted sum of
+    six coefficient arrays, built once per (n, coefficients) and cached.
     """
-    n = expr.n
-    alpha, beta, gamma, delta, epsilon = _float_coeffs(expr)
     c, s = math.cos(theta), math.sin(theta)
-    a = 2.0 * _jz_diag(n)           # diagonal of A
-    b = c * a                        # diagonal of B
-    f = s * _ladder_offdiag(n)       # off-diagonal of B, f[k] couples k, k+1
-    fsq = np.zeros(n + 1)
-    fsq[:-1] += f * f               # f_{k+1}^2 contribution at k
-    fsq[1:] += f * f                # f_k^2 contribution at k
+    terms = _band_terms(expr.n, _float_coeffs(expr))
+    return np.dot((1.0, c, s, c * c, c * s, s * s), terms).reshape(3, expr.n + 1)
 
-    diag = (
-        alpha * a + beta * b
-        + 0.5 * gamma * (a * a - n)
-        + delta * (a * b - n * c)
-        + 0.5 * epsilon * (b * b + fsq - n)
-    )
-    band1 = (
-        beta * f
-        + 0.5 * delta * f * (a[:-1] + a[1:])
-        + 0.5 * epsilon * f * (b[:-1] + b[1:])
-    )
-    band2 = 0.5 * epsilon * f[:-1] * f[1:]
 
-    bands = np.zeros((3, n + 1))
-    bands[0] = diag
-    bands[1, :n] = band1
-    bands[2, : n - 1] = band2
-    return bands
+def _bell_slope(expr, theta, vec):
+    """d lambda / d theta = vec^T H'(theta) vec (Hellmann-Feynman) for a unit
+    eigenvector ``vec`` of a simple eigenvalue lambda of the Bell operator H.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    terms = _band_terms(expr.n, _float_coeffs(expr))
+    bands = np.dot((0.0, -s, c, -2.0 * c * s, c * c - s * s, 2.0 * c * s), terms)
+    n = expr.n + 1
+    return float(
+        bands[:n] @ (vec * vec)
+        + 2.0 * (bands[n: 2 * n - 1] @ (vec[:-1] * vec[1:]))
+        + 2.0 * (bands[2 * n: 3 * n - 2] @ (vec[:-2] * vec[2:]))
+    )
 
 
 def bell_operator(expr, theta):
@@ -289,39 +308,63 @@ def _require_bound(expr):
 
 @dataclass
 class MaxViolation:
-    """Best quantum violation over measurement angles."""
+    """Best quantum violation over measurement angles.
+
+    ``theta`` comes from the pre-scan of :func:`numerics.scalar_minimize`
+    polished by Illinois regula falsi on the exact Hellmann-Feynman slope
+    of the lowest eigenvalue.  ``evals`` counts the lowest-eigenvalue
+    evaluations made: the pre-scan's ``max(grid_points, 64)``, plus one per
+    polish point.
+    """
 
     violation: float      # max(0, -lambda_min - beta_c)
     theta: float
     quantum_value: float  # lambda_min of the Bell operator at theta
     bound: float
     state: SymmetricState
+    evals: int
 
 
 def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
     """Maximal violation of a PI expression over collective measurements.
 
     Minimises the lowest Bell-operator eigenvalue over theta in
-    ``theta_range`` (grid scan plus bracketed refinement to ``tol``).  The
-    default range [0, pi] suffices: theta -> 2 pi - theta is a similarity
-    transform of the operator (conjugation by diag((-1)^k)).
+    ``theta_range``: a ``grid_points`` scan, then a bracketed refinement to
+    ``tol`` on the slope lambda'(theta) = v^T H'(theta) v, with v the
+    eigenvector of each polish point; the state is the one kept from the
+    polish at the returned angle.  The default range [0, pi] suffices:
+    theta -> 2 pi - theta is a similarity transform of the operator
+    (conjugation by diag((-1)^k)).
     """
     beta_c = _require_bound(expr)
+    vectors = {}
+    evals = 0
 
     def objective(theta):
+        nonlocal evals
+        evals += 1
         w, _ = lowest_eigen_banded(bell_operator_bands(expr, theta), want_vector=False)
         return w
 
+    def value_and_slope(theta):
+        nonlocal evals
+        evals += 1
+        w, vec = lowest_eigen_banded(bell_operator_bands(expr, theta))
+        vectors[theta] = vec
+        return w, _bell_slope(expr, theta, vec)
+
     theta_star, lam_min = scalar_minimize(
-        objective, theta_range[0], theta_range[1], tol=tol, grid_points=grid_points
+        objective, theta_range[0], theta_range[1], tol=tol, grid_points=grid_points,
+        value_and_slope=value_and_slope,
     )
-    _, vec = lowest_eigen_banded(bell_operator_bands(expr, theta_star))
+    vec = vectors[theta_star]
     return MaxViolation(
         violation=max(0.0, -lam_min - beta_c),
         theta=theta_star,
         quantum_value=lam_min,
         bound=beta_c,
         state=SymmetricState(expr.n, vec / np.linalg.norm(vec)),
+        evals=evals,
     )
 
 

@@ -382,6 +382,8 @@ def page_experiment(m, n, samples, rng):
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got ({m}, {n})")
     samples = int(samples)
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     ent = np.empty(samples)
     pur = np.empty(samples)
     block = max(1, PAGE_BLOCK_AMPLITUDES // (m * n))

@@ -225,3 +225,49 @@ def page_oracle(m, n, samples, rng):
         pur[i] = float((p * p).sum())
     se = float(ent.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return float(ent.mean()), se, float(pur.mean())
+
+
+def bell_operator_bands_explicit(expr, theta):
+    """Lower band storage (3, n+1) of the Bell operator, entry by entry.
+
+    The formula ``collective.bell_operator_bands`` used before it cached
+    the trigonometric decomposition: the diagonal and the two off-diagonals
+    of alpha A + beta B + gamma/2 (A^2 - n) + delta ((AB + BA)/2 - n cos)
+    + epsilon/2 (B^2 - n), with A = 2 Jz and B = 2 (cos Jz + sin Jx).
+    """
+    n = expr.n
+    alpha, beta, gamma, delta, epsilon = (float(v) for v in expr.coefficients())
+    c, s = math.cos(theta), math.sin(theta)
+    k = np.arange(n + 1, dtype=float)
+    a = n - 2.0 * k
+    b = c * a
+    f = s * np.sqrt(k[1:] * (n - k[1:] + 1.0))
+    fsq = np.zeros(n + 1)
+    fsq[:-1] += f * f
+    fsq[1:] += f * f
+    bands = np.zeros((3, n + 1))
+    bands[0] = (alpha * a + beta * b + 0.5 * gamma * (a * a - n)
+                + delta * (a * b - n * c) + 0.5 * epsilon * (b * b + fsq - n))
+    bands[1, :n] = (beta * f + 0.5 * delta * f * (a[:-1] + a[1:])
+                    + 0.5 * epsilon * f * (b[:-1] + b[1:]))
+    bands[2, : n - 1] = 0.5 * epsilon * f[:-1] * f[1:]
+    return bands
+
+
+def grid_brent_minimize(f, lo, hi, tol=1e-8, grid_points=64):
+    """The grid scan plus bounded Brent polish ``numerics.scalar_minimize``
+    used before its slope polish: same grid, same first-argmin bracket."""
+    import scipy.optimize
+
+    grid_points = max(int(grid_points), 64)
+    xs = np.linspace(lo, hi, grid_points)
+    fs = np.array([float(f(x)) for x in xs])
+    i = int(np.argmin(fs))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, grid_points - 1)]
+    best_x, best_f = float(xs[i]), float(fs[i])
+    res = scipy.optimize.minimize_scalar(
+        f, bounds=(a, b), method="bounded", options={"xatol": tol}
+    )
+    if float(res.fun) < best_f:
+        best_x, best_f = float(res.x), float(res.fun)
+    return best_x, best_f

@@ -1,0 +1,238 @@
+"""The theta objective of ``max_violation``: cached trigonometric band terms,
+the Hellmann-Feynman slope and the slope polish of ``scalar_minimize``,
+checked against the explicit band formula and the grid + Brent minimiser
+in ``helpers``."""
+
+import math
+import subprocess
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bellscope import collective
+from bellscope.collective import (
+    _bell_slope,
+    bell_operator,
+    bell_operator_bands,
+    dicke_state,
+    dicke_violation,
+    max_violation,
+    symmetrized_correlators,
+)
+from bellscope.correlations import _pair_correlator, chsh_quantum_demo
+from bellscope.numerics import lowest_eigen_banded, scalar_minimize
+from bellscope.quantum import DensityOperator
+from bellscope.symmetric import PIBellExpression, dicke_expression, murcia
+
+from helpers import bell_operator_bands_explicit, grid_brent_minimize
+
+COEFF = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=8),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+COEFFS = st.tuples(COEFF, COEFF, COEFF, COEFF, COEFF).filter(lambda c: any(c))
+THETA_GRID = np.linspace(0.0, math.pi, 256)
+
+
+def expression(n, coeffs):
+    return PIBellExpression(n, *coeffs, bound=0)
+
+
+def band_norm(bands):
+    """||H||_inf, the largest absolute row sum, from lower band storage."""
+    n = bands.shape[1]
+    rows = np.abs(bands[0]).copy()
+    for k in range(1, bands.shape[0]):
+        rows[k:] += np.abs(bands[k, : n - k])
+        rows[: n - k] += np.abs(bands[k, : n - k])
+    return float(rows.max())
+
+
+def lowest(expr, theta):
+    return lowest_eigen_banded(bell_operator_bands(expr, theta), want_vector=False)[0]
+
+
+class TestBands:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 300), coeffs=COEFFS,
+           theta=st.floats(min_value=-7.0, max_value=7.0, allow_nan=False))
+    @example(n=2, coeffs=(-2, 0, 1, -1, 1), theta=0.0)
+    @example(n=2500, coeffs=(-2, 0, 1, -1, 1), theta=math.pi)
+    @example(n=7, coeffs=(Fraction(1, 3), 0, 0, 0, Fraction(-5, 2)), theta=1.0)
+    def test_match_explicit_formula(self, n, coeffs, theta):
+        expr = expression(n, coeffs)
+        want = bell_operator_bands_explicit(expr, theta)
+        got = bell_operator_bands(expr, theta)
+        assert got.shape == (3, n + 1)
+        assert np.abs(got - want).max() <= 1e-13 * max(band_norm(want), 1e-300)
+        assert not got[1, n:].any() and not got[2, n - 1:].any()
+
+    def test_cached_terms_are_read_only(self):
+        expr = murcia(9)
+        bell_operator_bands(expr, 0.4)
+        terms = collective._band_terms(9, collective._float_coeffs(expr))
+        with pytest.raises(ValueError):
+            terms[0, 0] = 1.0
+        # callers get a fresh array they may write to
+        bands = bell_operator_bands(expr, 0.4)
+        bands[0, 0] = 123.0
+        assert bell_operator_bands(expr, 0.4)[0, 0] != 123.0
+
+
+class TestHellmannFeynmanSlope:
+    @pytest.mark.parametrize("n, coeffs", [
+        (5, (-2, 0, 1, -1, 1)),
+        (12, (-2, 0, 1, -1, 1)),
+        (30, (1, -0.5, 0.25, 2, -1.5)),
+        (150, (-2, 0, 1, -1, 1)),
+        (260, (0.3, 1, -0.7, 0.2, 0.9)),
+    ])
+    def test_matches_central_difference(self, n, coeffs):
+        expr = expression(n, coeffs)
+        h = 1e-5
+        for theta in np.linspace(0.2, 2.9, 7):
+            w = np.linalg.eigvalsh(bell_operator(expr, theta))
+            scale = band_norm(bell_operator_bands(expr, theta))
+            if w[1] - w[0] < 1e-3 * scale:
+                continue  # slope of a near-degenerate level is not defined
+            _, vec = lowest_eigen_banded(bell_operator_bands(expr, theta))
+            slope = _bell_slope(expr, theta, vec)
+            lam = [np.linalg.eigvalsh(bell_operator(expr, t))[0]
+                   for t in (theta - h, theta + h)]
+            fd = (lam[1] - lam[0]) / (2 * h)
+            assert slope == pytest.approx(fd, abs=1e-6 * scale)
+
+
+class TestMaxViolationOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 40), coeffs=COEFFS)
+    @example(n=4, coeffs=(-2, 0, 1, -1, 1))
+    @example(n=5, coeffs=(-2, 0, 1, -1, 1))
+    @example(n=40, coeffs=(-2, 0, 1, -1, 1))
+    def test_grid_bound_and_brent_oracle(self, n, coeffs):
+        expr = expression(n, coeffs)
+        mv = max_violation(expr)
+        grid_min = min(lowest(expr, t) for t in THETA_GRID)
+        assert mv.quantum_value <= grid_min
+        _, want = grid_brent_minimize(lambda t: lowest(expr, t), 0.0, math.pi,
+                                      tol=1e-6, grid_points=256)
+        assert abs(mv.quantum_value - want) <= 1e-9 * max(abs(want), 1.0)
+        assert 0.0 <= mv.theta <= math.pi
+        assert mv.quantum_value == pytest.approx(lowest(expr, mv.theta), rel=1e-14, abs=1e-14)
+
+    def test_evals_counts_eigen_calls(self, monkeypatch):
+        calls = []
+
+        def counting(bands, want_vector=True):
+            calls.append(want_vector)
+            return lowest_eigen_banded(bands, want_vector=want_vector)
+
+        monkeypatch.setattr(collective, "lowest_eigen_banded", counting)
+        for n, grid_points in ((6, 256), (23, 256), (30, 40)):
+            calls.clear()
+            mv = max_violation(murcia(n), grid_points=grid_points)
+            assert mv.evals == len(calls)
+            scan = max(grid_points, 64)
+            assert calls[:scan] == [False] * scan
+            assert scan < mv.evals <= scan + 12
+
+    def test_murcia_census_at_the_bound_is_exact(self):
+        # lambda_min = -2n exactly for n <= 4; the polish adds no rounding
+        for n in (2, 3, 4):
+            mv = max_violation(murcia(n))
+            assert mv.violation <= 1e-12
+
+
+class TestScalarMinimizeSlope:
+    def test_supplied_slope_and_central_difference_agree(self):
+        def f(x):
+            return math.cos(3 * x) + 0.3 * x * x
+
+        def value_and_slope(x):
+            return f(x), -3 * math.sin(3 * x) + 0.6 * x
+
+        x1, f1 = scalar_minimize(f, -2.0, 3.0, tol=1e-10)
+        x2, f2 = scalar_minimize(f, -2.0, 3.0, tol=1e-10, value_and_slope=value_and_slope)
+        assert x1 == pytest.approx(x2, abs=1e-8)
+        assert abs(value_and_slope(x2)[1]) <= 1e-8
+
+    def test_narrow_well_next_to_the_end(self):
+        # a well 0.03 wide at 0.02 from the left end, as in the misses of
+        # a coarse grid; the 256-point pre-scan must land in it
+        def f(x):
+            return -0.5 * math.exp(-((x - 0.02) / 0.015) ** 2) - 0.1 * math.cos(x - 2.0)
+
+        x, fx = scalar_minimize(f, 0.0, math.pi, tol=1e-9, grid_points=256)
+        assert x == pytest.approx(0.02, abs=1e-3)
+        grid = min(f(t) for t in THETA_GRID)
+        assert fx <= grid
+
+    def test_minimum_at_the_range_end(self):
+        x, fx = scalar_minimize(lambda x: x * x, 0.5, 2.0)
+        assert (x, fx) == (0.5, 0.25)
+        x, fx = scalar_minimize(lambda x: -x, 0.0, 1.0)
+        assert (x, fx) == (1.0, -1.0)
+
+    def test_flat_minimum_closes(self):
+        # a triple zero of the slope: plain regula falsi keeps one end and
+        # crawls; the Illinois halving closes the bracket
+        def value_and_slope(x):
+            return (x - 0.3) ** 4, 4 * (x - 0.3) ** 3
+
+        x, _ = scalar_minimize(lambda x: (x - 0.3) ** 4, 0.0, 1.0, tol=1e-9,
+                               value_and_slope=value_and_slope)
+        assert abs(x - 0.3) <= 1e-8
+
+    def test_polish_never_loses_to_the_grid(self):
+        # a kink: the slope jumps from -1 to +1 at 1/3
+        x, fx = scalar_minimize(lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0, tol=1e-12)
+        assert abs(x - 1.0 / 3.0) <= 1e-9
+        assert fx <= 1e-9
+
+
+class TestChshAscent:
+    def test_reaches_planar_optimum_on_random_states(self):
+        rng = np.random.default_rng(17)
+        half = 0.5 * math.pi
+        for _ in range(40):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v /= np.linalg.norm(v)
+            rho = DensityOperator((2, 2), np.outer(v, v.conj()))
+            t = np.array([[_pair_correlator(rho.matrix, x, y) for y in (0.0, half)]
+                          for x in (0.0, half)])
+            # max over planar settings: 2 sqrt(|T e|^2 + |T e_perp|^2)
+            want = 2.0 * float(np.linalg.norm(t))
+            for grid_points in (2, 5, 24):
+                value, angles = chsh_quantum_demo(rho, grid_points=grid_points)
+                assert value == pytest.approx(want, abs=1e-12)
+                a0, a1, b0, b1 = angles
+                got = (_pair_correlator(rho.matrix, a0, b0) + _pair_correlator(rho.matrix, a0, b1)
+                       + _pair_correlator(rho.matrix, a1, b0) - _pair_correlator(rho.matrix, a1, b1))
+                assert got == pytest.approx(value, abs=1e-12)
+
+
+def test_violation_paths_do_not_load_scipy_optimize():
+    code = ("import sys; from bellscope.collective import max_violation, dicke_violation; "
+            "from bellscope.correlations import chsh_quantum_demo; "
+            "from bellscope.symmetric import murcia; "
+            "max_violation(murcia(6)); dicke_violation(6); chsh_quantum_demo(); "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_dicke_violation_matches_brent_oracle():
+    for n in (4, 9, 16):
+        expr = dicke_expression(n)
+        state = dicke_state(n, n // 2)
+        _, want = grid_brent_minimize(
+            lambda t: expr.value_float(symmetrized_correlators(state, t)),
+            0.0, math.pi, tol=1e-6, grid_points=512)
+        assert dicke_violation(n).quantum_value == pytest.approx(want, abs=1e-9 * abs(want))
