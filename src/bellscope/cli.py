@@ -204,8 +204,9 @@ _SCAN_FAMILIES = {
 def _scan_one(family_name, n, theta_points, tol):
     expr = _SCAN_FAMILIES[family_name](n)
     mv = collective.max_violation(expr, grid_points=theta_points, tol=tol)
-    return (n, mv.bound, mv.violation,
-            mv.violation / mv.bound if mv.bound else math.nan, mv.theta)
+    row = (n, mv.bound, mv.violation,
+           mv.violation / mv.bound if mv.bound else math.nan, mv.theta)
+    return row, mv.evals, mv.screened
 
 
 def _cmd_scan(args):
@@ -216,7 +217,7 @@ def _cmd_scan(args):
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(
+            results = list(
                 pool.map(
                     _scan_one,
                     [args.family] * len(ns), ns,
@@ -224,10 +225,11 @@ def _cmd_scan(args):
                 )
             )
     else:
-        rows = [_scan_one(args.family, n, args.theta_points, args.tol) for n in ns]
-    rows.sort(key=lambda r: r[0])
+        results = [_scan_one(args.family, n, args.theta_points, args.tol) for n in ns]
+    rows = sorted((row for row, _, _ in results), key=lambda r: r[0])
     header = ["n", "beta_c", "qv", "ratio", "theta_star"]
-    return header, rows, None
+    counts = {"evals": sum(r[1] for r in results), "screened": sum(r[2] for r in results)}
+    return header, rows, counts
 
 
 def _cmd_theta_sweep(args):

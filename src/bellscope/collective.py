@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import lowest_eigen_banded, scalar_minimize
+from .numerics import eigen_above, gershgorin_bounds, lowest_eigen_banded, scalar_minimize
 from .symmetric import SymmetrizedCorrelators
 
 __all__ = [
@@ -46,6 +46,14 @@ __all__ = [
 
 NORM_TOL = 1e-10
 DENSE_GUARD = 4000  # largest n for which dense (n+1)^2 matrices are built
+
+#: Screening margin of ``max_violation``, relative to a bound on ||H(theta)||_inf
+#: over all theta.  It must exceed the error of the eigenvalue a grid point
+#: would get (``sbevx``'s backward error, or the inertia path's
+#: ``INERTIA_RTOL`` bracket), both near 1e-12 relative or below; a wide
+#: margin costs nothing, since only points within it of the best value are
+#: evaluated in full.
+SCREEN_RTOL = 1e-9
 
 
 @dataclass
@@ -313,8 +321,10 @@ class MaxViolation:
     ``theta`` comes from the pre-scan of :func:`numerics.scalar_minimize`
     polished by Illinois regula falsi on the exact Hellmann-Feynman slope
     of the lowest eigenvalue.  ``evals`` counts the lowest-eigenvalue
-    evaluations made: the pre-scan's ``max(grid_points, 64)``, plus one per
-    polish point.
+    evaluations made (calls of ``lowest_eigen_banded``) and ``screened``
+    the grid points ruled out by one banded Cholesky factorisation each
+    instead (:func:`numerics.eigen_above`): ``evals + screened`` is the
+    pre-scan's ``max(grid_points, 64)`` plus one per polish point.
     """
 
     violation: float      # max(0, -lambda_min - beta_c)
@@ -323,6 +333,7 @@ class MaxViolation:
     bound: float
     state: SymmetricState
     evals: int
+    screened: int
 
 
 def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
@@ -335,10 +346,24 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
     polish at the returned angle.  The default range [0, pi] suffices:
     theta -> 2 pi - theta is a similarity transform of the operator
     (conjugation by diag((-1)^k)).
+
+    The scan skips a grid point when :func:`numerics.eigen_above` certifies
+    that every eigenvalue there exceeds the best grid value so far by more
+    than ``SCREEN_RTOL * S``, with S = sum_k ||P_k||_inf over the band
+    terms of :func:`bell_operator_bands`, a bound on ||H(theta)||_inf for
+    every theta.  The result is bitwise that of the full grid.
     """
     beta_c = _require_bound(expr)
+    terms = _band_terms(expr.n, _float_coeffs(expr)).reshape(6, 3, expr.n + 1)
+    margin = SCREEN_RTOL * sum(gershgorin_bounds(p)[1] for p in terms)
     vectors = {}
-    evals = 0
+    evals = screened = 0
+
+    def above(theta, level):
+        nonlocal screened
+        certified = eigen_above(bell_operator_bands(expr, theta), level + margin)
+        screened += certified
+        return certified
 
     def objective(theta):
         nonlocal evals
@@ -355,7 +380,7 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
 
     theta_star, lam_min = scalar_minimize(
         objective, theta_range[0], theta_range[1], tol=tol, grid_points=grid_points,
-        value_and_slope=value_and_slope,
+        value_and_slope=value_and_slope, above=above,
     )
     vec = vectors[theta_star]
     return MaxViolation(
@@ -365,6 +390,7 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
         bound=beta_c,
         state=SymmetricState(expr.n, vec / np.linalg.norm(vec)),
         evals=evals,
+        screened=screened,
     )
 
 

@@ -6,15 +6,19 @@ tolerances and conventions (eigenvalue ordering, singular-value ordering,
 band storage) are fixed in one place.
 
 scipy is loaded on first use, not at import: the LAPACK handles by the first
-:func:`lowest_eigen_banded` call, so commands that need no banded eigenpair
-start without it.  Nothing here uses ``scipy.optimize``:
-:func:`scalar_minimize` polishes its grid minimum by Illinois regula falsi
-on the slope, which the caller supplies exactly (``max_violation`` passes
-the Hellmann-Feynman slope of the lowest eigenvalue) or which is taken as a
-central difference of the objective.  The pre-scan that precedes the polish
-is kept fine on purpose (256 points in ``max_violation``): on 300 random
-PI expressions a 32-point grid missed the global minimum 9 times and a
-64-point grid 3 times, against none at 256.
+:func:`lowest_eigen_banded` or :func:`eigen_above` call, so commands that
+need no banded eigenpair start without it.  Nothing here uses
+``scipy.optimize``: :func:`scalar_minimize` polishes its grid minimum by
+Illinois regula falsi on the slope, which the caller supplies exactly
+(``max_violation`` passes the Hellmann-Feynman slope of the lowest
+eigenvalue) or which is taken as a central difference of the objective.
+The pre-scan that precedes the polish is kept fine on purpose (256 points in
+``max_violation``): on 300 random PI expressions a 32-point grid missed the
+global minimum 9 times and a 64-point grid 3 times, against none at 256.
+What makes the fine grid cheap is screening: a caller that can prove
+f(x) > level at a point (``max_violation`` does it with one banded Cholesky
+factorisation, :func:`eigen_above`) lets the pre-scan skip every grid point
+that cannot be the minimum, with the same answer as the full grid.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ __all__ = [
     "svd",
     "scalar_minimize",
     "lowest_eigen_banded",
+    "eigen_above",
+    "gershgorin_bounds",
     "RandomSource",
 ]
 
@@ -43,8 +49,16 @@ INERTIA_CROSSOVER = 200
 #: Width of the certified eigenvalue bracket, relative to ``||H||_inf``.
 INERTIA_RTOL = 1e-12
 
-#: Step cap of the slope polish in ``scalar_minimize``.  From a grid bracket
-#: it closed in 2 to 5 steps on murcia n = 2..100 and 300 random expressions.
+_EPS = float(np.finfo(float).eps)
+
+#: Illinois steps of the slope polish in ``scalar_minimize`` before it turns
+#: to bisection.  From a grid bracket it closed in 2 to 5 steps on murcia
+#: n = 2..100 and 300 random expressions; a multiple zero of the slope
+#: (a flat minimum) makes it linear, and bisection then closes the bracket.
+POLISH_SECANT_STEPS = 20
+
+#: Step cap of the slope polish; reaching it raises ``ArithmeticError``.
+#: Bisection halves a grid bracket to 1e-9 in about 25 steps.
 POLISH_MAX_STEPS = 100
 
 #: Step cap of the inertia iteration; each step is one solve and at most one
@@ -112,17 +126,27 @@ def svd(matrix):
     return u, s, vh.conj().T
 
 
-def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None):
+def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
+                    above=None):
     """Minimise a scalar function on ``[lo, hi]``.
 
     A uniform pre-scan ``np.linspace(lo, hi, max(grid_points, 64))``
     locates the best grid point x_i; grid ties resolve toward the smaller
-    argument.  ``f`` returning NaN anywhere on the scan is rejected.  The
-    polish (:func:`_polish_on_slope`) then looks for a zero of the slope
-    f' in ``[x_{i-1}, x_{i+1}]`` by safeguarded Illinois regula falsi,
+    argument.  ``f`` returning NaN at a grid point it is evaluated at is
+    rejected.  The polish (:func:`_polish_on_slope`) then looks for a zero
+    of the slope f' in ``[x_{i-1}, x_{i+1}]`` by safeguarded Illinois
+    regula falsi, turning to bisection after ``POLISH_SECANT_STEPS`` steps,
     until the bracket on that zero is at most ``tol`` wide.  Its point
     replaces x_i only if its value is lower, so the result is never worse
     than the grid minimum.
+
+    With ``above``, the pre-scan evaluates ``f`` only where the minimum
+    could be (:func:`_screened_scan`): every s-th grid point and the last,
+    s = isqrt(number of points), then the others in order of distance from
+    the best of those, each skipped when ``above(x, best so far)`` is True.
+    A skipped point has a value above one already found, so it can neither
+    be nor tie with the minimum: x_i, f(x_i) and the polish are exactly
+    those of the full grid.
 
     Keep the pre-scan fine: a narrow well is found only if a grid point
     falls in it.  On 300 random permutationally invariant Bell expressions
@@ -141,17 +165,28 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None):
         is a central difference of ``f`` with step ``(eps)^(1/3) max(1, |x|)``,
         one-sided where the step would leave ``[lo, hi]``; each polish
         point then costs three calls of ``f``.
+    above : callable, optional
+        ``(x, level) -> bool``, True only when f(x) > level is certain; it
+        must return False where it cannot tell, and wherever f(x) may be NaN.
 
     Returns
     -------
     (x, fx) : tuple of float
         Approximate minimiser and its value.
+
+    Raises
+    ------
+    ArithmeticError
+        If the polish does not close its bracket in ``POLISH_MAX_STEPS``.
     """
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     grid_points = max(int(grid_points), 64)
     xs = np.linspace(lo, hi, grid_points)
-    fs = np.array([float(f(x)) for x in xs])
+    if above is None:
+        fs = np.array([float(f(x)) for x in xs])
+    else:
+        fs = _screened_scan(f, above, xs)
     if np.any(np.isnan(fs)):
         bad = xs[np.where(np.isnan(fs))[0][0]]
         raise ValueError(f"objective returned NaN at x = {bad!r}")
@@ -162,6 +197,36 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None):
     if fx < fs[i]:
         return float(x), float(fx)
     return float(xs[i]), float(fs[i])
+
+
+def _screened_scan(f, above, xs):
+    """Values of ``f`` on the grid ``xs``, +inf where ``above`` rules a point out.
+
+    A point x_j is evaluated unless ``above(x_j, best)`` is True for the
+    least value ``best`` found so far.  That holds for no point whose value
+    is at most the grid minimum, so the first grid argmin and its value are
+    those of the full grid.  Few points are evaluated when ``best`` is low
+    early: a coarse pass over every s-th point and the last one, s =
+    isqrt(len(xs)), finds the deepest well, and the remaining points are
+    visited nearest it first.
+    """
+    m = len(xs)
+    fs = np.full(m, np.inf)
+    coarse = list(range(0, m, math.isqrt(m)))
+    if coarse[-1] != m - 1:
+        coarse.append(m - 1)
+    for j in coarse:
+        fs[j] = float(f(xs[j]))
+    i0 = int(np.argmin(fs))
+    best = fs[i0]
+    skip = set(coarse)
+    for j in sorted(range(m), key=lambda j: abs(j - i0)):
+        if j in skip or above(xs[j], best):
+            continue
+        fs[j] = float(f(xs[j]))
+        if fs[j] < best:
+            best = fs[j]
+    return fs
 
 
 def _central_difference(f, lo, hi):
@@ -184,9 +249,13 @@ def _polish_on_slope(value_and_slope, xs, i, tol):
     which Illinois regula falsi closes to ``tol``: a bracket end kept twice
     in a row has its slope halved, so both ends move, and every trial point
     stays ``tol / 2`` inside the bracket, so the last step lands across the
-    zero.  Returns the end with the smaller slope.  Without a sign change
-    (x_i at the end of the grid with the function falling outward, or a
-    non-smooth objective) it returns the best point evaluated.
+    zero.  At a multiple zero (a flat minimum) Illinois is only linear, so
+    after ``POLISH_SECANT_STEPS`` steps the trial point is the midpoint.
+    Returns the end with the smaller slope.  Without a sign change (x_i at
+    the end of the grid with the function falling outward, or a non-smooth
+    objective) it returns the best point evaluated; a non-finite slope
+    stops the polish at the better bracket end.  A bracket still wider than
+    ``tol`` after ``POLISH_MAX_STEPS`` steps raises ``ArithmeticError``.
     """
     m = float(xs[i])
     fm, gm = value_and_slope(m)
@@ -201,11 +270,14 @@ def _polish_on_slope(value_and_slope, xs, i, tol):
     # kept is +1 (-1) when the last step kept b (a)
     (a, fa, ga), (b, fb, gb) = sorted([(m, fm, gm), (e, fe, ge)])
     wa, wb, kept = ga, gb, 0
-    for _ in range(POLISH_MAX_STEPS):
+    for step in range(POLISH_MAX_STEPS):
         if b - a <= tol:
             break
-        x = b - wb * (b - a) / (wb - wa)
-        x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
+        if step < POLISH_SECANT_STEPS:
+            x = b - wb * (b - a) / (wb - wa)
+            x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
+        else:
+            x = 0.5 * (a + b)
         fx, gx = value_and_slope(x)
         if gx == 0:
             return x, fx
@@ -219,6 +291,12 @@ def _polish_on_slope(value_and_slope, xs, i, tol):
             b, fb, gb, wb = x, fx, gx, gx
             wa = 0.5 * wa if kept < 0 else wa
             kept = -1
+    else:
+        if b - a > tol:
+            raise ArithmeticError(
+                f"slope polish did not close [{a!r}, {b!r}] to {tol!r} "
+                f"in {POLISH_MAX_STEPS} steps"
+            )
     return (a, fa) if -ga <= gb else (b, fb)
 
 
@@ -316,18 +394,12 @@ def _lowest_by_inertia(bands):
     succeeds becomes the new ``lo``.
     """
     _, pbtrf, pbtrs, _ = _lapack()
-    nb = bands.shape[0] - 1
     n = bands.shape[1]
     diag = bands[0]
-    off = np.zeros(n)
-    for k in range(1, nb + 1):
-        a = np.abs(bands[k, : n - k])
-        off[: n - k] += a
-        off[k:] += a
-    norm = float(np.max(np.abs(diag) + off))
+    floor, norm = gershgorin_bounds(bands)
     tol = INERTIA_RTOL * (norm if norm > 0 else 1.0)
     bands = np.asfortranarray(bands)
-    lo = float(np.min(diag - off)) - 0.25 * tol
+    lo = floor - 0.25 * tol
     factor = _shifted_cholesky(pbtrf, bands, lo)
     if factor is None:
         raise ArithmeticError(f"banded Cholesky failed below the Gershgorin bound {lo!r}")
@@ -362,6 +434,50 @@ def _lowest_by_inertia(bands):
         f"inertia bisection did not close [{lo!r}, {top!r}] to {tol:.3e} "
         f"in {INERTIA_MAX_STEPS} steps"
     )
+
+
+def gershgorin_bounds(bands):
+    """``(floor, norm)`` of a real symmetric matrix in lower band storage.
+
+    ``floor`` is the Gershgorin lower bound on its eigenvalues,
+    min_i (A_ii - sum_{j != i} |A_ij|), and ``norm`` is ``||A||_inf``, its
+    largest absolute row sum, which bounds every eigenvalue's magnitude.
+    """
+    nb, n = bands.shape[0] - 1, bands.shape[1]
+    diag = bands[0]
+    off = np.zeros(n)
+    for k in range(1, nb + 1):
+        a = np.abs(bands[k, : n - k])
+        off[: n - k] += a
+        off[k:] += a
+    return float(np.min(diag - off)), float(np.max(np.abs(diag) + off))
+
+
+def eigen_above(bands, level):
+    """Whether every eigenvalue of a banded symmetric matrix H exceeds ``level``.
+
+    True is a certificate: by Sylvester's law of inertia, H - sigma I is
+    positive definite exactly when its Cholesky factorisation exists, and
+    the factorisation here is taken at sigma = level + rho.  A banded
+    Cholesky that succeeds in floating point is exact for a matrix within
+    ((b + 2)(2b + 1) + 1) u max_i (A_ii - sigma) of H - sigma I (b the
+    bandwidth, u the unit roundoff; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 10.3, with |L||L^T| bounded row by row).
+    rho is more than twice that, with ``|max entry| + |level|`` in place of
+    max_i (A_ii - sigma) so that the rounding of level + rho is covered
+    too; so True means lambda_min(H) > level in exact arithmetic.  One
+    ``pbtrf`` call, O(n b^2).
+
+    False means not certified: some eigenvalue is at most ``level``, or
+    within rho of it, or ``bands`` or ``level`` is not finite.
+    """
+    top = float(bands.max())
+    if not (math.isfinite(top) and math.isfinite(level)):
+        return False
+    nb = bands.shape[0] - 1
+    rho = ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (abs(top) + abs(level))
+    _, pbtrf, _, _ = _lapack()
+    return _shifted_cholesky(pbtrf, bands, level + rho) is not None
 
 
 @functools.lru_cache(maxsize=64)

@@ -248,6 +248,20 @@ class TestScans:
         capsys.readouterr()
         assert open(f1, "rb").read() == open(f2, "rb").read()
 
+    def test_scan_sidecar_totals_eigen_work(self, capsys, tmp_path):
+        from bellscope.collective import max_violation
+
+        want = [max_violation(murcia(n), grid_points=64) for n in range(2, 9)]
+        args = ["scan", "--family", "murcia", "--n-min", "2", "--n-max", "8",
+                "--theta-points", "64"]
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"scan{jobs}.csv")
+            assert main(args + ["--jobs", jobs, "--out", out]) == 0
+            sidecar = json.loads(open(out + ".run.json").read())
+            assert sidecar["evals"] == sum(mv.evals for mv in want)
+            assert sidecar["screened"] == sum(mv.screened for mv in want)
+        capsys.readouterr()
+
     def test_theta_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "theta-sweep", "--family", "dicke", "--n", "6", "--points", "24",

@@ -10,6 +10,8 @@ from bellscope import numerics
 from bellscope.numerics import (
     INERTIA_CROSSOVER,
     RandomSource,
+    eigen_above,
+    gershgorin_bounds,
     hermitian_eigen,
     lowest_eigen_banded,
     scalar_minimize,
@@ -230,6 +232,55 @@ class TestLowestEigenBandedContract:
         monkeypatch.setattr(numerics, "INERTIA_MAX_STEPS", 1)
         with pytest.raises(ArithmeticError, match="did not close"):
             lowest_eigen_banded(bands)
+
+
+class TestEigenAbove:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.one_of(st.integers(2, 60), st.integers(61, 400)),
+        bandwidth=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        offset=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @example(dim=2, bandwidth=1, seed=0, degenerate=False, offset=0.0)
+    @example(dim=300, bandwidth=2, seed=1, degenerate=True, offset=0.0)
+    @example(dim=300, bandwidth=2, seed=1, degenerate=True, offset=-1e-3)
+    @example(dim=50, bandwidth=2, seed=2, degenerate=False, offset=1e-3)
+    def test_never_certifies_a_level_at_or_above_the_minimum(
+            self, dim, bandwidth, seed, degenerate, offset):
+        # levels within 1e-12 ||H|| on both sides of lambda_min
+        bands, full = random_banded(dim, bandwidth, seed, degenerate)
+        norm = np.max(np.abs(full).sum(axis=1))
+        lam = np.linalg.eigvalsh(full)[0]
+        level = lam + offset * 1e-12 * norm
+        if eigen_above(bands, level):
+            assert lam > level
+        assert eigen_above(bands, lam - 1e-10 * norm)
+        assert not eigen_above(bands, lam + 1e-10 * norm)
+
+    def test_not_finite_is_not_certified(self):
+        bands, _ = random_banded(40, 2, 8, False)
+        floor, _ = gershgorin_bounds(bands)
+        assert eigen_above(bands, floor - 1.0)
+        for value in (np.nan, np.inf):
+            bad = bands.copy()
+            bad[1, 20] = value
+            assert not eigen_above(bad, floor - 1.0)
+            bad = bands.copy()
+            bad[0, 20] = value
+            assert not eigen_above(bad, floor - 1.0)
+        for level in (np.nan, -np.inf, np.inf):
+            assert not eigen_above(bands, level)
+
+    def test_gershgorin_bounds(self):
+        bands, full = random_banded(30, 2, 9, False)
+        floor, norm = gershgorin_bounds(bands)
+        assert norm == pytest.approx(np.max(np.abs(full).sum(axis=1)), rel=1e-15)
+        assert floor <= np.linalg.eigvalsh(full)[0]
+        d = np.diag(full)
+        assert floor == pytest.approx(
+            np.min(d + np.abs(d) - np.abs(full).sum(axis=1)), rel=1e-14)
 
 
 class TestRandomSource:

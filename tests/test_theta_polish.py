@@ -1,19 +1,20 @@
 """The theta objective of ``max_violation``: cached trigonometric band terms,
-the Hellmann-Feynman slope and the slope polish of ``scalar_minimize``,
-checked against the explicit band formula and the grid + Brent minimiser
-in ``helpers``."""
+the Hellmann-Feynman slope, the Cholesky-screened pre-scan and the slope
+polish of ``scalar_minimize``, checked against the explicit band formula,
+the unscreened grid and the grid + Brent minimiser in ``helpers``."""
 
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellscope import collective
+from bellscope import collective, numerics
 from bellscope.collective import (
     _bell_slope,
     bell_operator,
@@ -36,6 +37,11 @@ COEFF = st.one_of(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
 )
 COEFFS = st.tuples(COEFF, COEFF, COEFF, COEFF, COEFF).filter(lambda c: any(c))
+# alpha = delta = 0: lambda(theta) = lambda(pi - theta), so mirror grid
+# points nearly tie
+MIRRORED = st.tuples(COEFF, COEFF, COEFF).map(
+    lambda c: (0, c[0], c[1], 0, c[2])).filter(lambda c: any(c))
+MURCIA = (-2, 0, 1, -1, 1)
 THETA_GRID = np.linspace(0.0, math.pi, 256)
 
 
@@ -138,14 +144,68 @@ class TestMaxViolationOracle:
             mv = max_violation(murcia(n), grid_points=grid_points)
             assert mv.evals == len(calls)
             scan = max(grid_points, 64)
-            assert calls[:scan] == [False] * scan
-            assert scan < mv.evals <= scan + 12
+            prescan = scan - mv.screened
+            assert calls[:prescan] == [False] * prescan
+            assert scan < mv.evals + mv.screened <= scan + 12
 
     def test_murcia_census_at_the_bound_is_exact(self):
         # lambda_min = -2n exactly for n <= 4; the polish adds no rounding
         for n in (2, 3, 4):
             mv = max_violation(murcia(n))
             assert mv.violation <= 1e-12
+
+
+def full_grid_max_violation(expr):
+    """``max_violation`` with its pre-scan unscreened: f at all grid points."""
+    def unscreened(*args, above=None, **kwargs):
+        return scalar_minimize(*args, **kwargs)
+
+    with mock.patch.object(collective, "scalar_minimize", unscreened):
+        return max_violation(expr)
+
+
+class TestScreenedScan:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 60), coeffs=st.one_of(COEFFS, MIRRORED))
+    @example(n=2, coeffs=MURCIA)
+    @example(n=3, coeffs=MURCIA)
+    @example(n=4, coeffs=MURCIA)
+    @example(n=11, coeffs=(0, 0, 1, 0, -1))
+    @example(n=24, coeffs=(0, 1, -0.7, 0, 0.9))
+    @example(n=199, coeffs=MURCIA)
+    @example(n=200, coeffs=(0, 1, -0.7, 0, 0.9))
+    @example(n=300, coeffs=(0.3, 1, -0.7, 0.2, 0.9))
+    def test_bitwise_equal_to_the_full_grid(self, n, coeffs):
+        expr = expression(n, coeffs)
+        mv = max_violation(expr)
+        ref = full_grid_max_violation(expr)
+        assert ref.screened == 0
+        assert mv.theta.hex() == ref.theta.hex()
+        assert mv.quantum_value.hex() == ref.quantum_value.hex()
+        assert mv.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
+        assert mv.evals + mv.screened == ref.evals
+
+    def test_screens_most_of_the_grid(self):
+        for n in (5, 40, 250):
+            mv = max_violation(murcia(n))
+            assert mv.evals <= 40 and mv.screened >= 220
+
+    def test_generic_objective_keeps_the_grid_answer(self):
+        # identical wells at pi and 2 pi: the screened scan must still pick
+        # the left one, and find the value of the full scan
+        def f(x):
+            calls.append(x)
+            return math.sin(x) ** 2 - 1.0
+
+        calls = []
+        want = scalar_minimize(f, 1.0, 8.0, grid_points=256)
+        full = len(calls)
+        calls.clear()
+        got = scalar_minimize(f, 1.0, 8.0, grid_points=256,
+                              above=lambda x, level: math.sin(x) ** 2 - 1.0 > level + 1e-12)
+        assert got == want
+        assert abs(got[0] - math.pi) <= 1e-6
+        assert len(calls) < full // 2
 
 
 class TestScalarMinimizeSlope:
@@ -187,6 +247,31 @@ class TestScalarMinimizeSlope:
         x, _ = scalar_minimize(lambda x: (x - 0.3) ** 4, 0.0, 1.0, tol=1e-9,
                                value_and_slope=value_and_slope)
         assert abs(x - 0.3) <= 1e-8
+
+    @pytest.mark.parametrize("p", [6, 8, 10])
+    def test_flatter_minima_close_by_bisection(self, p):
+        # Illinois alone is linear here and used to stop at its step cap with
+        # an open bracket (errors 1.1e-7 at p = 8 and 2e-6 at p = 10)
+        calls = []
+
+        def value_and_slope(x):
+            calls.append(x)
+            return (x - 0.3) ** p, p * (x - 0.3) ** (p - 1)
+
+        x, _ = scalar_minimize(lambda x: (x - 0.3) ** p, 0.0, 1.0, tol=1e-9,
+                               value_and_slope=value_and_slope)
+        assert abs(x - 0.3) <= 1e-9
+        assert len(calls) <= numerics.POLISH_SECANT_STEPS + 30
+
+    def test_open_bracket_at_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "POLISH_MAX_STEPS", 10)
+
+        def value_and_slope(x):
+            return (x - 0.3) ** 8, 8 * (x - 0.3) ** 7
+
+        with pytest.raises(ArithmeticError, match=r"did not close \["):
+            scalar_minimize(lambda x: (x - 0.3) ** 8, 0.0, 1.0, tol=1e-9,
+                            value_and_slope=value_and_slope)
 
     def test_polish_never_loses_to_the_grid(self):
         # a kink: the slope jumps from -1 to +1 at 1/3
