@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _start_vector
+from .numerics import _singular_values, _start_vector
 from .quantum import (
     DensityOperator,
     StateVector,
@@ -217,7 +217,7 @@ def block_entropy_curve(psi, max_block=None, base=2):
         raise ValueError(f"max_block must lie in 1..{n - 1}")
     out = np.empty(max_block)
     for r in range(1, max_block + 1):
-        s = np.linalg.svd(psi.amplitudes.reshape(d**r, -1), compute_uv=False)
+        s = _singular_values(psi.amplitudes.reshape(d**r, -1))
         out[r - 1] = _entropy_of_probs(s * s, base)
     return out
 

@@ -9,6 +9,16 @@ of sites 1..k, and site tensors A^[k] satisfying
     sum_i A_i^[k]^dag Lambda^[k-1] A_i^[k] = Lambda^[k]
 
 Singular values below ``1e-12 * sigma_max`` are discarded everywhere.
+
+A state is factored by one left-to-right sweep over its cuts.  Wide and
+tall cuts are reduced by Householder QR before the SVD of their small
+square factor; QR is backward stable, so the singular values keep the
+absolute error O(eps * sigma_max) that the relative cutoff needs.  A bond
+cap costs one capped sweep plus a right-to-left pass over the capped
+factors, and the truncation error of the projected, renormalised state phi
+is ``|| psi - <phi|psi> phi ||^2``, since the sequential projection is an
+orthogonal projector.  States with zero norm or non-finite amplitudes are
+refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _left_singular, _singular_values
 from .quantum import StateVector, _entropy_of_probs
 
 __all__ = [
@@ -87,9 +98,20 @@ def _as_amplitudes(psi, d):
         dims = set(psi.dims)
         if dims != {psi.dims[0]}:
             raise ValueError("MPS conversion needs uniform local dimensions")
-        return np.asarray(psi.amplitudes, dtype=complex), psi.dims[0]
-    amp = np.asarray(psi, dtype=complex).reshape(-1)
+        amp, d = np.asarray(psi.amplitudes, dtype=complex), psi.dims[0]
+    else:
+        amp = np.asarray(psi, dtype=complex).reshape(-1)
+    norm = float(np.linalg.norm(amp))
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"state needs a finite, nonzero norm, got {norm}")
     return amp, d
+
+
+def _kept(s, dmax=None):
+    """How many singular values a cut keeps: those above the relative
+    cutoff, at most ``dmax`` of them when set, and always at least one."""
+    keep = int(np.count_nonzero(s > SVD_CUTOFF * s[0]))
+    return max(1, keep if dmax is None else min(keep, dmax))
 
 
 def cut_spectra(psi, d=2):
@@ -97,15 +119,16 @@ def cut_spectra(psi, d=2):
 
     Returns a list over cuts k = 1..N-1 of descending eigenvalue arrays of
     the reduced density matrix of sites 1..k (squared Schmidt
-    coefficients), each truncated at the relative SVD cutoff.
+    coefficients), each truncated at the relative SVD cutoff.  Each cut's
+    singular values come from :func:`numerics._singular_values`, QR-first
+    on the wide and tall cuts.
     """
     amp, d = _as_amplitudes(psi, d)
     n = _infer_sites(amp.size, d)
     out = []
     for k in range(1, n):
-        s = np.linalg.svd(amp.reshape(d**k, d ** (n - k)), compute_uv=False)
-        keep = s > SVD_CUTOFF * s[0] if s.size and s[0] > 0 else slice(0)
-        out.append((s[keep] ** 2).astype(float))
+        s = _singular_values(amp.reshape(d**k, d ** (n - k)))
+        out.append(s[s > SVD_CUTOFF * s[0]] ** 2)
     return out
 
 
@@ -113,7 +136,9 @@ def _left_sweep(amp, d, dmax=None):
     """Left-to-right SVD sweep over every cut of a dense state.
 
     Each cut keeps its singular values above the relative cutoff, at most
-    ``dmax`` of them when ``dmax`` is set, and always at least one.
+    ``dmax`` of them when ``dmax`` is set, and always at least one.  The
+    cuts are factored QR-first (:func:`numerics._left_singular`), and the
+    kept rows of ``diag(s) vh`` are taken as ``u^dag w``.
 
     Returns
     -------
@@ -126,52 +151,60 @@ def _left_sweep(amp, d, dmax=None):
     """
     n = _infer_sites(amp.size, d)
     work = amp.reshape(1, -1)
-    left_dim = 1
     blocks = []
     svals = []
     for _ in range(n - 1):
-        work = work.reshape(left_dim * d, -1)
-        u, s, vh = np.linalg.svd(work, full_matrices=False)
-        keep = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s[0] > 0 else 1
-        if dmax is not None:
-            keep = min(keep, dmax)
-        keep = max(1, keep)
-        blocks.append(u[:, :keep])
+        work = work.reshape(work.shape[0] * d, -1)
+        u, s = _left_singular(work)
+        keep = _kept(s, dmax)
+        u = u[:, :keep]
+        blocks.append(u)
         svals.append(s[:keep])
-        work = s[:keep, None] * vh[:keep]
-        left_dim = keep
+        work = u.conj().T @ work
     return blocks, svals, work
 
 
-def _project_tails(amp, d, dmax):
-    """Sequentially project every cut onto its top-dmax Schmidt space.
+def _right_pass(blocks, rest, d):
+    """Canonical MPS of the normalised state ``blocks[0] ... blocks[-1] rest``.
 
-    Returns the (generally unnormalised) projected amplitudes; the squared
-    norm deficit is the truncation error the tail-sum bound controls.
+    A right-to-left SVD pass over the small factors: each SVD splits off a
+    right-isometric site tensor, and since everything to its left is an
+    isometry, its singular values are the exact Schmidt coefficients of the
+    state at that bond.  Bonds at most D cost O(N d D^3).
     """
-    blocks, _, out = _left_sweep(amp, d, dmax)
-    for u in reversed(blocks):
-        out = u @ out.reshape(u.shape[1], -1)   # (D_k * d, rest)
-        out = out.reshape(u.shape[0] // d, -1)  # (D_k, d * rest)
-    return out.reshape(-1)
+    n = len(blocks) + 1
+    tensors = [None] * n
+    lambdas = [None] * (n - 1)
+    work = rest / np.linalg.norm(rest)  # (D_{N-1}, d)
+    for k in range(n - 1, 0, -1):
+        u, s, vh = np.linalg.svd(work, full_matrices=False)
+        keep = _kept(s)
+        tensors[k] = vh[:keep].reshape(keep, d, -1)
+        lambdas[k - 1] = s[:keep] ** 2
+        work = (blocks[k - 1] @ (u[:, :keep] * s[:keep])).reshape(-1, d * keep)
+    tensors[0] = work.reshape(1, d, -1)
+    return MpsState(tensors=tensors, lambdas=lambdas)
 
 
 def mps_from_dense(psi, d=2, dmax=None):
     """Exact (or bond-capped) canonical MPS of a dense state vector.
 
-    With ``dmax`` set, every cut is first projected onto its leading
-    ``dmax`` Schmidt vectors and the state renormalised, so the result is a
-    valid canonical MPS of the truncated state; use :func:`truncate` to
-    also get the truncation error.
+    One left-to-right sweep (:func:`_left_sweep`) factors the state.
+    Without ``dmax``, its left isometries L and cut spectra s are rescaled
+    into the canonical tensors ``A^[k] = diag(1/s^[k-1]) L^[k] diag(s^[k])``.
+
+    With ``dmax`` set, the sweep keeps at most ``dmax`` singular vectors per
+    cut, which projects every cut in turn onto its leading Schmidt space.
+    The result is the canonical MPS of that projected state, renormalised:
+    a right-to-left pass (:func:`_right_pass`) over the capped factors, at
+    O(N d dmax^3), gives its right-isometric tensors and exact bond
+    spectra.  Use :func:`truncate` to also get the truncation error.
     """
     amp, d = _as_amplitudes(psi, d)
+    blocks, svals, rest = _left_sweep(amp, d, None if dmax is None else int(dmax))
     if dmax is not None:
-        amp = _project_tails(amp, d, int(dmax))
-        amp = amp / np.linalg.norm(amp)
-    n = _infer_sites(amp.size, d)
-
-    # left sweep: psi = L^[0] ... L^[N-1] with isometric L and cut spectra s
-    blocks, svals, rest = _left_sweep(amp, d)
+        return _right_pass(blocks, rest, d)
+    n = len(blocks) + 1
     ls = [u.reshape(u.shape[0] // d, d, u.shape[1]) for u in blocks]
     ls.append(rest.reshape(rest.shape[0], d, 1))
 
@@ -235,7 +268,12 @@ def truncate(psi, dmax, d=2):
     Accepts a dense state (array or StateVector) or an existing MpsState.
     The error is ``|| psi - P psi ||^2`` for the sequential Schmidt-space
     projection P (the quantity the tail-sum bound controls); the returned
-    MPS is the renormalised projected state, again in canonical form.
+    MPS is the renormalised projected state phi, again in canonical form,
+    from the single capped sweep of :func:`mps_from_dense`.  Each cut's
+    kept left space lies inside the previous cut's kept space tensored with
+    C^d, so P is an orthogonal projector and ``P psi = <phi|psi> phi``.  The
+    error is evaluated as ``|| psi - <phi|psi> phi ||^2``, not as
+    ``1 - |<phi|psi>|^2``, which cancels badly near full rank.
     """
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
@@ -243,10 +281,9 @@ def truncate(psi, dmax, d=2):
         amp, d = mps_to_dense(psi), psi.local_dim
     else:
         amp, d = _as_amplitudes(psi, d)
-    projected = _project_tails(amp, d, int(dmax))
-    err2 = float(np.linalg.norm(amp - projected) ** 2)
-    norm = np.linalg.norm(projected)
-    truncated = mps_from_dense(projected / norm, d=d)
+    truncated = mps_from_dense(amp, d=d, dmax=int(dmax))
+    phi = mps_to_dense(truncated)
+    err2 = float(np.linalg.norm(amp - np.vdot(phi, amp) * phi) ** 2)
     return truncated, err2
 
 

@@ -126,6 +126,43 @@ def svd(matrix):
     return u, s, vh.conj().T
 
 
+def _singular_values(matrix):
+    """Singular values of a 2-D array, descending.
+
+    A wide matrix (rows <= cols / 2) or a tall one (cols <= rows / 2) is
+    first reduced by Householder QR to its square triangular factor, which
+    has the same singular values and costs a fraction of the SVD.  QR is
+    backward stable, so every value keeps an absolute error of
+    O(eps * s_max), which a relative cutoff such as ``mps.SVD_CUTOFF``
+    (1e-12) relies on; eigenvalues of the Gram matrix M M^dag would not
+    resolve values below about 1e-8 * s_max.
+    """
+    rows, cols = matrix.shape
+    if 2 * rows <= cols:
+        matrix = np.linalg.qr(matrix.T, mode="r")
+    elif 2 * cols <= rows:
+        matrix = np.linalg.qr(matrix, mode="r")
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+def _left_singular(matrix):
+    """Left singular vectors (as columns) and values of a 2-D array.
+
+    Uses the QR reduction of :func:`_singular_values`: a wide ``M = R^T Q^T``
+    has the left singular vectors of its square factor ``R^T``, and a tall
+    ``M = Q R`` has ``Q`` times those of ``R``.  Callers that need the right
+    factor on the kept rows take ``u^dag M = diag(s) vh``.
+    """
+    rows, cols = matrix.shape
+    q = None
+    if 2 * rows <= cols:
+        matrix = np.linalg.qr(matrix.T, mode="r").T
+    elif 2 * cols <= rows:
+        q, matrix = np.linalg.qr(matrix)
+    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    return (u if q is None else q @ u), s
+
+
 def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
                     above=None):
     """Minimise a scalar function on ``[lo, hi]``.

@@ -368,7 +368,11 @@ def page_experiment(m, n, samples, rng):
     and imaginary ``[1]`` parts of sample i, in the order
     ``rng.complex_normal(m * n)`` would draw them one sample at a time, so
     a seed gives the same states whatever the block size.  Each block is
-    normalised row-wise and gets one stacked singular-value call.
+    normalised row-wise, and each sample's spectrum p comes from one stacked
+    ``eigvalsh`` of its reduced density matrix rho_A = M M^dag (m x m, as
+    m <= n), clipped at 0.  This Gram route is safe here, unlike at an MPS
+    cut: no rank cutoff is applied, and p enters only the entropy and the
+    purity, where an absolute error of eps is harmless.
 
     Returns
     -------
@@ -392,8 +396,9 @@ def page_experiment(m, n, samples, rng):
         g = rng.normal((k, 2, m * n))
         amp = g[:, 0] + 1j * g[:, 1]
         amp /= np.sqrt(np.einsum("kij,kij->k", g, g))[:, None]
-        s = np.linalg.svd(amp.reshape(k, m, n), compute_uv=False)
-        p = s * s
+        mat = amp.reshape(k, m, n)
+        p = np.linalg.eigvalsh(mat @ mat.conj().transpose(0, 2, 1))
+        np.maximum(p, 0.0, out=p)
         p /= p.sum(axis=1, keepdims=True)  # exact simplex point; m = 1 gives S = 0
         plogp = p * np.log(np.where(p > 0.0, p, 1.0))  # 0 log 0 = 0
         ent[start:start + k] = -plogp.sum(axis=1)

@@ -271,3 +271,95 @@ def grid_brent_minimize(f, lo, hi, tol=1e-8, grid_points=64):
     if float(res.fun) < best_f:
         best_x, best_f = float(res.x), float(res.fun)
     return best_x, best_f
+
+
+# The two-sweep MPS truncation and plain-SVD cut spectra that
+# ``bellscope.mps`` used before its single capped sweep and QR-first cuts,
+# copied verbatim apart from the names.
+
+def _plain_left_sweep(amp, d, dmax=None):
+    from bellscope.mps import SVD_CUTOFF, _infer_sites
+
+    n = _infer_sites(amp.size, d)
+    work = amp.reshape(1, -1)
+    left_dim = 1
+    blocks = []
+    svals = []
+    for _ in range(n - 1):
+        work = work.reshape(left_dim * d, -1)
+        u, s, vh = np.linalg.svd(work, full_matrices=False)
+        keep = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s[0] > 0 else 1
+        if dmax is not None:
+            keep = min(keep, dmax)
+        keep = max(1, keep)
+        blocks.append(u[:, :keep])
+        svals.append(s[:keep])
+        work = s[:keep, None] * vh[:keep]
+        left_dim = keep
+    return blocks, svals, work
+
+
+def _plain_project_tails(amp, d, dmax):
+    blocks, _, out = _plain_left_sweep(amp, d, dmax)
+    for u in reversed(blocks):
+        out = u @ out.reshape(u.shape[1], -1)   # (D_k * d, rest)
+        out = out.reshape(u.shape[0] // d, -1)  # (D_k, d * rest)
+    return out.reshape(-1)
+
+
+def _plain_mps_from_dense(psi, d=2, dmax=None):
+    from bellscope.mps import MpsState, _as_amplitudes, _infer_sites
+
+    amp, d = _as_amplitudes(psi, d)
+    if dmax is not None:
+        amp = _plain_project_tails(amp, d, int(dmax))
+        amp = amp / np.linalg.norm(amp)
+    n = _infer_sites(amp.size, d)
+
+    # left sweep: psi = L^[0] ... L^[N-1] with isometric L and cut spectra s
+    blocks, svals, rest = _plain_left_sweep(amp, d)
+    ls = [u.reshape(u.shape[0] // d, d, u.shape[1]) for u in blocks]
+    ls.append(rest.reshape(rest.shape[0], d, 1))
+
+    # rescale into canonical tensors: A^[k] = diag(1/s^[k-1]) L^[k] diag(s^[k])
+    tensors = []
+    for k, t in enumerate(ls):
+        a = t.astype(complex).copy()
+        if k > 0:
+            a /= svals[k - 1][:, None, None]
+        if k < n - 1:
+            a *= svals[k][None, None, :]
+        tensors.append(a)
+    lambdas = [s * s for s in svals]
+    return MpsState(tensors=tensors, lambdas=lambdas)
+
+
+def two_sweep_truncate(psi, dmax, d=2):
+    """``mps.truncate`` as two full left sweeps: project, then re-factor."""
+    from bellscope.mps import MpsState, _as_amplitudes, mps_to_dense
+
+    if dmax < 1:
+        raise ValueError("dmax must be at least 1")
+    if isinstance(psi, MpsState):
+        amp, d = mps_to_dense(psi), psi.local_dim
+    else:
+        amp, d = _as_amplitudes(psi, d)
+    projected = _plain_project_tails(amp, d, int(dmax))
+    err2 = float(np.linalg.norm(amp - projected) ** 2)
+    norm = np.linalg.norm(projected)
+    truncated = _plain_mps_from_dense(projected / norm, d=d)
+    return truncated, err2
+
+
+def plain_svd_cut_spectra(psi, d=2):
+    """``mps.cut_spectra`` with one plain ``np.linalg.svd`` per cut."""
+    from bellscope.mps import SVD_CUTOFF, _as_amplitudes, _infer_sites
+
+    amp, d = _as_amplitudes(psi, d)
+    n = _infer_sites(amp.size, d)
+    out = []
+    for k in range(1, n):
+        s = np.linalg.svd(amp.reshape(d**k, d ** (n - k)), compute_uv=False)
+        keep = s > SVD_CUTOFF * s[0] if s.size and s[0] > 0 else slice(0)
+        out.append((s[keep] ** 2).astype(float))
+    return out

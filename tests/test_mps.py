@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellscope.mps import (
     MpsState,
@@ -17,7 +19,14 @@ from bellscope.mps import (
 from bellscope.numerics import RandomSource
 from bellscope.quantum import StateVector
 
-from helpers import entropy_of_matrix, haar_vector, partial_trace_loops, shannon
+from helpers import (
+    entropy_of_matrix,
+    haar_vector,
+    partial_trace_loops,
+    plain_svd_cut_spectra,
+    shannon,
+    two_sweep_truncate,
+)
 
 
 def ghz(n):
@@ -251,3 +260,106 @@ class TestEntropies:
         mps = mps_from_dense(amp)
         for lam, ent in zip(cut_spectra(amp), bond_entropies(mps)):
             assert shannon(lam) == pytest.approx(ent, abs=1e-9)
+
+
+class TestRejectsBadStates:
+    BAD = {
+        "zero": np.zeros(8),
+        "nan": np.array([np.nan, 0, 0, 0, 0, 0, 0, 1.0]),
+        "inf": np.array([np.inf, 0, 0, 0, 0, 0, 0, 1.0]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_cut_spectra(self, kind):
+        with pytest.raises(ValueError, match="finite, nonzero norm"):
+            cut_spectra(self.BAD[kind])
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    @pytest.mark.parametrize("dmax", [None, 1])
+    def test_mps_from_dense(self, kind, dmax):
+        with pytest.raises(ValueError, match="finite, nonzero norm"):
+            mps_from_dense(self.BAD[kind], dmax=dmax)
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_truncate(self, kind):
+        with pytest.raises(ValueError, match="finite, nonzero norm"):
+            truncate(self.BAD[kind], 2)
+
+
+def _oracle_state(kind, d, n, rank, seed):
+    """Haar, product, weighted GHZ (Schmidt rank d) or bond-``rank`` MPS state."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind == "haar":
+        amp = gauss(d**n)
+    elif kind == "product":
+        amp = np.array([1.0 + 0j])
+        for _ in range(n):
+            amp = np.kron(amp, gauss(d))
+    elif kind == "ghz":
+        # distinct weights keep the d Schmidt values apart, so a capped
+        # projection is unique and the two implementations can be compared
+        amp = np.zeros(d**n, dtype=complex)
+        amp[[i * (d**n - 1) // (d - 1) for i in range(d)]] = gauss(d)
+    else:
+        amp = gauss(1, d, rank).reshape(d, rank)
+        for site in range(1, n):
+            right = 1 if site == n - 1 else rank
+            amp = (amp @ gauss(rank, d, right).reshape(rank, -1)).reshape(-1, right)
+        amp = amp.reshape(-1)
+    return amp / np.linalg.norm(amp)
+
+
+class TestAgainstTwoSweepOracle:
+    """The single capped sweep against the two-sweep truncation and plain-SVD
+    cut spectra it replaced (``helpers.two_sweep_truncate``)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        n=st.integers(2, 10),
+        kind=st.sampled_from(["haar", "product", "ghz", "rank"]),
+        rank=st.integers(1, 4),
+        cap_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=2, n=8, kind="haar", rank=1, cap_fraction=1.0, seed=1)
+    @example(d=3, n=5, kind="rank", rank=2, cap_fraction=1.0, seed=2)
+    def test_truncate_matches_two_sweeps(self, d, n, kind, rank, cap_fraction, seed):
+        amp = _oracle_state(kind, d, n, rank, seed)
+        full = d ** (n // 2)
+        cap = 1 + round(cap_fraction * (full - 1))
+        new, err2 = truncate(amp, cap, d)
+        old, err2_old = two_sweep_truncate(amp, cap, d)
+        assert new.bond_dimensions == old.bond_dimensions
+        for lam, lam_old in zip(new.lambdas, old.lambdas):
+            assert np.max(np.abs(lam - lam_old)) <= 1e-12
+        assert abs(err2 - err2_old) <= 1e-13
+        overlap = abs(np.vdot(mps_to_dense(old), mps_to_dense(new)))
+        assert abs(overlap - 1.0) <= 1e-12
+        assert np.max(canonical_residuals(new)) <= 1e-12
+        spectra, spectra_old = cut_spectra(amp, d), plain_svd_cut_spectra(amp, d)
+        assert [s.size for s in spectra] == [s.size for s in spectra_old]
+        for lam, lam_old in zip(spectra, spectra_old):
+            assert np.max(np.abs(lam - lam_old)) <= 1e-13
+
+    def test_one_sweep_per_cap(self, monkeypatch):
+        import bellscope.mps as mps_module
+
+        calls = {"_left_sweep": 0, "mps_from_dense": 0}
+        for name in calls:
+            inner = getattr(mps_module, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(mps_module, name, counted)
+        amp = haar_vector(2**8, RandomSource(19).generator)
+        for dmax in (1, 4, 16):
+            calls.update({"_left_sweep": 0, "mps_from_dense": 0})
+            truncate(amp, dmax)
+            assert calls == {"_left_sweep": 1, "mps_from_dense": 1}

@@ -86,6 +86,42 @@ class TestSvd:
             assert np.all(np.diff(s) <= 1e-12) and np.all(s >= -1e-15)
 
 
+class TestQrFirstSingular:
+    """The QR-first cut factorisations against a plain ``np.linalg.svd``."""
+
+    SHAPES = [(2, 1024), (16, 512), (1, 7), (512, 16), (300, 4), (7, 1),
+              (20, 20), (30, 50), (50, 30)]
+
+    @staticmethod
+    def matrix(shape, rank, complex_, seed):
+        rng = np.random.default_rng(seed)
+
+        def gauss(*dims):
+            g = rng.normal(size=dims)
+            return g + 1j * rng.normal(size=dims) if complex_ else g
+
+        rows, cols = shape
+        return gauss(rows, cols) if rank is None else gauss(rows, rank) @ gauss(rank, cols)
+
+    @pytest.mark.parametrize("shape,rank", [
+        (shape, rank) for shape in SHAPES for rank in (None, 1, 3)
+        if rank is None or rank < min(shape)])
+    @pytest.mark.parametrize("complex_", [True, False])
+    def test_matches_plain_svd(self, shape, rank, complex_):
+        w = self.matrix(shape, rank, complex_, seed=sum(shape) + (rank or 0))
+        s_ref = np.linalg.svd(w, compute_uv=False)
+        tol = 1e-14 * s_ref[0]
+        s = numerics._singular_values(w)
+        u, s_left = numerics._left_singular(w)
+        for values in (s, s_left):
+            assert values.shape == s_ref.shape
+            assert np.max(np.abs(values - s_ref)) <= tol
+            assert (np.count_nonzero(values > 1e-12 * values[0])
+                    == np.count_nonzero(s_ref > 1e-12 * s_ref[0]))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) <= 1e-14
+        assert np.max(np.abs(u @ (u.conj().T @ w) - w)) <= tol
+
+
 class TestScalarMinimize:
     def test_parabola(self):
         x, f = scalar_minimize(lambda x: (x - 1.0) ** 2, 0.0, 2.0)

@@ -1,5 +1,5 @@
-"""Seeded commands are byte-reproducible across processes, and bad sample
-counts are refused with a clear error."""
+"""Seeded commands are byte-reproducible across processes and match golden
+stdout, and bad sample counts are refused with a clear error."""
 
 import os
 import subprocess
@@ -71,3 +71,44 @@ def test_page_cli_reports_empty_sample():
     from bellscope.cli import main
 
     assert main(["page", "--m", "2", "--n", "4", "--samples", "0"]) == 2
+
+
+# stdout of seeded CLI runs, captured before the single-sweep MPS truncation,
+# the QR-first cut spectra and the Gram-matrix page spectra replaced the
+# plain SVD sweeps; those changes must leave every printed digit in place.
+GOLDEN_STDOUT = {
+    "mps": (["mps", "--random", "10", "--dmax", "1,4,16", "--seed", "3"], (
+        'n_sites,dmax,err2,bound,within_bound,max_bond\n'
+        '10,1,0.987919911455,13.3279950404,true,1\n'
+        '10,4,0.824417413139,5.14735201524,true,4\n'
+        '10,16,0.113962915857,0.227925831715,true,16\n'
+    )),
+    "page": (["page", "--m", "3", "--n", "5", "--samples", "777", "--seed", "2"], (
+        'm,n,samples,mean_entropy_nats,std_error,mean_purity,asymptotic_mean,asymptotic_purity\n'
+        '3,5,777,0.836868319615,0.00373895831722,0.49884332423,0.798612288668,0.533333333333\n'
+    )),
+    "area-law": (["area-law", "--sites", "10", "--boundary", "periodic"], (
+        'block,entropy_bits\n'
+        '1,0.209036108507\n'
+        '2,0.248498649552\n'
+        '3,0.255180897793\n'
+        '4,0.256602023775\n'
+        '5,0.25685673114\n'
+        '6,0.256602023775\n'
+        '7,0.255180897793\n'
+        '8,0.248498649552\n'
+        '9,0.209036108507\n'
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_seeded_stdout_matches_golden(name):
+    argv, expected = GOLDEN_STDOUT[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellscope.cli", *argv], capture_output=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == expected.encode()
