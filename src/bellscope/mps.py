@@ -13,11 +13,11 @@ Singular values below ``1e-12 * sigma_max`` are discarded everywhere.
 A state is factored by one left-to-right sweep over its cuts.  Wide and
 tall cuts are reduced by Householder QR before the SVD of their small
 square factor; QR is backward stable, so the singular values keep the
-absolute error O(eps * sigma_max) that the relative cutoff needs.  A bond
-cap costs one capped sweep plus a right-to-left pass over the capped
-factors, and the truncation error of the projected, renormalised state phi
-is ``|| psi - <phi|psi> phi ||^2``, since the sequential projection is an
-orthogonal projector.  States with zero norm or non-finite amplitudes are
+absolute error O(eps * sigma_max) that the relative cutoff needs.  A
+right-to-left pass over the swept factors then gives the canonical
+tensors, with or without a bond cap.  The truncation error of the
+projected, renormalised state phi is ``|| psi - <phi|psi> phi ||^2``,
+since the sequential projection is an orthogonal projector.  States with zero norm or non-finite amplitudes are
 refused with ``ValueError``.
 """
 
@@ -144,24 +144,19 @@ def _left_sweep(amp, d, dmax=None):
     -------
     blocks : list of ndarray
         Left-isometric pieces, ``blocks[k]`` of shape (D_k * d, D_{k+1}).
-    svals : list of ndarray
-        The kept singular values of each cut.
     rest : ndarray, shape (D_{N-1}, d)
         What remains after the last cut.
     """
     n = _infer_sites(amp.size, d)
     work = amp.reshape(1, -1)
     blocks = []
-    svals = []
     for _ in range(n - 1):
         work = work.reshape(work.shape[0] * d, -1)
         u, s = _left_singular(work)
-        keep = _kept(s, dmax)
-        u = u[:, :keep]
+        u = u[:, :_kept(s, dmax)]
         blocks.append(u)
-        svals.append(s[:keep])
         work = u.conj().T @ work
-    return blocks, svals, work
+    return blocks, work
 
 
 def _right_pass(blocks, rest, d):
@@ -189,36 +184,19 @@ def _right_pass(blocks, rest, d):
 def mps_from_dense(psi, d=2, dmax=None):
     """Exact (or bond-capped) canonical MPS of a dense state vector.
 
-    One left-to-right sweep (:func:`_left_sweep`) factors the state.
-    Without ``dmax``, its left isometries L and cut spectra s are rescaled
-    into the canonical tensors ``A^[k] = diag(1/s^[k-1]) L^[k] diag(s^[k])``.
+    One left-to-right sweep (:func:`_left_sweep`) factors the state, and a
+    right-to-left pass (:func:`_right_pass`) over its factors gives the
+    right-isometric tensors and exact bond spectra.
 
     With ``dmax`` set, the sweep keeps at most ``dmax`` singular vectors per
     cut, which projects every cut in turn onto its leading Schmidt space.
-    The result is the canonical MPS of that projected state, renormalised:
-    a right-to-left pass (:func:`_right_pass`) over the capped factors, at
-    O(N d dmax^3), gives its right-isometric tensors and exact bond
-    spectra.  Use :func:`truncate` to also get the truncation error.
+    The result is the canonical MPS of that projected state, renormalised,
+    and the right-to-left pass costs O(N d dmax^3).  Use :func:`truncate`
+    to also get the truncation error.
     """
     amp, d = _as_amplitudes(psi, d)
-    blocks, svals, rest = _left_sweep(amp, d, None if dmax is None else int(dmax))
-    if dmax is not None:
-        return _right_pass(blocks, rest, d)
-    n = len(blocks) + 1
-    ls = [u.reshape(u.shape[0] // d, d, u.shape[1]) for u in blocks]
-    ls.append(rest.reshape(rest.shape[0], d, 1))
-
-    # rescale into canonical tensors: A^[k] = diag(1/s^[k-1]) L^[k] diag(s^[k])
-    tensors = []
-    for k, t in enumerate(ls):
-        a = t.astype(complex).copy()
-        if k > 0:
-            a /= svals[k - 1][:, None, None]
-        if k < n - 1:
-            a *= svals[k][None, None, :]
-        tensors.append(a)
-    lambdas = [s * s for s in svals]
-    return MpsState(tensors=tensors, lambdas=lambdas)
+    blocks, rest = _left_sweep(amp, d, None if dmax is None else int(dmax))
+    return _right_pass(blocks, rest, d)
 
 
 def mps_to_dense(mps):

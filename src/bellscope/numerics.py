@@ -126,40 +126,41 @@ def svd(matrix):
     return u, s, vh.conj().T
 
 
-def _singular_values(matrix):
-    """Singular values of a 2-D array, descending.
+def _qr_reduced(matrix, with_q=False):
+    """Householder QR reduction of a wide or tall 2-D array.
 
-    A wide matrix (rows <= cols / 2) or a tall one (cols <= rows / 2) is
-    first reduced by Householder QR to its square triangular factor, which
-    has the same singular values and costs a fraction of the SVD.  QR is
-    backward stable, so every value keeps an absolute error of
-    O(eps * s_max), which a relative cutoff such as ``mps.SVD_CUTOFF``
-    (1e-12) relies on; eigenvalues of the Gram matrix M M^dag would not
-    resolve values below about 1e-8 * s_max.
+    Returns ``(q, r)`` with ``r`` square and with the singular values of
+    ``matrix``: a wide matrix (rows <= cols / 2) ``M = R^T Q^T`` gives
+    ``(None, R^T)``, whose left singular vectors are those of M; a tall
+    one (cols <= rows / 2) ``M = Q R`` gives ``(Q, R)``, and M's left
+    singular vectors are Q times those of R.  Q is formed only when
+    ``with_q`` is set (``None`` otherwise).  Any other shape is returned
+    as ``(None, matrix)``.  QR is backward stable, so every singular value
+    keeps an absolute error of O(eps * s_max), which a relative cutoff such
+    as ``mps.SVD_CUTOFF`` (1e-12) relies on; eigenvalues of the Gram matrix
+    M M^dag would not resolve values below about 1e-8 * s_max.
     """
     rows, cols = matrix.shape
     if 2 * rows <= cols:
-        matrix = np.linalg.qr(matrix.T, mode="r")
-    elif 2 * cols <= rows:
-        matrix = np.linalg.qr(matrix, mode="r")
-    return np.linalg.svd(matrix, compute_uv=False)
+        return None, np.linalg.qr(matrix.T, mode="r").T
+    if 2 * cols <= rows:
+        return np.linalg.qr(matrix) if with_q else (None, np.linalg.qr(matrix, mode="r"))
+    return None, matrix
+
+
+def _singular_values(matrix):
+    """Singular values of a 2-D array, descending, QR-first on wide and
+    tall shapes (:func:`_qr_reduced`)."""
+    return np.linalg.svd(_qr_reduced(matrix)[1], compute_uv=False)
 
 
 def _left_singular(matrix):
-    """Left singular vectors (as columns) and values of a 2-D array.
-
-    Uses the QR reduction of :func:`_singular_values`: a wide ``M = R^T Q^T``
-    has the left singular vectors of its square factor ``R^T``, and a tall
-    ``M = Q R`` has ``Q`` times those of ``R``.  Callers that need the right
-    factor on the kept rows take ``u^dag M = diag(s) vh``.
+    """Left singular vectors (as columns) and values of a 2-D array,
+    QR-first on wide and tall shapes (:func:`_qr_reduced`).  Callers that
+    need the right factor on the kept rows take ``u^dag M = diag(s) vh``.
     """
-    rows, cols = matrix.shape
-    q = None
-    if 2 * rows <= cols:
-        matrix = np.linalg.qr(matrix.T, mode="r").T
-    elif 2 * cols <= rows:
-        q, matrix = np.linalg.qr(matrix)
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    q, r = _qr_reduced(matrix, with_q=True)
+    u, s, _ = np.linalg.svd(r, full_matrices=False)
     return (u if q is None else q @ u), s
 
 

@@ -116,6 +116,15 @@ class TestCanonicalForm:
             res = canonical_residuals(mps_from_dense(haar_vector(2**n, rng)))
             assert np.max(res) <= 1e-10
 
+    @pytest.mark.parametrize("g", [0.5, 4.0])
+    def test_gapped_ground_state_is_canonical(self, g):
+        # Schmidt values of these states fall to the cutoff, where dividing
+        # by them would spoil the isometry condition
+        from bellscope.chains import ground_state_exact, transverse_ising_chain
+
+        psi = ground_state_exact(transverse_ising_chain(10, g=g))[1]
+        assert np.max(canonical_residuals(mps_from_dense(psi))) <= 1e-12
+
     def test_scaled_tensor_breaks_isometry(self):
         mps = mps_from_dense(ghz(4))
         mps.tensors[0] = 2.0 * mps.tensors[0]
