@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -201,34 +202,24 @@ _SCAN_FAMILIES = {
 }
 
 
-def _scan_one(family_name, n, theta_points, tol):
-    expr = _SCAN_FAMILIES[family_name](n)
-    mv = collective.max_violation(expr, grid_points=theta_points, tol=tol)
-    row = (n, mv.bound, mv.violation,
-           mv.violation / mv.bound if mv.bound else math.nan, mv.theta)
-    return row, mv.evals, mv.screened
-
-
 def _cmd_scan(args):
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))
     if not ns:
         raise ValueError("empty n range")
+    scan = functools.partial(collective.ratio_scan, _SCAN_FAMILIES[args.family],
+                             tol=args.tol, grid_points=args.theta_points)
     if args.jobs > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(
-                    _scan_one,
-                    [args.family] * len(ns), ns,
-                    [args.theta_points] * len(ns), [args.tol] * len(ns),
-                )
-            )
+            results = sorted((r for rows in pool.map(scan, [[n] for n in ns]) for r in rows),
+                             key=lambda r: r.n)
     else:
-        results = [_scan_one(args.family, n, args.theta_points, args.tol) for n in ns]
-    rows = sorted((row for row, _, _ in results), key=lambda r: r[0])
+        results = scan(ns)
+    rows = [(r.n, r.beta_c, r.qv, r.ratio, r.theta_star) for r in results]
     header = ["n", "beta_c", "qv", "ratio", "theta_star"]
-    counts = {"evals": sum(r[1] for r in results), "screened": sum(r[2] for r in results)}
+    counts = {"evals": sum(r.evals for r in results),
+              "screened": sum(r.screened for r in results)}
     return header, rows, counts
 
 

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import eigen_above, gershgorin_bounds, lowest_eigen_banded, scalar_minimize
+from .numerics import (
+    eigen_above,
+    eigen_above_stacked,
+    gershgorin_bounds,
+    lowest_eigen_banded,
+    prescan_grid,
+    scalar_minimize,
+)
 from .symmetric import SymmetrizedCorrelators
 
 __all__ = [
@@ -47,12 +54,14 @@ __all__ = [
 NORM_TOL = 1e-10
 DENSE_GUARD = 4000  # largest n for which dense (n+1)^2 matrices are built
 
-#: Screening margin of ``max_violation``, relative to a bound on ||H(theta)||_inf
-#: over all theta.  It must exceed the error of the eigenvalue a grid point
-#: would get (``sbevx``'s backward error, or the inertia path's
-#: ``INERTIA_RTOL`` bracket), both near 1e-12 relative or below; a wide
-#: margin costs nothing, since only points within it of the best value are
-#: evaluated in full.
+#: Screening margin of ``max_violation``, relative to a bound S on
+#: ||H(theta)||_inf over all theta.  It must exceed the error of the
+#: eigenvalue a grid point would get (``sbevx``'s backward error, or the
+#: inertia path's ``INERTIA_RTOL`` bracket), both near 1e-12 relative or
+#: below, plus the difference between the stacked bands the screen factors
+#: and ``bell_operator_bands`` (last bits, at most 2e-16 S measured); a
+#: wide margin costs nothing, since only points within it of the best value
+#: are evaluated in full.
 SCREEN_RTOL = 1e-9
 
 
@@ -322,8 +331,9 @@ class MaxViolation:
     polished by Illinois regula falsi on the exact Hellmann-Feynman slope
     of the lowest eigenvalue.  ``evals`` counts the lowest-eigenvalue
     evaluations made (calls of ``lowest_eigen_banded``) and ``screened``
-    the grid points ruled out by one banded Cholesky factorisation each
-    instead (:func:`numerics.eigen_above`): ``evals + screened`` is the
+    the grid points ruled out by a banded Cholesky factorisation instead
+    (:func:`numerics.eigen_above_stacked`, or :func:`numerics.eigen_above`
+    for the angles the stack left open): ``evals + screened`` is the
     pre-scan's ``max(grid_points, 64)`` plus one per polish point.
     """
 
@@ -347,21 +357,46 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
     theta -> 2 pi - theta is a similarity transform of the operator
     (conjugation by diag((-1)^k)).
 
-    The scan skips a grid point when :func:`numerics.eigen_above` certifies
-    that every eigenvalue there exceeds the best grid value so far by more
-    than ``SCREEN_RTOL * S``, with S = sum_k ||P_k||_inf over the band
-    terms of :func:`bell_operator_bands`, a bound on ||H(theta)||_inf for
-    every theta.  The result is bitwise that of the full grid.
+    The scan skips a grid point when a banded Cholesky factorisation
+    certifies that every eigenvalue there exceeds the best grid value so
+    far by more than ``SCREEN_RTOL * S``, with S = sum_k ||P_k||_inf over
+    the band terms of :func:`bell_operator_bands`, a bound on
+    ||H(theta)||_inf for every theta.  The first check screens the whole
+    grid at once (:func:`numerics.eigen_above_stacked`), at the best value
+    of the coarse pass; the best value never rises during the scan, so an
+    angle certified then is certified at every later level too.  Only the
+    angles it leaves open get :func:`numerics.eigen_above` at the best value
+    so far.  The stack's bands come from one (k, 6) @ (6, 3 (n+1)) product
+    and differ from those of :func:`bell_operator_bands` in the last bits,
+    at most 2e-16 S measured, which the margin covers (see
+    :func:`numerics.eigen_above`).  The result is bitwise that of the full
+    grid.
     """
     beta_c = _require_bound(expr)
-    terms = _band_terms(expr.n, _float_coeffs(expr)).reshape(6, 3, expr.n + 1)
+    m = expr.n + 1
+    terms = _band_terms(expr.n, _float_coeffs(expr)).reshape(6, 3, m)
     margin = SCREEN_RTOL * sum(gershgorin_bounds(p)[1] for p in terms)
+    # each term laid out (m, 3), so weights @ stack_terms is Fortran band
+    # storage; _band_terms keeps (3, m), since laid out (m, 3) its one-angle
+    # product changed the last diagonal entry in the last bit at 7% of angles
+    stack_terms = terms.transpose(0, 2, 1).reshape(6, 3 * m)
+    grid = prescan_grid(theta_range[0], theta_range[1], grid_points)
     vectors = {}
+    stacked = None
     evals = screened = 0
 
+    def grid_bands(i, j):
+        c, s = np.cos(grid[i:j]), np.sin(grid[i:j])
+        weights = np.stack((np.ones_like(c), c, s, c * c, c * s, s * s), axis=1)
+        return (weights @ stack_terms).reshape(-1, 3).T
+
     def above(theta, level):
-        nonlocal screened
-        certified = eigen_above(bell_operator_bands(expr, theta), level + margin)
+        nonlocal stacked, screened
+        if stacked is None:
+            certified = eigen_above_stacked(grid_bands, len(grid), m, level + margin)
+            stacked = dict(zip(grid.tolist(), certified.tolist()))
+        certified = stacked.get(theta) or eigen_above(
+            bell_operator_bands(expr, theta), level + margin)
         screened += certified
         return certified
 
@@ -437,6 +472,8 @@ class ScanRow:
     qv: float
     ratio: float
     theta_star: float
+    evals: int      # MaxViolation.evals and .screened of the row's call
+    screened: int
 
 
 def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
@@ -448,7 +485,8 @@ def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256
         Maps n to a PIBellExpression carrying its classical bound.
     ns : iterable of int
 
-    Returns rows (n, beta_c, qv, qv/beta_c, theta_star) sorted by n.
+    Returns rows (n, beta_c, qv, qv/beta_c, theta_star, evals, screened)
+    sorted by n.
     """
     rows = []
     for n in sorted(int(v) for v in ns):
@@ -462,6 +500,8 @@ def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256
                 qv=mv.violation,
                 ratio=mv.violation / mv.bound if mv.bound else math.nan,
                 theta_star=mv.theta,
+                evals=mv.evals,
+                screened=mv.screened,
             )
         )
     return rows

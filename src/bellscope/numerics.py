@@ -16,9 +16,13 @@ The pre-scan that precedes the polish is kept fine on purpose (256 points in
 ``max_violation``): on 300 random PI expressions a 32-point grid missed the
 global minimum 9 times and a 64-point grid 3 times, against none at 256.
 What makes the fine grid cheap is screening: a caller that can prove
-f(x) > level at a point (``max_violation`` does it with one banded Cholesky
-factorisation, :func:`eigen_above`) lets the pre-scan skip every grid point
-that cannot be the minimum, with the same answer as the full grid.
+f(x) > level at a point lets the pre-scan skip every grid point that cannot
+be the minimum, with the same answer as the full grid.  ``max_violation``
+proves it by banded Cholesky factorisation: :func:`eigen_above_stacked`
+factors the matrices of the whole grid (:func:`prescan_grid`) as
+block-diagonal stacks at the first level asked, the best value of the
+coarse pass, and :func:`eigen_above` checks the few angles it leaves open
+at the best value found since.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ __all__ = [
     "scalar_minimize",
     "lowest_eigen_banded",
     "eigen_above",
+    "eigen_above_stacked",
     "gershgorin_bounds",
+    "prescan_grid",
     "RandomSource",
 ]
 
@@ -64,6 +70,11 @@ POLISH_MAX_STEPS = 100
 #: Step cap of the inertia iteration; each step is one solve and at most one
 #: factorisation.
 INERTIA_MAX_STEPS = 200
+
+#: Matrix rows in one stack of :func:`eigen_above_stacked`: 2^14 rows of a
+#: bandwidth-2 matrix are 393 KB of band storage, so a screen of many large
+#: matrices never holds all their bands at once.
+SCREEN_STACK_ROWS = 2**14
 
 
 @functools.cache
@@ -168,9 +179,8 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
                     above=None):
     """Minimise a scalar function on ``[lo, hi]``.
 
-    A uniform pre-scan ``np.linspace(lo, hi, max(grid_points, 64))``
-    locates the best grid point x_i; grid ties resolve toward the smaller
-    argument.  ``f`` returning NaN at a grid point it is evaluated at is
+    A uniform pre-scan on :func:`prescan_grid` locates the best grid point
+    x_i; grid ties resolve toward the smaller argument.  ``f`` returning NaN at a grid point it is evaluated at is
     rejected.  The polish (:func:`_polish_on_slope`) then looks for a zero
     of the slope f' in ``[x_{i-1}, x_{i+1}]`` by safeguarded Illinois
     regula falsi, turning to bisection after ``POLISH_SECANT_STEPS`` steps,
@@ -219,8 +229,7 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
     """
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    grid_points = max(int(grid_points), 64)
-    xs = np.linspace(lo, hi, grid_points)
+    xs = prescan_grid(lo, hi, grid_points)
     if above is None:
         fs = np.array([float(f(x)) for x in xs])
     else:
@@ -235,6 +244,12 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
     if fx < fs[i]:
         return float(x), float(fx)
     return float(xs[i]), float(fs[i])
+
+
+def prescan_grid(lo, hi, grid_points):
+    """The pre-scan grid of :func:`scalar_minimize`:
+    ``np.linspace(lo, hi, max(grid_points, 64))``."""
+    return np.linspace(lo, hi, max(int(grid_points), 64))
 
 
 def _screened_scan(f, above, xs):
@@ -258,7 +273,8 @@ def _screened_scan(f, above, xs):
     i0 = int(np.argmin(fs))
     best = fs[i0]
     skip = set(coarse)
-    for j in sorted(range(m), key=lambda j: abs(j - i0)):
+    # stable: of two points at one distance, the one left of i0 comes first
+    for j in np.argsort(np.abs(np.arange(m) - i0), kind="stable").tolist():
         if j in skip or above(xs[j], best):
             continue
         fs[j] = float(f(xs[j]))
@@ -508,14 +524,81 @@ def eigen_above(bands, level):
 
     False means not certified: some eigenvalue is at most ``level``, or
     within rho of it, or ``bands`` or ``level`` is not finite.
+
+    This is the one-matrix call of the kernel behind
+    :func:`eigen_above_stacked`, which factors many matrices as one
+    block-diagonal matrix and gives each block this same answer.  Each
+    block is shifted by its own ``level + rho_i``, rho_i taken from the
+    block's own largest entry (its unused band slots included, as here).
+    The entries a band row holds past the end of a block, which would
+    couple it to the next, are set to zero, so the next block's rows start
+    with an exact-zero coupling.  At small bandwidths (up to 64 in
+    reference LAPACK) ``pbtrf`` works column by column, so it does each
+    block's arithmetic as if the block stood alone and adds only exact
+    zeros to its neighbour; at any bandwidth the coupling stays zero, so a
+    success certifies every block.  A block that fails stops the
+    factorisation, which restarts at the next block, so no row is factored
+    twice.  A block holding NaN or inf gets a negative first pivot, so it
+    fails before its values can reach a neighbour.
+
+    A caller that certifies the stack's bands in place of bands computed
+    another way must widen ``level`` by more than the difference between
+    them.  ``collective.max_violation`` builds its stack from one matrix
+    product, whose bands differ from ``bell_operator_bands`` in the last
+    bits: by at most 2e-16 S in the inf-norm (S = sum_k ||P_k||_inf) on
+    murcia n <= 1500 and 100 random expressions, 256 angles each, so its
+    margin ``SCREEN_RTOL * S`` = 1e-9 S covers the difference about 5e6
+    times over.
     """
-    top = float(bands.max())
-    if not (math.isfinite(top) and math.isfinite(level)):
-        return False
-    nb = bands.shape[0] - 1
-    rho = ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (abs(top) + abs(level))
+    bands = np.array(bands, dtype=float, order="F")
+    return bool(_blocks_above(bands, bands.shape[1], level)[0])
+
+
+def eigen_above_stacked(bands_of, count, order, level):
+    """:func:`eigen_above` for each of ``count`` banded matrices of one order.
+
+    ``bands_of(i, j)`` returns matrices i..j-1 side by side in lower band
+    storage, a Fortran-order array of shape (b + 1, (j - i) * order) that
+    this function overwrites.  It is asked for stacks of at most
+    max(1, ``SCREEN_STACK_ROWS // order``) matrices, each factored as one
+    block-diagonal matrix (see :func:`eigen_above`).  Returns a bool array
+    of length ``count``.
+    """
+    per = max(1, SCREEN_STACK_ROWS // order)
+    certified = np.zeros(count, dtype=bool)
+    for i in range(0, count, per):
+        j = min(i + per, count)
+        certified[i:j] = _blocks_above(bands_of(i, j), order, level)
+    return certified
+
+
+def _blocks_above(ab, order, level):
+    """The screen of :func:`eigen_above_stacked` on one stack ``ab``, which
+    it overwrites; one bool per block."""
+    nb = ab.shape[0] - 1
+    ab = np.asfortranarray(ab)
+    cols = ab.T.reshape(-1, order, nb + 1)  # cols[i, j, d] = entry (j + d, j) of block i
+    if not math.isfinite(level):
+        return np.zeros(len(cols), dtype=bool)
+    top = cols.max(axis=(1, 2))
+    ok = np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2)))
+    rho = ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (np.abs(top) + abs(level))
+    for d in range(1, nb + 1):  # slots past a block's end couple it to the next
+        cols[:, max(order - d, 0):, d] = 0.0
+    cols[:, :, 0] -= np.where(ok, level + rho, 0.0)[:, None]
+    cols[~ok, 0, 0] = -1.0  # fails at its first pivot, before any update
     _, pbtrf, _, _ = _lapack()
-    return _shifted_cholesky(pbtrf, bands, level + rho) is not None
+    start = 0
+    while start < ab.shape[1]:
+        _, info = pbtrf(ab[:, start:], lower=1, overwrite_ab=1)
+        if info == 0:
+            break
+        if info < 0:
+            raise ValueError(f"LAPACK pbtrf rejected argument {-info}")
+        failed = (start + info - 1) // order
+        ok[failed] = False
+        start = (failed + 1) * order
+    return ok
 
 
 @functools.lru_cache(maxsize=64)

@@ -254,6 +254,23 @@ def bell_operator_bands_explicit(expr, theta):
     return bands
 
 
+def pointwise_eigen_above(bands, level):
+    """The one-matrix Cholesky screen ``numerics.eigen_above`` made before
+    it factored stacks: one ``pbtrf`` of H - (level + rho) I on a copy,
+    rho from the largest band entry.  For finite bands."""
+    import scipy.linalg
+
+    top = float(bands.max())
+    if not (math.isfinite(top) and math.isfinite(level)):
+        return False
+    nb = bands.shape[0] - 1
+    rho = ((nb + 2) * (2 * nb + 1) + 4) * float(np.finfo(float).eps) * (abs(top) + abs(level))
+    ab = np.array(bands, dtype=float, order="F")
+    ab[0] -= level + rho
+    (pbtrf,) = scipy.linalg.get_lapack_funcs(("pbtrf",), dtype=np.float64)
+    return pbtrf(ab, lower=1, overwrite_ab=1)[1] == 0
+
+
 def grid_brent_minimize(f, lo, hi, tol=1e-8, grid_points=64):
     """The grid scan plus bounded Brent polish ``numerics.scalar_minimize``
     used before its slope polish: same grid, same first-argmin bracket."""

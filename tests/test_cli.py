@@ -262,6 +262,16 @@ class TestScans:
             assert sidecar["screened"] == sum(mv.screened for mv in want)
         capsys.readouterr()
 
+    def test_scan_sidecar_counts_are_pinned(self, capsys, tmp_path):
+        # the violation-small benchmark scan: the stacked screen keeps the
+        # counts of one factorisation per grid point
+        out = str(tmp_path / "scan.csv")
+        assert main(["scan", "--family", "murcia", "--n-min", "2", "--n-max", "100",
+                     "--out", out]) == 0
+        capsys.readouterr()
+        sidecar = json.loads(open(out + ".run.json").read())
+        assert (sidecar["evals"], sidecar["screened"]) == (2405, 23419)
+
     def test_theta_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "theta-sweep", "--family", "dicke", "--n", "6", "--points", "24",

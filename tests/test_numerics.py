@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bellscope.numerics import (
 )
 
 from helpers import haar_vector
+from helpers import pointwise_eigen_above
 
 
 def random_hermitian(dim, rng):
@@ -317,6 +319,112 @@ class TestEigenAbove:
         d = np.diag(full)
         assert floor == pytest.approx(
             np.min(d + np.abs(d) - np.abs(full).sum(axis=1)), rel=1e-14)
+
+
+#: lambda_min of a stacked block relative to the level, in units of its norm
+#: (-0.5 and 0.5 are far from it; the rest lie within about 10 rho)
+STACK_GAPS = (-0.5, -1e-13, 0.0, 1e-14, 1e-13, 1e-12, 0.5)
+
+
+def stack_blocks(order, bandwidth, seed, gaps, level, junk):
+    """Banded matrices of one order with lambda_min = level + gap * norm;
+    ``junk`` fills the band slots past each block's end."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i, gap in enumerate(gaps):
+        inner, full = random_banded(order, min(bandwidth, order - 1), seed + i, False)
+        bands = np.zeros((bandwidth + 1, order))
+        bands[: len(inner)] = inner
+        norm = np.max(np.abs(full).sum(axis=1))
+        bands[0] += level + gap * norm - np.linalg.eigvalsh(full)[0]
+        if junk:
+            for k in range(1, bandwidth + 1):
+                bands[k, max(order - k, 0):] = 10.0 * rng.normal(size=min(k, order))
+        blocks.append(bands)
+    return blocks
+
+
+class TestEigenAboveStacked:
+    """The stacked screen gives each block the answer of ``eigen_above`` and
+    of the one-matrix ``pbtrf`` oracle on that block alone."""
+
+    @staticmethod
+    def screen(blocks, level, rows):
+        order = blocks[0].shape[1]
+        stack = np.asfortranarray(np.concatenate(blocks, axis=1))
+        asked = []
+
+        def bands_of(i, j):
+            asked.append((i, j))
+            return stack[:, i * order: j * order].copy(order="F")
+
+        with mock.patch.object(numerics, "SCREEN_STACK_ROWS", rows):
+            got = numerics.eigen_above_stacked(bands_of, len(blocks), order, level)
+        per = max(1, rows // order)
+        assert asked == [(i, min(i + per, len(blocks))) for i in range(0, len(blocks), per)]
+        return got.tolist()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        order=st.integers(1, 30),
+        bandwidth=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**31),
+        gaps=st.lists(st.sampled_from(STACK_GAPS), min_size=1, max_size=12),
+        level=st.sampled_from([0.0, -3.5, 1e3]),
+        junk=st.booleans(),
+        rows=st.one_of(st.integers(1, 90), st.just(numerics.SCREEN_STACK_ROWS)),
+        bad=st.one_of(st.none(), st.tuples(st.integers(0, 11), st.integers(0, 89),
+                                           st.sampled_from([np.nan, np.inf, -np.inf]))),
+    )
+    # a failing block first, in the middle, last and everywhere
+    @example(order=12, bandwidth=2, seed=1, gaps=[-0.5, 0.5, 0.5, 0.5], level=0.0,
+             junk=False, rows=30, bad=None)
+    @example(order=12, bandwidth=2, seed=2, gaps=[0.5, 0.5, -0.5, 0.5, 0.5], level=0.0,
+             junk=False, rows=30, bad=None)
+    @example(order=12, bandwidth=2, seed=3, gaps=[0.5, 0.5, 0.5, -0.5], level=0.0,
+             junk=True, rows=30, bad=None)
+    @example(order=5, bandwidth=1, seed=4, gaps=[-0.5] * 6, level=0.0,
+             junk=False, rows=2**14, bad=None)
+    # order below the bandwidth: every off-diagonal slot is a coupling slot
+    @example(order=1, bandwidth=2, seed=5, gaps=[0.5, -0.5, 0.5], level=-3.5,
+             junk=True, rows=2, bad=None)
+    # one non-finite block between certified neighbours
+    @example(order=8, bandwidth=2, seed=6, gaps=[0.5, 0.5, 0.5], level=0.0,
+             junk=False, rows=2**14, bad=(1, 3, np.nan))
+    @example(order=8, bandwidth=2, seed=7, gaps=[0.5, 0.5, 0.5], level=0.0,
+             junk=False, rows=2**14, bad=(1, 10, -np.inf))
+    @example(order=8, bandwidth=1, seed=8, gaps=[0.5, 0.5, 0.5], level=0.0,
+             junk=False, rows=2**14, bad=(1, 15, np.inf))
+    def test_each_block_as_if_alone(self, order, bandwidth, seed, gaps, level, junk,
+                                    rows, bad):
+        blocks = stack_blocks(order, bandwidth, seed, gaps, level, junk)
+        if bad is not None:
+            i, entry, value = bad
+            i %= len(blocks)
+            blocks[i].reshape(-1)[entry % blocks[i].size] = value
+        got = self.screen(blocks, level, rows)
+        assert got == [eigen_above(b, level) for b in blocks]
+        for b, certified in zip(blocks, got):
+            if np.isfinite(b).all():
+                assert certified == pointwise_eigen_above(b, level)
+            else:
+                assert not certified
+        for gap, b, certified in zip(gaps, blocks, got):
+            if np.isfinite(b).all() and abs(gap) == 0.5:
+                assert certified == (gap > 0)
+
+    def test_non_finite_block_leaves_its_neighbours_certified(self):
+        for value in (np.nan, np.inf, -np.inf):
+            for position in range(4):
+                blocks = stack_blocks(10, 2, 11, [0.5] * 4, 0.0, False)
+                blocks[position][0, 9] = value
+                got = self.screen(blocks, 0.0, numerics.SCREEN_STACK_ROWS)
+                assert got == [i != position for i in range(4)]
+
+    def test_not_finite_level(self):
+        blocks = stack_blocks(6, 2, 12, [0.5] * 3, 0.0, False)
+        for level in (np.nan, np.inf, -np.inf):
+            assert self.screen(blocks, level, 12) == [False] * 3
 
 
 class TestRandomSource:

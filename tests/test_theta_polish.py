@@ -185,6 +185,40 @@ class TestScreenedScan:
         assert mv.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
         assert mv.evals + mv.screened == ref.evals
 
+    def test_one_stacked_screen_per_call(self, monkeypatch):
+        stacks, pointwise, asked = [], [], []
+        real_stacked = collective.eigen_above_stacked
+        real_above = collective.eigen_above
+        real_minimize = collective.scalar_minimize
+
+        def stacked(bands_of, count, order, level):
+            stacks.append(real_stacked(bands_of, count, order, level))
+            return stacks[-1]
+
+        def one(bands, level):
+            pointwise.append(real_above(bands, level))
+            return pointwise[-1]
+
+        def recording_minimize(*args, above=None, **kwargs):
+            def recording_above(x, level):
+                asked.append(x)
+                return above(x, level)
+            return real_minimize(*args, above=recording_above, **kwargs)
+
+        monkeypatch.setattr(collective, "eigen_above_stacked", stacked)
+        monkeypatch.setattr(collective, "eigen_above", one)
+        monkeypatch.setattr(collective, "scalar_minimize", recording_minimize)
+        for n, grid_points in ((5, 256), (40, 256), (250, 256), (30, 40)):
+            for record in (stacks, pointwise, asked):
+                record.clear()
+            mv = max_violation(murcia(n), grid_points=grid_points)
+            assert len(stacks) == 1
+            grid = np.linspace(0.0, math.pi, max(grid_points, 64))
+            certified = dict(zip(grid.tolist(), stacks[0].tolist()))
+            left_open = [x for x in asked if not certified[x]]
+            assert len(pointwise) == len(left_open) < 20
+            assert mv.screened == len(asked) - len(left_open) + sum(pointwise)
+
     def test_screens_most_of_the_grid(self):
         for n in (5, 40, 250):
             mv = max_violation(murcia(n))
