@@ -5,9 +5,12 @@ Everything downstream funnels its linear algebra through this module so that
 tolerances and conventions (eigenvalue ordering, singular-value ordering,
 band storage) are fixed in one place.
 
-scipy is loaded on first use, not at import: the LAPACK handles by the first
-:func:`lowest_eigen_banded` or :func:`eigen_above` call, so commands that
-need no banded eigenpair start without it.  Nothing here uses
+No scipy Python package is imported here.  The first
+:func:`lowest_eigen_banded`, :func:`eigen_above` or
+:func:`eigen_above_stacked` call loads scipy's compiled LAPACK extension,
+``scipy.linalg._flapack``, straight from its file and takes the
+``dsbevx``, ``dpbtrf``, ``dpbtrs`` and ``dlamch`` wrappers from it; commands
+that need no banded eigenpair never load it.  Nothing here uses
 ``scipy.optimize``: :func:`scalar_minimize` polishes its grid minimum by
 Illinois regula falsi on the slope, which the caller supplies exactly
 (``max_violation`` passes the Hellmann-Feynman slope of the lowest
@@ -28,7 +31,11 @@ at the best value found since.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -79,17 +86,36 @@ SCREEN_STACK_ROWS = 2**14
 
 @functools.cache
 def _lapack():
-    """LAPACK handles ``(sbevx, pbtrf, pbtrs)`` and the ``sbevx`` abstol.
+    """LAPACK handles ``(dsbevx, dpbtrf, dpbtrs)`` and the ``dsbevx`` abstol.
 
-    Fetched once, on the first eigen call; the abstol is the value
-    ``scipy.linalg.eig_banded`` passes.
+    Taken on the first eigen call from scipy's compiled LAPACK extension,
+    ``scipy.linalg._flapack``, which is loaded from its file without
+    importing ``scipy`` or ``scipy.linalg``; a module already in
+    ``sys.modules`` under that name is reused, and a fresh one is put there,
+    so a later ``import scipy.linalg`` shares it.  These are the objects
+    ``scipy.linalg.get_lapack_funcs(..., dtype=float64)`` returns, and the
+    abstol, ``2 * dlamch("s")``, is the value ``scipy.linalg.eig_banded``
+    passes.  Raises ``ImportError``, naming the file, if the extension is
+    missing.
     """
-    import scipy.linalg
-
-    sbevx, pbtrf, pbtrs, lamch = scipy.linalg.get_lapack_funcs(
-        ("sbevx", "pbtrf", "pbtrs", "lamch"), dtype=np.float64
-    )
-    return sbevx, pbtrf, pbtrs, 2 * lamch("s")
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None:
+            raise ImportError("scipy is not installed", name="scipy")
+        stem = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+        paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"scipy's LAPACK extension not found: looked for "
+                              f"{', '.join(paths)}", name=name)
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        flapack = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(flapack)
+        sys.modules[name] = flapack
+    return flapack.dsbevx, flapack.dpbtrf, flapack.dpbtrs, 2 * flapack.dlamch("s")
 
 
 def hermitian_eigen(matrix):

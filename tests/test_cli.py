@@ -367,6 +367,21 @@ class TestOutputsAndReproducibility:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_violation_commands_load_only_the_lapack_extension(self, tmp_path):
+        # orders 3..7 take the sbevx path, order 251 the pbtrf/pbtrs one
+        scan = ["scan", "--family", "murcia", "--n-min", "2", "--n-max", "6",
+                "--jobs", "1", "--out", str(tmp_path / "scan.csv")]
+        sweep = ["theta-sweep", "--family", "murcia", "--n", "250", "--points", "3",
+                 "--out", str(tmp_path / "sweep.csv")]
+        code = ("import sys; from bellscope.cli import main; "
+                f"print(main({scan!r}), main({sweep!r})); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-3:] == [
+            "0 0", "['scipy.linalg._flapack']", ""]
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bellscope.cli", "murcia", "--n", "7"],

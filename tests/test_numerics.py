@@ -1,4 +1,10 @@
+import importlib.machinery
+import importlib.util
+import json
 import math
+import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -270,6 +276,59 @@ class TestLowestEigenBandedContract:
         monkeypatch.setattr(numerics, "INERTIA_MAX_STEPS", 1)
         with pytest.raises(ArithmeticError, match="did not close"):
             lowest_eigen_banded(bands)
+
+
+_LOAD_ORDER_SCRIPT = """
+import json, sys
+import numpy as np
+if {scipy_first}:
+    import scipy.linalg
+from bellscope.numerics import _lapack, lowest_eigen_banded
+handles = _lapack()
+linalg_loaded = "scipy.linalg" in sys.modules
+import scipy.linalg
+*funcs, lamch = scipy.linalg.get_lapack_funcs(("sbevx", "pbtrf", "pbtrs", "lamch"),
+                                              dtype=np.float64)
+bands = np.random.default_rng(5).normal(size=(3, 150))
+bands[1, -1:] = bands[2, -2:] = 0.0
+lam, vec = lowest_eigen_banded(bands)
+w, v = scipy.linalg.eig_banded(bands, lower=True, select="i", select_range=(0, 0))
+print(json.dumps({{
+    "same": [h is f for h, f in zip(handles, funcs)],
+    "abstol": handles[3] == 2 * lamch("s"),
+    "linalg_loaded": linalg_loaded,
+    "eigen_equal": bool(lam == w[0] and np.array_equal(np.abs(vec), np.abs(v[:, 0]))),
+}}))
+"""
+
+
+class TestLapackLoading:
+    @pytest.mark.parametrize("scipy_first", [False, True])
+    def test_handles_are_scipy_lapack_funcs_in_either_import_order(self, scipy_first):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOAD_ORDER_SCRIPT.format(scipy_first=scipy_first)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "same": [True, True, True],
+            "abstol": True,
+            "linalg_loaded": scipy_first,
+            "eigen_equal": True,
+        }
+
+    def test_missing_extension_raises_import_error(self, monkeypatch, tmp_path):
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        bands, _ = random_banded(50, 2, 8, False)
+        numerics._lapack.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=re.escape(
+                    str(tmp_path / "linalg" / "_flapack"))):
+                lowest_eigen_banded(bands)
+        finally:
+            numerics._lapack.cache_clear()
 
 
 class TestEigenAbove:
