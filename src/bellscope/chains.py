@@ -1,5 +1,5 @@
-"""Short spin chains: exact diagonalisation, block entropies, and the
-mutual-information bounds for thermal and classical Gibbs states.
+"""Short spin chains: matrix-free Hamiltonians, ground states by dense or Lanczos
+diagonalisation, block entropies, and thermal and classical Gibbs mutual information.
 
 Quantum entropies in this module default to base 2, except the thermal
 mutual-information check, which works in nats: its bound carries no log
@@ -42,8 +42,22 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 DENSE_GUARD = 2**13   # total dimension for exact ground states
+LANCZOS_TOL = 1e-14   # stop at residual estimate <= LANCZOS_TOL * ||T||
+LANCZOS_RESIDUAL = 1e-10   # verified ||H psi - E psi|| <= this * max(1, ||T||)
+LANCZOS_MAX_STEPS = 300
 THERMAL_GUARD = 2**10
 CLASSICAL_GUARD = 10**6
+
+
+def _local_term(term, size, what):
+    t = np.asarray(term, dtype=complex)
+    if t.shape != (size, size):
+        raise ValueError(f"{what} has shape {t.shape}, want ({size},{size})")
+    if not np.isfinite(t).all():
+        raise ValueError(f"{what} has non-finite entries")
+    if np.max(np.abs(t - t.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(t))):
+        raise ValueError(f"{what} is not Hermitian")
+    return t if t.imag.any() else t.real.copy()
 
 
 @dataclass
@@ -52,7 +66,8 @@ class ChainHamiltonian:
 
     ``bond_terms[i]`` is the (d^2, d^2) term on sites (i, i+1); a periodic
     chain carries one extra term on (N-1, 0).  ``site_fields`` is an
-    optional list of (d, d) single-site terms.
+    optional list of (d, d) single-site terms.  Terms must be finite and
+    Hermitian to 1e-12 relative; real ones are stored, and applied, as real.
     """
 
     n_sites: int
@@ -72,81 +87,43 @@ class ChainHamiltonian:
                 f"{self.boundary} chain of {self.n_sites} sites needs "
                 f"{want} bond terms, got {len(self.bond_terms)}"
             )
-        d2 = self.local_dim**2
-        self.bond_terms = [np.asarray(t, dtype=complex) for t in self.bond_terms]
-        for i, t in enumerate(self.bond_terms):
-            if t.shape != (d2, d2):
-                raise ValueError(f"bond term {i} has shape {t.shape}, want ({d2},{d2})")
-            if np.max(np.abs(t - t.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(t))):
-                raise ValueError(f"bond term {i} is not Hermitian")
+        self.bond_terms = [_local_term(t, self.local_dim**2, f"bond term {i}")
+                           for i, t in enumerate(self.bond_terms)]
         if self.site_fields is not None:
-            self.site_fields = [np.asarray(f, dtype=complex) for f in self.site_fields]
             if len(self.site_fields) != self.n_sites:
                 raise ValueError("need one field per site")
+            self.site_fields = [_local_term(f, self.local_dim, f"site field {i}")
+                                for i, f in enumerate(self.site_fields)]
 
     @property
     def dimension(self):
         return self.local_dim**self.n_sites
 
-    def sparse(self):
-        """Assemble the full Hamiltonian as a sparse matrix."""
-        if self.dimension > DENSE_GUARD:
-            raise ValueError(f"assembly guard is dimension <= {DENSE_GUARD}")
-        import scipy.sparse
-
-        n, d = self.n_sites, self.local_dim
-        dim = self.dimension
-        h = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-        for i, term in enumerate(self.bond_terms):
-            j = (i + 1) % n
-            if j == i + 1:
-                left = scipy.sparse.identity(d**i, format="csr")
-                right = scipy.sparse.identity(d ** (n - i - 2), format="csr")
-                h = h + scipy.sparse.kron(
-                    scipy.sparse.kron(left, scipy.sparse.csr_matrix(term)), right
-                )
-            else:
-                # wrap-around term on (N-1, 0): permute site 0 next to N-1
-                h = h + self._wrap_term(term)
-        if self.site_fields is not None:
-            for i, f in enumerate(self.site_fields):
-                left = scipy.sparse.identity(d**i, format="csr")
-                right = scipy.sparse.identity(d ** (n - i - 1), format="csr")
-                h = h + scipy.sparse.kron(
-                    scipy.sparse.kron(left, scipy.sparse.csr_matrix(f)), right
-                )
-        return h.tocsr()
-
-    def _wrap_term(self, term):
-        """kron-embed a (site N-1, site 0) term without reordering sites."""
-        import scipy.sparse
-
-        n, d = self.n_sites, self.local_dim
-        t4 = np.asarray(term).reshape(d, d, d, d)  # (a' b' | a b) on (N-1, 0)
-        mid = scipy.sparse.identity(d ** (n - 2), format="coo")
-        # build sum_{a'b'ab} t[a'b'ab] |b'> <b| (site 0) kron I kron |a'> <a| (site N-1)
-        out = None
-        for ap in range(d):
-            for bp in range(d):
-                for a in range(d):
-                    for b in range(d):
-                        v = t4[ap, bp, a, b]
-                        if v == 0:
-                            continue
-                        first = scipy.sparse.coo_matrix(
-                            ([1.0], ([bp], [b])), shape=(d, d)
-                        )
-                        last = scipy.sparse.coo_matrix(
-                            ([1.0], ([ap], [a])), shape=(d, d)
-                        )
-                        piece = v * scipy.sparse.kron(scipy.sparse.kron(first, mid), last)
-                        out = piece if out is None else out + piece
-        return out.tocsr() if out is not None else scipy.sparse.csr_matrix(
-            (self.dimension, self.dimension), dtype=complex
-        )
+    def apply(self, psi):
+        """H on a (dim,) vector or a (dim, k) block, matrix-free: each site in
+        turn is rotated to the front, where its bond term (wrap included) and
+        its field are one matrix product each; N rotations restore the order."""
+        n, d, fields = self.n_sites, self.local_dim, self.site_fields or ()
+        x = np.asarray(psi).reshape(self.dimension, -1)
+        out = np.zeros(x.shape, np.result_type(x, *self.bond_terms, *fields))
+        for i in range(n):
+            if i < len(self.bond_terms):
+                out += (self.bond_terms[i] @ x.reshape(d * d, -1)).reshape(out.shape)
+            if fields:
+                out += (fields[i] @ x.reshape(d, -1)).reshape(out.shape)
+            x, out = (np.ascontiguousarray(a.reshape(d, -1, out.shape[-1]).swapaxes(0, 1))
+                      for a in (x, out))
+        return out.reshape(np.shape(psi))
 
     def dense(self):
-        return self.sparse().toarray()
+        """The full complex Hamiltonian: ``apply`` on 128 identity columns at a time."""
+        if self.dimension > DENSE_GUARD:
+            raise ValueError(f"assembly guard is dimension <= {DENSE_GUARD}")
+        terms = [*self.bond_terms, *(self.site_fields or ())]
+        out = np.eye(self.dimension, dtype=np.result_type(*terms))  # real when H is real
+        for j in range(0, self.dimension, 128):
+            out[:, j:j + 128] = self.apply(out[:, j:j + 128])
+        return out.astype(complex, copy=False)
 
 
 def heisenberg_chain(n, j=1.0, boundary="open"):
@@ -183,24 +160,50 @@ def random_chain(n, d, rng, boundary="open", field_scale=0.0):
 
 
 def ground_state_exact(ham):
-    """Lowest eigenpair of the assembled chain Hamiltonian.
+    """Lowest eigenpair ``(energy, StateVector)`` of a chain Hamiltonian.
 
-    Dense for dimensions up to 512, Lanczos above, started from the fixed
-    seeded vector ``numerics._start_vector(dim)`` so that the result is the
-    same in every process.
+    Dense ``eigh`` up to dimension 512.  Above, up to ``DENSE_GUARD``, Lanczos
+    with full reorthogonalisation (Parlett, ch. 13) on ``ham.apply`` from the
+    seeded ``numerics._start_vector(dim)``.  It stops at ``beta_m |s_m| <=
+    LANCZOS_TOL ||T_m||``, then needs ``||H psi - E psi|| <= LANCZOS_RESIDUAL
+    max(1, ||T_m||)``; else, or at ``LANCZOS_MAX_STEPS``, ``ArithmeticError``.
     """
     dim = ham.dimension
+    if dim > DENSE_GUARD:
+        raise ValueError(f"ground-state guard is dimension <= {DENSE_GUARD}")
     dims = (ham.local_dim,) * ham.n_sites
     if dim <= 512:
         w, v = np.linalg.eigh(ham.dense())
         return float(w[0]), StateVector(dims, v[:, 0])
-    import scipy.sparse.linalg
-
-    h = ham.sparse()
-    w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=_start_vector(dim))
-    vec = v[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    return float(w[0]), StateVector(dims, vec)
+    v = _start_vector(dim) / np.linalg.norm(_start_vector(dim))
+    basis = np.empty((0, dim))
+    alpha, beta = [], []
+    for m in range(1, LANCZOS_MAX_STEPS + 1):
+        w = ham.apply(v)
+        if m > len(basis):  # grow geometrically, in the dtype apply returns
+            basis = np.concatenate([basis, np.empty((m, dim), w.dtype)])
+        basis[m - 1] = v
+        vm = basis[:m]
+        if m > 1:
+            w -= beta[-1] * vm[-2]
+        alpha.append(float(np.vdot(v, w).real))
+        w -= alpha[-1] * v
+        w -= (vm @ w.conj()).conj() @ vm  # full reorthogonalisation
+        beta.append(float(np.linalg.norm(w)))
+        if m % 4 == 0 or m == LANCZOS_MAX_STEPS or beta[-1] == 0.0:
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1), UPLO="U")
+            scale = max(abs(theta[0]), abs(theta[-1]))
+            converged = beta[-1] * abs(s[-1, 0]) <= LANCZOS_TOL * scale
+            if converged or m == LANCZOS_MAX_STEPS:
+                break
+        v = w / beta[-1]
+    x = s[:, 0] @ vm
+    x /= np.linalg.norm(x)
+    residual = float(np.linalg.norm(ham.apply(x) - theta[0] * x))
+    if not converged or residual > LANCZOS_RESIDUAL * max(1.0, scale):
+        raise ArithmeticError(f"Lanczos did not converge in {m} steps: "
+                              f"residual ||H psi - E psi|| = {residual:.3g}")
+    return float(theta[0]), StateVector(dims, x)
 
 
 def block_entropy_curve(psi, max_block=None, base=2):
@@ -254,8 +257,7 @@ def thermal_mutual_info_check(ham, beta, cut):
         raise ValueError(f"thermal guard is dimension <= {THERMAL_GUARD}")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    h = ham.dense()
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(ham.dense())
     weights = np.exp(-beta * (w - w[0]))  # shift for stability
     weights /= weights.sum()
     rho = (v * weights) @ v.conj().T
@@ -332,13 +334,10 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
     w = np.exp(-beta * (energy - energy.min()))
     p = w / w.sum()
 
-    def shannon(q):
-        q = q[q > 0.0]
-        return float(-(q * np.log2(q)).sum())
-
     p_a = p.sum(axis=tuple(range(cut, n)))
     p_b = p.sum(axis=tuple(range(cut)))
-    mi = shannon(p_a.reshape(-1)) + shannon(p_b.reshape(-1)) - shannon(p.reshape(-1))
+    mi = (_entropy_of_probs(p_a.reshape(-1), 2) + _entropy_of_probs(p_b.reshape(-1), 2)
+          - _entropy_of_probs(p.reshape(-1), 2))
     crossing = 1 if boundary == "open" else 2
     bound = crossing * math.log2(d)
     return ThermalMIReport(

@@ -299,9 +299,10 @@ def _cmd_area_law(args):
     ham = chains.transverse_ising_chain(args.sites, j=args.coupling, g=args.field,
                                         boundary=args.boundary)
     energy, psi = chains.ground_state_exact(ham)
+    residual = float(np.linalg.norm(ham.apply(psi.amplitudes) - energy * psi.amplitudes))
     curve = chains.block_entropy_curve(psi)
     rows = [(r + 1, float(s)) for r, s in enumerate(curve)]
-    return ["block", "entropy_bits"], rows, {"ground_energy": energy}
+    return ["block", "entropy_bits"], rows, dict(ground_energy=energy, ground_residual=residual)
 
 
 def _thermal_chain(args):

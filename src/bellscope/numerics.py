@@ -629,7 +629,7 @@ def _blocks_above(ab, order, level):
 
 @functools.lru_cache(maxsize=64)
 def _start_vector(n):
-    """Fixed seeded start vector for inverse iteration (read-only)."""
+    """Fixed seeded start vector for inverse iteration and Lanczos (read-only)."""
     x = np.random.default_rng(n).standard_normal(n)
     x.setflags(write=False)
     return x

@@ -380,3 +380,56 @@ def plain_svd_cut_spectra(psi, d=2):
         keep = s > SVD_CUTOFF * s[0] if s.size and s[0] > 0 else slice(0)
         out.append((s[keep] ** 2).astype(float))
     return out
+
+
+# The sparse kron assembly and ``eigsh`` solve that ``bellscope.chains``
+# used before its matrix-free ``apply`` and Lanczos solver.
+
+def chain_kron_sparse(ham):
+    """The chain Hamiltonian as a sum of sparse kron-embedded terms."""
+    import scipy.sparse
+
+    n, d = ham.n_sites, ham.local_dim
+    dim = d**n
+    h = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    for i, term in enumerate(ham.bond_terms):
+        if i + 1 < n:
+            left = scipy.sparse.identity(d**i, format="csr")
+            right = scipy.sparse.identity(d ** (n - i - 2), format="csr")
+            h = h + scipy.sparse.kron(
+                scipy.sparse.kron(left, scipy.sparse.csr_matrix(term)), right)
+        else:
+            h = h + _kron_wrap_term(term, n, d)
+    for i, f in enumerate(ham.site_fields or ()):
+        left = scipy.sparse.identity(d**i, format="csr")
+        right = scipy.sparse.identity(d ** (n - i - 1), format="csr")
+        h = h + scipy.sparse.kron(scipy.sparse.kron(left, scipy.sparse.csr_matrix(f)), right)
+    return h.tocsr()
+
+
+def _kron_wrap_term(term, n, d):
+    """kron-embed a (site N-1, site 0) term without reordering sites:
+    sum t[a'b'ab] |b'><b| (site 0) x I x |a'><a| (site N-1)."""
+    import scipy.sparse
+
+    t4 = np.asarray(term).reshape(d, d, d, d)  # (a' b' | a b) on (N-1, 0)
+    mid = scipy.sparse.identity(d ** (n - 2), format="coo")
+    out = scipy.sparse.csr_matrix((d**n, d**n), dtype=complex)
+    for ap, bp, a, b in itertools.product(range(d), repeat=4):
+        if t4[ap, bp, a, b] == 0:
+            continue
+        first = scipy.sparse.coo_matrix(([1.0], ([bp], [b])), shape=(d, d))
+        last = scipy.sparse.coo_matrix(([1.0], ([ap], [a])), shape=(d, d))
+        out = out + t4[ap, bp, a, b] * scipy.sparse.kron(scipy.sparse.kron(first, mid), last)
+    return out
+
+
+def eigsh_ground_state(ham):
+    """Lowest eigenpair of ``chain_kron_sparse(ham)`` by ARPACK ``eigsh``."""
+    import scipy.sparse.linalg
+
+    from bellscope.numerics import _start_vector
+
+    h = chain_kron_sparse(ham)
+    w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=_start_vector(h.shape[0]))
+    return float(w[0]), v[:, 0] / np.linalg.norm(v[:, 0])

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bellscope import chains
 from bellscope.chains import (
     SIGMA_Z,
     ChainHamiltonian,
@@ -18,7 +21,13 @@ from bellscope.chains import (
 from bellscope.numerics import RandomSource
 from bellscope.quantum import StateVector
 
-from helpers import entropy_of_matrix, ground_energy_power_iteration, partial_trace_loops
+from helpers import (
+    chain_kron_sparse,
+    eigsh_ground_state,
+    entropy_of_matrix,
+    ground_energy_power_iteration,
+    partial_trace_loops,
+)
 
 
 def ghz_vector(n):
@@ -77,6 +86,79 @@ class TestAssembly:
             ChainHamiltonian(3, 2, [term, term], boundary="twisted")
         with pytest.raises(ValueError, match="field"):
             ChainHamiltonian(3, 2, [term, term], site_fields=[SIGMA_Z])
+
+
+class TestTermValidation:
+    def test_non_finite_terms_are_refused(self):
+        bad = np.eye(4)
+        bad[1, 1] = np.nan
+        with pytest.raises(ValueError, match="bond term 1 has non-finite"):
+            ChainHamiltonian(3, 2, [np.eye(4), bad])
+        with pytest.raises(ValueError, match="site field 2 has non-finite"):
+            ChainHamiltonian(3, 2, [np.eye(4)] * 2,
+                             site_fields=[SIGMA_Z, SIGMA_Z, np.diag([1.0, np.inf])])
+
+    def test_field_shape_is_checked(self):
+        with pytest.raises(ValueError, match=r"site field 0 has shape \(3, 3\)"):
+            ChainHamiltonian(3, 2, [np.eye(4)] * 2, site_fields=[np.eye(3)] * 3)
+
+    def test_non_hermitian_field_is_refused(self):
+        raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="site field 1 is not Hermitian"):
+            ChainHamiltonian(3, 2, [np.eye(4)] * 2,
+                             site_fields=[SIGMA_Z, raising, SIGMA_Z])
+
+
+class TestApply:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), n=st.integers(2, 6),
+           periodic=st.booleans(), fields=st.booleans(), real=st.booleans(),
+           k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_vector_and_block_match_oracles(self, d, n, periodic, fields, real, k, seed):
+        ham = random_chain(n, d, RandomSource(seed),
+                           boundary="periodic" if periodic else "open",
+                           field_scale=0.7 if fields else 0.0)
+        if real:  # the real parts of Hermitian terms are real symmetric
+            ham = ChainHamiltonian(n, d, [t.real for t in ham.bond_terms],
+                                   site_fields=ham.site_fields and
+                                   [f.real for f in ham.site_fields],
+                                   boundary=ham.boundary)
+        loops = chain_oracle(ham)
+        kron = chain_kron_sparse(ham).toarray()
+        assert np.max(np.abs(loops - kron)) < 1e-12
+        gen = np.random.default_rng(seed)
+        block = gen.standard_normal((d**n, k))
+        if not real:
+            block = block + 1j * gen.standard_normal((d**n, k))
+        out = ham.apply(block)
+        assert out.shape == (d**n, k)
+        assert np.max(np.abs(out - loops @ block)) < 1e-12
+        vec = ham.apply(block[:, 0])
+        assert vec.shape == (d**n,)
+        assert np.max(np.abs(vec - kron @ block[:, 0])) < 1e-12
+        assert np.max(np.abs(ham.dense() - loops)) < 1e-12
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("ham", [
+        transverse_ising_chain(11, g=1.5),
+        transverse_ising_chain(13, g=2.0, boundary="periodic"),
+        heisenberg_chain(12),
+        heisenberg_chain(10, boundary="periodic"),
+    ], ids=["ising-open-11", "ising-periodic-13", "heisenberg-open-12",
+            "heisenberg-periodic-10"])
+    def test_matches_eigsh_oracle(self, ham):
+        energy, psi = ground_state_exact(ham)
+        oracle_energy, oracle_vec = eigsh_ground_state(ham)
+        x = psi.amplitudes
+        assert abs(energy - oracle_energy) <= 1e-11
+        assert 1.0 - abs(np.vdot(oracle_vec, x)) <= 1e-12
+        assert np.linalg.norm(chain_kron_sparse(ham) @ x - energy * x) <= 1e-9
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(chains, "LANCZOS_MAX_STEPS", 3)
+        with pytest.raises(ArithmeticError, match="residual"):
+            ground_state_exact(heisenberg_chain(10))
 
 
 class TestGroundState:

@@ -382,6 +382,28 @@ class TestOutputsAndReproducibility:
         assert proc.stdout.split("\n")[-3:] == [
             "0 0", "['scipy.linalg._flapack']", ""]
 
+    def test_chain_commands_load_no_scipy(self, tmp_path):
+        # 10 sites is dimension 1024: the Lanczos path of ground_state_exact
+        area = ["area-law", "--sites", "10", "--out", str(tmp_path / "area.csv")]
+        thermal = ["thermal-mi", "--sites", "6", "--cut", "3",
+                   "--out", str(tmp_path / "thermal.csv")]
+        code = ("import sys; from bellscope.cli import main; "
+                f"print(main({area!r}), main({thermal!r})); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-3:] == ["0 0", "[]", ""]
+
+    def test_area_law_sidecar_records_ground_residual(self, capsys, tmp_path):
+        out = str(tmp_path / "area.csv")
+        assert main(["area-law", "--sites", "11", "--boundary", "periodic",
+                     "--out", out]) == 0
+        capsys.readouterr()
+        sidecar = json.loads(open(out + ".run.json").read())
+        assert sidecar["ground_energy"] < 0.0
+        assert 0.0 <= sidecar["ground_residual"] <= 1e-9
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bellscope.cli", "murcia", "--n", "7"],

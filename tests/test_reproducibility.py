@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SEEDED_COMMANDS = {
     "page": ["page", "--m", "2", "--n", "16", "--samples", "3000", "--seed", "7"],
     "mps": ["mps", "--random", "10", "--dmax", "1,4,16", "--seed", "3"],
-    # dimension 1024: the sparse Lanczos branch of ground_state_exact
+    # dimension 1024: the matrix-free Lanczos branch of ground_state_exact
     "area-law": ["area-law", "--sites", "10"],
     "scan": ["scan", "--family", "murcia", "--n-max", "12"],
 }
