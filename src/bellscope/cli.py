@@ -211,8 +211,13 @@ def _cmd_scan(args):
     if args.jobs > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = sorted((r for rows in pool.map(scan, [[n] for n in ns]) for r in rows),
+        # contiguous chunks, none empty, so each worker's scan warm-starts
+        # every n after its first from the one before
+        k = min(args.jobs, len(ns))
+        cuts = [len(ns) * i // k for i in range(k + 1)]
+        chunks = [ns[a:b] for a, b in zip(cuts, cuts[1:])]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
+            results = sorted((r for rows in pool.map(scan, chunks) for r in rows),
                              key=lambda r: r.n)
     else:
         results = scan(ns)

@@ -334,7 +334,9 @@ class MaxViolation:
     the grid points ruled out by a banded Cholesky factorisation instead
     (:func:`numerics.eigen_above_stacked`, or :func:`numerics.eigen_above`
     for the angles the stack left open): ``evals + screened`` is the
-    pre-scan's ``max(grid_points, 64)`` plus one per polish point.
+    pre-scan's ``max(grid_points, 64)`` plus one per polish point.  How
+    they split depends on the ``start`` of :func:`max_violation`; every
+    other field does not.
     """
 
     violation: float      # max(0, -lambda_min - beta_c)
@@ -346,7 +348,8 @@ class MaxViolation:
     screened: int
 
 
-def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
+def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256,
+                  start=None):
     """Maximal violation of a PI expression over collective measurements.
 
     Minimises the lowest Bell-operator eigenvalue over theta in
@@ -361,16 +364,19 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
     certifies that every eigenvalue there exceeds the best grid value so
     far by more than ``SCREEN_RTOL * S``, with S = sum_k ||P_k||_inf over
     the band terms of :func:`bell_operator_bands`, a bound on
-    ||H(theta)||_inf for every theta.  The first check screens the whole
-    grid at once (:func:`numerics.eigen_above_stacked`), at the best value
-    of the coarse pass; the best value never rises during the scan, so an
-    angle certified then is certified at every later level too.  Only the
-    angles it leaves open get :func:`numerics.eigen_above` at the best value
-    so far.  The stack's bands come from one (k, 6) @ (6, 3 (n+1)) product
-    and differ from those of :func:`bell_operator_bands` in the last bits,
-    at most 2e-16 S measured, which the margin covers (see
-    :func:`numerics.eigen_above`).  The result is bitwise that of the full
-    grid.
+    ||H(theta)||_inf for every theta.  The first level is the eigenvalue at
+    the grid angle nearest ``start``, a guess such as the optimum of a
+    neighbouring n, or without it the best of a coarse pass over every
+    s-th angle, s = isqrt(grid size).  The first check screens the whole grid at once
+    (:func:`numerics.eigen_above_stacked`) at that level; the best value
+    never rises during the scan, so an angle certified then is certified at
+    every later level too.  Only the angles it leaves open get
+    :func:`numerics.eigen_above` at the best value so far.  The stack's
+    bands come from one (k, 6) @ (6, 3 (n+1)) product and differ from those
+    of :func:`bell_operator_bands` in the last bits, which the margin covers
+    (see :func:`numerics.eigen_above`).  Whatever ``start`` is, the result
+    is bitwise that of the full grid; only the split of ``evals`` and
+    ``screened`` moves.  A non-finite ``start`` raises ``ValueError``.
     """
     beta_c = _require_bound(expr)
     m = expr.n + 1
@@ -415,7 +421,7 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
 
     theta_star, lam_min = scalar_minimize(
         objective, theta_range[0], theta_range[1], tol=tol, grid_points=grid_points,
-        value_and_slope=value_and_slope, above=above,
+        value_and_slope=value_and_slope, above=above, start=start,
     )
     vec = vectors[theta_star]
     return MaxViolation(
@@ -479,6 +485,11 @@ class ScanRow:
 def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
     """Violation scan over system sizes for a family of expressions.
 
+    Each n's :func:`max_violation` starts its screened pre-scan from the
+    previous n's optimal angle; the first n has no start and takes the
+    coarse pass.  The rows are those of independent calls, and only
+    ``evals`` and ``screened`` depend on which n came before.
+
     Parameters
     ----------
     family : callable
@@ -489,10 +500,12 @@ def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256
     sorted by n.
     """
     rows = []
+    start = None
     for n in sorted(int(v) for v in ns):
         expr = family(n)
         mv = max_violation(expr, theta_range=theta_range, tol=tol,
-                           grid_points=grid_points)
+                           grid_points=grid_points, start=start)
+        start = mv.theta
         rows.append(
             ScanRow(
                 n=n,

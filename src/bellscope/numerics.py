@@ -16,16 +16,17 @@ Illinois regula falsi on the slope, which the caller supplies exactly
 (``max_violation`` passes the Hellmann-Feynman slope of the lowest
 eigenvalue) or which is taken as a central difference of the objective.
 The pre-scan that precedes the polish is kept fine on purpose (256 points in
-``max_violation``): on 300 random PI expressions a 32-point grid missed the
-global minimum 9 times and a 64-point grid 3 times, against none at 256.
-What makes the fine grid cheap is screening: a caller that can prove
-f(x) > level at a point lets the pre-scan skip every grid point that cannot
-be the minimum, with the same answer as the full grid.  ``max_violation``
-proves it by banded Cholesky factorisation: :func:`eigen_above_stacked`
-factors the matrices of the whole grid (:func:`prescan_grid`) as
-block-diagonal stacks at the first level asked, the best value of the
-coarse pass, and :func:`eigen_above` checks the few angles it leaves open
-at the best value found since.
+``max_violation``), since a coarser grid misses narrow wells.  What makes
+the fine grid cheap is screening: a caller that can prove f(x) > level at a
+point lets the pre-scan skip every grid point that cannot be the minimum,
+with the same answer as the full grid.  The first level is the value at
+the grid point nearest a caller's ``start`` (``ratio_scan`` passes the
+previous n's optimum), or the best of a coarse pass without one.
+``max_violation`` proves the bound by banded Cholesky factorisation:
+:func:`eigen_above_stacked` factors the matrices of the whole grid
+(:func:`prescan_grid`) as block-diagonal stacks at that first level, and
+:func:`eigen_above` checks the few angles it leaves open at the best value
+found since.
 """
 
 from __future__ import annotations
@@ -202,32 +203,25 @@ def _left_singular(matrix):
 
 
 def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
-                    above=None):
+                    above=None, start=None):
     """Minimise a scalar function on ``[lo, hi]``.
 
     A uniform pre-scan on :func:`prescan_grid` locates the best grid point
-    x_i; grid ties resolve toward the smaller argument.  ``f`` returning NaN at a grid point it is evaluated at is
-    rejected.  The polish (:func:`_polish_on_slope`) then looks for a zero
-    of the slope f' in ``[x_{i-1}, x_{i+1}]`` by safeguarded Illinois
-    regula falsi, turning to bisection after ``POLISH_SECANT_STEPS`` steps,
-    until the bracket on that zero is at most ``tol`` wide.  Its point
-    replaces x_i only if its value is lower, so the result is never worse
-    than the grid minimum.
+    x_i; grid ties resolve toward the smaller argument.  ``f`` returning NaN
+    at a grid point it is evaluated at is rejected.  The polish
+    (:func:`_polish_on_slope`) then looks for a zero of the slope f' in
+    ``[x_{i-1}, x_{i+1}]`` by safeguarded Illinois regula falsi, turning to
+    bisection after ``POLISH_SECANT_STEPS`` steps, until the bracket on that
+    zero is at most ``tol`` wide.  Its point replaces x_i only if its value
+    is lower, so the result is never worse than the grid minimum.
 
     With ``above``, the pre-scan evaluates ``f`` only where the minimum
-    could be (:func:`_screened_scan`): every s-th grid point and the last,
-    s = isqrt(number of points), then the others in order of distance from
-    the best of those, each skipped when ``above(x, best so far)`` is True.
-    A skipped point has a value above one already found, so it can neither
-    be nor tie with the minimum: x_i, f(x_i) and the polish are exactly
-    those of the full grid.
-
-    Keep the pre-scan fine: a narrow well is found only if a grid point
-    falls in it.  On 300 random permutationally invariant Bell expressions
-    (n < 80) the global minimum over theta in [0, pi] was missed 9 times
-    by a 32-point grid (by up to 0.3% of the value) and 3 times by a
-    64-point grid, each time a well 0.025-0.09 rad wide next to 0 or pi;
-    the 256-point grid ``max_violation`` uses missed none.
+    could be (:func:`_screened_scan`) and skips a point when
+    ``above(x, best so far)`` is True.  A skipped point has a value above
+    one already found, so it can neither be nor tie with the minimum: x_i,
+    f(x_i) and the polish are exactly those of the full grid, whatever
+    ``start`` is.  Keep the pre-scan fine: a narrow well is found only if a
+    grid point falls in it.
 
     Parameters
     ----------
@@ -242,6 +236,11 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
     above : callable, optional
         ``(x, level) -> bool``, True only when f(x) > level is certain; it
         must return False where it cannot tell, and wherever f(x) may be NaN.
+    start : float, optional
+        A guess of the minimiser, such as the minimiser of a neighbouring
+        problem.  With ``above``, the screened pre-scan begins at the grid
+        point nearest it instead of a coarse pass; it changes the number of
+        evaluations, never the result.
 
     Returns
     -------
@@ -250,16 +249,21 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
 
     Raises
     ------
+    ValueError
+        If ``hi <= lo``, ``start`` is not finite, or ``f`` returns NaN on
+        the grid.
     ArithmeticError
         If the polish does not close its bracket in ``POLISH_MAX_STEPS``.
     """
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    if start is not None and not math.isfinite(start):
+        raise ValueError(f"start must be finite, got {start!r}")
     xs = prescan_grid(lo, hi, grid_points)
     if above is None:
         fs = np.array([float(f(x)) for x in xs])
     else:
-        fs = _screened_scan(f, above, xs)
+        fs = _screened_scan(f, above, xs, start)
     if np.any(np.isnan(fs)):
         bad = xs[np.where(np.isnan(fs))[0][0]]
         raise ValueError(f"objective returned NaN at x = {bad!r}")
@@ -278,27 +282,32 @@ def prescan_grid(lo, hi, grid_points):
     return np.linspace(lo, hi, max(int(grid_points), 64))
 
 
-def _screened_scan(f, above, xs):
+def _screened_scan(f, above, xs, start):
     """Values of ``f`` on the grid ``xs``, +inf where ``above`` rules a point out.
 
     A point x_j is evaluated unless ``above(x_j, best)`` is True for the
     least value ``best`` found so far.  That holds for no point whose value
     is at most the grid minimum, so the first grid argmin and its value are
-    those of the full grid.  Few points are evaluated when ``best`` is low
-    early: a coarse pass over every s-th point and the last one, s =
-    isqrt(len(xs)), finds the deepest well, and the remaining points are
-    visited nearest it first.
+    those of the full grid, for any first points and any visiting order.
+    Few points are evaluated when ``best`` is low early.  The first level
+    is the value at the grid point nearest ``start`` (the smaller x on a
+    tie), or without ``start`` the least value of a coarse pass over every
+    s-th point and the last one, s = isqrt(len(xs)).  The remaining points
+    are visited nearest the best of those first.
     """
     m = len(xs)
     fs = np.full(m, np.inf)
-    coarse = list(range(0, m, math.isqrt(m)))
-    if coarse[-1] != m - 1:
-        coarse.append(m - 1)
-    for j in coarse:
+    if start is None:
+        first = list(range(0, m, math.isqrt(m)))
+        if first[-1] != m - 1:
+            first.append(m - 1)
+    else:
+        first = [int(np.argmin(np.abs(xs - start)))]
+    for j in first:
         fs[j] = float(f(xs[j]))
     i0 = int(np.argmin(fs))
     best = fs[i0]
-    skip = set(coarse)
+    skip = set(first)
     # stable: of two points at one distance, the one left of i0 comes first
     for j in np.argsort(np.abs(np.arange(m) - i0), kind="stable").tolist():
         if j in skip or above(xs[j], best):
@@ -553,15 +562,16 @@ def eigen_above(bands, level):
 
     This is the one-matrix call of the kernel behind
     :func:`eigen_above_stacked`, which factors many matrices as one
-    block-diagonal matrix and gives each block this same answer.  Each
-    block is shifted by its own ``level + rho_i``, rho_i taken from the
-    block's own largest entry (its unused band slots included, as here).
-    The entries a band row holds past the end of a block, which would
-    couple it to the next, are set to zero, so the next block's rows start
-    with an exact-zero coupling.  At small bandwidths (up to 64 in
-    reference LAPACK) ``pbtrf`` works column by column, so it does each
-    block's arithmetic as if the block stood alone and adds only exact
-    zeros to its neighbour; at any bandwidth the coupling stays zero, so a
+    block-diagonal matrix and gives each block this same answer; alone, a
+    matrix skips the per-block bookkeeping.  Each block is shifted by its
+    own ``level + rho_i``, rho_i taken from the block's own largest entry
+    (its unused band slots included, as here).  In a stack, the entries a
+    band row holds past the end of a block, which would couple it to the
+    next, are set to zero, so the next block's rows start with an
+    exact-zero coupling.  At small bandwidths (up to 64 in reference
+    LAPACK) ``pbtrf`` works column by column, so it does each block's
+    arithmetic as if the block stood alone and adds only exact zeros to its
+    neighbour; at any bandwidth the coupling stays zero, so a
     success certifies every block.  A block that fails stops the
     factorisation, which restarts at the next block, so no row is factored
     twice.  A block holding NaN or inf gets a negative first pivot, so it
@@ -571,10 +581,8 @@ def eigen_above(bands, level):
     another way must widen ``level`` by more than the difference between
     them.  ``collective.max_violation`` builds its stack from one matrix
     product, whose bands differ from ``bell_operator_bands`` in the last
-    bits: by at most 2e-16 S in the inf-norm (S = sum_k ||P_k||_inf) on
-    murcia n <= 1500 and 100 random expressions, 256 angles each, so its
-    margin ``SCREEN_RTOL * S`` = 1e-9 S covers the difference about 5e6
-    times over.
+    bits, far inside its margin ``SCREEN_RTOL * S`` (S = sum_k
+    ||P_k||_inf).
     """
     bands = np.array(bands, dtype=float, order="F")
     return bool(_blocks_above(bands, bands.shape[1], level)[0])
@@ -603,16 +611,25 @@ def _blocks_above(ab, order, level):
     it overwrites; one bool per block."""
     nb = ab.shape[0] - 1
     ab = np.asfortranarray(ab)
-    cols = ab.T.reshape(-1, order, nb + 1)  # cols[i, j, d] = entry (j + d, j) of block i
+    count = ab.shape[1] // order
     if not math.isfinite(level):
-        return np.zeros(len(cols), dtype=bool)
-    top = cols.max(axis=(1, 2))
-    ok = np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2)))
-    rho = ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (np.abs(top) + abs(level))
-    for d in range(1, nb + 1):  # slots past a block's end couple it to the next
-        cols[:, max(order - d, 0):, d] = 0.0
-    cols[:, :, 0] -= np.where(ok, level + rho, 0.0)[:, None]
-    cols[~ok, 0, 0] = -1.0  # fails at its first pivot, before any update
+        return np.zeros(count, dtype=bool)
+    factor = ((nb + 2) * (2 * nb + 1) + 4) * _EPS
+    if count == 1:  # one block: the same shift in scalars; pbtrf reads no slot past its end
+        top, bottom = float(ab.max()), float(ab.min())
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            return np.zeros(1, dtype=bool)
+        ab[0] -= level + factor * (abs(top) + abs(level))
+        ok = np.ones(1, dtype=bool)
+    else:
+        cols = ab.T.reshape(count, order, nb + 1)  # cols[i, j, d] = entry (j + d, j) of block i
+        top = cols.max(axis=(1, 2))
+        ok = np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2)))
+        rho = factor * (np.abs(top) + abs(level))
+        for d in range(1, nb + 1):  # slots past a block's end couple it to the next
+            cols[:, max(order - d, 0):, d] = 0.0
+        cols[:, :, 0] -= np.where(ok, level + rho, 0.0)[:, None]
+        cols[~ok, 0, 0] = -1.0  # fails at its first pivot, before any update
     _, pbtrf, _, _ = _lapack()
     start = 0
     while start < ab.shape[1]:

@@ -155,6 +155,26 @@ class TestLanczos:
         assert 1.0 - abs(np.vdot(oracle_vec, x)) <= 1e-12
         assert np.linalg.norm(chain_kron_sparse(ham) @ x - energy * x) <= 1e-9
 
+    @pytest.mark.parametrize("g", [0.3, 1.5])
+    def test_basis_stays_orthonormal(self, g):
+        # every vector Lanczos applies H to is a basis vector.  Without the
+        # reorthogonalisation it still finds these ground states (at g = 0.3
+        # the two lowest levels cluster), but |V^T V - I| grows to 1e-3..1e-1
+        ham = transverse_ising_chain(10, g=g)
+        applied = []
+        apply = ham.apply
+
+        def recording(psi):
+            applied.append(np.array(psi))
+            return apply(psi)
+
+        ham.apply = recording
+        ground_state_exact(ham)
+        basis = np.array(applied[:-1])  # the last apply checks the residual
+        assert len(basis) > 20
+        gram = basis.conj() @ basis.T
+        assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(chains, "LANCZOS_MAX_STEPS", 3)
         with pytest.raises(ArithmeticError, match="residual"):

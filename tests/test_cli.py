@@ -249,28 +249,42 @@ class TestScans:
         assert open(f1, "rb").read() == open(f2, "rb").read()
 
     def test_scan_sidecar_totals_eigen_work(self, capsys, tmp_path):
+        # --jobs k scans k contiguous chunks of n; within a chunk each n
+        # starts from the previous n's angle, so the counts are per-chunk sums
         from bellscope.collective import max_violation
 
-        want = [max_violation(murcia(n), grid_points=64) for n in range(2, 9)]
+        def warm_started_counts(chunks):
+            evals = screened = 0
+            for chunk in chunks:
+                start = None
+                for n in chunk:
+                    mv = max_violation(murcia(n), grid_points=64, start=start)
+                    start = mv.theta
+                    evals, screened = evals + mv.evals, screened + mv.screened
+            return evals, screened
+
+        chunks = {"1": [[2, 3, 4, 5, 6, 7, 8]],
+                  "2": [[2, 3, 4], [5, 6, 7, 8]],
+                  "3": [[2, 3], [4, 5], [6, 7, 8]]}
         args = ["scan", "--family", "murcia", "--n-min", "2", "--n-max", "8",
                 "--theta-points", "64"]
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             out = str(tmp_path / f"scan{jobs}.csv")
             assert main(args + ["--jobs", jobs, "--out", out]) == 0
             sidecar = json.loads(open(out + ".run.json").read())
-            assert sidecar["evals"] == sum(mv.evals for mv in want)
-            assert sidecar["screened"] == sum(mv.screened for mv in want)
+            assert (sidecar["evals"], sidecar["screened"]) == warm_started_counts(chunks[jobs])
+            assert open(out, "rb").read() == open(str(tmp_path / "scan1.csv"), "rb").read()
         capsys.readouterr()
 
     def test_scan_sidecar_counts_are_pinned(self, capsys, tmp_path):
-        # the violation-small benchmark scan: the stacked screen keeps the
-        # counts of one factorisation per grid point
+        # the violation-small benchmark scan: each n warm-starts from the
+        # previous n's angle; evals + screened stays the full-grid 25824
         out = str(tmp_path / "scan.csv")
         assert main(["scan", "--family", "murcia", "--n-min", "2", "--n-max", "100",
                      "--out", out]) == 0
         capsys.readouterr()
         sidecar = json.loads(open(out + ".run.json").read())
-        assert (sidecar["evals"], sidecar["screened"]) == (2405, 23419)
+        assert (sidecar["evals"], sidecar["screened"]) == (670, 25154)
 
     def test_theta_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -185,6 +185,30 @@ class TestScreenedScan:
         assert mv.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
         assert mv.evals + mv.screened == ref.evals
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 60), coeffs=st.one_of(COEFFS, MIRRORED),
+           start=st.one_of(st.sampled_from(THETA_GRID.tolist()),
+                           st.floats(0.0, math.pi)))
+    @example(n=5, coeffs=MURCIA, start=0.0)
+    @example(n=5, coeffs=MURCIA, start=math.pi)
+    @example(n=5, coeffs=MURCIA, start=0.5 * (THETA_GRID[100] + THETA_GRID[101]))
+    @example(n=11, coeffs=(0, 0, 1, 0, -1), start=THETA_GRID[200])
+    @example(n=24, coeffs=(0, 1, -0.7, 0, 0.9), start=3.0)
+    @example(n=250, coeffs=MURCIA, start=2.0)
+    def test_any_start_gives_the_full_grid_answer(self, n, coeffs, start):
+        expr = expression(n, coeffs)
+        mv = max_violation(expr, start=start)
+        ref = full_grid_max_violation(expr)
+        assert mv.theta.hex() == ref.theta.hex()
+        assert mv.quantum_value.hex() == ref.quantum_value.hex()
+        assert mv.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
+        assert mv.evals + mv.screened == ref.evals
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_refused(self, start):
+        with pytest.raises(ValueError, match="start"):
+            max_violation(murcia(6), start=start)
+
     def test_one_stacked_screen_per_call(self, monkeypatch):
         stacks, pointwise, asked = [], [], []
         real_stacked = collective.eigen_above_stacked
