@@ -562,16 +562,15 @@ def eigen_above(bands, level):
 
     This is the one-matrix call of the kernel behind
     :func:`eigen_above_stacked`, which factors many matrices as one
-    block-diagonal matrix and gives each block this same answer; alone, a
-    matrix skips the per-block bookkeeping.  Each block is shifted by its
-    own ``level + rho_i``, rho_i taken from the block's own largest entry
-    (its unused band slots included, as here).  In a stack, the entries a
-    band row holds past the end of a block, which would couple it to the
-    next, are set to zero, so the next block's rows start with an
-    exact-zero coupling.  At small bandwidths (up to 64 in reference
-    LAPACK) ``pbtrf`` works column by column, so it does each block's
-    arithmetic as if the block stood alone and adds only exact zeros to its
-    neighbour; at any bandwidth the coupling stays zero, so a
+    block-diagonal matrix and gives each block this same answer.  Each
+    block is shifted by its own ``level + rho_i``, rho_i taken from the
+    block's own largest entry (its unused band slots included, as here).
+    The entries a band row holds past the end of a block, which would
+    couple it to the next, are set to zero, so the next block's rows start
+    with an exact-zero coupling.  At small bandwidths (up to 64 in
+    reference LAPACK) ``pbtrf`` works column by column, so it does each
+    block's arithmetic as if the block stood alone and adds only exact
+    zeros to its neighbour; at any bandwidth the coupling stays zero, so a
     success certifies every block.  A block that fails stops the
     factorisation, which restarts at the next block, so no row is factored
     twice.  A block holding NaN or inf gets a negative first pivot, so it
@@ -611,25 +610,16 @@ def _blocks_above(ab, order, level):
     it overwrites; one bool per block."""
     nb = ab.shape[0] - 1
     ab = np.asfortranarray(ab)
-    count = ab.shape[1] // order
+    cols = ab.T.reshape(-1, order, nb + 1)  # cols[i, j, d] = entry (j + d, j) of block i
     if not math.isfinite(level):
-        return np.zeros(count, dtype=bool)
-    factor = ((nb + 2) * (2 * nb + 1) + 4) * _EPS
-    if count == 1:  # one block: the same shift in scalars; pbtrf reads no slot past its end
-        top, bottom = float(ab.max()), float(ab.min())
-        if not (math.isfinite(top) and math.isfinite(bottom)):
-            return np.zeros(1, dtype=bool)
-        ab[0] -= level + factor * (abs(top) + abs(level))
-        ok = np.ones(1, dtype=bool)
-    else:
-        cols = ab.T.reshape(count, order, nb + 1)  # cols[i, j, d] = entry (j + d, j) of block i
-        top = cols.max(axis=(1, 2))
-        ok = np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2)))
-        rho = factor * (np.abs(top) + abs(level))
-        for d in range(1, nb + 1):  # slots past a block's end couple it to the next
-            cols[:, max(order - d, 0):, d] = 0.0
-        cols[:, :, 0] -= np.where(ok, level + rho, 0.0)[:, None]
-        cols[~ok, 0, 0] = -1.0  # fails at its first pivot, before any update
+        return np.zeros(len(cols), dtype=bool)
+    top = cols.max(axis=(1, 2))
+    ok = np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2)))
+    rho = ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (np.abs(top) + abs(level))
+    for d in range(1, nb + 1):  # slots past a block's end couple it to the next
+        cols[:, max(order - d, 0):, d] = 0.0
+    cols[:, :, 0] -= np.where(ok, level + rho, 0.0)[:, None]
+    cols[~ok, 0, 0] = -1.0  # fails at its first pivot, before any update
     _, pbtrf, _, _ = _lapack()
     start = 0
     while start < ab.shape[1]:

@@ -195,6 +195,8 @@ class TestScreenedScan:
     @example(n=11, coeffs=(0, 0, 1, 0, -1), start=THETA_GRID[200])
     @example(n=24, coeffs=(0, 1, -0.7, 0, 0.9), start=3.0)
     @example(n=250, coeffs=MURCIA, start=2.0)
+    @example(n=5, coeffs=MURCIA, start=-1.0)
+    @example(n=24, coeffs=(0, 1, -0.7, 0, 0.9), start=4.0)
     def test_any_start_gives_the_full_grid_answer(self, n, coeffs, start):
         expr = expression(n, coeffs)
         mv = max_violation(expr, start=start)
