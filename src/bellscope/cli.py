@@ -203,6 +203,8 @@ _SCAN_FAMILIES = {
 
 
 def _cmd_scan(args):
+    if args.n_step < 1:
+        raise ValueError(f"--n-step must be at least 1, got {args.n_step}")
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))
     if not ns:
         raise ValueError("empty n range")
@@ -229,6 +231,8 @@ def _cmd_scan(args):
 
 
 def _cmd_theta_sweep(args):
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     expr = _SCAN_FAMILIES[args.family](args.n)
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
     rows = [

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    eigen_above,
     eigen_above_stacked,
     gershgorin_bounds,
     lowest_eigen_banded,
@@ -332,8 +331,7 @@ class MaxViolation:
     of the lowest eigenvalue.  ``evals`` counts the lowest-eigenvalue
     evaluations made (calls of ``lowest_eigen_banded``) and ``screened``
     the grid points ruled out by a banded Cholesky factorisation instead
-    (:func:`numerics.eigen_above_stacked`, or :func:`numerics.eigen_above`
-    for the angles the stack left open): ``evals + screened`` is the
+    (:func:`numerics.eigen_above_stacked`): ``evals + screened`` is the
     pre-scan's ``max(grid_points, 64)`` plus one per polish point.  How
     they split depends on the ``start`` of :func:`max_violation`; every
     other field does not.
@@ -361,20 +359,17 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256,
     (conjugation by diag((-1)^k)).
 
     The scan skips a grid point when a banded Cholesky factorisation
-    certifies that every eigenvalue there exceeds the best grid value so
-    far by more than ``SCREEN_RTOL * S``, with S = sum_k ||P_k||_inf over
-    the band terms of :func:`bell_operator_bands`, a bound on
-    ||H(theta)||_inf for every theta.  The first level is the eigenvalue at
-    the grid angle nearest ``start``, a guess such as the optimum of a
-    neighbouring n, or without it the best of a coarse pass over every
-    s-th angle, s = isqrt(grid size).  The first check screens the whole grid at once
-    (:func:`numerics.eigen_above_stacked`) at that level; the best value
-    never rises during the scan, so an angle certified then is certified at
-    every later level too.  Only the angles it leaves open get
-    :func:`numerics.eigen_above` at the best value so far.  The stack's
-    bands come from one (k, 6) @ (6, 3 (n+1)) product and differ from those
-    of :func:`bell_operator_bands` in the last bits, which the margin covers
-    (see :func:`numerics.eigen_above`).  Whatever ``start`` is, the result
+    certifies that every eigenvalue there exceeds a level by more than
+    ``SCREEN_RTOL * S``, with S = sum_k ||P_k||_inf over the band terms of
+    :func:`bell_operator_bands`, a bound on ||H(theta)||_inf for every
+    theta.  The level is the eigenvalue at the grid angle nearest
+    ``start``, a guess such as the optimum of a neighbouring n, or without
+    it the best of a coarse pass over every s-th angle, s = isqrt(grid
+    size).  One call of :func:`numerics.eigen_above_stacked` then screens
+    the whole grid at that level, and every angle it leaves open is
+    evaluated.  The stack's bands come from one (k, 6) @ (6, 3 (n+1))
+    product and differ from those of :func:`bell_operator_bands` in the
+    last bits, which the margin covers.  Whatever ``start`` is, the result
     is bitwise that of the full grid; only the split of ``evals`` and
     ``screened`` moves.  A non-finite ``start`` raises ``ValueError``.
     """
@@ -388,27 +383,20 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256,
     stack_terms = terms.transpose(0, 2, 1).reshape(6, 3 * m)
     grid = prescan_grid(theta_range[0], theta_range[1], grid_points)
     vectors = {}
-    stacked = None
-    evals = screened = 0
+    evals = grid_evals = 0
 
     def grid_bands(i, j):
         c, s = np.cos(grid[i:j]), np.sin(grid[i:j])
         weights = np.stack((np.ones_like(c), c, s, c * c, c * s, s * s), axis=1)
         return (weights @ stack_terms).reshape(-1, 3).T
 
-    def above(theta, level):
-        nonlocal stacked, screened
-        if stacked is None:
-            certified = eigen_above_stacked(grid_bands, len(grid), m, level + margin)
-            stacked = dict(zip(grid.tolist(), certified.tolist()))
-        certified = stacked.get(theta) or eigen_above(
-            bell_operator_bands(expr, theta), level + margin)
-        screened += certified
-        return certified
+    def screen(level):
+        return eigen_above_stacked(grid_bands, len(grid), m, level + margin)
 
     def objective(theta):
-        nonlocal evals
+        nonlocal evals, grid_evals
         evals += 1
+        grid_evals += 1
         w, _ = lowest_eigen_banded(bell_operator_bands(expr, theta), want_vector=False)
         return w
 
@@ -421,7 +409,7 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256,
 
     theta_star, lam_min = scalar_minimize(
         objective, theta_range[0], theta_range[1], tol=tol, grid_points=grid_points,
-        value_and_slope=value_and_slope, above=above, start=start,
+        value_and_slope=value_and_slope, screen=screen, start=start,
     )
     vec = vectors[theta_star]
     return MaxViolation(
@@ -431,7 +419,7 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256,
         bound=beta_c,
         state=SymmetricState(expr.n, vec / np.linalg.norm(vec)),
         evals=evals,
-        screened=screened,
+        screened=len(grid) - grid_evals,
     )
 
 

@@ -6,27 +6,24 @@ tolerances and conventions (eigenvalue ordering, singular-value ordering,
 band storage) are fixed in one place.
 
 No scipy Python package is imported here.  The first
-:func:`lowest_eigen_banded`, :func:`eigen_above` or
-:func:`eigen_above_stacked` call loads scipy's compiled LAPACK extension,
-``scipy.linalg._flapack``, straight from its file and takes the
-``dsbevx``, ``dpbtrf``, ``dpbtrs`` and ``dlamch`` wrappers from it; commands
-that need no banded eigenpair never load it.  Nothing here uses
+:func:`lowest_eigen_banded` or :func:`eigen_above_stacked` call loads scipy's
+compiled LAPACK extension, ``scipy.linalg._flapack``, straight from its file
+and takes the ``dsbevx``, ``dpbtrf``, ``dpbtrs`` and ``dlamch`` wrappers from
+it; commands that need no banded eigenpair never load it.  Nothing here uses
 ``scipy.optimize``: :func:`scalar_minimize` polishes its grid minimum by
 Illinois regula falsi on the slope, which the caller supplies exactly
 (``max_violation`` passes the Hellmann-Feynman slope of the lowest
 eigenvalue) or which is taken as a central difference of the objective.
 The pre-scan that precedes the polish is kept fine on purpose (256 points in
 ``max_violation``), since a coarser grid misses narrow wells.  What makes
-the fine grid cheap is screening: a caller that can prove f(x) > level at a
-point lets the pre-scan skip every grid point that cannot be the minimum,
-with the same answer as the full grid.  The first level is the value at
+the fine grid cheap is screening: a caller that can prove f(x) > level on
+part of the grid lets the pre-scan skip every grid point that cannot be the
+minimum, with the same answer as the full grid.  The level is the value at
 the grid point nearest a caller's ``start`` (``ratio_scan`` passes the
 previous n's optimum), or the best of a coarse pass without one.
 ``max_violation`` proves the bound by banded Cholesky factorisation:
 :func:`eigen_above_stacked` factors the matrices of the whole grid
-(:func:`prescan_grid`) as block-diagonal stacks at that first level, and
-:func:`eigen_above` checks the few angles it leaves open at the best value
-found since.
+(:func:`prescan_grid`) as block-diagonal stacks at that level.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ __all__ = [
     "svd",
     "scalar_minimize",
     "lowest_eigen_banded",
-    "eigen_above",
     "eigen_above_stacked",
     "gershgorin_bounds",
     "prescan_grid",
@@ -56,8 +52,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 #: Matrix order from which ``lowest_eigen_banded`` uses inertia bisection
-#: instead of LAPACK ``sbevx``; the per-call timings that place it are in
-#: its docstring.
+#: instead of LAPACK ``sbevx``.
 INERTIA_CROSSOVER = 200
 
 #: Width of the certified eigenvalue bracket, relative to ``||H||_inf``.
@@ -203,7 +198,7 @@ def _left_singular(matrix):
 
 
 def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
-                    above=None, start=None):
+                    screen=None, start=None):
     """Minimise a scalar function on ``[lo, hi]``.
 
     A uniform pre-scan on :func:`prescan_grid` locates the best grid point
@@ -215,9 +210,8 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
     zero is at most ``tol`` wide.  Its point replaces x_i only if its value
     is lower, so the result is never worse than the grid minimum.
 
-    With ``above``, the pre-scan evaluates ``f`` only where the minimum
-    could be (:func:`_screened_scan`) and skips a point when
-    ``above(x, best so far)`` is True.  A skipped point has a value above
+    With ``screen``, the pre-scan skips the grid points that ``screen``
+    rules out (:func:`_screened_scan`).  A skipped point has a value above
     one already found, so it can neither be nor tie with the minimum: x_i,
     f(x_i) and the polish are exactly those of the full grid, whatever
     ``start`` is.  Keep the pre-scan fine: a narrow well is found only if a
@@ -233,14 +227,16 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
         is a central difference of ``f`` with step ``(eps)^(1/3) max(1, |x|)``,
         one-sided where the step would leave ``[lo, hi]``; each polish
         point then costs three calls of ``f``.
-    above : callable, optional
-        ``(x, level) -> bool``, True only when f(x) > level is certain; it
-        must return False where it cannot tell, and wherever f(x) may be NaN.
+    screen : callable, optional
+        ``level -> bool array`` over the :func:`prescan_grid` points, True
+        only where f(x) > level is certain; it must be False where it
+        cannot tell, wherever f(x) may be NaN, and everywhere when
+        ``level`` is NaN.  It is called once per minimisation.
     start : float, optional
         A guess of the minimiser, such as the minimiser of a neighbouring
-        problem.  With ``above``, the screened pre-scan begins at the grid
-        point nearest it instead of a coarse pass; it changes the number of
-        evaluations, never the result.
+        problem.  The pre-scan evaluates the grid point nearest it first
+        instead of a coarse pass; with ``screen`` that sets the level, so it
+        changes the number of evaluations, never the result.
 
     Returns
     -------
@@ -260,10 +256,7 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
     if start is not None and not math.isfinite(start):
         raise ValueError(f"start must be finite, got {start!r}")
     xs = prescan_grid(lo, hi, grid_points)
-    if above is None:
-        fs = np.array([float(f(x)) for x in xs])
-    else:
-        fs = _screened_scan(f, above, xs, start)
+    fs = _screened_scan(f, screen, xs, start)
     if np.any(np.isnan(fs)):
         bad = xs[np.where(np.isnan(fs))[0][0]]
         raise ValueError(f"objective returned NaN at x = {bad!r}")
@@ -282,39 +275,33 @@ def prescan_grid(lo, hi, grid_points):
     return np.linspace(lo, hi, max(int(grid_points), 64))
 
 
-def _screened_scan(f, above, xs, start):
-    """Values of ``f`` on the grid ``xs``, +inf where ``above`` rules a point out.
+def _screened_scan(f, screen, xs, start):
+    """Values of ``f`` on the grid ``xs``, +inf where ``screen`` rules a point out.
 
-    A point x_j is evaluated unless ``above(x_j, best)`` is True for the
-    least value ``best`` found so far.  That holds for no point whose value
-    is at most the grid minimum, so the first grid argmin and its value are
-    those of the full grid, for any first points and any visiting order.
-    Few points are evaluated when ``best`` is low early.  The first level
-    is the value at the grid point nearest ``start`` (the smaller x on a
-    tie), or without ``start`` the least value of a coarse pass over every
-    s-th point and the last one, s = isqrt(len(xs)).  The remaining points
-    are visited nearest the best of those first.
+    First ``f`` is evaluated at the grid point nearest ``start`` (the
+    smaller x on a tie), or without ``start`` at every s-th point and the
+    last one, s = isqrt(len(xs)).  Then ``screen`` is called once, at the
+    least of those values, and every point it leaves open is evaluated.  It
+    rules out no point whose value is at most that level, and so none at or
+    below the grid minimum: the first grid argmin and its value are those of
+    the full grid, whatever the first points are.  Without ``screen`` every
+    point is evaluated.
     """
     m = len(xs)
-    fs = np.full(m, np.inf)
     if start is None:
         first = list(range(0, m, math.isqrt(m)))
         if first[-1] != m - 1:
             first.append(m - 1)
     else:
         first = [int(np.argmin(np.abs(xs - start)))]
-    for j in first:
+    fs = np.full(m, np.inf)
+    fs[first] = [float(f(xs[j])) for j in first]
+    left = np.ones(m, dtype=bool)
+    left[first] = False
+    if screen is not None:
+        left &= ~screen(float(np.min(fs[first])))
+    for j in np.flatnonzero(left).tolist():
         fs[j] = float(f(xs[j]))
-    i0 = int(np.argmin(fs))
-    best = fs[i0]
-    skip = set(first)
-    # stable: of two points at one distance, the one left of i0 comes first
-    for j in np.argsort(np.abs(np.arange(m) - i0), kind="stable").tolist():
-        if j in skip or above(xs[j], best):
-            continue
-        fs[j] = float(f(xs[j]))
-        if fs[j] < best:
-            best = fs[j]
     return fs
 
 
@@ -396,8 +383,7 @@ def lowest_eigen_banded(bands, want_vector=True):
 
     * ``n < INERTIA_CROSSOVER``: LAPACK ``sbevx`` for the lowest index,
       through a handle cached on the first call.  It gives the same numbers as
-      ``scipy.linalg.eig_banded(..., select="i")`` without its wrapper
-      cost: 22 us against 41 us per call at n = 21.
+      ``scipy.linalg.eig_banded(..., select="i")`` without its wrapper cost.
     * ``n >= INERTIA_CROSSOVER``: Sylvester-inertia bisection with inverse
       iteration (:func:`_lowest_by_inertia`), O(n b^2) per step.  The lower
       end ``lo`` of a bracket is a shift at which the banded Cholesky
@@ -405,14 +391,8 @@ def lowest_eigen_banded(bands, want_vector=True):
       ``lo``.  The upper end ``hi`` is the Rayleigh quotient of the
       inverse-iteration vector, so the lowest eigenvalue is at most ``hi``.
 
-    Why the split is where it is: the band-to-tridiagonal reduction in
-    ``sbevx`` is O(n^2), while the inertia path costs 10 to 14
-    factorisations and solves per call.  On murcia Bell operators, averaged
-    over 64 angles in [0, pi] on a 2-core Xeon with one BLAS thread,
-    ``sbevx`` took 116, 199, 335 and 673 us per call at n = 101, 151, 201
-    and 301, and the inertia path 260, 235, 307 and 387 us.  At n = 1501
-    it was 12.8 ms against 1.7 ms, at n = 2001 (three angles) 17 ms against
-    2.2 ms, and the inertia path took 2.7 ms at n = 2501.
+    The split sits where ``sbevx``'s O(n^2) band-to-tridiagonal reduction
+    overtakes the 10 to 14 O(n b^2) factorisations of the inertia path.
 
     Accuracy contract: below the crossover, the backward-stable LAPACK
     result.  From the crossover up, ``w`` is the upper end of a bracket of
@@ -542,96 +522,77 @@ def gershgorin_bounds(bands):
     return float(np.min(diag - off)), float(np.max(np.abs(diag) + off))
 
 
-def eigen_above(bands, level):
-    """Whether every eigenvalue of a banded symmetric matrix H exceeds ``level``.
+def eigen_above_stacked(bands_of, count, order, level):
+    """Whether every eigenvalue of each of ``count`` banded symmetric
+    matrices of one order exceeds ``level``; a bool array of length ``count``.
 
-    True is a certificate: by Sylvester's law of inertia, H - sigma I is
+    ``bands_of(i, j)`` returns matrices i..j-1 side by side in lower band
+    storage, a Fortran-order array of shape (b + 1, (j - i) * order) that
+    this function overwrites.  It is asked for stacks of at most
+    max(1, ``SCREEN_STACK_ROWS // order``) matrices, each factored by one
+    ``pbtrf`` call as one block-diagonal matrix, O(rows b^2).
+
+    True is a certificate.  By Sylvester's law of inertia, H - sigma I is
     positive definite exactly when its Cholesky factorisation exists, and
-    the factorisation here is taken at sigma = level + rho.  A banded
+    each block is factored at sigma = level + rho, rho taken from the
+    block's own largest entry (its unused band slots included).  A banded
     Cholesky that succeeds in floating point is exact for a matrix within
     ((b + 2)(2b + 1) + 1) u max_i (A_ii - sigma) of H - sigma I (b the
     bandwidth, u the unit roundoff; Higham, *Accuracy and Stability of
     Numerical Algorithms*, Thm 10.3, with |L||L^T| bounded row by row).
     rho is more than twice that, with ``|max entry| + |level|`` in place of
     max_i (A_ii - sigma) so that the rounding of level + rho is covered
-    too; so True means lambda_min(H) > level in exact arithmetic.  One
-    ``pbtrf`` call, O(n b^2).
+    too; so True means lambda_min(H) > level in exact arithmetic.  False
+    means not certified: some eigenvalue is at most ``level``, or within
+    rho of it, or the block or ``level`` is not finite.
 
-    False means not certified: some eigenvalue is at most ``level``, or
-    within rho of it, or ``bands`` or ``level`` is not finite.
+    Each block gets the answer it would get alone.  The entries a band row
+    holds past the end of a block, which would couple it to the next, are
+    set to zero, so the next block's rows start with an exact-zero
+    coupling.  At small bandwidths (up to 64 in reference LAPACK) ``pbtrf``
+    works column by column, so it does each block's arithmetic as if the
+    block stood alone and adds only exact zeros to its neighbour; at any
+    bandwidth the coupling stays zero, so a success certifies every block.
+    A block that fails stops the factorisation, which restarts at the next
+    block, so no row is factored twice.  A block holding NaN or inf gets a
+    negative first pivot, so it fails before its values can reach a
+    neighbour.
 
-    This is the one-matrix call of the kernel behind
-    :func:`eigen_above_stacked`, which factors many matrices as one
-    block-diagonal matrix and gives each block this same answer.  Each
-    block is shifted by its own ``level + rho_i``, rho_i taken from the
-    block's own largest entry (its unused band slots included, as here).
-    The entries a band row holds past the end of a block, which would
-    couple it to the next, are set to zero, so the next block's rows start
-    with an exact-zero coupling.  At small bandwidths (up to 64 in
-    reference LAPACK) ``pbtrf`` works column by column, so it does each
-    block's arithmetic as if the block stood alone and adds only exact
-    zeros to its neighbour; at any bandwidth the coupling stays zero, so a
-    success certifies every block.  A block that fails stops the
-    factorisation, which restarts at the next block, so no row is factored
-    twice.  A block holding NaN or inf gets a negative first pivot, so it
-    fails before its values can reach a neighbour.
-
-    A caller that certifies the stack's bands in place of bands computed
-    another way must widen ``level`` by more than the difference between
-    them.  ``collective.max_violation`` builds its stack from one matrix
-    product, whose bands differ from ``bell_operator_bands`` in the last
-    bits, far inside its margin ``SCREEN_RTOL * S`` (S = sum_k
-    ||P_k||_inf).
+    A caller that certifies bands computed another way than those it will
+    evaluate must widen ``level`` by more than the difference between them.
+    ``collective.max_violation`` builds its stacks from one matrix product,
+    whose bands differ from ``bell_operator_bands`` in the last bits, far
+    inside its margin ``SCREEN_RTOL * S`` (S = sum_k ||P_k||_inf).
     """
-    bands = np.array(bands, dtype=float, order="F")
-    return bool(_blocks_above(bands, bands.shape[1], level)[0])
-
-
-def eigen_above_stacked(bands_of, count, order, level):
-    """:func:`eigen_above` for each of ``count`` banded matrices of one order.
-
-    ``bands_of(i, j)`` returns matrices i..j-1 side by side in lower band
-    storage, a Fortran-order array of shape (b + 1, (j - i) * order) that
-    this function overwrites.  It is asked for stacks of at most
-    max(1, ``SCREEN_STACK_ROWS // order``) matrices, each factored as one
-    block-diagonal matrix (see :func:`eigen_above`).  Returns a bool array
-    of length ``count``.
-    """
+    _, pbtrf, _, _ = _lapack()
     per = max(1, SCREEN_STACK_ROWS // order)
     certified = np.zeros(count, dtype=bool)
     for i in range(0, count, per):
         j = min(i + per, count)
-        certified[i:j] = _blocks_above(bands_of(i, j), order, level)
+        ab = np.asfortranarray(bands_of(i, j))
+        if not math.isfinite(level):
+            continue
+        nb = ab.shape[0] - 1
+        cols = ab.T.reshape(-1, order, nb + 1)  # cols[k, r, d] = entry (r + d, r) of block k
+        top = cols.max(axis=(1, 2))
+        ok = np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2)))
+        rho = ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (np.abs(top) + abs(level))
+        for d in range(1, nb + 1):  # slots past a block's end couple it to the next
+            cols[:, max(order - d, 0):, d] = 0.0
+        cols[:, :, 0] -= np.where(ok, level + rho, 0.0)[:, None]
+        cols[~ok, 0, 0] = -1.0  # fails at its first pivot, before any update
+        start = 0
+        while start < ab.shape[1]:
+            _, info = pbtrf(ab[:, start:], lower=1, overwrite_ab=1)
+            if info == 0:
+                break
+            if info < 0:
+                raise ValueError(f"LAPACK pbtrf rejected argument {-info}")
+            failed = (start + info - 1) // order
+            ok[failed] = False
+            start = (failed + 1) * order
+        certified[i:j] = ok
     return certified
-
-
-def _blocks_above(ab, order, level):
-    """The screen of :func:`eigen_above_stacked` on one stack ``ab``, which
-    it overwrites; one bool per block."""
-    nb = ab.shape[0] - 1
-    ab = np.asfortranarray(ab)
-    cols = ab.T.reshape(-1, order, nb + 1)  # cols[i, j, d] = entry (j + d, j) of block i
-    if not math.isfinite(level):
-        return np.zeros(len(cols), dtype=bool)
-    top = cols.max(axis=(1, 2))
-    ok = np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2)))
-    rho = ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (np.abs(top) + abs(level))
-    for d in range(1, nb + 1):  # slots past a block's end couple it to the next
-        cols[:, max(order - d, 0):, d] = 0.0
-    cols[:, :, 0] -= np.where(ok, level + rho, 0.0)[:, None]
-    cols[~ok, 0, 0] = -1.0  # fails at its first pivot, before any update
-    _, pbtrf, _, _ = _lapack()
-    start = 0
-    while start < ab.shape[1]:
-        _, info = pbtrf(ab[:, start:], lower=1, overwrite_ab=1)
-        if info == 0:
-            break
-        if info < 0:
-            raise ValueError(f"LAPACK pbtrf rejected argument {-info}")
-        failed = (start + info - 1) // order
-        ok[failed] = False
-        start = (failed + 1) * order
-    return ok
 
 
 @functools.lru_cache(maxsize=64)

@@ -255,9 +255,9 @@ def bell_operator_bands_explicit(expr, theta):
 
 
 def pointwise_eigen_above(bands, level):
-    """The one-matrix Cholesky screen ``numerics.eigen_above`` made before
-    it factored stacks: one ``pbtrf`` of H - (level + rho) I on a copy,
-    rho from the largest band entry.  For finite bands."""
+    """The Cholesky screen of ``numerics.eigen_above_stacked`` on one
+    matrix alone, through scipy: one ``pbtrf`` of H - (level + rho) I on a
+    copy, rho from the largest band entry.  For finite bands."""
     import scipy.linalg
 
     top = float(bands.max())

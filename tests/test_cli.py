@@ -240,6 +240,18 @@ class TestScans:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("args, flag", [
+        (["scan", "--n-min", "8", "--n-max", "4", "--n-step", "-1"], "--n-step"),
+        (["scan", "--n-max", "4", "--n-step", "0"], "--n-step"),
+        (["theta-sweep", "--n", "6", "--points", "0"], "--points"),
+        (["theta-sweep", "--n", "6", "--points", "-3"], "--points"),
+    ])
+    def test_steps_and_point_counts_below_1_are_usage_errors(self, capsys, args, flag):
+        code, out, err = run_cli(capsys, *args, "--family", "murcia")
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag} must be at least 1" in err
+
     def test_parallel_scan_matches_serial(self, capsys, tmp_path):
         f1, f2 = str(tmp_path / "serial.csv"), str(tmp_path / "par.csv")
         args = ["scan", "--family", "murcia", "--n-max", "6", "--theta-points", "32"]
@@ -284,7 +296,7 @@ class TestScans:
                      "--out", out]) == 0
         capsys.readouterr()
         sidecar = json.loads(open(out + ".run.json").read())
-        assert (sidecar["evals"], sidecar["screened"]) == (670, 25154)
+        assert (sidecar["evals"], sidecar["screened"]) == (747, 25077)
 
     def test_theta_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -17,7 +17,6 @@ from bellscope import numerics
 from bellscope.numerics import (
     INERTIA_CROSSOVER,
     RandomSource,
-    eigen_above,
     gershgorin_bounds,
     hermitian_eigen,
     lowest_eigen_banded,
@@ -331,6 +330,13 @@ class TestLapackLoading:
             numerics._lapack.cache_clear()
 
 
+def one_block_above(bands, level):
+    """``eigen_above_stacked`` on the one matrix ``bands``, which it leaves as is."""
+    bands = np.asarray(bands, dtype=float)
+    return bool(numerics.eigen_above_stacked(
+        lambda i, j: np.array(bands, order="F"), 1, bands.shape[1], level)[0])
+
+
 class TestEigenAbove:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -351,24 +357,24 @@ class TestEigenAbove:
         norm = np.max(np.abs(full).sum(axis=1))
         lam = np.linalg.eigvalsh(full)[0]
         level = lam + offset * 1e-12 * norm
-        if eigen_above(bands, level):
+        if one_block_above(bands, level):
             assert lam > level
-        assert eigen_above(bands, lam - 1e-10 * norm)
-        assert not eigen_above(bands, lam + 1e-10 * norm)
+        assert one_block_above(bands, lam - 1e-10 * norm)
+        assert not one_block_above(bands, lam + 1e-10 * norm)
 
     def test_not_finite_is_not_certified(self):
         bands, _ = random_banded(40, 2, 8, False)
         floor, _ = gershgorin_bounds(bands)
-        assert eigen_above(bands, floor - 1.0)
+        assert one_block_above(bands, floor - 1.0)
         for value in (np.nan, np.inf):
             bad = bands.copy()
             bad[1, 20] = value
-            assert not eigen_above(bad, floor - 1.0)
+            assert not one_block_above(bad, floor - 1.0)
             bad = bands.copy()
             bad[0, 20] = value
-            assert not eigen_above(bad, floor - 1.0)
+            assert not one_block_above(bad, floor - 1.0)
         for level in (np.nan, -np.inf, np.inf):
-            assert not eigen_above(bands, level)
+            assert not one_block_above(bands, level)
 
     def test_gershgorin_bounds(self):
         bands, full = random_banded(30, 2, 9, False)
@@ -404,8 +410,8 @@ def stack_blocks(order, bandwidth, seed, gaps, level, junk):
 
 
 class TestEigenAboveStacked:
-    """The stacked screen gives each block the answer of ``eigen_above`` and
-    of the one-matrix ``pbtrf`` oracle on that block alone."""
+    """The stacked screen gives each block the answer of a one-block stack
+    and of the one-matrix ``pbtrf`` oracle on that block alone."""
 
     @staticmethod
     def screen(blocks, level, rows):
@@ -462,7 +468,7 @@ class TestEigenAboveStacked:
             i %= len(blocks)
             blocks[i].reshape(-1)[entry % blocks[i].size] = value
         got = self.screen(blocks, level, rows)
-        assert got == [eigen_above(b, level) for b in blocks]
+        assert got == [one_block_above(b, level) for b in blocks]
         for b, certified in zip(blocks, got):
             if np.isfinite(b).all():
                 assert certified == pointwise_eigen_above(b, level)

@@ -157,7 +157,7 @@ class TestMaxViolationOracle:
 
 def full_grid_max_violation(expr):
     """``max_violation`` with its pre-scan unscreened: f at all grid points."""
-    def unscreened(*args, above=None, **kwargs):
+    def unscreened(*args, screen=None, **kwargs):
         return scalar_minimize(*args, **kwargs)
 
     with mock.patch.object(collective, "scalar_minimize", unscreened):
@@ -212,38 +212,43 @@ class TestScreenedScan:
             max_violation(murcia(6), start=start)
 
     def test_one_stacked_screen_per_call(self, monkeypatch):
-        stacks, pointwise, asked = [], [], []
+        # one stacked screen per call, and no pbtrf outside it and the eigen
+        # kernel; every grid angle the screen leaves open is evaluated
+        stacks, calls, inside, outside = [], [], [], []
         real_stacked = collective.eigen_above_stacked
-        real_above = collective.eigen_above
-        real_minimize = collective.scalar_minimize
+        real_eigen = collective.lowest_eigen_banded
+        real_lapack = numerics._lapack()
 
         def stacked(bands_of, count, order, level):
+            inside.append(True)
             stacks.append(real_stacked(bands_of, count, order, level))
+            inside.pop()
             return stacks[-1]
 
-        def one(bands, level):
-            pointwise.append(real_above(bands, level))
-            return pointwise[-1]
+        def counting(bands, want_vector=True):
+            calls.append(want_vector)
+            inside.append(True)
+            result = real_eigen(bands, want_vector)
+            inside.pop()
+            return result
 
-        def recording_minimize(*args, above=None, **kwargs):
-            def recording_above(x, level):
-                asked.append(x)
-                return above(x, level)
-            return real_minimize(*args, above=recording_above, **kwargs)
+        def pbtrf(*args, **kwargs):
+            if not inside:
+                outside.append(args[0].shape)
+            return real_lapack[1](*args, **kwargs)
 
         monkeypatch.setattr(collective, "eigen_above_stacked", stacked)
-        monkeypatch.setattr(collective, "eigen_above", one)
-        monkeypatch.setattr(collective, "scalar_minimize", recording_minimize)
+        monkeypatch.setattr(collective, "lowest_eigen_banded", counting)
+        monkeypatch.setattr(numerics, "_lapack",
+                            lambda: (real_lapack[0], pbtrf, *real_lapack[2:]))
         for n, grid_points in ((5, 256), (40, 256), (250, 256), (30, 40)):
-            for record in (stacks, pointwise, asked):
+            for record in (stacks, calls):
                 record.clear()
             mv = max_violation(murcia(n), grid_points=grid_points)
-            assert len(stacks) == 1
-            grid = np.linspace(0.0, math.pi, max(grid_points, 64))
-            certified = dict(zip(grid.tolist(), stacks[0].tolist()))
-            left_open = [x for x in asked if not certified[x]]
-            assert len(pointwise) == len(left_open) < 20
-            assert mv.screened == len(asked) - len(left_open) + sum(pointwise)
+            assert len(stacks) == 1 and not outside
+            grid, grid_evals = max(grid_points, 64), calls.count(False)
+            assert len(stacks[0]) == grid
+            assert mv.screened == grid - grid_evals <= int(stacks[0].sum())
 
     def test_screens_most_of_the_grid(self):
         for n in (5, 40, 250):
@@ -261,8 +266,9 @@ class TestScreenedScan:
         want = scalar_minimize(f, 1.0, 8.0, grid_points=256)
         full = len(calls)
         calls.clear()
+        xs = numerics.prescan_grid(1.0, 8.0, 256)
         got = scalar_minimize(f, 1.0, 8.0, grid_points=256,
-                              above=lambda x, level: math.sin(x) ** 2 - 1.0 > level + 1e-12)
+                              screen=lambda level: np.sin(xs) ** 2 - 1.0 > level + 1e-12)
         assert got == want
         assert abs(got[0] - math.pi) <= 1e-6
         assert len(calls) < full // 2
