@@ -14,23 +14,45 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
 import traceback
 
-import numpy as np
+from . import __version__
 
-from . import __version__, chains, collective, correlations, mps, quantum, symmetric
-from .numerics import RandomSource
+
+def _lazy(name):
+    """The submodule ``bellscope.<name>``, executed at its first attribute access.
+
+    A command thus runs only the modules it uses, and numpy only if one of
+    them needs it.  The module is in ``sys.modules`` from the start, because
+    the benchmark's tracer (``benchmarks/tracing.py``) looks every module up
+    there right after importing this one, to wrap its functions.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+chains, collective, correlations, mps, numerics, quantum, symmetric = map(
+    _lazy, ("chains", "collective", "correlations", "mps", "numerics", "quantum", "symmetric"))
 
 
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, float):
         return f"{value:.12g}"
@@ -38,11 +60,13 @@ def _fmt(value):
 
 
 def _jsonable(value):
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return value
+    if isinstance(value, numbers.Integral):
         return int(value)
-    if isinstance(value, (np.floating,)):
+    if not isinstance(value, numbers.Rational):
         return float(value)
-    return correlations.number_to_json(value)
+    return symmetric.number_to_json(value)
 
 
 def _emit(args, header, rows, sidecar_extra=None):
@@ -196,9 +220,10 @@ def _cmd_dicke(args):
     return header, [row], {"expression": symmetric.expression_to_json(expr)}
 
 
+# family -> name of the symmetric function building its expression at n
 _SCAN_FAMILIES = {
-    "murcia": symmetric.murcia,
-    "dicke": symmetric.dicke_expression,
+    "murcia": "murcia",
+    "dicke": "dicke_expression",
 }
 
 
@@ -208,7 +233,8 @@ def _cmd_scan(args):
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))
     if not ns:
         raise ValueError("empty n range")
-    scan = functools.partial(collective.ratio_scan, _SCAN_FAMILIES[args.family],
+    family = getattr(symmetric, _SCAN_FAMILIES[args.family])
+    scan = functools.partial(collective.ratio_scan, family,
                              tol=args.tol, grid_points=args.theta_points)
     if args.jobs > 1:
         import concurrent.futures
@@ -233,7 +259,9 @@ def _cmd_scan(args):
 def _cmd_theta_sweep(args):
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    expr = _SCAN_FAMILIES[args.family](args.n)
+    import numpy as np
+
+    expr = getattr(symmetric, _SCAN_FAMILIES[args.family])(args.n)
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
     rows = [
         (r.n, r.theta, r.value, r.beta_c, r.violated)
@@ -252,7 +280,7 @@ def _cmd_lmg(args):
 
 
 def _cmd_page(args):
-    rng = RandomSource(args.seed)
+    rng = numerics.RandomSource(args.seed)
     mean_s, se, purity = quantum.page_experiment(args.m, args.n, args.samples, rng)
     predicted = math.log(args.m) - args.m / (2.0 * args.n)
     predicted_purity = (args.m + args.n) / (args.m * args.n)
@@ -284,7 +312,9 @@ def _mps_input_state(args):
     n = args.random
     if n is None:
         raise ValueError("pass either --state FILE or --random N")
-    rng = RandomSource(args.seed)
+    import numpy as np
+
+    rng = numerics.RandomSource(args.seed)
     amp = rng.complex_normal(args.local_dim**n)
     amp /= np.linalg.norm(amp)
     return amp, args.local_dim
@@ -305,6 +335,8 @@ def _cmd_mps(args):
 
 
 def _cmd_area_law(args):
+    import numpy as np
+
     ham = chains.transverse_ising_chain(args.sites, j=args.coupling, g=args.field,
                                         boundary=args.boundary)
     energy, psi = chains.ground_state_exact(ham)
@@ -321,7 +353,7 @@ def _thermal_chain(args):
     if args.model == "ising":
         return chains.transverse_ising_chain(args.sites, j=args.coupling,
                                              g=args.field, boundary=args.boundary)
-    rng = RandomSource(args.seed)
+    rng = numerics.RandomSource(args.seed)
     return chains.random_chain(args.sites, 2, rng, boundary=args.boundary)
 
 
@@ -335,7 +367,7 @@ def _cmd_thermal_mi(args):
 
 
 def _cmd_gibbs_mi(args):
-    rng = RandomSource(args.seed)
+    rng = numerics.RandomSource(args.seed)
     bonds = args.sites if args.boundary == "periodic" else args.sites - 1
     couplings = [rng.normal((args.local_dim, args.local_dim)) for _ in range(bonds)]
     rows = []

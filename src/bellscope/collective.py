@@ -474,9 +474,10 @@ def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256
     """Violation scan over system sizes for a family of expressions.
 
     Each n's :func:`max_violation` starts its screened pre-scan from the
-    previous n's optimal angle; the first n has no start and takes the
-    coarse pass.  The rows are those of independent calls, and only
-    ``evals`` and ``screened`` depend on which n came before.
+    previous n's optimal angle if that n was violated; the first n, and any
+    n after one without a violation, takes the coarse pass.  The rows are
+    those of independent calls, and only ``evals`` and ``screened`` depend
+    on which n came before.
 
     Parameters
     ----------
@@ -493,7 +494,7 @@ def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256
         expr = family(n)
         mv = max_violation(expr, theta_range=theta_range, tol=tol,
                            grid_points=grid_points, start=start)
-        start = mv.theta
+        start = mv.theta if mv.violation > 0 else None
         rows.append(
             ScanRow(
                 n=n,

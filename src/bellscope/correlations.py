@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .symmetric import number_from_json, number_to_json, to_common_denominator
+
 __all__ = [
     "Scenario",
     "Behavior",
@@ -562,19 +564,6 @@ class TIExpression:
         self.omega = pad(self.omega, self.n - 1, "omega")
 
 
-def to_common_denominator(values):
-    """Common-denominator integer form ``(ints, den)`` of exact coefficients.
-
-    ``ints[k] == values[k] * den`` exactly, with ``den`` the least common
-    denominator of the values as Fractions.
-    """
-    fracs = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    return [int(f * den) for f in fracs], den
-
-
 def ti_classical_bound(expr, max_parties=12):
     """Exact classical bound of a translation-invariant ring expression.
 
@@ -675,22 +664,6 @@ def expression_to_json(obj):
             "omega": [number_to_json(v) for v in obj.omega],
         }
     raise TypeError(f"cannot serialise {type(obj).__name__}")
-
-
-def number_to_json(v):
-    """Numbers stay numbers; non-dyadic rationals become 'p/q' strings."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        return f"{v.numerator}/{v.denominator}"
-    return v
-
-
-def number_from_json(v):
-    """Inverse of :func:`number_to_json`: 'p/q' strings load as Fractions."""
-    if isinstance(v, str):
-        return Fraction(v)
-    return v
 
 
 def expression_from_json(data):

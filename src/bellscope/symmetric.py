@@ -16,19 +16,9 @@ rational arithmetic).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-
-from .correlations import (
-    OUTCOME_SIGNS,
-    BellFunctional,
-    Scenario,
-    number_from_json,
-    number_to_json,
-    to_common_denominator,
-)
 
 __all__ = [
     "StrategyCounts",
@@ -43,6 +33,9 @@ __all__ = [
     "expression_to_json",
     "expression_from_json",
     "rioja_parity_ok",
+    "number_to_json",
+    "number_from_json",
+    "to_common_denominator",
 ]
 
 # max n for the count enumeration.  The O(n) scan needs no memory or time
@@ -128,7 +121,20 @@ class PIBellExpression:
 
 
 def _all_rational(values):
-    return all(isinstance(v, (int, Fraction, np.integer)) for v in values)
+    return all(isinstance(v, numbers.Rational) for v in values)
+
+
+def to_common_denominator(values):
+    """Common-denominator integer form ``(ints, den)`` of exact coefficients.
+
+    ``ints[k] == values[k] * den`` exactly, with ``den`` the least common
+    denominator of the values as Fractions.
+    """
+    fracs = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
+    den = 1
+    for f in fracs:
+        den = den * f.denominator // math.gcd(den, f.denominator)
+    return [int(f * den) for f in fracs], den
 
 
 def correlators_of_counts(counts):
@@ -328,6 +334,10 @@ def pi_to_functional(expr):
     the relevant settings and everyone else measures setting 0.  On
     nonsignalling behaviors the value is placement-independent.
     """
+    import numpy as np
+
+    from .correlations import OUTCOME_SIGNS, BellFunctional, Scenario
+
     n = expr.n
     sc = Scenario(n, 2, 2)
     coeffs = np.zeros(sc.table_shape)
@@ -370,6 +380,22 @@ def pi_to_functional(expr):
 
 # ---------------------------------------------------------------------------
 # JSON wire format: {n, alpha..epsilon, bound, bound_provenance}
+
+
+def number_to_json(v):
+    """Numbers stay numbers; non-dyadic rationals become 'p/q' strings."""
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            return int(v)
+        return f"{v.numerator}/{v.denominator}"
+    return v
+
+
+def number_from_json(v):
+    """Inverse of :func:`number_to_json`: 'p/q' strings load as Fractions."""
+    if isinstance(v, str):
+        return Fraction(v)
+    return v
 
 
 def expression_to_json(expr):
