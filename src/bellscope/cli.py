@@ -304,6 +304,8 @@ def _cmd_ppt(args):
 
 
 def _mps_input_state(args):
+    if args.local_dim < 2:
+        raise ValueError(f"--local-dim must be at least 2, got {args.local_dim}")
     if args.state is not None:
         psi = quantum.state_from_json(_load_json(args.state))
         if not isinstance(psi, quantum.StateVector):
@@ -312,6 +314,8 @@ def _mps_input_state(args):
     n = args.random
     if n is None:
         raise ValueError("pass either --state FILE or --random N")
+    if n < 1:
+        raise ValueError(f"--random must be at least 1, got {n}")
     import numpy as np
 
     rng = numerics.RandomSource(args.seed)

@@ -10,15 +10,16 @@ of sites 1..k, and site tensors A^[k] satisfying
 
 Singular values below ``1e-12 * sigma_max`` are discarded everywhere.
 
-A state is factored by one left-to-right sweep over its cuts.  Wide and
-tall cuts are reduced by Householder QR before the SVD of their small
-square factor; QR is backward stable, so the singular values keep the
-absolute error O(eps * sigma_max) that the relative cutoff needs.  A
-right-to-left pass over the swept factors then gives the canonical
-tensors, with or without a bond cap.  The truncation error of the
-projected, renormalised state phi is ``|| psi - <phi|psi> phi ||^2``,
-since the sequential projection is an orthogonal projector.  States with zero norm or non-finite amplitudes are
-refused with ``ValueError``.
+The spectra at every cut come from one QR chain per side of the middle,
+which factors at most three cuts at full size.  Each step is a backward
+stable Householder QR, so every singular value keeps the absolute error
+O(N * eps * sigma_max) that the relative cutoff needs.  A state is factored
+by one left-to-right sweep over its cuts, QR-first and, under a cap,
+starting at the first cut the cap can truncate.  A right-to-left pass over
+the swept factors then gives the canonical tensors.  The truncation error
+of the projected, renormalised state phi is ``|| psi - <phi|psi> phi ||^2``,
+since the sequential projection is an orthogonal projector.  States with
+zero norm or non-finite amplitudes are refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _left_singular, _singular_values
+from .numerics import _cut_singular_values, _left_singular
 from .quantum import StateVector, _entropy_of_probs
 
 __all__ = [
@@ -87,6 +88,8 @@ class MpsState:
 
 
 def _infer_sites(size, d):
+    if d < 2:
+        raise ValueError(f"local dimension must be at least 2, got {d}")
     n = round(math.log(size, d))
     if d**n != size:
         raise ValueError(f"amplitude length {size} is not a power of d = {d}")
@@ -119,17 +122,14 @@ def cut_spectra(psi, d=2):
 
     Returns a list over cuts k = 1..N-1 of descending eigenvalue arrays of
     the reduced density matrix of sites 1..k (squared Schmidt
-    coefficients), each truncated at the relative SVD cutoff.  Each cut's
-    singular values come from :func:`numerics._singular_values`, QR-first
-    on the wide and tall cuts.
+    coefficients), each truncated at the relative SVD cutoff.  At most three
+    cuts are factored at full size, each other from a QR of its neighbour's
+    triangular factor (:func:`numerics._cut_singular_values`), so every
+    value keeps an absolute error of O(N eps sigma_max).
     """
     amp, d = _as_amplitudes(psi, d)
     n = _infer_sites(amp.size, d)
-    out = []
-    for k in range(1, n):
-        s = _singular_values(amp.reshape(d**k, d ** (n - k)))
-        out.append(s[s > SVD_CUTOFF * s[0]] ** 2)
-    return out
+    return [s[s > SVD_CUTOFF * s[0]] ** 2 for s in _cut_singular_values(amp, d, n, n - 1)]
 
 
 def _left_sweep(amp, d, dmax=None):
@@ -138,7 +138,9 @@ def _left_sweep(amp, d, dmax=None):
     Each cut keeps its singular values above the relative cutoff, at most
     ``dmax`` of them when ``dmax`` is set, and always at least one.  The
     cuts are factored QR-first (:func:`numerics._left_singular`), and the
-    kept rows of ``diag(s) vh`` are taken as ``u^dag w``.
+    kept rows of ``diag(s) vh`` are taken as ``u^dag w``.  The cap cannot
+    truncate a cut k <= N/2 with d^k <= ``dmax``, so those cuts get identity
+    blocks, whose sub-cutoff directions :func:`_right_pass` drops.
 
     Returns
     -------
@@ -148,9 +150,12 @@ def _left_sweep(amp, d, dmax=None):
         What remains after the last cut.
     """
     n = _infer_sites(amp.size, d)
-    work = amp.reshape(1, -1)
-    blocks = []
-    for _ in range(n - 1):
+    start = 0
+    while dmax is not None and start < n // 2 and d ** (start + 1) <= dmax:
+        start += 1
+    blocks = [np.eye(d**k) for k in range(1, start + 1)]
+    work = amp.reshape(d**start, -1)
+    for _ in range(start, n - 1):
         work = work.reshape(work.shape[0] * d, -1)
         u, s = _left_singular(work)
         u = u[:, :_kept(s, dmax)]

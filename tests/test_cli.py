@@ -219,6 +219,17 @@ class TestJsonInputs:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv,option", [
+        (["--random", "4", "--local-dim", "1"], "--local-dim"),
+        (["--random", "4", "--local-dim", "0"], "--local-dim"),
+        (["--random", "0"], "--random"),
+        (["--random", "-2"], "--random"),
+    ])
+    def test_mps_refuses_bad_sizes(self, capsys, argv, option):
+        code, _, err = run_cli(capsys, "mps", *argv)
+        assert code == 2
+        assert f"error: {option} must be at least" in err
+
 
 class TestScans:
     def test_scan_rows_sorted_with_violations(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellscope.chains import block_entropy_curve
 from bellscope.mps import (
     MpsState,
     bond_entropies,
@@ -107,6 +108,13 @@ class TestConstruction:
                      lambdas=[good.lambdas[0], good.lambdas[2]])
         with pytest.raises(ValueError):
             MpsState(tensors=good.tensors, lambdas=good.lambdas[:1])
+
+
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_rejects_local_dimension_below_two(self, d):
+        for call in (cut_spectra, mps_from_dense):
+            with pytest.raises(ValueError, match="local dimension must be at least 2"):
+                call(np.ones(4) / 2.0, d)
 
 
 class TestCanonicalForm:
@@ -372,3 +380,69 @@ class TestAgainstTwoSweepOracle:
             calls.update({"_left_sweep": 0, "mps_from_dense": 0})
             truncate(amp, dmax)
             assert calls == {"_left_sweep": 1, "mps_from_dense": 1}
+
+
+class TestCutSpectraChain:
+    """The QR-chain cut spectra against one plain SVD per cut
+    (``helpers.plain_svd_cut_spectra``), and the number of full-size
+    factorisations they take."""
+
+    # d^n <= 4^8 keeps each plain SVD of the oracle small
+    SIZES = [(d, n) for d in (2, 3, 4) for n in range(2, 11) if d**n <= 4**8]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        d_n=st.sampled_from(SIZES),
+        kind=st.sampled_from(["haar", "product", "ghz", "rank"]),
+        rank=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d_n=(2, 10), kind="haar", rank=1, seed=1)
+    @example(d_n=(3, 7), kind="rank", rank=3, seed=2)
+    @example(d_n=(4, 5), kind="ghz", rank=1, seed=3)
+    def test_matches_plain_svd(self, d_n, kind, rank, seed):
+        d, n = d_n
+        amp = _oracle_state(kind, d, n, rank, seed)
+        spectra, spectra_ref = cut_spectra(amp, d), plain_svd_cut_spectra(amp, d)
+        assert [s.size for s in spectra] == [s.size for s in spectra_ref]
+        for lam, lam_ref in zip(spectra, spectra_ref):
+            assert np.max(np.abs(lam - lam_ref)) <= 1e-13
+
+    @pytest.mark.parametrize("d,n,max_block", [
+        (2, 7, 2), (2, 8, 4), (2, 9, 6), (2, 10, 8), (3, 6, 1), (3, 7, 4)])
+    def test_block_entropy_curve_matches_oracle(self, d, n, max_block):
+        amp = _oracle_state("haar", d, n, 1, seed=10 * d + n)
+        curve = block_entropy_curve(StateVector((d,) * n, amp), max_block=max_block)
+        ref = [shannon(lam) for lam in plain_svd_cut_spectra(amp, d)[:max_block]]
+        assert curve.shape == (max_block,)
+        assert np.max(np.abs(curve - ref)) <= 1e-12
+
+    @staticmethod
+    def _count_factorisations(monkeypatch):
+        calls = []
+        for name in ("qr", "svd"):
+            inner = getattr(np.linalg, name)
+
+            def counted(a, *args, _inner=inner, _name=name, **kwargs):
+                calls.append((_name, np.asarray(a).size))
+                return _inner(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n,full_size", [(12, 3), (11, 2)])
+    def test_at_most_three_full_size_factorisations(self, monkeypatch, n, full_size):
+        amp = haar_vector(2**n, RandomSource(n).generator)
+        calls = self._count_factorisations(monkeypatch)
+        spectra = cut_spectra(amp)
+        assert len(spectra) == n - 1
+        assert sum(size >= 2**n for _, size in calls) <= full_size
+
+    @pytest.mark.parametrize("max_block,full_size", [(3, 1), (8, 3)])
+    def test_block_curve_factors_no_cut_beyond_max_block(self, monkeypatch, max_block,
+                                                         full_size):
+        amp = haar_vector(2**12, RandomSource(max_block).generator)
+        calls = self._count_factorisations(monkeypatch)
+        block_entropy_curve(StateVector((2,) * 12, amp), max_block=max_block)
+        assert [name for name, _ in calls].count("svd") == max_block
+        assert sum(size >= 2**12 for _, size in calls) <= full_size
