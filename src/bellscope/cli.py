@@ -208,7 +208,7 @@ def _cmd_murcia(args):
 
 def _cmd_dicke(args):
     expr = symmetric.dicke_expression(args.n)
-    dv = collective.dicke_violation(args.n, grid_points=args.theta_points)
+    dv = collective.dicke_violation(args.n)
     header = ["n", "alpha", "beta", "gamma", "delta", "epsilon",
               "beta_c", "quantum_value", "violated", "theta_star"]
     row = (
@@ -304,13 +304,17 @@ def _cmd_ppt(args):
 
 
 def _mps_input_state(args):
-    if args.local_dim < 2:
-        raise ValueError(f"--local-dim must be at least 2, got {args.local_dim}")
+    d = args.local_dim
+    if d is not None and d < 2:
+        raise ValueError(f"--local-dim must be at least 2, got {d}")
     if args.state is not None:
         psi = quantum.state_from_json(_load_json(args.state))
         if not isinstance(psi, quantum.StateVector):
             raise ValueError("mps needs a pure state vector")
-        return psi.amplitudes, args.local_dim
+        if d is not None and set(psi.dims) != {d}:
+            raise ValueError(f"--local-dim {d} disagrees with the state's dims {psi.dims}")
+        return psi, psi.dims[0]
+    d = 2 if d is None else d
     n = args.random
     if n is None:
         raise ValueError("pass either --state FILE or --random N")
@@ -319,18 +323,18 @@ def _mps_input_state(args):
     import numpy as np
 
     rng = numerics.RandomSource(args.seed)
-    amp = rng.complex_normal(args.local_dim**n)
+    amp = rng.complex_normal(d**n)
     amp /= np.linalg.norm(amp)
-    return amp, args.local_dim
+    return amp, d
 
 
 def _cmd_mps(args):
-    amp, d = _mps_input_state(args)
-    spectra = mps.cut_spectra(amp, d)
+    psi, d = _mps_input_state(args)
+    spectra = mps.cut_spectra(psi, d)
     n_sites = len(spectra) + 1
     rows = []
     for dmax in args.dmax:
-        truncated, err2 = mps.truncate(amp, dmax, d)
+        truncated, err2 = mps.truncate(psi, dmax, d)
         bound = mps.truncation_bound(spectra, dmax)
         rows.append((n_sites, dmax, err2, bound, err2 <= bound + 1e-12,
                      max(truncated.bond_dimensions, default=1)))
@@ -425,7 +429,6 @@ def build_parser():
 
     p = add("dicke", _cmd_dicke, "Dicke-tailored expression and its violation")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta-points", type=int, default=512)
 
     p = add("scan", _cmd_scan, "violation ratio scan over system sizes")
     p.add_argument("--family", choices=sorted(_SCAN_FAMILIES), required=True)
@@ -462,7 +465,8 @@ def build_parser():
     p.add_argument("--state", default=None, help="state JSON file")
     p.add_argument("--random", type=int, default=None, metavar="N",
                    help="use a Haar-random N-site state")
-    p.add_argument("--local-dim", type=int, default=2)
+    p.add_argument("--local-dim", type=int, default=None,
+                   help="site dimension of --random (default 2); --state has its own")
     p.add_argument("--dmax", type=_int_list, default=[1, 2, 4])
     p.add_argument("--seed", type=int, default=0)
 

@@ -433,11 +433,14 @@ class DickeViolation:
     theta: float
 
 
-def dicke_violation(n, theta_range=(0.0, math.pi), tol=1e-6, grid_points=512):
+def dicke_violation(n):
     """Evaluate the Dicke-tailored expression on |n, floor(n/2)>.
 
-    Scans the measurement angle and reports the minimum of the quantum
-    value I(theta); ``violated`` means it drops below -beta_C.
+    A Dicke state has <Jx> = <Jz Jx + Jx Jz> = 0, so the quantum value is
+    I(theta) = a + b cos(theta) + q cos(theta)^2, with a, b and q fixed by I
+    at 0, pi/2 and pi.  Its minimum over [0, pi] is at 0, at pi or, when
+    q > 0 and |b| < 2q, at acos(-b / 2q); a tie goes to the smaller angle.
+    ``violated`` means the minimum drops below -beta_C.
     """
     from .symmetric import dicke_expression
 
@@ -448,9 +451,13 @@ def dicke_violation(n, theta_range=(0.0, math.pi), tol=1e-6, grid_points=512):
     def objective(theta):
         return expr.value_float(symmetrized_correlators(state, theta))
 
-    theta_star, val = scalar_minimize(
-        objective, theta_range[0], theta_range[1], tol=tol, grid_points=grid_points
-    )
+    at_0, a, at_pi = objective(0.0), objective(0.5 * math.pi), objective(math.pi)
+    b, q = 0.5 * (at_0 - at_pi), 0.5 * (at_0 + at_pi) - a
+    candidates = [(at_0, 0.0), (at_pi, math.pi)]
+    if q > 0 and abs(b) < 2 * q:
+        theta = math.acos(-b / (2 * q))
+        candidates.append((objective(theta), theta))
+    val, theta_star = min(candidates)
     return DickeViolation(
         quantum_value=val,
         bound=beta_c,

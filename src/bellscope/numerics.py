@@ -13,7 +13,7 @@ it; commands that need no banded eigenpair never load it.  Nothing here uses
 ``scipy.optimize``: :func:`scalar_minimize` polishes its grid minimum by
 Illinois regula falsi on the slope, which the caller supplies exactly
 (``max_violation`` passes the Hellmann-Feynman slope of the lowest
-eigenvalue) or which is taken as a central difference of the objective.
+eigenvalue).
 The pre-scan that precedes the polish is kept fine on purpose (256 points in
 ``max_violation``), since a coarser grid misses narrow wells.  What makes
 the fine grid cheap is screening: a caller that can prove f(x) > level on
@@ -212,7 +212,7 @@ def _left_singular(matrix):
     return (u if q is None else q @ u), s
 
 
-def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
+def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, *, value_and_slope,
                     screen=None, start=None):
     """Minimise a scalar function on ``[lo, hi]``.
 
@@ -236,12 +236,9 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
     ----------
     f : callable
         The objective, ``x -> float``; only its values are used on the grid.
-    value_and_slope : callable, optional
-        ``x -> (f(x), f'(x))``, used by the polish, which always calls it
-        at the returned minimiser (grid point or not).  Without it the slope
-        is a central difference of ``f`` with step ``(eps)^(1/3) max(1, |x|)``,
-        one-sided where the step would leave ``[lo, hi]``; each polish
-        point then costs three calls of ``f``.
+    value_and_slope : callable
+        ``x -> (f(x), f'(x))``, with the exact slope, used by the polish,
+        which always calls it at the returned minimiser (grid point or not).
     screen : callable, optional
         ``level -> bool array`` over the :func:`prescan_grid` points, True
         only where f(x) > level is certain; it must be False where it
@@ -276,8 +273,6 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, value_and_slope=None,
         bad = xs[np.where(np.isnan(fs))[0][0]]
         raise ValueError(f"objective returned NaN at x = {bad!r}")
     i = int(np.argmin(fs))  # first minimum: ties go to smaller x
-    if value_and_slope is None:
-        value_and_slope = _central_difference(f, lo, hi)
     x, fx = _polish_on_slope(value_and_slope, xs, i, tol)
     if fx < fs[i]:
         return float(x), float(fx)
@@ -318,18 +313,6 @@ def _screened_scan(f, screen, xs, start):
     for j in np.flatnonzero(left).tolist():
         fs[j] = float(f(xs[j]))
     return fs
-
-
-def _central_difference(f, lo, hi):
-    """``x -> (f(x), f'(x))`` with f' a central difference kept inside ``[lo, hi]``."""
-    step = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-    def value_and_slope(x):
-        h = step * max(1.0, abs(x))
-        left, right = max(x - h, lo), min(x + h, hi)
-        return float(f(x)), (float(f(right)) - float(f(left))) / (right - left)
-
-    return value_and_slope
 
 
 def _polish_on_slope(value_and_slope, xs, i, tol):

@@ -214,6 +214,34 @@ class TestJsonInputs:
         assert all(r["within_bound"] == "true" for r in rows)
         assert float(rows[1]["err2"]) <= 1e-12
 
+    def test_mps_reads_the_local_dimension_from_the_state_file(self, capsys, tmp_path):
+        from bellscope.quantum import StateVector
+
+        amp = np.zeros(27, dtype=complex)
+        amp[0] = amp[13] = amp[26] = 1 / math.sqrt(3)
+        path = tmp_path / "ghz3.json"
+        path.write_text(json.dumps(state_to_json(StateVector((3,) * 3, amp))))
+        code, out, _ = run_cli(capsys, "mps", "--state", str(path), "--dmax", "1,3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["n_sites"] for r in rows] == ["3", "3"]
+        assert [r["max_bond"] for r in rows] == ["1", "3"]
+        assert float(rows[1]["err2"]) <= 1e-12
+        code, _, err = run_cli(capsys, "mps", "--state", str(path), "--local-dim", "2")
+        assert code == 2
+        assert "error: --local-dim 2 disagrees" in err
+
+    def test_mps_refuses_mixed_local_dimensions(self, capsys, tmp_path):
+        from bellscope.quantum import StateVector
+
+        amp = np.zeros(12, dtype=complex)
+        amp[0] = 1.0
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(state_to_json(StateVector((2, 3, 2), amp))))
+        code, _, err = run_cli(capsys, "mps", "--state", str(path))
+        assert code == 2
+        assert "uniform local dimensions" in err
+
     def test_mps_needs_an_input(self, capsys):
         code, _, err = run_cli(capsys, "mps")
         assert code == 2

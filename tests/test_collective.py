@@ -316,12 +316,20 @@ class TestDickeViolation:
             assert dv.quantum_value < -dv.bound
 
     def test_violation_magnitude_closed_form(self):
-        # best violation of the half-filled Dicke state is n/(n+2)
-        for n in (4, 6, 10, 20):
+        # best violation of the half-filled Dicke state is n/(n+2); relative
+        # to the quantum value, since the violation is a difference of two
+        # numbers of size beta_C and keeps only their absolute rounding
+        for n in range(2, 101, 2):
             dv = dicke_violation(n)
-            assert -dv.quantum_value - dv.bound == pytest.approx(
-                n / (n + 2), abs=1e-6
-            )
+            assert dv.quantum_value == pytest.approx(-(dv.bound + n / (n + 2)), rel=1e-12)
+
+    def test_never_above_a_dense_grid(self):
+        # I(theta) is the Bell operator's diagonal entry at k = n // 2
+        grid = np.linspace(0.0, math.pi, 4096)
+        for n in range(2, 61):
+            expr = dicke_expression(n)
+            dense = min(bell_operator_bands(expr, t)[0, n // 2] for t in grid)
+            assert dicke_violation(n).quantum_value <= dense
 
     def test_aligned_measurements_only_saturate(self):
         for n in (4, 8):

@@ -1,13 +1,15 @@
 """Every exported name resolves, so a deleted function cannot linger in an
-``__all__`` list, and the lazily loading package exports exactly what its
-submodules define."""
+``__all__`` list, every imported name is used, and the lazily loading
+package exports exactly what its submodules define."""
 
+import ast
 import importlib
 import json
 import pkgutil
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,27 @@ def test_every_name_in_all_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [x for x in exported if not hasattr(module, x)] == []
     assert len(set(exported)) == len(exported)
+
+
+def imported_names(tree):
+    """Every name an import statement binds, anywhere in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used_or_exported(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = set(imported_names(tree)) - used - set(getattr(module, "__all__", ()))
+    assert unused == set()
 
 
 def test_each_export_is_its_submodules_object():

@@ -131,31 +131,41 @@ class TestQrFirstSingular:
 
 class TestScalarMinimize:
     def test_parabola(self):
-        x, f = scalar_minimize(lambda x: (x - 1.0) ** 2, 0.0, 2.0)
+        x, f = scalar_minimize(lambda x: (x - 1.0) ** 2, 0.0, 2.0,
+                               value_and_slope=lambda x: ((x - 1.0) ** 2, 2.0 * (x - 1.0)))
         assert abs(x - 1.0) <= 1e-8
         assert f <= 1e-15
 
     def test_cosine(self):
-        x, f = scalar_minimize(math.cos, 0.0, 2 * math.pi)
+        x, f = scalar_minimize(math.cos, 0.0, 2 * math.pi,
+                               value_and_slope=lambda x: (math.cos(x), -math.sin(x)))
         assert abs(x - math.pi) <= 1e-8
 
     def test_tie_resolves_to_smaller_x(self):
         # identical wells at pi and 2*pi; the scan must pick the left one
-        x, _ = scalar_minimize(lambda x: math.sin(x) ** 2 - 1.0, 1.0, 8.0)
+        x, _ = scalar_minimize(lambda x: math.sin(x) ** 2 - 1.0, 1.0, 8.0,
+                               value_and_slope=lambda x: (math.sin(x) ** 2 - 1.0,
+                                                          math.sin(2.0 * x)))
         assert abs(x - math.pi) <= 1e-6
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            scalar_minimize(lambda x: float("nan"), 0.0, 1.0)
+            scalar_minimize(lambda x: float("nan"), 0.0, 1.0,
+                            value_and_slope=lambda x: (float("nan"), float("nan")))
 
     def test_matches_dense_grid_on_bell_objective(self):
-        from bellscope.collective import bell_operator
+        from bellscope.collective import _bell_slope, bell_operator
         from bellscope.symmetric import murcia
 
         expr = murcia(10)
 
         def objective(theta):
             return float(np.linalg.eigvalsh(bell_operator(expr, theta))[0])
+
+        def value_and_slope(theta):
+            # Hellmann-Feynman slope on the eigh eigenvector
+            w, v = np.linalg.eigh(bell_operator(expr, theta))
+            return float(w[0]), _bell_slope(expr, theta, v[:, 0])
 
         xs = np.linspace(0.0, math.pi, 10_000)
         fs = np.array([objective(x) for x in xs])
@@ -164,7 +174,8 @@ class TestScalarMinimize:
         # (3e-4) is coarser than the agreement we are checking
         da, db = fs[i - 1] - fs[i], fs[i + 1] - fs[i]
         dense = xs[i] + 0.5 * (xs[i] - xs[i - 1]) * (da - db) / (da + db)
-        x, _ = scalar_minimize(objective, 0.0, math.pi, tol=1e-6)
+        x, _ = scalar_minimize(objective, 0.0, math.pi, tol=1e-6,
+                               value_and_slope=value_and_slope)
         assert abs(x - dense) <= 1e-4
 
 
