@@ -145,17 +145,14 @@ def transverse_ising_chain(n, j=1.0, g=1.0, boundary="open"):
 
 def random_chain(n, d, rng, boundary="open", field_scale=0.0):
     """Chain with independent random Hermitian bond terms (unit scale)."""
+    def hermitian(g):
+        return (g + g.conj().T) / 2.0
+
     bonds = n if boundary == "periodic" else n - 1
-    terms = []
-    for _ in range(bonds):
-        g = rng.complex_normal((d * d, d * d))
-        terms.append((g + g.conj().T) / 2.0)
+    terms = [hermitian(rng.complex_normal((d * d, d * d))) for _ in range(bonds)]
     fields = None
     if field_scale:
-        fields = []
-        for _ in range(n):
-            g = field_scale * rng.complex_normal((d, d))
-            fields.append((g + g.conj().T) / 2.0)
+        fields = [hermitian(field_scale * rng.complex_normal((d, d))) for _ in range(n)]
     return ChainHamiltonian(n, d, terms, site_fields=fields, boundary=boundary)
 
 

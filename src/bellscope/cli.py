@@ -21,7 +21,6 @@ import numbers
 import os
 import sys
 import tempfile
-import traceback
 
 from . import __version__
 
@@ -273,9 +272,7 @@ def _cmd_theta_sweep(args):
 
 def _cmd_lmg(args):
     energies, ground = collective.lmg_energies(args.n, args.coupling, args.field)
-    rows = []
-    for k, e in enumerate(energies):
-        rows.append((k, args.n / 2.0 - k, float(e), k in ground))
+    rows = [(k, args.n / 2.0 - k, float(e), k in ground) for k, e in enumerate(energies)]
     return ["k", "m", "energy", "is_ground"], rows, None
 
 
@@ -367,10 +364,8 @@ def _thermal_chain(args):
 
 def _cmd_thermal_mi(args):
     ham = _thermal_chain(args)
-    rows = []
-    for beta in args.beta:
-        rep = chains.thermal_mutual_info_check(ham, beta, args.cut)
-        rows.append((beta, rep.mutual_info, rep.bound, rep.ok))
+    reps = [chains.thermal_mutual_info_check(ham, beta, args.cut) for beta in args.beta]
+    rows = [(beta, r.mutual_info, r.bound, r.ok) for beta, r in zip(args.beta, reps)]
     return ["beta", "mutual_info", "bound", "ok"], rows, None
 
 
@@ -378,12 +373,9 @@ def _cmd_gibbs_mi(args):
     rng = numerics.RandomSource(args.seed)
     bonds = args.sites if args.boundary == "periodic" else args.sites - 1
     couplings = [rng.normal((args.local_dim, args.local_dim)) for _ in range(bonds)]
-    rows = []
-    for beta in args.beta:
-        rep = chains.classical_gibbs_mutual_info(
-            couplings, beta, args.cut, boundary=args.boundary
-        )
-        rows.append((beta, rep.mutual_info, rep.bound, rep.ok))
+    reps = [chains.classical_gibbs_mutual_info(couplings, beta, args.cut, boundary=args.boundary)
+            for beta in args.beta]
+    rows = [(beta, r.mutual_info, r.bound, r.ok) for beta, r in zip(args.beta, reps)]
     return ["beta", "mutual_info", "bound", "ok"], rows, None
 
 
@@ -510,6 +502,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 1
 

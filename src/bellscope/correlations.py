@@ -55,9 +55,7 @@ SIGNALLING_TOL = 1e-9
 
 OUTCOME_SIGNS = np.array([1.0, -1.0])
 
-#: Alternating sweeps of the CHSH ascent polish.  Two already reached the planar
-#: optimum 2 ||T||_F to 1e-15 on 800 random pure states from grids of 2 to 24
-#: points per angle; one sweep fell short by up to 1.4 from a 2-point grid.
+#: Alternating sweeps of the CHSH ascent polish; no sweep lowers the value.
 CHSH_ASCENT_SWEEPS = 4
 
 

@@ -10,16 +10,13 @@ of sites 1..k, and site tensors A^[k] satisfying
 
 Singular values below ``1e-12 * sigma_max`` are discarded everywhere.
 
-The spectra at every cut come from one QR chain per side of the middle,
-which factors at most three cuts at full size.  Each step is a backward
-stable Householder QR, so every singular value keeps the absolute error
-O(N * eps * sigma_max) that the relative cutoff needs.  A state is factored
-by one left-to-right sweep over its cuts, QR-first and, under a cap,
-starting at the first cut the cap can truncate.  A right-to-left pass over
-the swept factors then gives the canonical tensors.  The truncation error
-of the projected, renormalised state phi is ``|| psi - <phi|psi> phi ||^2``,
-since the sequential projection is an orthogonal projector.  States with
-zero norm or non-finite amplitudes are refused with ``ValueError``.
+The spectra at every cut come from one QR chain per side of the middle
+(:func:`cut_spectra`).  A state is factored by one left-to-right sweep over
+its cuts, QR-first and, under a cap, starting at the first cut the cap can
+truncate.  A right-to-left pass over the swept factors then gives the
+canonical tensors.  The truncation error is the squared weight the sweep
+discards (:func:`truncate`).  States with zero norm or non-finite
+amplitudes are refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -52,11 +49,13 @@ class MpsState:
     """Open-boundary MPS in canonical form.
 
     tensors[k] has shape (D_k, d, D_{k+1}) with D_0 = D_N = 1; lambdas[k]
-    (k = 0..N-2) sits on the bond after site k.
+    (k = 0..N-2) sits on the bond after site k.  ``discarded`` is the
+    squared norm that :func:`mps_from_dense` projected out of its input.
     """
 
     tensors: list
     lambdas: list
+    discarded: float = 0.0
 
     def __post_init__(self):
         if not self.tensors:
@@ -148,6 +147,8 @@ def _left_sweep(amp, d, dmax=None):
         Left-isometric pieces, ``blocks[k]`` of shape (D_k * d, D_{k+1}).
     rest : ndarray, shape (D_{N-1}, d)
         What remains after the last cut.
+    discarded : float
+        Sum of the squared singular values the cuts drop.
     """
     n = _infer_sites(amp.size, d)
     start = 0
@@ -155,16 +156,18 @@ def _left_sweep(amp, d, dmax=None):
         start += 1
     blocks = [np.eye(d**k) for k in range(1, start + 1)]
     work = amp.reshape(d**start, -1)
+    discarded = 0.0
     for _ in range(start, n - 1):
         work = work.reshape(work.shape[0] * d, -1)
         u, s = _left_singular(work)
-        u = u[:, :_kept(s, dmax)]
-        blocks.append(u)
-        work = u.conj().T @ work
-    return blocks, work
+        keep = _kept(s, dmax)
+        discarded += float(np.sum(s[keep:] ** 2))
+        blocks.append(u[:, :keep])
+        work = blocks[-1].conj().T @ work
+    return blocks, work, discarded
 
 
-def _right_pass(blocks, rest, d):
+def _right_pass(blocks, rest, d, discarded):
     """Canonical MPS of the normalised state ``blocks[0] ... blocks[-1] rest``.
 
     A right-to-left SVD pass over the small factors: each SVD splits off a
@@ -183,7 +186,7 @@ def _right_pass(blocks, rest, d):
         lambdas[k - 1] = s[:keep] ** 2
         work = (blocks[k - 1] @ (u[:, :keep] * s[:keep])).reshape(-1, d * keep)
     tensors[0] = work.reshape(1, d, -1)
-    return MpsState(tensors=tensors, lambdas=lambdas)
+    return MpsState(tensors=tensors, lambdas=lambdas, discarded=discarded)
 
 
 def mps_from_dense(psi, d=2, dmax=None):
@@ -200,8 +203,8 @@ def mps_from_dense(psi, d=2, dmax=None):
     to also get the truncation error.
     """
     amp, d = _as_amplitudes(psi, d)
-    blocks, rest = _left_sweep(amp, d, None if dmax is None else int(dmax))
-    return _right_pass(blocks, rest, d)
+    blocks, rest, discarded = _left_sweep(amp, d, None if dmax is None else int(dmax))
+    return _right_pass(blocks, rest, d, discarded)
 
 
 def mps_to_dense(mps):
@@ -233,14 +236,8 @@ def canonical_residuals(mps):
         transport = sum(m.conj().T @ np.diag(lam_left) @ m for m in mats)
         out[k, 1] = float(np.max(np.abs(transport - np.diag(lam_right))))
         if k < n - 1:
-            lam = mps.lambdas[k]
-            health = abs(float(lam.sum()) - 1.0)
-            if lam.size:
-                health = max(health, float(-lam.min()) if lam.min() < 0 else 0.0)
-                if lam.size > 1:
-                    increases = np.diff(lam)
-                    health = max(health, float(increases.max()) if increases.max() > 0 else 0.0)
-            out[k, 2] = health
+            out[k, 2] = max(abs(float(lam_right.sum()) - 1.0), -float(lam_right.min(initial=0.0)),
+                            float(np.diff(lam_right).max(initial=0.0)))
         lam_left = lam_right
     return out
 
@@ -251,12 +248,12 @@ def truncate(psi, dmax, d=2):
     Accepts a dense state (array or StateVector) or an existing MpsState.
     The error is ``|| psi - P psi ||^2`` for the sequential Schmidt-space
     projection P (the quantity the tail-sum bound controls); the returned
-    MPS is the renormalised projected state phi, again in canonical form,
-    from the single capped sweep of :func:`mps_from_dense`.  Each cut's
-    kept left space lies inside the previous cut's kept space tensored with
-    C^d, so P is an orthogonal projector and ``P psi = <phi|psi> phi``.  The
-    error is evaluated as ``|| psi - <phi|psi> phi ||^2``, not as
-    ``1 - |<phi|psi>|^2``, which cancels badly near full rank.
+    MPS is the renormalised projected state, again in canonical form, from
+    the single capped sweep of :func:`mps_from_dense`.  Each cut's kept
+    left space lies inside the previous cut's kept space tensored with C^d,
+    so ``psi - P psi`` is a sum of mutually orthogonal pieces, one per cut,
+    and the error is the sum of the squared singular values the sweep
+    discards: no cancellation, and exactly 0.0 when no cut drops a value.
     """
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
@@ -265,9 +262,7 @@ def truncate(psi, dmax, d=2):
     else:
         amp, d = _as_amplitudes(psi, d)
     truncated = mps_from_dense(amp, d=d, dmax=int(dmax))
-    phi = mps_to_dense(truncated)
-    err2 = float(np.linalg.norm(amp - np.vdot(phi, amp) * phi) ** 2)
-    return truncated, err2
+    return truncated, truncated.discarded
 
 
 def truncation_bound(spectra, dmax):

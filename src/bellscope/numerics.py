@@ -13,17 +13,9 @@ it; commands that need no banded eigenpair never load it.  Nothing here uses
 ``scipy.optimize``: :func:`scalar_minimize` polishes its grid minimum by
 Illinois regula falsi on the slope, which the caller supplies exactly
 (``max_violation`` passes the Hellmann-Feynman slope of the lowest
-eigenvalue).
-The pre-scan that precedes the polish is kept fine on purpose (256 points in
-``max_violation``), since a coarser grid misses narrow wells.  What makes
-the fine grid cheap is screening: a caller that can prove f(x) > level on
-part of the grid lets the pre-scan skip every grid point that cannot be the
-minimum, with the same answer as the full grid.  The level is the value at
-the grid point nearest a caller's ``start`` (``ratio_scan`` passes the
-previous n's optimum), or the best of a coarse pass without one.
-``max_violation`` proves the bound by banded Cholesky factorisation:
-:func:`eigen_above_stacked` factors the matrices of the whole grid
-(:func:`prescan_grid`) as block-diagonal stacks at that level.
+eigenvalue).  Its fine pre-scan is made cheap by screening: grid points
+that a banded Cholesky factorisation (:func:`eigen_above_stacked`) proves
+lie above a level are skipped, with the same answer as the full grid.
 """
 
 from __future__ import annotations
@@ -61,9 +53,8 @@ INERTIA_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 #: Illinois steps of the slope polish in ``scalar_minimize`` before it turns
-#: to bisection.  From a grid bracket it closed in 2 to 5 steps on murcia
-#: n = 2..100 and 300 random expressions; a multiple zero of the slope
-#: (a flat minimum) makes it linear, and bisection then closes the bracket.
+#: to bisection, which closes the bracket where a multiple zero of the slope
+#: (a flat minimum) makes regula falsi converge only linearly.
 POLISH_SECANT_STEPS = 20
 
 #: Step cap of the slope polish; reaching it raises ``ArithmeticError``.

@@ -47,9 +47,8 @@ NORM_TOL = 1e-10
 EIG_CLIP = 1e-10  # eigenvalues in [-EIG_CLIP, 0) are treated as rounding noise
 RANK_TOL = 1e-10  # relative cutoff used for ranks and Schmidt coefficients
 
-#: Most amplitudes ``page_experiment`` draws and decomposes in one block.  Its
-#: speed is the same within noise for blocks of 2**12 to 2**20 amplitudes;
-#: this size keeps a block's working set near 3 MB.
+#: Most amplitudes ``page_experiment`` draws and decomposes in one block; this
+#: size keeps a block's working set near 3 MB.
 PAGE_BLOCK_AMPLITUDES = 2**16
 
 

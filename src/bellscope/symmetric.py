@@ -8,13 +8,14 @@ An expression is
 with one-body sums ``Sk = sum_i <Mk^(i)>`` and two-body sums over ordered
 pairs ``Skl = sum_{i != j} <Mk^(i) Ml^(j)>``.  On deterministic strategies
 the value depends only on how many parties pick each of the four sign pairs,
-so the classical bound reduces to an enumeration over occupation counts
-instead of 4^n strategies.  All bound computations are exact (integer or
-rational arithmetic).
+so the classical bound reduces to a minimum over occupation counts instead
+of 4^n strategies.  All bound computations are exact (integer or rational
+arithmetic).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ __all__ = [
     "to_common_denominator",
 ]
 
-# max n for the count enumeration.  The O(n) scan needs no memory or time
-# guard (murcia(10**5) takes about 2 s); the limit stays because callers rely
+# max n for the count enumeration.  The bound needs no memory or time guard
+# (its cost grows at most linearly in n); the limit stays because callers rely
 # on n above it being refused, and lifting it is an API change of its own.
 COUNT_GUARD = 3000
 
@@ -131,9 +132,7 @@ def to_common_denominator(values):
     denominator of the values as Fractions.
     """
     fracs = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
+    den = math.lcm(*(f.denominator for f in fracs))
     return [int(f * den) for f in fracs], den
 
 
@@ -172,14 +171,17 @@ def classical_bound_symmetric(expr):
     is, in q, a quadratic with leading coefficient 4*epsilon made of two
     pieces that meet at one kink: q = p (delta > 0) or q = n - p.  Its
     minimum over the integers 0..n is therefore at 0, the kink or n, or,
-    when epsilon > 0, at the floor or ceiling of a piece's vertex clipped
-    to that piece.  Only these candidates are evaluated, so one expression
-    costs O(n) evaluations instead of the (n+1)^2 grid of (p, q).
-
-    Ties resolve as the full grid would: the lexicographically smallest
-    (p, q) attaining the minimum, then a_lo over a_hi.  The arithmetic is
-    Python integers on the common-denominator form of the coefficients,
-    so the bound is exact at any coefficient size.
+    when epsilon > 0, at the floor or ceiling of a piece's vertex inside
+    that piece.  These candidates lie on lines in (p, q) along which the
+    value is one integer quadratic: q = 0, the kink and q = n for every p,
+    and a vertex's floor plus 0 or 1 for p = r + j*T, with T = epsilon /
+    gcd(delta, epsilon) in common-denominator integers.  Three values fix
+    each line's quadratic, so one expression costs O(min(n, T))
+    evaluations, not the (n+1)^2 grid of (p, q).  The lines hold exactly
+    the candidates of a scan over every p, so ties resolve as the full grid
+    would: the smallest (p, q) attaining the minimum, then a_lo over a_hi.
+    Python integers on the common-denominator coefficients keep the bound
+    exact at any coefficient size.
 
     Returns
     -------
@@ -194,6 +196,7 @@ def classical_bound_symmetric(expr):
     (a, b, g, d, e), den = to_common_denominator(expr.coefficients())
     # 2*den*I = a2*Sig0 + b2*Sig1 + g*(Sig0^2-n) + d2*(Sig0*Sig1-D) + e*(Sig1^2-n)
     a2, b2, d2 = 2 * a, 2 * b, 2 * d
+    kp, k0 = (1, 0) if d2 > 0 else (-1, n)  # kink = k0 + kp*p
 
     def same_plus(p, q):  # best count of (+,+) parties at fixed (p, q)
         return min(p, q) if d2 > 0 else max(0, p + q - n)
@@ -204,20 +207,42 @@ def classical_bound_symmetric(expr):
         return (a2 * s0 + b2 * s1 + g * (s0 * s0 - n) + e * (s1 * s1 - n)
                 + d2 * (s0 * s1 - same))
 
-    def candidates(p):
-        kink = p if d2 > 0 else n - p
-        qs = {0, kink, n}
-        if e > 0:
-            # on a piece D = tau*Sig1 + const, so the vertex in q is
-            # (2en - b2 - d2*Sig0 + d2*tau) / 4e
-            sign = 1 if d2 > 0 else -1
-            for lo, hi, tau in ((0, kink, sign), (kink, n, -sign)):
-                num = 2 * e * n - b2 - d2 * (2 * p - n) + d2 * tau
-                floor = num // (4 * e)
-                qs.update(min(max(q, lo), hi) for q in (floor, floor + 1))
-        return qs
+    def line_min(p0, dp, q0, dq, bounds):
+        # smallest (value, p, q) at p = p0 + j*dp <= n, q = q0 + j*dq, j >= 0,
+        # with every c0 + cp*p + cq*q >= 0 in bounds; None if there is none
+        lo, hi = 0, (n - p0) // dp
+        for c0, cp, cq in bounds:
+            f0, f1 = c0 + cp * p0 + cq * q0, cp * dp + cq * dq
+            if f1 > 0 and -(f0 // f1) > lo:
+                lo = -(f0 // f1)
+            elif f1 < 0 and f0 // -f1 < hi:
+                hi = f0 // -f1
+            elif f1 == 0 and f0 < 0:
+                return None
+        if lo > hi:
+            return None
+        if lo == hi:  # one point, as on every vertex line when T > n
+            return value(p0 + lo * dp, q0 + lo * dq), p0 + lo * dp, q0 + lo * dq
+        js = {lo, hi}
+        if hi - lo > 1:
+            v0, v1, v2 = (value(p0 + j * dp, q0 + j * dq) for j in range(lo, lo + 3))
+            curv = v2 - 2 * v1 + v0
+            if curv > 0:  # convex: the integer minimum flanks lo + 1/2 - (v1 - v0)/curv
+                t = lo + (curv - 2 * (v1 - v0)) // (2 * curv)
+                js.update(min(max(j, lo), hi) for j in (t, t + 1))
+        return min((value(p0 + j * dp, q0 + j * dq), p0 + j * dp, q0 + j * dq) for j in js)
 
-    best, p, q = min((value(p, q), p, q) for p in range(n + 1) for q in candidates(p))
+    lines = [(0, 1, q0, dq, ()) for q0, dq in ((0, 0), (k0, kp), (n, 0))]
+    if e > 0:
+        period, step = e // math.gcd(d, e), -d // math.gcd(d, e)
+        below, above = ((0, 0, 1), (k0, kp, -1)), ((-k0, -kp, 1), (n, 0, -1))
+        # on a piece D = tau*Sig1 + const, so the vertex in q is
+        # (2en - b2 - d2*Sig0 + d2*tau) / 4e; add k in {0, 1} to its floor
+        lines += [(r, period, (2 * e * (n + 2 * k) - b2 - d2 * (2 * r - n) + d2 * tau) // (4 * e),
+                   step, bounds)
+                  for r in range(min(period, n + 1))
+                  for bounds, tau in ((below, kp), (above, -kp)) for k in (0, 1)]
+    best, p, q = min(filter(None, itertools.starmap(line_min, lines)))
     pa = same_plus(p, q)
     return Fraction(-best, 2 * den), StrategyCounts(pa, p - pa, q - pa, n - p - q + pa)
 

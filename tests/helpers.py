@@ -206,6 +206,42 @@ def pi_bound_grid(coeffs, n):
     return Fraction(-best, 2 * den), witness
 
 
+def pi_bound_candidate_scan(coeffs, n):
+    """Exact classical bound and witness counts (a, b, c, d) from the per-p
+    candidate scan that ``classical_bound_symmetric`` ran before it
+    minimised along arithmetic progressions: for each p = 0..n, the q in
+    {0, kink, n} and the floor and ceiling of each piece's vertex clipped to
+    the piece, O(n) evaluations in all.  Ties go to the smallest (p, q).
+    """
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    a, b, g, d, e = (int(Fraction(c) * den) for c in coeffs)
+    a2, b2, d2 = 2 * a, 2 * b, 2 * d
+
+    def same_plus(p, q):
+        return min(p, q) if d2 > 0 else max(0, p + q - n)
+
+    def value(p, q):
+        s0, s1 = 2 * p - n, 2 * q - n
+        same = 4 * same_plus(p, q) + n - 2 * p - 2 * q
+        return (a2 * s0 + b2 * s1 + g * (s0 * s0 - n) + e * (s1 * s1 - n)
+                + d2 * (s0 * s1 - same))
+
+    def candidates(p):
+        kink = p if d2 > 0 else n - p
+        qs = {0, kink, n}
+        if e > 0:
+            sign = 1 if d2 > 0 else -1
+            for lo, hi, tau in ((0, kink, sign), (kink, n, -sign)):
+                num = 2 * e * n - b2 - d2 * (2 * p - n) + d2 * tau
+                floor = num // (4 * e)
+                qs.update(min(max(q, lo), hi) for q in (floor, floor + 1))
+        return qs
+
+    best, p, q = min((value(p, q), p, q) for p in range(n + 1) for q in candidates(p))
+    pa = same_plus(p, q)
+    return Fraction(-best, 2 * den), (pa, p - pa, q - pa, n - p - q + pa)
+
+
 def page_oracle(m, n, samples, rng):
     """Haar-average entanglement, one complex Gaussian draw per sample.
 
@@ -366,6 +402,17 @@ def two_sweep_truncate(psi, dmax, d=2):
     norm = np.linalg.norm(projected)
     truncated = _plain_mps_from_dense(projected / norm, d=d)
     return truncated, err2
+
+
+def projection_truncation_error(psi, truncated, d=2):
+    """``|| psi - <phi|psi> phi ||^2`` for the dense input psi and the
+    truncated, renormalised MPS phi: the error that ``mps.truncate``
+    computed before it summed the weights its sweep discards."""
+    from bellscope.mps import _as_amplitudes, mps_to_dense
+
+    amp, _ = _as_amplitudes(psi, d)
+    phi = mps_to_dense(truncated)
+    return float(np.linalg.norm(amp - np.vdot(phi, amp) * phi) ** 2)
 
 
 def plain_svd_cut_spectra(psi, d=2):

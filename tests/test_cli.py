@@ -14,7 +14,7 @@ from bellscope.correlations import TIExpression, chsh_correlator_functional
 from bellscope.correlations import expression_to_json as functional_to_json
 from bellscope.quantum import max_entangled, state_to_json
 from bellscope.symmetric import expression_to_json as pi_to_json
-from bellscope.symmetric import PIBellExpression, murcia
+from bellscope.symmetric import PIBellExpression, dicke_expression, murcia
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,24 @@ class TestJsonInputs:
         values = {r["quantity"]: r["value"] for r in json.loads(out)}
         assert values["enumerated_bound"] == values["declared_bound"] == "2/3"
         assert values["match"] is True
+
+    @pytest.mark.parametrize("n, coeffs, bound, stdout", [
+        (3000, (-2, 0, 1, -1, 1), 6000,
+         "quantity,value\nenumerated_bound,6000\ndeclared_bound,6000\nmatch,true\n"
+         "witness_counts,0|1500|1500|0\n"),
+        (1000, tuple(12345678901234 * c for c in (-2, 0, 1, -1, 1)), 24691357802468000,
+         "quantity,value\nenumerated_bound,24691357802468000\n"
+         "declared_bound,24691357802468000\nmatch,true\nwitness_counts,0|500|500|0\n"),
+        (3000, dicke_expression(3000).coefficients(), 6752248500,
+         "quantity,value\nenumerated_bound,6752248500\ndeclared_bound,6752248500\n"
+         "match,true\nwitness_counts,1499|0|1501|0\n"),
+    ], ids=["murcia-3000", "murcia-1000-scaled", "dicke-3000"])
+    def test_bound_stdout_is_pinned(self, capsys, tmp_path, n, coeffs, bound, stdout):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(pi_to_json(PIBellExpression(n, *coeffs, bound=bound))))
+        code, out, _ = run_cli(capsys, "bound", "--expr", str(path))
+        assert code == 0
+        assert out == stdout
 
     def test_bound_on_functional(self, capsys, tmp_path):
         path = tmp_path / "chsh.json"
@@ -445,6 +463,27 @@ class TestOutputsAndReproducibility:
         assert code == 2 and "error:" in err
         code, _, err = run_cli(capsys, "bound", "--expr", "/nonexistent.json")
         assert code == 2 and "error:" in err
+
+    def test_internal_error_exits_1_with_a_traceback(self, capsys, monkeypatch):
+        import bellscope.cli as cli
+
+        def broken(args):
+            raise RuntimeError("deliberate failure")
+
+        monkeypatch.setattr(cli, "_cmd_murcia", broken)
+        code, out, err = run_cli(capsys, "murcia", "--n", "4")
+        assert code == 1 and out == ""
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: deliberate failure" in err
+
+    def test_version_does_not_import_traceback(self):
+        code = ("import sys\nfrom bellscope.cli import main\n"
+                "try:\n    main(['--version'])\nexcept SystemExit:\n    pass\n"
+                "print('traceback' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_console_entry_point_installed(self):
         assert shutil.which("bellscope") is not None

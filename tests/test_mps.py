@@ -25,6 +25,7 @@ from helpers import (
     haar_vector,
     partial_trace_loops,
     plain_svd_cut_spectra,
+    projection_truncation_error,
     shannon,
     two_sweep_truncate,
 )
@@ -362,6 +363,36 @@ class TestAgainstTwoSweepOracle:
         assert [s.size for s in spectra] == [s.size for s in spectra_old]
         for lam, lam_old in zip(spectra, spectra_old):
             assert np.max(np.abs(lam - lam_old)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        n=st.integers(2, 10),
+        kind=st.sampled_from(["haar", "product", "ghz", "rank"]),
+        rank=st.integers(1, 4),
+        cap_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=2, n=10, kind="haar", rank=1, cap_fraction=0.0, seed=3)
+    @example(d=3, n=6, kind="haar", rank=1, cap_fraction=0.2, seed=4)
+    def test_err2_is_the_discarded_weight(self, d, n, kind, rank, cap_fraction, seed):
+        # the sweep's discarded weight against the dense projection error;
+        # both carry an absolute rounding error of O(eps * |psi|^2)
+        amp = _oracle_state(kind, d, n, rank, seed)
+        cap = 1 + round(cap_fraction * (d ** (n // 2) - 1))
+        truncated, err2 = truncate(amp, cap, d)
+        assert err2 == pytest.approx(projection_truncation_error(amp, truncated, d),
+                                     rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("d, n, kind, cap", [
+        (2, 1, "haar", 1), (2, 2, "haar", 2), (2, 8, "haar", 16), (3, 5, "haar", 9),
+        (3, 3, "ghz", 3),
+    ])
+    def test_lossless_cap_reports_exactly_zero(self, d, n, kind, cap):
+        amp = _oracle_state(kind, d, n, 2, 7)
+        truncated, err2 = truncate(amp, cap, d)
+        assert err2 == 0.0
+        assert abs(np.vdot(amp, mps_to_dense(truncated))) >= 1 - 1e-12
 
     def test_one_sweep_per_cap(self, monkeypatch):
         import bellscope.mps as mps_module

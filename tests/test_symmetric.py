@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellscope import symmetric
 from bellscope.correlations import DeterministicStrategy, local_bound_bruteforce
 from bellscope.numerics import RandomSource
 from bellscope.symmetric import (
@@ -24,7 +26,12 @@ from bellscope.symmetric import (
     rioja_parity_ok,
 )
 
-from helpers import five_tuple_of_assignment, pi_bound_grid, pi_min_bruteforce
+from helpers import (
+    five_tuple_of_assignment,
+    pi_bound_candidate_scan,
+    pi_bound_grid,
+    pi_min_bruteforce,
+)
 
 
 def counts_assignment(counts):
@@ -190,6 +197,51 @@ class TestBoundAgainstGridOracle:
         bound, witness = classical_bound_symmetric(expr)
         assert bound == 2000 * k
         assert expr.value(correlators_of_counts(witness)) == -bound
+
+
+# delta and epsilon giving every vertex period T = epsilon / gcd(delta, epsilon),
+# from 1 to primes far above COUNT_GUARD (T > n: one point per progression)
+PERIODIC = st.tuples(
+    SIGNED, SIGNED, SIGNED, st.integers(-60, 60),
+    st.one_of(st.integers(1, 60), st.sampled_from([7919, 9973, 104729, 10**9 + 7])),
+)
+DICKE_3000 = dicke_expression(3000).coefficients()
+SCALED_MURCIA = tuple(12345678901234 * c for c in (-2, 0, 1, -1, 1))
+
+
+class TestBoundAgainstCandidateScan:
+    """The progression minimum against the per-p candidate scan it replaced
+    (``helpers.pi_bound_candidate_scan``): same bound, same witness."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, COUNT_GUARD),
+           coeffs=st.one_of(st.tuples(SIGNED, SIGNED, SIGNED, SIGNED, SIGNED), PERIODIC))
+    @example(n=3000, coeffs=(-2, 0, 1, -1, 1))
+    @example(n=1000, coeffs=SCALED_MURCIA)
+    @example(n=3000, coeffs=DICKE_3000)
+    @example(n=3000, coeffs=(0, 1, 0, 1, 9973))
+    @example(n=2999, coeffs=(Fraction(1, 3), 0, 2, Fraction(5, 7), Fraction(9973, 7)))
+    @example(n=2999, coeffs=(3, -1, 2, 0, 0))
+    @example(n=2500, coeffs=(1, 2, 3, 4, -5))
+    @example(n=1234, coeffs=(1, -1, 2, 0, 3))
+    @example(n=3000, coeffs=(10**20, -3, Fraction(1, 3), -(10**21), 10**19 + 1))
+    @example(n=2, coeffs=(0, 0, 0, 0, 0))
+    def test_bound_and_witness_match_scan(self, n, coeffs):
+        bound, witness = classical_bound_symmetric(PIBellExpression(n, *coeffs))
+        want_bound, want_witness = pi_bound_candidate_scan(coeffs, n)
+        assert isinstance(bound, Fraction)
+        assert bound == want_bound
+        assert (witness.a, witness.b, witness.c, witness.d) == want_witness
+
+    def test_cost_does_not_grow_with_n(self, monkeypatch):
+        # the per-p scan took about 13 s at n = 10**6; T = 1 here, and
+        # dicke has no vertex progressions, so both take under a millisecond
+        monkeypatch.setattr(symmetric, "COUNT_GUARD", 10**6)
+        start = time.perf_counter()
+        assert classical_bound_symmetric(murcia(10**6))[0] == 2 * 10**6
+        expr = dicke_expression(10**6)
+        assert classical_bound_symmetric(expr)[0] == expr.bound
+        assert time.perf_counter() - start < 2.0
 
 
 class TestRiojaFamily:
