@@ -7,8 +7,10 @@ any functional on the outcome statistics is an exact max over 4^2 = 16
 strategies.  The probability form (win when a XOR b = x AND y) caps at 3 of
 the 4 setting pairs; the correlator form E00 + E01 + E10 - E11 caps at 2.
 
-Sharing the singlet and optimizing the four analyzer angles breaks the
-correlator bound up to 2*sqrt(2) ~ 2.828, and no further.
+Sharing a maximally entangled pair breaks the correlator bound up to
+2*sqrt(2) ~ 2.828, and no further.  In the (z, x) plane the best analyzer
+angles have a closed form: the optimum is 2 ||T||_F, with T the state's
+2x2 block of (z, x) correlators.
 """
 
 import math

@@ -18,8 +18,7 @@ from .quantum import (
     DensityOperator,
     StateVector,
     _entropy_of_probs,
-    partial_trace,
-    vn_entropy,
+    mutual_information,
 )
 
 __all__ = [
@@ -263,17 +262,12 @@ def thermal_mutual_info_check(ham, beta, cut):
     d = ham.local_dim
     dims = (d**cut, d ** (ham.n_sites - cut))
     rho_op = DensityOperator(dims, rho, validate=False)
-    e = math.e
-    mi = (
-        vn_entropy(partial_trace(rho_op, "A"), base=e)
-        + vn_entropy(partial_trace(rho_op, "B"), base=e)
-        - vn_entropy(rho_op, base=e)
-    )
+    mi = mutual_information(rho_op, base=math.e)
     terms = _crossing_terms(ham, cut)
     hnorm = max(float(np.max(np.abs(np.linalg.eigvalsh(t)))) for t in terms)
     bound = 2.0 * beta * hnorm * len(terms)
     return ThermalMIReport(
-        mutual_info=float(mi),
+        mutual_info=mi,
         bound=float(bound),
         ok=bool(mi <= bound + 1e-9),
         boundary_norm=hnorm,

@@ -139,7 +139,7 @@ def _cmd_chsh(args):
     corr = correlations.chsh_correlator_functional()
     rp = correlations.local_bound_bruteforce(prob)
     rc = correlations.local_bound_bruteforce(corr)
-    qval, _angles = correlations.chsh_quantum_demo(grid_points=args.grid_points)
+    qval, _angles = correlations.chsh_quantum_demo()
     rows = [
         ("probability_form_local_max", rp.max_value),
         ("correlator_form_local_max", rc.max_value),
@@ -169,7 +169,7 @@ def _cmd_bound(args):
     else:
         expr = correlations.expression_from_json(data)
         if isinstance(expr, correlations.TIExpression):
-            rows.append(("beta_c", float(correlations.ti_classical_bound(expr))))
+            rows.append(("beta_c", correlations.ti_classical_bound(expr)))
         else:
             rep = correlations.local_bound_bruteforce(expr)
             rows.append(("local_max", rep.max_value))
@@ -399,8 +399,7 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         return p
 
-    p = add("chsh", _cmd_chsh, "CHSH local bounds and quantum optimum")
-    p.add_argument("--grid-points", type=int, default=24)
+    add("chsh", _cmd_chsh, "CHSH local bounds and quantum optimum")
 
     p = add("bound", _cmd_bound, "classical bound of an expression from JSON")
     p.add_argument("--expr", required=True, help="expression JSON file")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -346,17 +347,15 @@ class MaxViolation:
     screened: int
 
 
-def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256,
-                  start=None):
+def max_violation(expr, tol=1e-6, grid_points=256, start=None):
     """Maximal violation of a PI expression over collective measurements.
 
-    Minimises the lowest Bell-operator eigenvalue over theta in
-    ``theta_range``: a ``grid_points`` scan, then a bracketed refinement to
-    ``tol`` on the slope lambda'(theta) = v^T H'(theta) v, with v the
-    eigenvector of each polish point; the state is the one kept from the
-    polish at the returned angle.  The default range [0, pi] suffices:
-    theta -> 2 pi - theta is a similarity transform of the operator
-    (conjugation by diag((-1)^k)).
+    Minimises the lowest Bell-operator eigenvalue over theta in [0, pi]: a
+    ``grid_points`` scan, then a bracketed refinement to ``tol`` on the
+    slope lambda'(theta) = v^T H'(theta) v, with v the eigenvector of each
+    polish point; the state is the one kept from the polish at the returned
+    angle.  The range [0, pi] suffices: theta -> 2 pi - theta is a
+    similarity transform of the operator (conjugation by diag((-1)^k)).
 
     The scan skips a grid point when a banded Cholesky factorisation
     certifies that every eigenvalue there exceeds a level by more than
@@ -381,7 +380,7 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256,
     # storage; _band_terms keeps (3, m), since laid out (m, 3) its one-angle
     # product changed the last diagonal entry in the last bit at 7% of angles
     stack_terms = terms.transpose(0, 2, 1).reshape(6, 3 * m)
-    grid = prescan_grid(theta_range[0], theta_range[1], grid_points)
+    grid = prescan_grid(0.0, math.pi, grid_points)
     vectors = {}
     evals = grid_evals = 0
 
@@ -408,7 +407,7 @@ def max_violation(expr, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256,
         return w, _bell_slope(expr, theta, vec)
 
     theta_star, lam_min = scalar_minimize(
-        objective, theta_range[0], theta_range[1], tol=tol, grid_points=grid_points,
+        objective, 0.0, math.pi, tol=tol, grid_points=grid_points,
         value_and_slope=value_and_slope, screen=screen, start=start,
     )
     vec = vectors[theta_star]
@@ -431,38 +430,40 @@ class DickeViolation:
     bound: float
     violated: bool
     theta: float
+    violation: Fraction   # max(0, -quantum_value - bound), exact
 
 
 def dicke_violation(n):
-    """Evaluate the Dicke-tailored expression on |n, floor(n/2)>.
+    """Exact minimum of the Dicke-tailored expression on |n, k>, k = floor(n/2).
 
-    A Dicke state has <Jx> = <Jz Jx + Jx Jz> = 0, so the quantum value is
-    I(theta) = a + b cos(theta) + q cos(theta)^2, with a, b and q fixed by I
-    at 0, pi/2 and pi.  Its minimum over [0, pi] is at 0, at pi or, when
-    q > 0 and |b| < 2q, at acos(-b / 2q); a tie goes to the smaller angle.
-    ``violated`` means the minimum drops below -beta_C.
+    With m = <A> = n - 2k, X = <(2 Jx)^2> = k(n-k+1) + (k+1)(n-k) and
+    <Jx> = <Jz Jx + Jx Jz> = 0, the correlators are S0 = m, S1 = c m,
+    S00 = m^2 - n, S01 = c (m^2 - n) and S11 = c^2 m^2 + (1 - c^2) X - n in
+    c = cos(theta), so I = a + b c + q c^2 with rational a, b and q.  Its
+    minimum over c in [-1, 1] is at the vertex -b / 2q when q > 0 and
+    |b| < 2q, else at theta = 0 or pi (the smaller angle on a tie).
+    ``violated`` means ``violation > 0``.
     """
     from .symmetric import dicke_expression
 
     expr = dicke_expression(n)
-    beta_c = _require_bound(expr)
-    state = dicke_state(n, n // 2)
-
-    def objective(theta):
-        return expr.value_float(symmetrized_correlators(state, theta))
-
-    at_0, a, at_pi = objective(0.0), objective(0.5 * math.pi), objective(math.pi)
-    b, q = 0.5 * (at_0 - at_pi), 0.5 * (at_0 + at_pi) - a
-    candidates = [(at_0, 0.0), (at_pi, math.pi)]
+    alpha, beta, gamma, delta, epsilon = map(Fraction, expr.coefficients())
+    k = n // 2
+    m, x = n - 2 * k, k * (n - k + 1) + (k + 1) * (n - k)
+    a = alpha * m + gamma * (m * m - n) / 2 + epsilon * (x - n) / 2
+    b = beta * m + delta * (m * m - n)
+    q = epsilon * (m * m - x) / 2
     if q > 0 and abs(b) < 2 * q:
-        theta = math.acos(-b / (2 * q))
-        candidates.append((objective(theta), theta))
-    val, theta_star = min(candidates)
+        val, theta = a - b * b / (4 * q), math.acos(-b / (2 * q))
+    else:
+        val, theta = min((a + b + q, 0.0), (a - b + q, math.pi))
+    violation = max(Fraction(0), -val - Fraction(expr.bound))
     return DickeViolation(
-        quantum_value=val,
-        bound=beta_c,
-        violated=bool(val < -beta_c - 1e-9),
-        theta=theta_star,
+        quantum_value=float(val),
+        bound=float(expr.bound),
+        violated=violation > 0,
+        theta=theta,
+        violation=violation,
     )
 
 
@@ -477,7 +478,7 @@ class ScanRow:
     screened: int
 
 
-def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256):
+def ratio_scan(family, ns, tol=1e-6, grid_points=256):
     """Violation scan over system sizes for a family of expressions.
 
     Each n's :func:`max_violation` starts its screened pre-scan from the
@@ -499,8 +500,7 @@ def ratio_scan(family, ns, theta_range=(0.0, math.pi), tol=1e-6, grid_points=256
     start = None
     for n in sorted(int(v) for v in ns):
         expr = family(n)
-        mv = max_violation(expr, theta_range=theta_range, tol=tol,
-                           grid_points=grid_points, start=start)
+        mv = max_violation(expr, tol=tol, grid_points=grid_points, start=start)
         start = mv.theta if mv.violation > 0 else None
         rows.append(
             ScanRow(

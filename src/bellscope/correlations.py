@@ -55,9 +55,6 @@ SIGNALLING_TOL = 1e-9
 
 OUTCOME_SIGNS = np.array([1.0, -1.0])
 
-#: Alternating sweeps of the CHSH ascent polish; no sweep lowers the value.
-CHSH_ASCENT_SWEEPS = 4
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -439,26 +436,24 @@ def _pair_correlator(rho_matrix, ta, tb):
     return float(np.trace(rho_matrix @ op).real)
 
 
-def chsh_quantum_demo(state=None, grid_points=24, refine=True):
-    """Maximise the CHSH correlator over planar qubit measurement angles.
+def chsh_quantum_demo(state=None):
+    """Best CHSH correlator of a two-qubit state over planar measurements.
 
-    A ``grid_points``-per-angle scan over the four angles (two per party)
-    is followed by an ascent polish.  In the measurement plane the
-    correlator is bilinear, ``C(a, b) = u(a)^T T u(b)`` with
-    ``u(t) = (cos t, sin t)`` and ``T`` the (z, x) block of the correlation
-    matrix, so with Bob's angles fixed Alice's best angles point along
-    ``T (u(b0) +- u(b1))``, and likewise for Bob with ``T^T``.  The polish
-    alternates these exact block maxima, so the value never decreases.
-    With the default maximally entangled input the optimum is the
+    In the (z, x) plane the correlator is bilinear, ``C(a, b) = u(a)^T T
+    u(b)`` with ``u(t) = (cos t, sin t)`` and ``T`` the (z, x) block of the
+    correlation matrix, so the optimum is ``2 ||T||_F`` (Horodecki,
+    Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)): Bob measures at
+    ``+-b`` with ``tan b = |T e_x| / |T e_z|``, and Alice along ``T e_z``
+    and ``T e_x``.  The default maximally entangled input gives the
     Tsirelson value ``2 sqrt(2)``; product states stay at or below the
     local bound 2.
 
     Returns
     -------
     value : float
-        Best CHSH value found.
+        The optimal CHSH value.
     angles : ndarray, shape (4,)
-        ``(a0, a1, b0, b1)`` measurement angles at the optimum.
+        ``(a0, a1, b0, b1)`` measurement angles attaining it.
     """
     from .quantum import StateVector, max_entangled
 
@@ -468,56 +463,13 @@ def chsh_quantum_demo(state=None, grid_points=24, refine=True):
         state = state.density()
     if state.dims != (2, 2):
         raise ValueError(f"need a two-qubit state, got dims {state.dims}")
-    rho = state.matrix
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, int(grid_points), endpoint=False)
-    g = len(thetas)
-    corr = np.empty((g, g))
-    for i, ta in enumerate(thetas):
-        for j, tb in enumerate(thetas):
-            corr[i, j] = _pair_correlator(rho, ta, tb)
-    # chsh[a0,a1,b0,b1] = C[a0,b0] + C[a0,b1] + C[a1,b0] - C[a1,b1]
-    chsh = (
-        corr[:, None, :, None]
-        + corr[:, None, None, :]
-        + corr[None, :, :, None]
-        - corr[None, :, None, :]
-    )
-    flat = int(np.argmax(chsh))
-    idx = np.unravel_index(flat, chsh.shape)
-    best_angles = np.array([thetas[i] for i in idx])
-    best_value = float(chsh[idx])
-
-    if refine:
-
-        def chsh_value(a0, a1, b0, b1):
-            return (
-                _pair_correlator(rho, a0, b0)
-                + _pair_correlator(rho, a0, b1)
-                + _pair_correlator(rho, a1, b0)
-                - _pair_correlator(rho, a1, b1)
-            )
-
-        def u(t):
-            return np.array([math.cos(t), math.sin(t)])
-
-        def best_pair(t, v0, v1):
-            # angles maximising u(x0) . t (v0 + v1) + u(x1) . t (v0 - v1)
-            (p0, q0), (p1, q1) = t @ (v0 + v1), t @ (v0 - v1)
-            return math.atan2(q0, p0), math.atan2(q1, p1)
-
-        half = 0.5 * math.pi
-        t = np.array([[_pair_correlator(rho, x, y) for y in (0.0, half)]
-                      for x in (0.0, half)])
-        a0, a1, b0, b1 = (float(v) for v in best_angles)
-        for _ in range(CHSH_ASCENT_SWEEPS):
-            a0, a1 = best_pair(t, u(b0), u(b1))
-            b0, b1 = best_pair(t.T, u(a0), u(a1))
-        value = chsh_value(a0, a1, b0, b1)
-        if value > best_value:
-            best_value = float(value)
-            best_angles = np.array([a0, a1, b0, b1])
-    return best_value, best_angles
+    half = 0.5 * math.pi
+    t = np.array([[_pair_correlator(state.matrix, x, y) for y in (0.0, half)]
+                  for x in (0.0, half)])
+    # u(b0) + u(b1) = 2 cos(b) e_z and u(b0) - u(b1) = 2 sin(b) e_x
+    b = math.atan2(np.linalg.norm(t[:, 1]), np.linalg.norm(t[:, 0]))
+    angles = np.array([math.atan2(t[1, 0], t[0, 0]), math.atan2(t[1, 1], t[0, 1]), b, -b])
+    return 2.0 * float(np.linalg.norm(t)), angles
 
 
 # ---------------------------------------------------------------------------

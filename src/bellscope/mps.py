@@ -287,9 +287,7 @@ def renyi_tail_bound(spectrum, alpha, dmax):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    lam = np.asarray(spectrum, dtype=float)
-    lam = lam[lam > 0.0]
-    s_alpha = math.log2(float((lam**alpha).sum())) / (1.0 - alpha)
+    s_alpha = _entropy_of_probs(np.asarray(spectrum, dtype=float), 2, alpha)
     return ((1.0 - alpha) / alpha) * (s_alpha - math.log2(dmax / (1.0 - alpha)))
 
 

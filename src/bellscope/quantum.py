@@ -217,18 +217,22 @@ def schmidt_decompose(psi, bipartition=None):
     m, n = _bipartition(psi, bipartition)
     mat = psi.amplitudes.reshape(m, n)
     u, s, v = svd(mat)
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    rank = _rank(s, RANK_TOL)
     return SchmidtData(
         coefficients=s[:rank], left=u[:, :rank], right=v.conj()[:, :rank], rank=rank
     )
 
 
+def _rank(values, tol):
+    """Count of ``values`` above ``tol`` times the largest (0 if none is positive)."""
+    top = values.max(initial=0.0)
+    return int(np.count_nonzero(values > tol * top)) if top > 0 else 0
+
+
 def schmidt_rank(psi, bipartition=None, tol=RANK_TOL):
     """Count of Schmidt coefficients above ``tol`` (relative to the largest)."""
-    s = schmidt_decompose(psi, bipartition).coefficients
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    m, n = _bipartition(psi, bipartition)
+    return _rank(np.linalg.svd(psi.amplitudes.reshape(m, n), compute_uv=False), tol)
 
 
 def separable_pure(psi, bipartition=None, tol=RANK_TOL):
@@ -303,11 +307,15 @@ def log_negativity(rho, side="B", bipartition=None):
     return math.log2(2.0 * negativity(rho, side=side, bipartition=bipartition) + 1.0)
 
 
-def _entropy_of_probs(p, base):
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log(p)).sum() / math.log(base))
+def _entropy_of_probs(p, base, alpha=1):
+    """Shannon (alpha = 1) or Renyi entropy of each distribution along the
+    last axis of ``p``, with 0 log 0 = 0; entries <= 0 count as 0."""
+    p = np.where(p > 0.0, p, 0.0)
+    if alpha == 1:
+        h = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) / math.log(base)
+    else:
+        h = np.log((p**alpha).sum(axis=-1)) / ((1.0 - alpha) * math.log(base))
+    return h if h.ndim else float(h)
 
 
 def vn_entropy(rho, base=2):
@@ -329,17 +337,11 @@ def renyi_entropy(rho, alpha, base=2):
     if isinstance(rho, StateVector):
         rho = rho.density()
     p = rho.eigenvalues()
-    lb = math.log(base)
     if alpha == 0:
-        top = p[-1]
-        rank = int(np.count_nonzero(p > RANK_TOL * top)) if top > 0 else 0
-        return math.log(max(rank, 1)) / lb
-    if alpha == 1:
-        return _entropy_of_probs(p, base)
+        return math.log(max(_rank(p, RANK_TOL), 1)) / math.log(base)
     if math.isinf(alpha):
-        return float(-math.log(p[-1]) / lb)
-    p = p[p > 0.0]
-    return float(math.log((p ** alpha).sum()) / ((1.0 - alpha) * lb))
+        return float(-math.log(p[-1]) / math.log(base))
+    return _entropy_of_probs(p, base, alpha)
 
 
 def entanglement_entropy(psi, bipartition=None, base=2):
@@ -399,8 +401,7 @@ def page_experiment(m, n, samples, rng):
         p = np.linalg.eigvalsh(mat @ mat.conj().transpose(0, 2, 1))
         np.maximum(p, 0.0, out=p)
         p /= p.sum(axis=1, keepdims=True)  # exact simplex point; m = 1 gives S = 0
-        plogp = p * np.log(np.where(p > 0.0, p, 1.0))  # 0 log 0 = 0
-        ent[start:start + k] = -plogp.sum(axis=1)
+        ent[start:start + k] = _entropy_of_probs(p, math.e)
         pur[start:start + k] = (p * p).sum(axis=1)
     se = float(ent.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return float(ent.mean()), se, float(pur.mean())

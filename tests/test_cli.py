@@ -42,6 +42,9 @@ class TestBasicCommands:
         assert float(values["quantum_max"]) >= 2.828
         assert err.startswith("config: ")
         json.loads(err.splitlines()[0][len("config: "):])
+        with pytest.raises(SystemExit) as info:
+            main(["chsh", "--grid-points", "24"])
+        assert info.value.code == 2
 
     def test_rioja_with_verification(self, capsys):
         code, out, _ = run_cli(
@@ -205,6 +208,10 @@ class TestJsonInputs:
         _, rows = parse_csv(out)
         values = {r["quantity"]: r["value"] for r in rows}
         assert float(values["beta_c"]) >= 0.0
+        path.write_text(json.dumps(functional_to_json(TIExpression(n=4, alpha=Fraction(1, 3)))))
+        code, out, _ = run_cli(capsys, "bound", "--expr", str(path))
+        assert code == 0
+        assert out == "quantity,value\nbeta_c,4/3\n"
 
     def test_ppt_on_bell_state(self, capsys, tmp_path):
         path = tmp_path / "bell.json"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,6 +323,13 @@ class TestDickeViolation:
         for n in range(2, 101, 2):
             dv = dicke_violation(n)
             assert dv.quantum_value == pytest.approx(-(dv.bound + n / (n + 2)), rel=1e-12)
+
+    def test_violation_is_exact(self):
+        for n in range(2, 401, 2):
+            assert dicke_violation(n).violation == Fraction(n, n + 2)
+        for n in range(3, 402, 2):
+            dv = dicke_violation(n)
+            assert dv.violation == 0 and not dv.violated
 
     def test_never_above_a_dense_grid(self):
         # I(theta) is the Bell operator's diagonal entry at k = n // 2

@@ -201,10 +201,6 @@ class TestChshQuantumDemo:
         value, angles = chsh_quantum_demo()
         assert abs(value - 2 * math.sqrt(2)) < 1e-6
 
-    def test_equal_angles_stay_classical(self):
-        value, _ = chsh_quantum_demo(grid_points=1, refine=False)
-        assert value <= 2.0 + 1e-9
-
     def test_product_state_stays_classical(self):
         product = pure_density([1, 0, 0, 0], (2, 2))
         value, _ = chsh_quantum_demo(state=product)

@@ -117,6 +117,14 @@ class TestSchmidt:
         assert not separable_pure(max_entangled(2))
         plus = StateVector(dims=(2, 2), amplitudes=np.array([1, 1, 0, 0]) / math.sqrt(2))
         assert schmidt_rank(plus, (2, 2)) == 1
+        # Schmidt coefficients proportional to (1, 1e-12): the second lies
+        # below schmidt_decompose's cutoff but above a 1e-14 tolerance
+        amp = np.array([1.0, 0.0, 0.0, 1e-12])
+        psi = StateVector(dims=(2, 2), amplitudes=amp / np.linalg.norm(amp))
+        assert schmidt_decompose(psi).rank == 1
+        assert schmidt_rank(psi) == 1
+        assert schmidt_rank(psi, tol=1e-14) == 2
+        assert not separable_pure(psi, tol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -361,21 +361,21 @@ class TestChshAscent:
     def test_reaches_planar_optimum_on_random_states(self):
         rng = np.random.default_rng(17)
         half = 0.5 * math.pi
-        for _ in range(40):
-            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        vectors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(300)]
+        vectors += [np.array([0, 1, -1, 0], dtype=complex), np.array([1, 0, 0, 0], dtype=complex)]
+        for v in vectors:
             v /= np.linalg.norm(v)
             rho = DensityOperator((2, 2), np.outer(v, v.conj()))
             t = np.array([[_pair_correlator(rho.matrix, x, y) for y in (0.0, half)]
                           for x in (0.0, half)])
             # max over planar settings: 2 sqrt(|T e|^2 + |T e_perp|^2)
             want = 2.0 * float(np.linalg.norm(t))
-            for grid_points in (2, 5, 24):
-                value, angles = chsh_quantum_demo(rho, grid_points=grid_points)
-                assert value == pytest.approx(want, abs=1e-12)
-                a0, a1, b0, b1 = angles
-                got = (_pair_correlator(rho.matrix, a0, b0) + _pair_correlator(rho.matrix, a0, b1)
-                       + _pair_correlator(rho.matrix, a1, b0) - _pair_correlator(rho.matrix, a1, b1))
-                assert got == pytest.approx(value, abs=1e-12)
+            value, angles = chsh_quantum_demo(rho)
+            assert value == pytest.approx(want, abs=1e-12)
+            a0, a1, b0, b1 = angles
+            got = (_pair_correlator(rho.matrix, a0, b0) + _pair_correlator(rho.matrix, a0, b1)
+                   + _pair_correlator(rho.matrix, a1, b0) - _pair_correlator(rho.matrix, a1, b1))
+            assert got == pytest.approx(value, abs=1e-12)
 
 
 def test_violation_paths_do_not_load_scipy_optimize():
@@ -398,3 +398,14 @@ def test_dicke_violation_matches_brent_oracle():
             lambda t: expr.value_float(symmetrized_correlators(state, t)),
             0.0, math.pi, tol=1e-6, grid_points=512)
         assert dicke_violation(n).quantum_value == pytest.approx(want, abs=1e-9 * abs(want))
+
+
+def test_dicke_violation_runs_no_state_and_no_minimiser():
+    def refuse(*args, **kwargs):
+        raise AssertionError("dicke_violation must not call this")
+
+    with mock.patch.object(collective, "symmetrized_correlators", refuse), \
+            mock.patch.object(collective, "scalar_minimize", refuse), \
+            mock.patch.object(numerics, "scalar_minimize", refuse):
+        for n in (2, 3, 10, 11):
+            dicke_violation(n)
