@@ -1,5 +1,5 @@
-"""Short spin chains: matrix-free Hamiltonians, ground states by dense or Lanczos
-diagonalisation, block entropies, and thermal and classical Gibbs mutual information.
+"""Short spin chains: matrix-free Hamiltonians, ground states by Lanczos, block
+entropies, and thermal and classical Gibbs mutual information.
 
 Quantum entropies in this module default to base 2, except the thermal
 mutual-information check, which works in nats: its bound carries no log
@@ -158,19 +158,17 @@ def random_chain(n, d, rng, boundary="open", field_scale=0.0):
 def ground_state_exact(ham):
     """Lowest eigenpair ``(energy, StateVector)`` of a chain Hamiltonian.
 
-    Dense ``eigh`` up to dimension 512.  Above, up to ``DENSE_GUARD``, Lanczos
-    with full reorthogonalisation (Parlett, ch. 13) on ``ham.apply`` from the
-    seeded ``numerics._start_vector(dim)``.  It stops at ``beta_m |s_m| <=
-    LANCZOS_TOL ||T_m||``, then needs ``||H psi - E psi|| <= LANCZOS_RESIDUAL
-    max(1, ||T_m||)``; else, or at ``LANCZOS_MAX_STEPS``, ``ArithmeticError``.
+    Lanczos with full reorthogonalisation (Parlett, ch. 13) on ``ham.apply``
+    from the seeded ``numerics._start_vector(dim)``, at every dimension up to
+    ``DENSE_GUARD``.  It stops at ``beta_m |s_m| <= LANCZOS_TOL ||T_m||`` or at
+    ``m == dim``, then needs ``||H psi - E psi|| <= LANCZOS_RESIDUAL max(1,
+    ||T_m||)``; else, or at ``LANCZOS_MAX_STEPS``, ``ArithmeticError``.  A
+    degenerate ground level gives the start vector's projection onto it.
     """
     dim = ham.dimension
     if dim > DENSE_GUARD:
         raise ValueError(f"ground-state guard is dimension <= {DENSE_GUARD}")
     dims = (ham.local_dim,) * ham.n_sites
-    if dim <= 512:
-        w, v = np.linalg.eigh(ham.dense())
-        return float(w[0]), StateVector(dims, v[:, 0])
     v = _start_vector(dim) / np.linalg.norm(_start_vector(dim))
     basis = np.empty((0, dim))
     alpha, beta = [], []
@@ -186,10 +184,11 @@ def ground_state_exact(ham):
         w -= alpha[-1] * v
         w -= (vm @ w.conj()).conj() @ vm  # full reorthogonalisation
         beta.append(float(np.linalg.norm(w)))
-        if m % 4 == 0 or m == LANCZOS_MAX_STEPS or beta[-1] == 0.0:
+        if m % 4 == 0 or m in (dim, LANCZOS_MAX_STEPS) or beta[-1] == 0.0:
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1), UPLO="U")
             scale = max(abs(theta[0]), abs(theta[-1]))
-            converged = beta[-1] * abs(s[-1, 0]) <= LANCZOS_TOL * scale
+            # at m == dim the Krylov space is the whole space
+            converged = m == dim or beta[-1] * abs(s[-1, 0]) <= LANCZOS_TOL * scale
             if converged or m == LANCZOS_MAX_STEPS:
                 break
         v = w / beta[-1]

@@ -142,12 +142,6 @@ class DensityOperator:
         w, _ = hermitian_eigen(self.matrix)
         return np.clip(w, 0.0, None)
 
-    @staticmethod
-    def maximally_mixed(dims):
-        dims = _as_dims(dims)
-        d = math.prod(dims)
-        return DensityOperator(dims, np.eye(d) / d, validate=False)
-
 
 @dataclass
 class SchmidtData:

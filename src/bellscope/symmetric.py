@@ -316,11 +316,9 @@ def murcia(n):
     branch; every Dicke-like symmetric ground state violates it for a
     suitable measurement angle.
     """
-    expr = rioja(1, 1, -1, 0, n, branch="minus")
-    assert expr.coefficients() == (-2, 0, 1, -1, 1)
-    assert expr.bound == 2 * n
-    expr.name = f"murcia(n={n})"
-    return expr
+    n = int(n)
+    return PIBellExpression(n, -2, 0, 1, -1, 1, bound=Fraction(2 * n),
+                            bound_provenance="closed-form", name=f"murcia(n={n})")
 
 
 def dicke_expression(n):

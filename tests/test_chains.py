@@ -180,6 +180,69 @@ class TestLanczos:
         with pytest.raises(ArithmeticError, match="residual"):
             ground_state_exact(heisenberg_chain(10))
 
+    @pytest.mark.parametrize("ham", [
+        heisenberg_chain(2),
+        random_chain(2, 3, RandomSource(7), field_scale=0.5),
+        transverse_ising_chain(9, g=1.0),
+    ], ids=["dim-4", "dim-9", "dim-512"])
+    def test_never_assembles_and_stops_at_the_dimension(self, ham, monkeypatch):
+        def refuse(self):
+            raise AssertionError("ground_state_exact assembled the Hamiltonian")
+
+        monkeypatch.setattr(ChainHamiltonian, "dense", refuse)
+        calls = []
+        apply = ham.apply
+        ham.apply = lambda psi: calls.append(1) or apply(psi)
+        energy, psi = ground_state_exact(ham)
+        x = psi.amplitudes
+        assert np.linalg.norm(apply(x) - energy * x) <= 1e-12 * max(1.0, abs(energy))
+        # at most one step per dimension, then one apply for the residual
+        assert len(calls) <= ham.dimension + 1
+
+
+def spin_matrices(d):
+    """(Sx, Sy, Sz) of spin (d - 1)/2."""
+    s = (d - 1) / 2.0
+    m = s - np.arange(d)
+    raising = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1)
+    return ((raising + raising.T) / 2.0, (raising - raising.T) / 2.0j, np.diag(m))
+
+
+def model_chain(kind, n, d, boundary, seed):
+    bonds = n if boundary == "periodic" else n - 1
+    sx, sy, sz = spin_matrices(d)
+    if kind == "random":
+        return random_chain(n, d, RandomSource(seed), boundary=boundary, field_scale=0.5)
+    if kind == "heisenberg":
+        term = sum(np.kron(a, a) for a in (sx, sy, sz))
+        return ChainHamiltonian(n, d, [term] * bonds, boundary=boundary)
+    if kind == "ising":
+        return ChainHamiltonian(n, d, [-np.kron(sx, sx)] * bonds,
+                                site_fields=[-1.3 * sz] * n, boundary=boundary)
+    fields = random_chain(n, d, RandomSource(seed), field_scale=1.0).site_fields
+    return ChainHamiltonian(n, d, [np.zeros((d * d, d * d))] * bonds,
+                            site_fields=fields, boundary=boundary)
+
+
+class TestAgainstDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 3]), n=st.integers(2, 9),
+           kind=st.sampled_from(["random", "heisenberg", "ising", "field"]),
+           periodic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_eigh(self, d, n, kind, periodic, seed):
+        n = min(n, 5) if d == 3 else n  # dimensions 4..512
+        ham = model_chain(kind, n, d, "periodic" if periodic else "open", seed)
+        w, v = np.linalg.eigh(ham.dense())
+        norm = max(1.0, abs(w[0]), abs(w[-1]))
+        energy, psi = ground_state_exact(ham)
+        x = psi.amplitudes
+        assert abs(energy - w[0]) <= 1e-12 * norm
+        # |E| <= ||T||, so this is at least as strict as the solver's own check
+        residual = np.linalg.norm(ham.apply(x) - energy * x)
+        assert residual <= chains.LANCZOS_RESIDUAL * max(1.0, abs(energy))
+        if w[1] - w[0] > 1e-6:
+            assert abs(np.vdot(v[:, 0], x)) >= 1.0 - 1e-10
+
 
 class TestGroundState:
     def test_two_site_heisenberg_singlet(self):
@@ -210,7 +273,7 @@ class TestGroundState:
             assert energy == pytest.approx(oracle, abs=1e-9)
 
     def test_lanczos_path_agrees_with_dense(self):
-        ham = heisenberg_chain(10)  # dimension 1024, iterative branch
+        ham = heisenberg_chain(10)  # dimension 1024
         energy, psi = ground_state_exact(ham)
         w = np.linalg.eigvalsh(ham.dense())
         assert energy == pytest.approx(float(w[0]), abs=1e-9)

@@ -560,7 +560,6 @@ class TestOutputsAndReproducibility:
             "0 0", "['scipy.linalg._flapack']", ""]
 
     def test_chain_commands_load_no_scipy(self, tmp_path):
-        # 10 sites is dimension 1024: the Lanczos path of ground_state_exact
         area = ["area-law", "--sites", "10", "--out", str(tmp_path / "area.csv")]
         thermal = ["thermal-mi", "--sites", "6", "--cut", "3",
                    "--out", str(tmp_path / "thermal.csv")]

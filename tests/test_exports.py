@@ -1,6 +1,7 @@
 """Every exported name resolves, so a deleted function cannot linger in an
-``__all__`` list, every imported name is used, and the lazily loading
-package exports exactly what its submodules define."""
+``__all__`` list, every imported name is used, the lazily loading package
+exports exactly what its submodules define, and no module checks itself with
+an ``assert`` that ``python -O`` would strip."""
 
 import ast
 import importlib
@@ -46,6 +47,14 @@ def test_every_import_is_used_or_exported(name):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = set(imported_names(tree)) - used - set(getattr(module, "__all__", ()))
     assert unused == set()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_runtime_assert(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{name} uses assert at lines {lines}; raise instead"
 
 
 def test_each_export_is_its_submodules_object():

@@ -246,11 +246,16 @@ class TestBoundAgainstCandidateScan:
 
 class TestRiojaFamily:
     def test_murcia_is_a_member(self):
-        for n in (2, 5, 12):
-            member = rioja(1, 1, -1, 0, n, branch="minus")
+        for n in range(2, 61):
+            member = rioja(1, 1, -1, 0, n, "minus")
             reference = murcia(n)
             assert member.coefficients() == reference.coefficients() == (-2, 0, 1, -1, 1)
-            assert member.bound == reference.bound == 2 * n
+            assert member.bound == reference.bound == Fraction(2 * n)
+            assert type(member.bound) is type(reference.bound) is Fraction
+            assert member.bound_provenance == reference.bound_provenance
+            assert reference.name == f"murcia(n={n})"
+        with pytest.raises(ValueError, match="at least two parties"):
+            murcia(1)
 
     def test_unit_xy_bound_is_2n(self):
         for n in (2, 7, 20):
