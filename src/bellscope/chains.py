@@ -159,9 +159,10 @@ def ground_state_exact(ham):
     """Lowest eigenpair ``(energy, StateVector)`` of a chain Hamiltonian.
 
     Lanczos with full reorthogonalisation (Parlett, ch. 13) on ``ham.apply``
-    from the seeded ``numerics._start_vector(dim)``, at every dimension up to
-    ``DENSE_GUARD``.  It stops at ``beta_m |s_m| <= LANCZOS_TOL ||T_m||`` or at
-    ``m == dim``, then needs ``||H psi - E psi|| <= LANCZOS_RESIDUAL max(1,
+    from the seeded ``numerics._start_vector(dim)``, up to ``DENSE_GUARD``.
+    It stops at ``beta_m |s_m| <= LANCZOS_TOL ||T_m||``, at ``m == dim`` or at
+    ``beta_m <= LANCZOS_TOL max_j(|alpha_j|, beta_j)`` (the Krylov space is
+    exhausted), then needs ``||H psi - E psi|| <= LANCZOS_RESIDUAL max(1,
     ||T_m||)``; else, or at ``LANCZOS_MAX_STEPS``, ``ArithmeticError``.  A
     degenerate ground level gives the start vector's projection onto it.
     """
@@ -169,9 +170,11 @@ def ground_state_exact(ham):
     if dim > DENSE_GUARD:
         raise ValueError(f"ground-state guard is dimension <= {DENSE_GUARD}")
     dims = (ham.local_dim,) * ham.n_sites
-    v = _start_vector(dim) / np.linalg.norm(_start_vector(dim))
+    v = _start_vector(dim)
+    v = v / np.linalg.norm(v)
     basis = np.empty((0, dim))
     alpha, beta = [], []
+    tnorm = 0.0  # max_j(|alpha_j|, beta_j) <= ||T||, O(1) per step
     for m in range(1, LANCZOS_MAX_STEPS + 1):
         w = ham.apply(v)
         if m > len(basis):  # grow geometrically, in the dtype apply returns
@@ -184,11 +187,12 @@ def ground_state_exact(ham):
         w -= alpha[-1] * v
         w -= (vm @ w.conj()).conj() @ vm  # full reorthogonalisation
         beta.append(float(np.linalg.norm(w)))
-        if m % 4 == 0 or m in (dim, LANCZOS_MAX_STEPS) or beta[-1] == 0.0:
+        tnorm = max(tnorm, abs(alpha[-1]), beta[-1])
+        exhausted = m == dim or beta[-1] <= LANCZOS_TOL * tnorm
+        if m % 4 == 0 or m == LANCZOS_MAX_STEPS or exhausted:
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1), UPLO="U")
             scale = max(abs(theta[0]), abs(theta[-1]))
-            # at m == dim the Krylov space is the whole space
-            converged = m == dim or beta[-1] * abs(s[-1, 0]) <= LANCZOS_TOL * scale
+            converged = exhausted or beta[-1] * abs(s[-1, 0]) <= LANCZOS_TOL * scale
             if converged or m == LANCZOS_MAX_STEPS:
                 break
         v = w / beta[-1]

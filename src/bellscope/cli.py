@@ -201,7 +201,7 @@ def _cmd_murcia(args):
     enum, _ = symmetric.classical_bound_symmetric(expr)
     header = ["n", "alpha", "beta", "gamma", "delta", "epsilon",
               "bound_closed", "bound_enum", "match"]
-    row = (args.n, -2, 0, 1, -1, 1, expr.bound, enum, expr.bound == enum)
+    row = (args.n, *expr.coefficients(), expr.bound, enum, expr.bound == enum)
     return header, [row], {"expression": symmetric.expression_to_json(expr)}
 
 

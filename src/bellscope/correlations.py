@@ -43,9 +43,6 @@ __all__ = [
     "qubit_projectors",
     "expression_to_json",
     "expression_from_json",
-    "number_to_json",
-    "number_from_json",
-    "to_common_denominator",
 ]
 
 TABLE_GUARD = 10**7  # max dense-table entries (m*d)^n
@@ -54,6 +51,33 @@ NORMALISATION_TOL = 1e-9
 SIGNALLING_TOL = 1e-9
 
 OUTCOME_SIGNS = np.array([1.0, -1.0])
+
+
+def _map_parties(t, maps):
+    """Apply ``maps[i]``, shape ``(out, in)``, to axis i of ``t`` (one tensordot each)."""
+    for mat in maps:
+        t = np.tensordot(t, mat, axes=(0, 1))
+    return t
+
+
+def _pair_axes(t):
+    """Merge axes i and n + i into one axis per party: (x_i, a_i) for a
+    settings-first table, (ket_i, bra_i) for an operator of shape ``dims * 2``."""
+    n = t.ndim // 2
+    order = [k for i in range(n) for k in (i, n + i)]
+    return t.transpose(order).reshape([t.shape[i] * t.shape[n + i] for i in range(n)])
+
+
+def _settings_first(t, m, d):
+    """Inverse of :func:`_pair_axes` on tables: ``(m*d,)*n`` to ``(m,)*n + (d,)*n``."""
+    n = t.ndim
+    return t.reshape((m, d) * n).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+
+
+def _one_hot(responses, d):
+    """Rows selecting ``(x, responses[..., x])`` on a party's (x, a) axis."""
+    r = np.asarray(responses)
+    return (r[..., None] == np.arange(d)).reshape(r.shape[:-1] + (-1,)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -121,12 +145,10 @@ class DeterministicStrategy:
     responses: tuple
 
     def to_behavior(self, scenario):
-        t = np.zeros(scenario.table_shape)
-        n, m = scenario.parties, scenario.settings
-        for x in itertools.product(range(m), repeat=n):
-            a = tuple(self.responses[i][x[i]] for i in range(n))
-            t[x + a] = 1.0
-        return Behavior(scenario, t)
+        m, d = scenario.settings, scenario.outcomes
+        rows = _one_hot(self.responses, d)
+        t = _map_parties(np.ones((1,) * len(rows)), rows[:, :, None])
+        return Behavior(scenario, _settings_first(t, m, d))
 
 
 def deterministic_strategies(scenario):
@@ -167,12 +189,9 @@ class BellFunctional:
 
     def strategy_value(self, strategy):
         """Exact value on a deterministic strategy (no table built)."""
-        n, m = self.scenario.parties, self.scenario.settings
-        total = self.offset
-        for x in itertools.product(range(m), repeat=n):
-            a = tuple(strategy.responses[i][x[i]] for i in range(n))
-            total += self.coefficients[x + a]
-        return float(total)
+        rows = _one_hot(strategy.responses, self.scenario.outcomes)
+        total = _map_parties(_pair_axes(self.coefficients), rows[:, None, :])
+        return float(total.item() + self.offset)
 
 
 @dataclass
@@ -192,12 +211,9 @@ def local_bound_bruteforce(functional):
     returns both the maximum and the minimum with witnessing strategies:
     mixtures of deterministic points can never leave ``[min, max]``.
 
-    The enumeration is a party-by-party tensor contraction: party i's
-    ``d**m`` response functions enter as a selection matrix that absorbs
-    the (x_i, a_i) axes of the coefficient tensor, so the value of every
-    strategy is produced in one array of shape ``(d**m,) * n``.  Witness
-    tie-breaking matches a lexicographic per-party loop (first extremum
-    wins).
+    Each party's ``d**m`` response functions are one-hot rows on its (x, a)
+    axis, so one :func:`_map_parties` values every strategy.  Ties go to the
+    first strategy in lexicographic per-party order.
     """
     sc = functional.scenario
     if sc.strategy_count > TABLE_GUARD:
@@ -206,22 +222,13 @@ def local_bound_bruteforce(functional):
             f"enumeration guard {TABLE_GUARD}"
         )
     n, m, d = sc.parties, sc.settings, sc.outcomes
-    per_party = list(itertools.product(range(d), repeat=m))
-    select = np.zeros((len(per_party), m * d))
-    for k, responses in enumerate(per_party):
-        for x, a in enumerate(responses):
-            select[k, x * d + a] = 1.0
-
-    # axes of t: r remaining x's first, their a's next, finished K's last
-    t = functional.coefficients
-    for r in range(n, 0, -1):
-        t = np.moveaxis(t, (0, r), (-2, -1))
-        t = t.reshape(t.shape[:-2] + (m * d,)) @ select.T
-    values = t.reshape(-1)
+    per_party = np.indices((d,) * m).reshape(m, -1).T  # lexicographic
+    select = _one_hot(per_party, d)
+    values = _map_parties(_pair_axes(functional.coefficients), [select] * n).reshape(-1)
 
     def witness(flat_index):
-        ks = np.unravel_index(flat_index, (len(per_party),) * n)
-        return DeterministicStrategy(tuple(per_party[k] for k in ks))
+        ks = np.unravel_index(flat_index, (d**m,) * n)
+        return DeterministicStrategy(tuple(tuple(map(int, per_party[k])) for k in ks))
 
     i_max = int(np.argmax(values))
     i_min = int(np.argmin(values))
@@ -266,14 +273,10 @@ def is_nonsignalling(behavior, tol=SIGNALLING_TOL):
 def behavior_from_quantum(rho, measurements):
     """Born-rule behavior of a multipartite state under local POVMs.
 
-    Parameters
-    ----------
-    rho : DensityOperator or StateVector
-        State on ``len(measurements)`` factors.
-    measurements : sequence
-        ``measurements[i][x][a]`` is the POVM effect of party i, setting x,
-        outcome a.  Every setting must be complete (effects summing to the
-        identity within 1e-9) and every effect positive semidefinite.
+    ``rho`` (DensityOperator or StateVector) has one factor per party, and
+    ``measurements[i][x][a]`` is party i's effect for setting x, outcome a.
+    Every setting must be complete (effects summing to the identity within
+    1e-9) and every effect positive semidefinite.
     """
     from .quantum import StateVector
 
@@ -302,14 +305,15 @@ def behavior_from_quantum(rho, measurements):
                         f"(min eigenvalue {wmin:.3e})"
                     )
     sc = Scenario(n, m, d)
-    table = np.empty(sc.table_shape)
-    for x in itertools.product(range(m), repeat=n):
-        for a in itertools.product(range(d), repeat=n):
-            op = np.array([[1.0 + 0.0j]])
-            for i in range(n):
-                op = np.kron(op, np.asarray(measurements[i][x[i]][a[i]], dtype=complex))
-            table[x + a] = float(np.trace(rho.matrix @ op).real)
-    return Behavior(sc, table)
+    effects = [[e for setting in party for e in setting] for party in measurements]
+    return Behavior(sc, _settings_first(_local_expectations(rho, effects), m, d))
+
+
+def _local_expectations(rho, ops):
+    """``Tr(rho (E_1 x ... x E_n))`` for every choice of ``E_i`` in ``ops[i]``."""
+    # row k of party i's map, E_k^T flattened, traces its (ket, bra) axis
+    maps = [np.asarray(o, dtype=complex).transpose(0, 2, 1).reshape(len(o), -1) for o in ops]
+    return _map_parties(_pair_axes(rho.matrix.reshape(rho.dims * 2)), maps).real
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +343,13 @@ class CorrelatorSet:
         self.values = v
 
 
-def _sign_profile(present, n, d=2):
-    """Outer product of per-party sign vectors (ones where absent)."""
-    out = np.array(1.0)
-    for i in range(n):
-        vec = OUTCOME_SIGNS if present[i] else np.ones(d)
-        out = np.multiply.outer(out, vec)
-    return out
+def _correlator_map(m):
+    """(m+1, 2m) map from (x, a) to correlator index: row 0 sums setting 0's
+    outcomes (party absent), row s >= 1 signs those of setting s - 1."""
+    k = np.zeros((m + 1, m, 2))
+    k[0, 0] = 1.0
+    k[1:] = np.eye(m)[:, :, None] * OUTCOME_SIGNS
+    return k.reshape(m + 1, 2 * m)
 
 
 def correlators_from_behavior(behavior):
@@ -358,33 +362,22 @@ def correlators_from_behavior(behavior):
     if sc.outcomes != 2:
         raise ValueError("correlator conversion requires two outcomes")
     n, m = sc.parties, sc.settings
-    vals = np.empty((m + 1,) * n)
-    for c in itertools.product(range(m + 1), repeat=n):
-        x = tuple(ci - 1 if ci > 0 else 0 for ci in c)
-        present = [ci > 0 for ci in c]
-        block = behavior.table[x]
-        vals[c] = float((block * _sign_profile(present, n)).sum())
+    vals = _map_parties(_pair_axes(behavior.table), [_correlator_map(m)] * n)
     return CorrelatorSet(n, m, vals)
 
 
 def behavior_from_correlators(corr):
     """Reconstruct the unique d=2 behavior with the given correlators.
 
-    ``p(a|x) = 2^-n sum_S prod_{i in S} sign(a_i) * <subset S at settings x>``.
-    Tables with entries below -1e-10 are rejected: such a correlator set is
-    not a valid behavior.
+    Party by party ``p(a|x) = (c_0 + sign(a) c_{x+1}) / 2``.  Tables with
+    entries below -1e-10 are rejected: such a correlator set is not a valid
+    behavior.
     """
     n, m = corr.parties, corr.settings
     sc = Scenario(n, m, 2)
-    table = np.empty(sc.table_shape)
-    subsets = list(itertools.product((False, True), repeat=n))
-    profiles = {s: _sign_profile(s, n) for s in subsets}
-    for x in itertools.product(range(m), repeat=n):
-        block = np.zeros((2,) * n)
-        for s in subsets:
-            c = tuple(x[i] + 1 if s[i] else 0 for i in range(n))
-            block += corr.values[c] * profiles[s]
-        table[x] = block / 2**n
+    inverse = 0.5 * _correlator_map(m).T
+    inverse[:, 0] = 0.5
+    table = _settings_first(_map_parties(corr.values, [inverse] * n), m, 2)
     if float(table.min()) < -POSITIVITY_TOL:
         raise ValueError(
             f"correlators do not define a behavior: entry {table.min()!r} < 0"
@@ -409,13 +402,18 @@ def chsh_probability_functional():
 
 def chsh_correlator_functional():
     """CHSH in correlator form <00> + <01> + <10> - <11>: local bound 2."""
-    sc = Scenario(2, 2, 2)
-    c = np.zeros(sc.table_shape)
-    for x1, x2 in itertools.product(range(2), repeat=2):
-        w = -1.0 if (x1, x2) == (1, 1) else 1.0
-        for a1, a2 in itertools.product(range(2), repeat=2):
-            c[x1, x2, a1, a2] = w * OUTCOME_SIGNS[a1] * OUTCOME_SIGNS[a2]
-    return BellFunctional(sc, c, direction="<=", bound=2.0, name="chsh-correlator")
+    weights = np.zeros((3, 3))
+    weights[1:, 1:] = [[1.0, 1.0], [1.0, -1.0]]
+    return _correlator_functional(Scenario(2, 2, 2), weights, direction="<=",
+                                  bound=2.0, name="chsh-correlator")
+
+
+def _correlator_functional(scenario, weights, **meta):
+    """``sum_c weights[c] <c>``, each term charged to the context in which
+    absent parties measure setting 0, as :func:`correlators_from_behavior` reads."""
+    m = scenario.settings
+    c = _map_parties(weights, [_correlator_map(m).T] * scenario.parties)
+    return BellFunctional(scenario, _settings_first(c, m, 2), **meta)
 
 
 def qubit_observable(theta):
@@ -431,11 +429,6 @@ def qubit_projectors(theta):
     return [(eye + m) / 2, (eye - m) / 2]
 
 
-def _pair_correlator(rho_matrix, ta, tb):
-    op = np.kron(qubit_observable(ta), qubit_observable(tb))
-    return float(np.trace(rho_matrix @ op).real)
-
-
 def chsh_quantum_demo(state=None):
     """Best CHSH correlator of a two-qubit state over planar measurements.
 
@@ -446,14 +439,7 @@ def chsh_quantum_demo(state=None):
     ``+-b`` with ``tan b = |T e_x| / |T e_z|``, and Alice along ``T e_z``
     and ``T e_x``.  The default maximally entangled input gives the
     Tsirelson value ``2 sqrt(2)``; product states stay at or below the
-    local bound 2.
-
-    Returns
-    -------
-    value : float
-        The optimal CHSH value.
-    angles : ndarray, shape (4,)
-        ``(a0, a1, b0, b1)`` measurement angles attaining it.
+    local bound 2.  Returns the value and the angles ``(a0, a1, b0, b1)``.
     """
     from .quantum import StateVector, max_entangled
 
@@ -463,9 +449,8 @@ def chsh_quantum_demo(state=None):
         state = state.density()
     if state.dims != (2, 2):
         raise ValueError(f"need a two-qubit state, got dims {state.dims}")
-    half = 0.5 * math.pi
-    t = np.array([[_pair_correlator(state.matrix, x, y) for y in (0.0, half)]
-                  for x in (0.0, half)])
+    observables = [qubit_observable(0.0), qubit_observable(0.5 * math.pi)]
+    t = _local_expectations(state, [observables, observables])
     # u(b0) + u(b1) = 2 cos(b) e_z and u(b0) - u(b1) = 2 sin(b) e_x
     b = math.atan2(np.linalg.norm(t[:, 1]), np.linalg.norm(t[:, 0]))
     angles = np.array([math.atan2(t[1, 0], t[0, 0]), math.atan2(t[1, 1], t[0, 1]), b, -b])

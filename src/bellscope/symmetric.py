@@ -352,53 +352,30 @@ def dicke_expression(n):
 def pi_to_functional(expr):
     """Expand a PI expression into a dense Bell functional (2 settings).
 
-    Each one-body term is charged to the all-same-setting context and each
-    ordered pair (i, j) of a two-body sum to the context where i and j pick
-    the relevant settings and everyone else measures setting 0.  On
-    nonsignalling behaviors the value is placement-independent.
+    Every one- and two-body correlator is charged to the context in which
+    the parties outside it measure setting 0, the completion
+    :func:`correlations.correlators_from_behavior` reads.  On nonsignalling
+    behaviors the value is placement-independent.
     """
     import numpy as np
 
-    from .correlations import OUTCOME_SIGNS, BellFunctional, Scenario
+    from .correlations import Scenario, _correlator_functional
 
     n = expr.n
     sc = Scenario(n, 2, 2)
-    coeffs = np.zeros(sc.table_shape)
     alpha, beta, gamma, delta, epsilon = (float(v) for v in expr.coefficients())
-
-    def add_one_body(weight, setting, i):
-        x = (setting,) * n
-        shape = [1] * n
-        shape[i] = 2
-        coeffs[x] += weight * OUTCOME_SIGNS.reshape(shape)
-
-    def add_two_body(weight, set_i, set_j, i, j):
-        x = [0] * n
-        x[i], x[j] = set_i, set_j
-        si = [1] * n
-        si[i] = 2
-        sj = [1] * n
-        sj[j] = 2
-        coeffs[tuple(x)] += weight * (
-            OUTCOME_SIGNS.reshape(si) * OUTCOME_SIGNS.reshape(sj)
-        )
-
+    # per party: 0 absent, 1 measures setting 0, 2 measures setting 1
+    weights = np.zeros((3,) * n)
+    eye = np.eye(n, dtype=int)
     for i in range(n):
-        if alpha:
-            add_one_body(alpha, 0, i)
-        if beta:
-            add_one_body(beta, 1, i)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if gamma:
-                add_two_body(gamma / 2.0, 0, 0, i, j)
-            if delta:
-                add_two_body(delta, 0, 1, i, j)
-            if epsilon:
-                add_two_body(epsilon / 2.0, 1, 1, i, j)
-    return BellFunctional(sc, coeffs, name=expr.name or "pi-expression")
+        weights[tuple(eye[i])] += alpha
+        weights[tuple(2 * eye[i])] += beta
+        for j in range(i + 1, n):
+            weights[tuple(eye[i] + eye[j])] += gamma
+            weights[tuple(eye[i] + 2 * eye[j])] += delta
+            weights[tuple(2 * eye[i] + eye[j])] += delta
+            weights[tuple(2 * eye[i] + 2 * eye[j])] += epsilon
+    return _correlator_functional(sc, weights, name=expr.name or "pi-expression")
 
 
 # ---------------------------------------------------------------------------

@@ -480,3 +480,143 @@ def eigsh_ground_state(ham):
     h = chain_kron_sparse(ham)
     w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=_start_vector(h.shape[0]))
     return float(w[0]), v[:, 0] / np.linalg.norm(v[:, 0])
+
+
+# The context loops, sign profiles, subset sums and Kronecker products that
+# ``bellscope.correlations`` and ``symmetric.pi_to_functional`` used before
+# every conversion went through one per-party tensor map.  Tables are
+# settings first, shape (m,)*n + (d,)*n; outcome 0 has sign +1.
+
+OUTCOME_SIGNS = np.array([1.0, -1.0])
+
+
+def pair_correlator(rho_matrix, ta, tb):
+    """<A(ta) x A(tb)> for A(t) = cos(t) Z + sin(t) X, by one np.kron."""
+    def observable(t):
+        return math.cos(t) * SZ + math.sin(t) * SX
+
+    return float(np.trace(rho_matrix @ np.kron(observable(ta), observable(tb))).real)
+
+
+def strategy_table_loops(responses, m, d):
+    """Behavior table of a deterministic strategy, one context at a time."""
+    n = len(responses)
+    t = np.zeros((m,) * n + (d,) * n)
+    for x in itertools.product(range(m), repeat=n):
+        t[x + tuple(responses[i][x[i]] for i in range(n))] = 1.0
+    return t
+
+
+def strategy_value_loops(coefficients, offset, responses):
+    """offset + sum over contexts x of c(x, responses(x)), in context order."""
+    n = len(responses)
+    total = offset
+    for x in itertools.product(range(coefficients.shape[0]), repeat=n):
+        total += coefficients[x + tuple(responses[i][x[i]] for i in range(n))]
+    return float(total)
+
+
+def strategy_values_contraction(coefficients, m, d):
+    """Values of every deterministic strategy, flat in lexicographic
+    per-party order, by matrix products on moved axes; with the per-party
+    response tuples."""
+    n = coefficients.ndim // 2
+    per_party = list(itertools.product(range(d), repeat=m))
+    select = np.zeros((len(per_party), m * d))
+    for k, responses in enumerate(per_party):
+        for x, a in enumerate(responses):
+            select[k, x * d + a] = 1.0
+    # axes of t: r remaining x's first, their a's next, finished K's last
+    t = coefficients
+    for r in range(n, 0, -1):
+        t = np.moveaxis(t, (0, r), (-2, -1))
+        t = t.reshape(t.shape[:-2] + (m * d,)) @ select.T
+    return t.reshape(-1), per_party
+
+
+def local_bound_contraction(functional):
+    """(max, max responses, min, min responses); first extremum wins."""
+    sc = functional.scenario
+    values, per_party = strategy_values_contraction(
+        functional.coefficients, sc.settings, sc.outcomes)
+
+    def witness(flat_index):
+        ks = np.unravel_index(flat_index, (len(per_party),) * sc.parties)
+        return tuple(per_party[k] for k in ks)
+
+    i_max, i_min = int(np.argmax(values)), int(np.argmin(values))
+    return (float(values[i_max] + functional.offset), witness(i_max),
+            float(values[i_min] + functional.offset), witness(i_min))
+
+
+def sign_profile(present, d=2):
+    """Outer product of per-party sign vectors (ones where absent)."""
+    out = np.array(1.0)
+    for p in present:
+        out = np.multiply.outer(out, OUTCOME_SIGNS if p else np.ones(d))
+    return out
+
+
+def correlators_loops(table, m):
+    """Every correlator of a d = 2 table; absent parties read setting 0."""
+    n = table.ndim // 2
+    vals = np.empty((m + 1,) * n)
+    for c in itertools.product(range(m + 1), repeat=n):
+        x = tuple(ci - 1 if ci > 0 else 0 for ci in c)
+        vals[c] = float((table[x] * sign_profile([ci > 0 for ci in c])).sum())
+    return vals
+
+
+def behavior_from_correlators_loops(values, m):
+    """p(a|x) = 2^-n sum_S prod_{i in S} sign(a_i) <S at settings x>."""
+    n = values.ndim
+    table = np.empty((m,) * n + (2,) * n)
+    subsets = list(itertools.product((False, True), repeat=n))
+    for x in itertools.product(range(m), repeat=n):
+        block = np.zeros((2,) * n)
+        for s in subsets:
+            c = tuple(x[i] + 1 if s[i] else 0 for i in range(n))
+            block += values[c] * sign_profile(s)
+        table[x] = block / 2**n
+    return table
+
+
+def quantum_table_kron(rho_matrix, measurements):
+    """Born-rule table Tr(rho E_1 x ... x E_n), one np.kron chain per entry."""
+    n, m, d = len(measurements), len(measurements[0]), len(measurements[0][0])
+    table = np.empty((m,) * n + (d,) * n)
+    for x in itertools.product(range(m), repeat=n):
+        for a in itertools.product(range(d), repeat=n):
+            op = kron_chain([measurements[i][x[i]][a[i]] for i in range(n)])
+            table[x + a] = float(np.trace(rho_matrix @ op).real)
+    return table
+
+
+def pi_functional_loops(expr):
+    """Coefficients of a PI expression with one-body terms charged to the
+    all-same-setting context and each ordered pair (i, j) to the context
+    where everyone else measures setting 0."""
+    n = expr.n
+    coeffs = np.zeros((2,) * (2 * n))
+    alpha, beta, gamma, delta, epsilon = (float(v) for v in expr.coefficients())
+
+    def signs(*parties):
+        shape = [1] * n
+        out = np.ones((1,) * n)
+        for i in parties:
+            shape[i] = 2
+            out = out * OUTCOME_SIGNS.reshape(shape)
+            shape[i] = 1
+        return out
+
+    for i in range(n):
+        coeffs[(0,) * n] += alpha * signs(i)
+        coeffs[(1,) * n] += beta * signs(i)
+        for j in range(n):
+            if i != j:
+                for weight, si, sj in ((gamma / 2.0, 0, 0), (delta, 0, 1),
+                                       (epsilon / 2.0, 1, 1)):
+                    x = [0] * n
+                    x[i], x[j] = si, sj
+                    coeffs[tuple(x)] += weight * signs(i, j)
+    return coeffs

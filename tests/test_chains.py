@@ -199,6 +199,29 @@ class TestLanczos:
         # at most one step per dimension, then one apply for the residual
         assert len(calls) <= ham.dimension + 1
 
+    @pytest.mark.parametrize("ham, want", [
+        (heisenberg_chain(3), None),
+        (ChainHamiltonian(6, 2, [np.zeros((4, 4))] * 5, site_fields=[SIGMA_Z] * 6), None),
+        (heisenberg_chain(4), None),
+        (transverse_ising_chain(12, g=4.0), 65),
+        (transverse_ising_chain(10, g=2.0, boundary="periodic"), 57),
+        (heisenberg_chain(8, boundary="periodic"), 33),
+    ], ids=["heisenberg-3", "field-only-6", "heisenberg-4", "ising-12",
+            "ising-periodic-10", "heisenberg-periodic-8"])
+    def test_stops_when_the_krylov_space_is_exhausted(self, ham, want):
+        # a generic start vector spans one Krylov direction per distinct
+        # level, so a degenerate chain takes one step per level plus one
+        # apply for the residual (want None); converging solves keep their
+        # step counts
+        if want is None:
+            levels = np.linalg.eigvalsh(chain_kron_sparse(ham).toarray())
+            want = 2 + int(np.count_nonzero(np.diff(levels) > 1e-9))
+        calls = []
+        apply = ham.apply
+        ham.apply = lambda psi: calls.append(1) or apply(psi)
+        ground_state_exact(ham)
+        assert len(calls) == want
+
 
 def spin_matrices(d):
     """(Sx, Sy, Sz) of spin (d - 1)/2."""

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellscope.correlations import (
     Behavior,
@@ -28,8 +30,20 @@ from bellscope.correlations import (
     ti_classical_bound,
 )
 from bellscope.quantum import DensityOperator, max_entangled
+from bellscope.symmetric import PIBellExpression, pi_to_functional
 
-from helpers import haar_vector, ti_value_direct
+from helpers import (
+    behavior_from_correlators_loops,
+    correlators_loops,
+    haar_vector,
+    local_bound_contraction,
+    pi_functional_loops,
+    quantum_table_kron,
+    strategy_table_loops,
+    strategy_value_loops,
+    strategy_values_contraction,
+    ti_value_direct,
+)
 
 CHSH = Scenario(parties=2, settings=2, outcomes=2)
 
@@ -45,6 +59,13 @@ def random_strategy(scenario, rng):
 def pure_density(amp, dims):
     amp = np.asarray(amp, dtype=complex)
     return DensityOperator(dims=dims, matrix=np.outer(amp, amp.conj()))
+
+
+def random_projective(dim, outcomes, rng):
+    """Projective measurement: random basis, each vector a random outcome."""
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    labels = rng.integers(outcomes, size=dim)
+    return [u[:, labels == a] @ u[:, labels == a].conj().T for a in range(outcomes)]
 
 
 class TestBehaviorBasics:
@@ -145,6 +166,60 @@ class TestCorrelatorConversion:
         values[0, 1] = -1.0  # <1 x M0> = -1: contradicts the pair term
         with pytest.raises(ValueError):
             behavior_from_correlators(CorrelatorSet(parties=2, settings=2, values=values))
+
+
+class TestPartyMapsAgainstLoops:
+    """Each per-party tensor map against the loops it replaced."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), d=st.integers(2, 3),
+           local_dims=st.lists(st.integers(2, 3), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_conversions(self, n, m, d, local_dims, seed):
+        rng = np.random.default_rng(seed)
+        sc = Scenario(n, m, d)
+        dims = tuple(local_dims[:n])
+        rho = pure_density(haar_vector(math.prod(dims), rng), dims)
+        measurements = [[random_projective(k, d, rng) for _ in range(m)] for k in dims]
+        table = behavior_from_quantum(rho, measurements).table
+        assert np.abs(table - quantum_table_kron(rho.matrix, measurements)).max() <= 1e-12
+
+        # integer coefficients keep every sum exact, so these agree bitwise
+        strategy = random_strategy(sc, rng)
+        want = strategy_table_loops(strategy.responses, m, d)
+        assert np.array_equal(strategy.to_behavior(sc).table, want)
+        f = BellFunctional(sc, rng.integers(-3, 4, size=sc.table_shape),
+                           offset=float(rng.integers(-3, 4)))
+        assert f.strategy_value(strategy) == strategy_value_loops(
+            f.coefficients, f.offset, strategy.responses)
+        rep = local_bound_bruteforce(f)
+        assert (rep.max_value, rep.max_strategy.responses, rep.min_value,
+                rep.min_strategy.responses) == local_bound_contraction(f)
+
+        if d == 2:
+            corr = correlators_from_behavior(Behavior(sc, table))
+            assert np.abs(corr.values - correlators_loops(table, m)).max() <= 1e-12
+            back = behavior_from_correlators(corr).table
+            assert np.abs(back - behavior_from_correlators_loops(corr.values, m)).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 5),
+           coeffs=st.tuples(*[st.integers(-4, 4)] * 5).filter(lambda c: c[1] != 0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pi_functional_moves_beta_but_no_value(self, n, coeffs, seed):
+        # beta's terms now sit in the contexts where the others measure
+        # setting 0; no deterministic or nonsignalling value changes
+        expr = PIBellExpression(n, *coeffs)
+        f = pi_to_functional(expr)
+        old = pi_functional_loops(expr)
+        assert not np.array_equal(f.coefficients, old)
+        assert np.array_equal(strategy_values_contraction(f.coefficients, 2, 2)[0],
+                              strategy_values_contraction(old, 2, 2)[0])
+        rng = np.random.default_rng(seed)
+        rho = pure_density(haar_vector(2**n, rng), (2,) * n)
+        angles = rng.uniform(0, math.pi, size=(n, 2))
+        b = behavior_from_quantum(rho, [[qubit_projectors(t) for t in row] for row in angles])
+        assert f.value(b) == pytest.approx(float(np.sum(old * b.table)), abs=1e-10)
 
 
 class TestLocalBounds:

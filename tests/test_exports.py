@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deleted function cannot linger in an
-``__all__`` list, every imported name is used, the lazily loading package
-exports exactly what its submodules define, and no module checks itself with
-an ``assert`` that ``python -O`` would strip."""
+``__all__`` list, no submodule re-exports another's callable, every imported
+name is used, the lazily loading package exports exactly what its submodules
+define, and no module checks itself with an ``assert`` that ``python -O``
+would strip."""
 
 import ast
 import importlib
@@ -26,6 +27,17 @@ def test_every_name_in_all_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [x for x in exported if not hasattr(module, x)] == []
     assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_all_lists_only_what_the_module_defines(name):
+    # a callable is exported from the bellscope module that defines it; the
+    # package itself re-exports by design and is checked below
+    module = importlib.import_module(name)
+    foreign = [x for x in getattr(module, "__all__", [])
+               if callable(obj := getattr(module, x))
+               and obj.__module__.startswith("bellscope") and obj.__module__ != name]
+    assert foreign == []
 
 
 def imported_names(tree):

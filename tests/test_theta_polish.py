@@ -24,12 +24,12 @@ from bellscope.collective import (
     max_violation,
     symmetrized_correlators,
 )
-from bellscope.correlations import _pair_correlator, chsh_quantum_demo
+from bellscope.correlations import chsh_quantum_demo
 from bellscope.numerics import lowest_eigen_banded, scalar_minimize
 from bellscope.quantum import DensityOperator
 from bellscope.symmetric import PIBellExpression, dicke_expression, murcia
 
-from helpers import bell_operator_bands_explicit, grid_brent_minimize
+from helpers import bell_operator_bands_explicit, grid_brent_minimize, pair_correlator
 
 COEFF = st.one_of(
     st.integers(-6, 6),
@@ -366,15 +366,15 @@ class TestChshAscent:
         for v in vectors:
             v /= np.linalg.norm(v)
             rho = DensityOperator((2, 2), np.outer(v, v.conj()))
-            t = np.array([[_pair_correlator(rho.matrix, x, y) for y in (0.0, half)]
+            t = np.array([[pair_correlator(rho.matrix, x, y) for y in (0.0, half)]
                           for x in (0.0, half)])
             # max over planar settings: 2 sqrt(|T e|^2 + |T e_perp|^2)
             want = 2.0 * float(np.linalg.norm(t))
             value, angles = chsh_quantum_demo(rho)
             assert value == pytest.approx(want, abs=1e-12)
             a0, a1, b0, b1 = angles
-            got = (_pair_correlator(rho.matrix, a0, b0) + _pair_correlator(rho.matrix, a0, b1)
-                   + _pair_correlator(rho.matrix, a1, b0) - _pair_correlator(rho.matrix, a1, b1))
+            got = (pair_correlator(rho.matrix, a0, b0) + pair_correlator(rho.matrix, a0, b1)
+                   + pair_correlator(rho.matrix, a1, b0) - pair_correlator(rho.matrix, a1, b1))
             assert got == pytest.approx(value, abs=1e-12)
 
 
