@@ -116,18 +116,15 @@ def _echo_config(args):
     print("config: " + json.dumps(_config_dict(args), sort_keys=True), file=sys.stderr)
 
 
-def _float_list(text):
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _int_list(text):
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _list_of(kind):
+    """argparse type for a comma-separated list of ``kind`` (int or float)."""
+    def parse(text):
+        try:
+            return [kind(v) for v in text.split(",") if v != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}")
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +287,11 @@ def _cmd_page(args):
 def _cmd_ppt(args):
     state = quantum.state_from_json(_load_json(args.state))
     report = quantum.ppt_report(state, side=args.side)
-    neg = quantum.negativity(state, side=args.side)
     header = ["negative_count", "min_eigenvalue", "entangled",
               "negativity", "log_negativity"]
     row = (
         report.negative_count, report.min_eigenvalue, report.entangled,
-        neg, math.log2(2.0 * neg + 1.0),
+        report.negativity, math.log2(2.0 * report.negativity + 1.0),
     )
     return header, [row], None
 
@@ -317,12 +313,8 @@ def _mps_input_state(args):
         raise ValueError("pass either --state FILE or --random N")
     if n < 1:
         raise ValueError(f"--random must be at least 1, got {n}")
-    import numpy as np
-
     rng = numerics.RandomSource(args.seed)
-    amp = rng.complex_normal(d**n)
-    amp /= np.linalg.norm(amp)
-    return amp, d
+    return quantum.haar_state(d, d ** (n - 1), rng).amplitudes, d
 
 
 def _cmd_mps(args):
@@ -458,7 +450,7 @@ def build_parser():
                    help="use a Haar-random N-site state")
     p.add_argument("--local-dim", type=int, default=None,
                    help="site dimension of --random (default 2); --state has its own")
-    p.add_argument("--dmax", type=_int_list, default=[1, 2, 4])
+    p.add_argument("--dmax", type=_list_of(int), default=[1, 2, 4])
     p.add_argument("--seed", type=int, default=0)
 
     p = add("area-law", _cmd_area_law, "block entropies of a gapped chain ground state")
@@ -469,7 +461,7 @@ def build_parser():
 
     p = add("thermal-mi", _cmd_thermal_mi, "thermal mutual information vs bound")
     p.add_argument("--sites", type=int, required=True)
-    p.add_argument("--beta", type=_float_list, default=[0.1, 1.0, 5.0])
+    p.add_argument("--beta", type=_list_of(float), default=[0.1, 1.0, 5.0])
     p.add_argument("--cut", type=int, required=True)
     p.add_argument("--model", choices=("heisenberg", "ising", "random"),
                    default="heisenberg")
@@ -481,7 +473,7 @@ def build_parser():
     p = add("gibbs-mi", _cmd_gibbs_mi, "classical Gibbs mutual information vs bound")
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--local-dim", type=int, default=2)
-    p.add_argument("--beta", type=_float_list, default=[0.1, 1.0, 5.0])
+    p.add_argument("--beta", type=_list_of(float), default=[0.1, 1.0, 5.0])
     p.add_argument("--cut", type=int, required=True)
     p.add_argument("--boundary", choices=("open", "periodic"), default="open")
     p.add_argument("--seed", type=int, default=0)

@@ -49,6 +49,7 @@ TABLE_GUARD = 10**7  # max dense-table entries (m*d)^n
 POSITIVITY_TOL = 1e-10
 NORMALISATION_TOL = 1e-9
 SIGNALLING_TOL = 1e-9
+TI_MAX_PARTIES = 12  # ti_classical_bound enumerates 4^n strategies
 
 OUTCOME_SIGNS = np.array([1.0, -1.0])
 
@@ -278,10 +279,9 @@ def behavior_from_quantum(rho, measurements):
     Every setting must be complete (effects summing to the identity within
     1e-9) and every effect positive semidefinite.
     """
-    from .quantum import StateVector
+    from .quantum import _as_density
 
-    if isinstance(rho, StateVector):
-        rho = rho.density()
+    rho = _as_density(rho)
     n = len(measurements)
     if len(rho.dims) != n:
         raise ValueError(
@@ -441,12 +441,9 @@ def chsh_quantum_demo(state=None):
     Tsirelson value ``2 sqrt(2)``; product states stay at or below the
     local bound 2.  Returns the value and the angles ``(a0, a1, b0, b1)``.
     """
-    from .quantum import StateVector, max_entangled
+    from .quantum import _as_density, max_entangled
 
-    if state is None:
-        state = max_entangled(2)
-    if isinstance(state, StateVector):
-        state = state.density()
+    state = _as_density(max_entangled(2) if state is None else state)
     if state.dims != (2, 2):
         raise ValueError(f"need a two-qubit state, got dims {state.dims}")
     observables = [qubit_observable(0.0), qubit_observable(0.5 * math.pi)]
@@ -499,7 +496,7 @@ class TIExpression:
         self.omega = pad(self.omega, self.n - 1, "omega")
 
 
-def ti_classical_bound(expr, max_parties=12):
+def ti_classical_bound(expr):
     """Exact classical bound of a translation-invariant ring expression.
 
     Full enumeration of the 4^n deterministic strategies, organised as an
@@ -508,7 +505,7 @@ def ti_classical_bound(expr, max_parties=12):
     Fraction.
     """
     n = expr.n
-    if n > max_parties:
+    if n > TI_MAX_PARTIES:
         raise ValueError(f"4^{n} strategies exceed the enumeration guard")
     half = n // 2
     coeffs = [expr.alpha, expr.beta, *expr.gamma, *expr.epsilon, *expr.omega]

@@ -166,6 +166,7 @@ class PPTReport:
     negative_count: int
     min_eigenvalue: float
     entangled: bool
+    negativity: float
 
 
 def max_entangled(d):
@@ -177,15 +178,22 @@ def max_entangled(d):
     return StateVector((d, d), amp)
 
 
-def haar_state(m, n, rng):
-    """Haar-random pure state on C^m x C^n.
+def _haar_rows(k, size, rng):
+    """``k`` Haar-random unit vectors in C^size, as the rows of a (k, size) array.
 
-    Drawn by normalising a vector of i.i.d. standard complex Gaussians,
-    which is exactly Haar-distributed (unitary invariance of the Gaussian).
+    Row i normalises ``g[i, 0] + 1j g[i, 1]`` for one ``rng.normal((k, 2,
+    size))`` draw g, so a seed gives the same vectors whatever k is; the law
+    of i.i.d. complex Gaussians is unitarily invariant, so this is exact.
     """
-    amp = rng.complex_normal(m * n)
-    amp /= np.linalg.norm(amp)
-    return StateVector((m, n), amp)
+    g = rng.normal((k, 2, size))
+    amp = g[:, 0] + 1j * g[:, 1]
+    amp /= np.sqrt(np.einsum("kij,kij->k", g, g))[:, None]
+    return amp
+
+
+def haar_state(m, n, rng):
+    """Haar-random pure state on C^m x C^n."""
+    return StateVector((m, n), _haar_rows(1, m * n, rng)[0])
 
 
 def _bipartition(state, bipartition):
@@ -217,6 +225,12 @@ def schmidt_decompose(psi, bipartition=None):
     )
 
 
+def _schmidt_values(psi, bipartition):
+    """Schmidt coefficients across an (m, n) bipartition, descending, untruncated."""
+    m, n = _bipartition(psi, bipartition)
+    return np.linalg.svd(psi.amplitudes.reshape(m, n), compute_uv=False)
+
+
 def _rank(values, tol):
     """Count of ``values`` above ``tol`` times the largest (0 if none is positive)."""
     top = values.max(initial=0.0)
@@ -225,13 +239,17 @@ def _rank(values, tol):
 
 def schmidt_rank(psi, bipartition=None, tol=RANK_TOL):
     """Count of Schmidt coefficients above ``tol`` (relative to the largest)."""
-    m, n = _bipartition(psi, bipartition)
-    return _rank(np.linalg.svd(psi.amplitudes.reshape(m, n), compute_uv=False), tol)
+    return _rank(_schmidt_values(psi, bipartition), tol)
 
 
 def separable_pure(psi, bipartition=None, tol=RANK_TOL):
     """A pure state factorises across the cut iff its Schmidt rank is one."""
     return schmidt_rank(psi, bipartition, tol) == 1
+
+
+def _as_density(rho):
+    """``rho`` itself, or |psi><psi| for a StateVector."""
+    return rho.density() if isinstance(rho, StateVector) else rho
 
 
 def partial_trace(rho, keep, bipartition=None):
@@ -242,8 +260,7 @@ def partial_trace(rho, keep, bipartition=None):
     keep : {"A", "B", 0, 1}
         Which subsystem survives.
     """
-    if isinstance(rho, StateVector):
-        rho = rho.density()
+    rho = _as_density(rho)
     m, n = _bipartition(rho, bipartition)
     r = rho.matrix.reshape(m, n, m, n)
     if keep in ("A", 0):
@@ -259,8 +276,7 @@ def partial_trace(rho, keep, bipartition=None):
 
 def partial_transpose(rho, side="B", bipartition=None):
     """Partial transpose on one tensor factor."""
-    if isinstance(rho, StateVector):
-        rho = rho.density()
+    rho = _as_density(rho)
     m, n = _bipartition(rho, bipartition)
     r = rho.matrix.reshape(m, n, m, n)
     if side in ("A", 0):
@@ -280,20 +296,18 @@ def ppt_report(rho, side="B", bipartition=None, tol=1e-10):
     """
     pt = partial_transpose(rho, side=side, bipartition=bipartition)
     w, _ = hermitian_eigen(pt)
-    neg = int(np.count_nonzero(w < -tol))
     return PPTReport(
         eigenvalues=w,
-        negative_count=neg,
+        negative_count=int(np.count_nonzero(w < -tol)),
         min_eigenvalue=float(w[0]),
         entangled=bool(w[0] < -tol),
+        negativity=float(-w[w < 0.0].sum()),
     )
 
 
 def negativity(rho, side="B", bipartition=None):
     """Entanglement negativity: total weight of negative PT eigenvalues."""
-    pt = partial_transpose(rho, side=side, bipartition=bipartition)
-    w, _ = hermitian_eigen(pt)
-    return float(-w[w < 0.0].sum())
+    return ppt_report(rho, side=side, bipartition=bipartition).negativity
 
 
 def log_negativity(rho, side="B", bipartition=None):
@@ -313,7 +327,7 @@ def _entropy_of_probs(p, base, alpha=1):
 
 
 def vn_entropy(rho, base=2):
-    """Von Neumann entropy -tr(rho log rho)."""
+    """Von Neumann entropy -tr(rho log rho); 0 for a StateVector."""
     if isinstance(rho, StateVector):
         return 0.0
     return _entropy_of_probs(rho.eigenvalues(), base)
@@ -324,12 +338,12 @@ def renyi_entropy(rho, alpha, base=2):
 
     ``alpha = 0`` gives log(rank) (rank at relative tolerance 1e-10),
     ``alpha = 1`` the von Neumann limit, ``alpha = inf`` the min-entropy
-    -log(lambda_max).
+    -log(lambda_max).  A StateVector gives 0 for every alpha.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if isinstance(rho, StateVector):
-        rho = rho.density()
+        return 0.0
     p = rho.eigenvalues()
     if alpha == 0:
         return math.log(max(_rank(p, RANK_TOL), 1)) / math.log(base)
@@ -340,14 +354,12 @@ def renyi_entropy(rho, alpha, base=2):
 
 def entanglement_entropy(psi, bipartition=None, base=2):
     """Entropy of entanglement of a pure state across a bipartition."""
-    s = schmidt_decompose(psi, bipartition).coefficients
+    s = _schmidt_values(psi, bipartition)
     return _entropy_of_probs(s * s, base)
 
 
 def mutual_information(rho, bipartition=None, base=2):
     """Mutual information I(A:B) = S(A) + S(B) - S(AB)."""
-    if isinstance(rho, StateVector):
-        rho = rho.density()
     m, n = _bipartition(rho, bipartition)
     rho_a = partial_trace(rho, "A", (m, n))
     rho_b = partial_trace(rho, "B", (m, n))
@@ -357,17 +369,13 @@ def mutual_information(rho, bipartition=None, base=2):
 def page_experiment(m, n, samples, rng):
     """Monte-Carlo average entanglement of Haar-random states on C^m x C^n.
 
-    Samples are drawn and processed in blocks of at most
-    ``PAGE_BLOCK_AMPLITUDES`` amplitudes.  A block of k samples is one
-    ``rng.normal((k, 2, m * n))`` draw whose row i holds the real ``[0]``
-    and imaginary ``[1]`` parts of sample i, in the order
-    ``rng.complex_normal(m * n)`` would draw them one sample at a time, so
-    a seed gives the same states whatever the block size.  Each block is
-    normalised row-wise, and each sample's spectrum p comes from one stacked
-    ``eigvalsh`` of its reduced density matrix rho_A = M M^dag (m x m, as
-    m <= n), clipped at 0.  This Gram route is safe here, unlike at an MPS
-    cut: no rank cutoff is applied, and p enters only the entropy and the
-    purity, where an absolute error of eps is harmless.
+    Samples are drawn in ``_haar_rows`` blocks of at most
+    ``PAGE_BLOCK_AMPLITUDES`` amplitudes, the states repeated
+    :func:`haar_state` calls would give.  Each sample's spectrum p comes from
+    one stacked ``eigvalsh`` of its reduced density matrix rho_A = M M^dag
+    (m x m, as m <= n), clipped at 0.  This Gram route is safe here, unlike
+    at an MPS cut: no rank cutoff is applied, and p enters only the entropy
+    and the purity, where an absolute error of eps is harmless.
 
     Returns
     -------
@@ -388,10 +396,7 @@ def page_experiment(m, n, samples, rng):
     block = max(1, PAGE_BLOCK_AMPLITUDES // (m * n))
     for start in range(0, samples, block):
         k = min(block, samples - start)
-        g = rng.normal((k, 2, m * n))
-        amp = g[:, 0] + 1j * g[:, 1]
-        amp /= np.sqrt(np.einsum("kij,kij->k", g, g))[:, None]
-        mat = amp.reshape(k, m, n)
+        mat = _haar_rows(k, m * n, rng).reshape(k, m, n)
         p = np.linalg.eigvalsh(mat @ mat.conj().transpose(0, 2, 1))
         np.maximum(p, 0.0, out=p)
         p /= p.sum(axis=1, keepdims=True)  # exact simplex point; m = 1 gives S = 0

@@ -225,6 +225,26 @@ class TestJsonInputs:
         assert float(row["negativity"]) == pytest.approx(0.5, abs=1e-10)
         assert float(row["log_negativity"]) == pytest.approx(1.0, abs=1e-10)
 
+    def test_ppt_on_density_file_takes_one_pt_spectrum(self, capsys, tmp_path, monkeypatch):
+        from bellscope import quantum
+
+        calls = []
+        eigen = quantum.hermitian_eigen
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eigen(matrix)
+
+        path = tmp_path / "bell.json"
+        path.write_text(json.dumps(state_to_json(max_entangled(2).density())))
+        monkeypatch.setattr(quantum, "hermitian_eigen", counting)
+        code, out, _ = run_cli(capsys, "ppt", "--state", str(path))
+        assert code == 0
+        # one to validate the density file, one for the partial transpose
+        assert calls == [(4, 4), (4, 4)]
+        row = parse_csv(out)[1][0]
+        assert float(row["negativity"]) == pytest.approx(0.5, abs=1e-10)
+
     def test_mps_from_state_file(self, capsys, tmp_path):
         amp = np.zeros(16, dtype=complex)
         amp[0] = amp[-1] = 1 / math.sqrt(2)

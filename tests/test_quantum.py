@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bellscope import quantum
+from bellscope import cli, quantum
 from bellscope.numerics import RandomSource
 from bellscope.quantum import (
     DensityOperator,
@@ -324,10 +325,30 @@ class TestMutualInformation:
 
 
 class TestHaarSampling:
-    def test_normalized(self):
+    def test_normalized(self, monkeypatch):
         rng = RandomSource(31)
         psi = haar_state(2, 5, rng)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+
+        # page blocks (here of 2 and 1 samples) and `mps --random` draw the
+        # states that successive haar_state calls give, bit for bit
+        rng = RandomSource(31)
+        singles = [haar_state(2, 4, rng).amplitudes for _ in range(3)]
+        blocks = []
+        haar_rows = quantum._haar_rows
+
+        def spy(k, size, rng):
+            blocks.append(haar_rows(k, size, rng))
+            return blocks[-1]
+
+        monkeypatch.setattr(quantum, "_haar_rows", spy)
+        monkeypatch.setattr(quantum, "PAGE_BLOCK_AMPLITUDES", 16)
+        page_experiment(2, 4, 3, RandomSource(31))
+        assert [len(b) for b in blocks] == [2, 1]
+        assert np.array_equal(np.concatenate(blocks), singles)
+        args = argparse.Namespace(local_dim=None, state=None, random=3, seed=31)
+        amp, d = cli._mps_input_state(args)
+        assert d == 2 and np.array_equal(amp, singles[0])
 
     def test_mean_amplitude_vanishes(self):
         rng = RandomSource(32)
