@@ -174,21 +174,12 @@ def _cmd_bound(args):
     return ["quantity", "value"], rows, sidecar
 
 
-def _rioja_row(x, y, sigma, mu, n, branch, check_parity, verify):
-    expr = symmetric.rioja(x, y, sigma, mu, n, branch=branch, check_parity=check_parity)
-    if verify:
-        enum, _ = symmetric.classical_bound_symmetric(expr)
-        tail = (expr.bound, enum, expr.bound == enum)
-    else:
-        tail = (expr.bound, "", "")
-    return (n, x, y, sigma, mu, branch) + tail, expr
-
-
 def _cmd_rioja(args):
-    row, expr = _rioja_row(
-        args.x, args.y, args.sigma, args.mu, args.n, args.branch,
-        not args.skip_parity_check, args.verify,
-    )
+    expr = symmetric.rioja(args.x, args.y, args.sigma, args.mu, args.n, branch=args.branch,
+                           check_parity=not args.skip_parity_check)
+    enum = symmetric.classical_bound_symmetric(expr)[0] if args.verify else ""
+    row = (args.n, args.x, args.y, args.sigma, args.mu, args.branch, expr.bound, enum,
+           expr.bound == enum if args.verify else "")
     header = ["n", "x", "y", "sigma", "mu", "branch", "bound_closed", "bound_enum", "match"]
     return header, [row], {"expression": symmetric.expression_to_json(expr)}
 
@@ -224,8 +215,12 @@ _SCAN_FAMILIES = {
 
 
 def _cmd_scan(args):
-    if args.n_step < 1:
-        raise ValueError(f"--n-step must be at least 1, got {args.n_step}")
+    for flag, value, least in (("--n-step", args.n_step, 1), ("--jobs", args.jobs, 1),
+                               ("--theta-points", args.theta_points, 64)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))
     if not ns:
         raise ValueError("empty n range")

@@ -376,9 +376,13 @@ def lowest_eigen_banded(bands, want_vector=True):
     * ``n >= INERTIA_CROSSOVER``: Sylvester-inertia bisection with inverse
       iteration (:func:`_lowest_by_inertia`), O(n b^2) per step.  The lower
       end ``lo`` of a bracket is a shift at which the banded Cholesky
-      factorisation of ``H - lo I`` exists, so every eigenvalue lies above
-      ``lo``.  The upper end ``hi`` is the Rayleigh quotient of the
-      inverse-iteration vector, so the lowest eigenvalue is at most ``hi``.
+      factorisation of ``H - lo I`` succeeds in floating point, so every
+      eigenvalue lies above ``lo`` minus that factorisation's backward
+      error, about ((b + 2)(2b + 1) + 1) u max_i |A_ii - lo| (u the unit
+      roundoff; Higham, Thm 10.3), 21 u max_i |A_ii - lo| at b = 2.  Unlike
+      :func:`eigen_above_stacked`, this path adds no margin for it.  The
+      upper end ``hi`` is the Rayleigh quotient of the inverse-iteration
+      vector, so the lowest eigenvalue is at most ``hi``.
 
     The split sits where ``sbevx``'s O(n^2) band-to-tridiagonal reduction
     overtakes the 10 to 14 O(n b^2) factorisations of the inertia path.
@@ -386,9 +390,9 @@ def lowest_eigen_banded(bands, want_vector=True):
     Accuracy contract: below the crossover, the backward-stable LAPACK
     result.  From the crossover up, ``w`` is the upper end of a bracket of
     width at most ``INERTIA_RTOL * ||H||_inf`` (largest absolute row sum)
-    that contains the lowest eigenvalue, and the vector is the one whose
-    Rayleigh quotient is ``w``.  Neither path falls back to the other or to
-    any other method.
+    that contains the lowest eigenvalue up to the backward error above, and
+    the vector is the one whose Rayleigh quotient is ``w``.  Neither path
+    falls back to the other or to any other method.
 
     Parameters
     ----------
@@ -440,7 +444,7 @@ def lowest_eigen_banded(bands, want_vector=True):
 
 
 def _lowest_by_inertia(bands):
-    """Certified bracket on the lowest eigenvalue of a banded matrix.
+    """Bracket on the lowest eigenvalue of a banded matrix.
 
     Starts from the Gershgorin lower bound.  Each step makes one
     inverse-iteration solve ``(H - lo I) y = x`` with the Cholesky factor
@@ -449,7 +453,9 @@ def _lowest_by_inertia(bands):
     with no product by ``H``.  The next trial shift is ``hi - r`` (some
     eigenvalue lies within ``r`` of ``hi``), kept inside the open bracket,
     or the midpoint after a failed trial.  A trial whose factorisation
-    succeeds becomes the new ``lo``.
+    succeeds becomes the new ``lo``.  Success bounds the eigenvalues below
+    only up to the factorisation's backward error (see
+    :func:`lowest_eigen_banded`); ``lo`` carries no margin for it.
     """
     _, pbtrf, pbtrs, _ = _lapack()
     n = bands.shape[1]

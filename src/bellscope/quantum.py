@@ -336,17 +336,21 @@ def vn_entropy(rho, base=2):
 def renyi_entropy(rho, alpha, base=2):
     """Renyi entropy log(tr rho^alpha) / (1 - alpha).
 
-    ``alpha = 0`` gives log(rank) (rank at relative tolerance 1e-10),
-    ``alpha = 1`` the von Neumann limit, ``alpha = inf`` the min-entropy
-    -log(lambda_max).  A StateVector gives 0 for every alpha.
+    ``alpha = 0`` gives log(rank), ``alpha = 1`` the von Neumann limit,
+    ``alpha = inf`` the min-entropy -log(lambda_max).  For every
+    ``alpha < 1``, eigenvalues at most ``RANK_TOL`` times the largest count
+    as 0, since p**alpha would lift rounding-level ones to real weight.
+    A StateVector gives 0 for every alpha.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if isinstance(rho, StateVector):
         return 0.0
     p = rho.eigenvalues()
+    if alpha < 1:
+        p = np.where(p > RANK_TOL * p[-1], p, 0.0)
     if alpha == 0:
-        return math.log(max(_rank(p, RANK_TOL), 1)) / math.log(base)
+        return math.log(max(np.count_nonzero(p), 1)) / math.log(base)
     if math.isinf(alpha):
         return float(-math.log(p[-1]) / math.log(base))
     return _entropy_of_probs(p, base, alpha)

@@ -39,11 +39,6 @@ __all__ = [
     "to_common_denominator",
 ]
 
-# max n for the count enumeration.  The bound needs no memory or time guard
-# (its cost grows at most linearly in n); the limit stays because callers rely
-# on n above it being refused, and lifting it is an API change of its own.
-COUNT_GUARD = 3000
-
 
 @dataclass(frozen=True)
 class StrategyCounts:
@@ -177,11 +172,12 @@ def classical_bound_symmetric(expr):
     and a vertex's floor plus 0 or 1 for p = r + j*T, with T = epsilon /
     gcd(delta, epsilon) in common-denominator integers.  Three values fix
     each line's quadratic, so one expression costs O(min(n, T))
-    evaluations, not the (n+1)^2 grid of (p, q).  The lines hold exactly
-    the candidates of a scan over every p, so ties resolve as the full grid
-    would: the smallest (p, q) attaining the minimum, then a_lo over a_hi.
-    Python integers on the common-denominator coefficients keep the bound
-    exact at any coefficient size.
+    evaluations at any n, not the (n+1)^2 grid of (p, q), and O(1) extra
+    memory, as each line is evaluated when it is generated.  The lines
+    hold exactly the candidates of a scan over every p, so ties resolve as
+    the full grid would: the smallest (p, q) attaining the minimum, then
+    a_lo over a_hi.  Python integers on the common-denominator
+    coefficients keep the bound exact at any coefficient size.
 
     Returns
     -------
@@ -191,8 +187,6 @@ def classical_bound_symmetric(expr):
         Counts achieving the minimum.
     """
     n = expr.n
-    if n > COUNT_GUARD:
-        raise ValueError(f"n = {n} exceeds the enumeration guard {COUNT_GUARD}")
     (a, b, g, d, e), den = to_common_denominator(expr.coefficients())
     # 2*den*I = a2*Sig0 + b2*Sig1 + g*(Sig0^2-n) + d2*(Sig0*Sig1-D) + e*(Sig1^2-n)
     a2, b2, d2 = 2 * a, 2 * b, 2 * d
@@ -238,10 +232,11 @@ def classical_bound_symmetric(expr):
         below, above = ((0, 0, 1), (k0, kp, -1)), ((-k0, -kp, 1), (n, 0, -1))
         # on a piece D = tau*Sig1 + const, so the vertex in q is
         # (2en - b2 - d2*Sig0 + d2*tau) / 4e; add k in {0, 1} to its floor
-        lines += [(r, period, (2 * e * (n + 2 * k) - b2 - d2 * (2 * r - n) + d2 * tau) // (4 * e),
-                   step, bounds)
-                  for r in range(min(period, n + 1))
-                  for bounds, tau in ((below, kp), (above, -kp)) for k in (0, 1)]
+        lines = itertools.chain(lines, (
+            (r, period, (2 * e * (n + 2 * k) - b2 - d2 * (2 * r - n) + d2 * tau) // (4 * e),
+             step, bounds)
+            for r in range(min(period, n + 1))
+            for bounds, tau in ((below, kp), (above, -kp)) for k in (0, 1)))
     best, p, q = min(filter(None, itertools.starmap(line_min, lines)))
     pa = same_plus(p, q)
     return Fraction(-best, 2 * den), StrategyCounts(pa, p - pa, q - pa, n - p - q + pa)

@@ -1,15 +1,18 @@
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellscope.cli import _fmt, _jsonable, main
+from bellscope.cli import _fmt, _jsonable, build_parser, main
 from bellscope.correlations import TIExpression, chsh_correlator_functional
 from bellscope.correlations import expression_to_json as functional_to_json
 from bellscope.quantum import max_entangled, state_to_json
@@ -100,6 +103,17 @@ class TestBasicCommands:
             "epsilon": "1", "bound_closed": "18", "bound_enum": "18", "match": "true",
         }
 
+    @pytest.mark.parametrize("argv", [
+        ["murcia", "--n", "5000"],
+        ["rioja", "--x", "1", "--y", "1", "--sigma", "-1", "--mu", "0", "--n", "5000",
+         "--branch", "minus", "--verify"],
+    ])
+    def test_bounds_are_enumerated_past_3000(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        assert (row["bound_closed"], row["bound_enum"], row["match"]) == ("10000", "10000", "true")
+
     def test_dicke(self, capsys):
         code, out, _ = run_cli(capsys, "dicke", "--n", "6")
         assert code == 0
@@ -139,6 +153,14 @@ class TestJsonInputs:
         assert values["declared_bound"] == "10"
         assert values["match"] == "true"
         assert len(values["witness_counts"].split("|")) == 4
+
+    def test_bound_on_murcia_at_100000(self, capsys, tmp_path):
+        path = tmp_path / "murcia.json"
+        path.write_text(json.dumps(pi_to_json(murcia(10**5))))
+        code, out, _ = run_cli(capsys, "bound", "--expr", str(path))
+        assert code == 0
+        values = {r["quantity"]: r["value"] for r in parse_csv(out)[1]}
+        assert (values["enumerated_bound"], values["match"]) == ("200000", "true")
 
     def test_bound_prints_large_integer_exactly(self, capsys, tmp_path):
         k = 12345678901234
@@ -329,16 +351,22 @@ class TestScans:
         (["scan", "--n-max", "4", "--n-step", "0"], "--n-step"),
         (["theta-sweep", "--n", "6", "--points", "0"], "--points"),
         (["theta-sweep", "--n", "6", "--points", "-3"], "--points"),
+        (["scan", "--n-max", "4", "--jobs", "0"], "--jobs"),
+        (["scan", "--n-max", "4", "--theta-points", "10"], "--theta-points"),
+        (["scan", "--n-max", "4", "--tol", "0"], "--tol"),
+        (["scan", "--n-max", "4", "--tol", "-1"], "--tol"),
+        (["scan", "--n-max", "4", "--tol", "nan"], "--tol"),
     ])
     def test_steps_and_point_counts_below_1_are_usage_errors(self, capsys, args, flag):
         code, out, err = run_cli(capsys, *args, "--family", "murcia")
         assert code == 2
         assert out == ""
-        assert f"error: {flag} must be at least 1" in err
+        want = {"--theta-points": "at least 64", "--tol": "positive and finite"}
+        assert f"error: {flag} must be {want.get(flag, 'at least 1')}" in err
 
     def test_parallel_scan_matches_serial(self, capsys, tmp_path):
         f1, f2 = str(tmp_path / "serial.csv"), str(tmp_path / "par.csv")
-        args = ["scan", "--family", "murcia", "--n-max", "6", "--theta-points", "32"]
+        args = ["scan", "--family", "murcia", "--n-max", "6", "--theta-points", "64"]
         assert main(args + ["--out", f1]) == 0
         assert main(args + ["--jobs", "2", "--out", f2]) == 0
         capsys.readouterr()
@@ -484,6 +512,18 @@ class TestOutputsAndReproducibility:
             main(["murcia", "--n", "4", "--bogus"])
         assert info.value.code == 2
         capsys.readouterr()
+
+    def test_readme_commands_parse(self):
+        # every `bellscope ...` line in the README's fenced blocks names
+        # real flags; parsed only, not run
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+        commands = [shlex.split(line)[1:] for block in blocks
+                    for line in block.splitlines() if line.startswith("bellscope ")]
+        assert commands
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
     def test_validation_failures_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "murcia", "--n", "1")

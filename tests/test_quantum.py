@@ -273,6 +273,18 @@ class TestEntropies:
             values = [renyi_entropy(rho, a) for a in alphas]
             assert all(x >= y - 1e-9 for x, y in zip(values, values[1:]))
 
+    def test_renyi_below_1_ignores_rounding_level_eigenvalues(self):
+        # a pure density's 15 zero eigenvalues come out near 1e-17, which
+        # p**0.1 would lift to about 0.02 each
+        rho = haar_state(2, 16, RandomSource(1)).density()
+        for alpha in (0.0, 0.1, 0.5):
+            assert abs(renyi_entropy(rho, alpha)) < 1e-12
+        p = np.random.default_rng(24).dirichlet(np.ones(6))
+        full = DensityOperator(dims=(6,), matrix=np.diag(p))
+        for alpha in (0.1, 0.5, 2.0):
+            want = math.log2((p**alpha).sum()) / (1.0 - alpha)
+            assert abs(renyi_entropy(full, alpha) - want) < 1e-12
+
     def test_rejects_negative_alpha(self):
         rho = DensityOperator(dims=(2,), matrix=np.eye(2) / 2)
         with pytest.raises(ValueError):

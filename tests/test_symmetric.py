@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellscope import symmetric
 from bellscope.correlations import DeterministicStrategy, local_bound_bruteforce
 from bellscope.numerics import RandomSource
 from bellscope.symmetric import (
-    COUNT_GUARD,
     PIBellExpression,
     StrategyCounts,
     classical_bound_symmetric,
@@ -123,9 +122,10 @@ class TestClassicalBound:
         assert bound == -direct
         assert isinstance(bound, Fraction)
 
-    def test_guard_rejects_huge_n(self):
-        with pytest.raises(ValueError):
-            classical_bound_symmetric(murcia(5000))
+    def test_murcia_at_5000(self):
+        bound, witness = classical_bound_symmetric(murcia(5000))
+        assert bound == 10000
+        assert murcia(5000).value(correlators_of_counts(witness)) == -bound
 
     def test_permutation_invariance_of_functional(self):
         rng = RandomSource(8)
@@ -182,10 +182,10 @@ class TestBoundAgainstGridOracle:
         if n <= 5:
             assert bound == -pi_min_bruteforce([Fraction(c) for c in coeffs], n)
 
-    def test_murcia_at_the_guard(self):
-        bound, witness = classical_bound_symmetric(murcia(COUNT_GUARD))
-        assert bound == 2 * COUNT_GUARD
-        assert murcia(COUNT_GUARD).value(correlators_of_counts(witness)) == -bound
+    def test_murcia_at_3000(self):
+        bound, witness = classical_bound_symmetric(murcia(3000))
+        assert bound == 6000
+        assert murcia(3000).value(correlators_of_counts(witness)) == -bound
 
     def test_dicke_at_3000_matches_closed_form(self):
         expr = dicke_expression(3000)
@@ -200,7 +200,7 @@ class TestBoundAgainstGridOracle:
 
 
 # delta and epsilon giving every vertex period T = epsilon / gcd(delta, epsilon),
-# from 1 to primes far above COUNT_GUARD (T > n: one point per progression)
+# from 1 to primes far above 3000 (T > n: one point per progression)
 PERIODIC = st.tuples(
     SIGNED, SIGNED, SIGNED, st.integers(-60, 60),
     st.one_of(st.integers(1, 60), st.sampled_from([7919, 9973, 104729, 10**9 + 7])),
@@ -214,7 +214,7 @@ class TestBoundAgainstCandidateScan:
     (``helpers.pi_bound_candidate_scan``): same bound, same witness."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(2, COUNT_GUARD),
+    @given(n=st.integers(2, 3000),
            coeffs=st.one_of(st.tuples(SIGNED, SIGNED, SIGNED, SIGNED, SIGNED), PERIODIC))
     @example(n=3000, coeffs=(-2, 0, 1, -1, 1))
     @example(n=1000, coeffs=SCALED_MURCIA)
@@ -233,15 +233,27 @@ class TestBoundAgainstCandidateScan:
         assert bound == want_bound
         assert (witness.a, witness.b, witness.c, witness.d) == want_witness
 
-    def test_cost_does_not_grow_with_n(self, monkeypatch):
+    def test_cost_does_not_grow_with_n(self):
         # the per-p scan took about 13 s at n = 10**6; T = 1 here, and
         # dicke has no vertex progressions, so both take under a millisecond
-        monkeypatch.setattr(symmetric, "COUNT_GUARD", 10**6)
         start = time.perf_counter()
         assert classical_bound_symmetric(murcia(10**6))[0] == 2 * 10**6
         expr = dicke_expression(10**6)
         assert classical_bound_symmetric(expr)[0] == expr.bound
         assert time.perf_counter() - start < 2.0
+
+    def test_memory_does_not_grow_with_the_vertex_lines(self):
+        # T = 9973 > n gives 4(n + 1) one-point vertex lines, which must be
+        # evaluated as they are generated, not stored
+        expr = PIBellExpression(3000, 0, 1, 0, 1, 9973)
+        tracemalloc.start()
+        try:
+            bound, _ = classical_bound_symmetric(expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound == pi_bound_candidate_scan(expr.coefficients(), 3000)[0]
+        assert peak < 500_000
 
 
 class TestRiojaFamily:
