@@ -256,8 +256,8 @@ def thermal_mutual_info_check(ham, beta, cut):
         raise ValueError(f"cut must lie in 1..{ham.n_sites - 1}")
     if ham.dimension > THERMAL_GUARD:
         raise ValueError(f"thermal guard is dimension <= {THERMAL_GUARD}")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     w, v = np.linalg.eigh(ham.dense())
     weights = np.exp(-beta * (w - w[0]))  # shift for stability
     weights /= weights.sum()
@@ -285,8 +285,10 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
     ----------
     couplings : sequence of (d, d) arrays
         ``couplings[i][s, t]`` is the energy of sites (i, i+1) in states
-        (s, t); a periodic chain's last entry couples (N-1, 0).
+        (s, t); a periodic chain's last entry couples (N-1, 0).  The
+        chain needs at least two sites.
     beta : float
+        Finite.
     cut : int
         Sites 0..cut-1 form block A.
     fields : sequence of length-d arrays, optional
@@ -297,13 +299,14 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
         Mutual information in bits against the bound |dA| log2 d.
     """
     couplings = [np.asarray(c, dtype=float) for c in couplings]
-    d = couplings[0].shape[0]
-    if boundary == "open":
-        n = len(couplings) + 1
-    elif boundary == "periodic":
-        n = len(couplings)
-    else:
+    if boundary not in ("open", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
+    n = len(couplings) + (boundary == "open")
+    if n < 2:
+        raise ValueError("a chain needs at least two sites")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    d = couplings[0].shape[0]
     if any(c.shape != (d, d) for c in couplings):
         raise ValueError("ragged coupling tables")
     if d**n > CLASSICAL_GUARD:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every subcommand resolves its configuration, echoes it to stderr as one JSON
-line, computes a row table, and writes CSV (default) or JSON to stdout or to
-``--out PATH``.  File outputs are written to a temporary file and renamed
+Every subcommand resolves its configuration, checks it, computes a row
+table, echoes the configuration to stderr as one JSON line, and writes CSV
+(default) or JSON to stdout or to ``--out PATH``; a refused run echoes no
+configuration.  File outputs are written to a temporary file and renamed
 into place, and get a ``<out>.run.json`` sidecar with the resolved config
 and library version.  Floats are printed with 12 significant digits; exact
 rationals print in full, as integers or as 'p/q' strings.
@@ -69,6 +70,7 @@ def _jsonable(value):
 
 
 def _emit(args, header, rows, sidecar_extra=None):
+    print("config: " + json.dumps(_config_dict(args), sort_keys=True), file=sys.stderr)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -112,18 +114,16 @@ def _config_dict(args):
     }
 
 
-def _echo_config(args):
-    print("config: " + json.dumps(_config_dict(args), sort_keys=True), file=sys.stderr)
-
-
 def _list_of(kind):
-    """argparse type for a comma-separated list of ``kind`` (int or float)."""
+    """argparse type for a non-empty comma-separated list of ``kind`` (int or float)."""
     def parse(text):
         try:
-            return [kind(v) for v in text.split(",") if v != ""]
+            values = [kind(v) for v in text.split(",") if v != ""]
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a comma-separated {kind.__name__} list: {text!r}")
+            values = []
+        if values:
+            return values
+        raise argparse.ArgumentTypeError(f"not a comma-separated {kind.__name__} list: {text!r}")
     return parse
 
 
@@ -250,6 +250,9 @@ def _cmd_scan(args):
 def _cmd_theta_sweep(args):
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    for flag, value in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     import numpy as np
 
     expr = getattr(symmetric, _SCAN_FAMILIES[args.family])(args.n)
@@ -479,7 +482,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _echo_config(args)
     try:
         header, rows, sidecar = args.func(args)
         _emit(args, header, rows, sidecar)

@@ -374,25 +374,19 @@ def lowest_eigen_banded(bands, want_vector=True):
       through a handle cached on the first call.  It gives the same numbers as
       ``scipy.linalg.eig_banded(..., select="i")`` without its wrapper cost.
     * ``n >= INERTIA_CROSSOVER``: Sylvester-inertia bisection with inverse
-      iteration (:func:`_lowest_by_inertia`), O(n b^2) per step.  The lower
-      end ``lo`` of a bracket is a shift at which the banded Cholesky
-      factorisation of ``H - lo I`` succeeds in floating point, so every
-      eigenvalue lies above ``lo`` minus that factorisation's backward
-      error, about ((b + 2)(2b + 1) + 1) u max_i |A_ii - lo| (u the unit
-      roundoff; Higham, Thm 10.3), 21 u max_i |A_ii - lo| at b = 2.  Unlike
-      :func:`eigen_above_stacked`, this path adds no margin for it.  The
-      upper end ``hi`` is the Rayleigh quotient of the inverse-iteration
-      vector, so the lowest eigenvalue is at most ``hi``.
+      iteration (:func:`_lowest_by_inertia`), O(n b^2) per step.
 
     The split sits where ``sbevx``'s O(n^2) band-to-tridiagonal reduction
     overtakes the 10 to 14 O(n b^2) factorisations of the inertia path.
 
     Accuracy contract: below the crossover, the backward-stable LAPACK
-    result.  From the crossover up, ``w`` is the upper end of a bracket of
-    width at most ``INERTIA_RTOL * ||H||_inf`` (largest absolute row sum)
-    that contains the lowest eigenvalue up to the backward error above, and
-    the vector is the one whose Rayleigh quotient is ``w``.  Neither path
-    falls back to the other or to any other method.
+    result.  From the crossover up, ``w`` is the upper end of a bracket
+    [lo, w] of width at most ``INERTIA_RTOL * ||H||_inf`` (largest absolute
+    row sum) that contains the lowest eigenvalue in exact arithmetic: lo is
+    certified by a shifted Cholesky factorisation that carries a margin for
+    its own rounding (:func:`_certified_cholesky`), and ``w`` is the
+    Rayleigh quotient of the returned vector.  Neither path falls back to
+    the other or to any other method.
 
     Parameters
     ----------
@@ -446,54 +440,53 @@ def lowest_eigen_banded(bands, want_vector=True):
 def _lowest_by_inertia(bands):
     """Bracket on the lowest eigenvalue of a banded matrix.
 
-    Starts from the Gershgorin lower bound.  Each step makes one
-    inverse-iteration solve ``(H - lo I) y = x`` with the Cholesky factor
-    at ``lo``.  Since ``H y = x + lo y``, the Rayleigh quotient of ``y`` is
-    ``hi = lo + (y.x)/(y.y)`` and its residual is ``|x - (hi - lo) y|/|y|``,
-    with no product by ``H``.  The next trial shift is ``hi - r`` (some
-    eigenvalue lies within ``r`` of ``hi``), kept inside the open bracket,
-    or the midpoint after a failed trial.  A trial whose factorisation
-    succeeds becomes the new ``lo``.  Success bounds the eigenvalues below
-    only up to the factorisation's backward error (see
-    :func:`lowest_eigen_banded`); ``lo`` carries no margin for it.
+    Each step first certifies a trial shift sigma (at the first step, just
+    below the Gershgorin lower bound) by :func:`_certified_cholesky` on a
+    copy of ``H``, which factors ``H - s I`` at s = sigma + rho.  A success makes
+    sigma the new ``lo``, a certified lower bound on every eigenvalue, and
+    its factor the one solved with; a failure makes sigma the new ``top``.
+    Then the step makes one inverse-iteration solve ``(H - s I) y = x``
+    with the last certified factor.  Since ``H y = x + s y``, the Rayleigh
+    quotient of ``y`` is ``hi = s + (y.x)/(y.y)`` and its residual is
+    ``|x - (hi - s) y|/|y|``, with no product by ``H``.  The next trial
+    shift is ``hi - r`` (some eigenvalue lies within ``r`` of ``hi``), kept
+    inside the open bracket, or the midpoint after a failed trial.
     """
-    _, pbtrf, pbtrs, _ = _lapack()
+    _, _, pbtrs, _ = _lapack()
     n = bands.shape[1]
-    diag = bands[0]
     floor, norm = gershgorin_bounds(bands)
     tol = INERTIA_RTOL * (norm if norm > 0 else 1.0)
-    bands = np.asfortranarray(bands)
-    lo = floor - 0.25 * tol
-    factor = _shifted_cholesky(pbtrf, bands, lo)
-    if factor is None:
-        raise ArithmeticError(f"banded Cholesky failed below the Gershgorin bound {lo!r}")
     # top: least shift known to lie at or above the lowest eigenvalue; the
     # smallest diagonal entry is the Rayleigh quotient of a unit vector
-    top = float(np.min(diag))
+    top = float(bands[0].min())
+    bands, peak = np.asfortranarray(bands), bands.max()
+    lo, sigma = None, floor - 0.25 * tol
     x = _start_vector(n)
-    failed = False
     for _ in range(INERTIA_MAX_STEPS):
-        y = pbtrs(factor, x[:, None], lower=1)[0][:, 0]
+        trial = bands.copy(order="F")
+        ok, trial_shift = _certified_cholesky(trial, n, sigma, peak)
+        failed = not ok[0]
+        if not failed:
+            lo, factor, shift = sigma, trial, float(trial_shift)
+        elif lo is None:
+            raise ArithmeticError(f"banded Cholesky failed below the Gershgorin bound {sigma!r}")
+        else:
+            top = sigma
+        y = pbtrs(factor, x, lower=1)[0]
         ynorm = math.sqrt(float(y @ y))
         delta = float(y @ x) / (ynorm * ynorm)
-        hi = lo + delta
+        hi = shift + delta
         if hi - lo <= tol:
             return hi, y / ynorm
         top = min(top, hi)
         if failed:
             sigma = 0.5 * (lo + top)
         else:
-            r = float(np.linalg.norm(x - delta * y)) / ynorm
+            r = math.sqrt(float((v := x - delta * y) @ v)) / ynorm
             sigma = hi - max(r, 0.25 * tol)
             if not lo < sigma < top:
                 sigma = 0.5 * (lo + top)
         x = y / ynorm
-        trial = _shifted_cholesky(pbtrf, bands, sigma)
-        failed = trial is None
-        if failed:
-            top = sigma
-        else:
-            lo, factor = sigma, trial
     raise ArithmeticError(
         f"inertia bisection did not close [{lo!r}, {top!r}] to {tol:.3e} "
         f"in {INERTIA_MAX_STEPS} steps"
@@ -514,7 +507,7 @@ def gershgorin_bounds(bands):
         a = np.abs(bands[k, : n - k])
         off[: n - k] += a
         off[k:] += a
-    return float(np.min(diag - off)), float(np.max(np.abs(diag) + off))
+    return float((diag - off).min()), float((np.abs(diag) + off).max())
 
 
 def eigen_above_stacked(bands_of, count, order, level):
@@ -527,31 +520,12 @@ def eigen_above_stacked(bands_of, count, order, level):
     max(1, ``SCREEN_STACK_ROWS // order``) matrices, each factored by one
     ``pbtrf`` call as one block-diagonal matrix, O(rows b^2).
 
-    True is a certificate.  By Sylvester's law of inertia, H - sigma I is
-    positive definite exactly when its Cholesky factorisation exists, and
-    each block is factored at sigma = level + rho, rho taken from the
-    block's own largest entry (its unused band slots included).  A banded
-    Cholesky that succeeds in floating point is exact for a matrix within
-    ((b + 2)(2b + 1) + 1) u max_i (A_ii - sigma) of H - sigma I (b the
-    bandwidth, u the unit roundoff; Higham, *Accuracy and Stability of
-    Numerical Algorithms*, Thm 10.3, with |L||L^T| bounded row by row).
-    rho is more than twice that, with ``|max entry| + |level|`` in place of
-    max_i (A_ii - sigma) so that the rounding of level + rho is covered
-    too; so True means lambda_min(H) > level in exact arithmetic.  False
-    means not certified: some eigenvalue is at most ``level``, or within
-    rho of it, or the block or ``level`` is not finite.
-
-    Each block gets the answer it would get alone.  The entries a band row
-    holds past the end of a block, which would couple it to the next, are
-    set to zero, so the next block's rows start with an exact-zero
-    coupling.  At small bandwidths (up to 64 in reference LAPACK) ``pbtrf``
-    works column by column, so it does each block's arithmetic as if the
-    block stood alone and adds only exact zeros to its neighbour; at any
-    bandwidth the coupling stays zero, so a success certifies every block.
-    A block that fails stops the factorisation, which restarts at the next
-    block, so no row is factored twice.  A block holding NaN or inf gets a
-    negative first pivot, so it fails before its values can reach a
-    neighbour.
+    True is a certificate: lambda_min(H) > level in exact arithmetic
+    (:func:`_certified_cholesky`).  False means not certified: some
+    eigenvalue is at most ``level``, or within the margin rho of it, or the
+    block or ``level`` is not finite.  Each block gets the answer it would
+    get alone.  A block that is not finite is zeroed and factored with
+    ``top`` = +inf, so it fails before its values can reach a neighbour.
 
     A caller that certifies bands computed another way than those it will
     evaluate must widen ``level`` by more than the difference between them.
@@ -559,7 +533,6 @@ def eigen_above_stacked(bands_of, count, order, level):
     whose bands differ from ``bell_operator_bands`` in the last bits, far
     inside its margin ``SCREEN_RTOL * S`` (S = sum_k ||P_k||_inf).
     """
-    _, pbtrf, _, _ = _lapack()
     per = max(1, SCREEN_STACK_ROWS // order)
     certified = np.zeros(count, dtype=bool)
     for i in range(0, count, per):
@@ -567,27 +540,66 @@ def eigen_above_stacked(bands_of, count, order, level):
         ab = np.asfortranarray(bands_of(i, j))
         if not math.isfinite(level):
             continue
-        nb = ab.shape[0] - 1
-        cols = ab.T.reshape(-1, order, nb + 1)  # cols[k, r, d] = entry (r + d, r) of block k
+        cols = ab.T.reshape(j - i, order, -1)
         top = cols.max(axis=(1, 2))
-        ok = np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2)))
-        rho = ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (np.abs(top) + abs(level))
-        for d in range(1, nb + 1):  # slots past a block's end couple it to the next
-            cols[:, max(order - d, 0):, d] = 0.0
-        cols[:, :, 0] -= np.where(ok, level + rho, 0.0)[:, None]
-        cols[~ok, 0, 0] = -1.0  # fails at its first pivot, before any update
-        start = 0
-        while start < ab.shape[1]:
-            _, info = pbtrf(ab[:, start:], lower=1, overwrite_ab=1)
-            if info == 0:
-                break
-            if info < 0:
-                raise ValueError(f"LAPACK pbtrf rejected argument {-info}")
-            failed = (start + info - 1) // order
-            ok[failed] = False
-            start = (failed + 1) * order
-        certified[i:j] = ok
+        bad = ~(np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2))))
+        cols[bad], top[bad] = 0.0, np.inf
+        certified[i:j] = _certified_cholesky(ab, order, level, top)[0]
     return certified
+
+
+def _certified_cholesky(ab, order, level, top):
+    """Certify lambda_min > ``level`` for each block of a band stack.
+
+    ``ab`` holds blocks of ``order`` rows side by side in Fortran-order lower
+    band storage, bandwidth b, and ``top`` the largest entry of each block
+    (its unused band slots included), a scalar for one block; ``level``
+    must be finite.  Each block is factored in place as H - shift I, shift
+    = level + rho.  Returns ``(ok, shift)``: ``ok[k]`` certifies block k,
+    and a one-block ``ab`` it certifies is left holding the Cholesky factor
+    of H - shift I.
+
+    By Sylvester's law of inertia, H - sigma I is positive definite exactly
+    when its Cholesky factorisation exists.  One that succeeds in floating
+    point is exact for a matrix within ((b + 2)(2b + 1) + 1) u
+    max_i (A_ii - sigma) of H - sigma I (u the unit roundoff; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 10.3, with
+    |L||L^T| bounded row by row).  rho = ((b + 2)(2b + 1) + 4) eps
+    (|top| + |level|) is more than twice that, with |top| + |level| in
+    place of max_i (A_ii - sigma) so that the rounding of level + rho is
+    covered too; so ``ok[k]`` means lambda_min > level in exact arithmetic.
+
+    The entries a band row holds past the end of a block, which would
+    couple it to the next, are set to zero, so the next block's rows start
+    with an exact-zero coupling.  At small bandwidths (up to 64 in reference
+    LAPACK) ``pbtrf`` works column by column, so it does each block's
+    arithmetic as if the block stood alone and adds only exact zeros to its
+    neighbour; at any bandwidth the coupling stays zero, so a success
+    certifies every block.  A block that fails stops the factorisation,
+    which restarts at the next block, so no row is factored twice.  A block
+    with finite entries and ``top`` = +inf fails at its first pivot, -inf.
+    """
+    _, pbtrf, _, _ = _lapack()
+    nb = ab.shape[0] - 1
+    shift = level + ((nb + 2) * (2 * nb + 1) + 4) * _EPS * (abs(top) + abs(level))
+    cols = ab.T.reshape(-1, order, nb + 1)  # cols[k, r, d] = entry (r + d, r) of block k
+    diag = cols[:, :, 0].T
+    diag -= shift
+    if len(cols) > 1:  # slots past a block's end couple it to the next
+        for d in range(1, nb + 1):
+            cols[:, max(order - d, 0):, d] = 0.0
+    failed = np.zeros(len(cols), dtype=bool)
+    rest = ab
+    while rest.shape[1]:
+        _, info = pbtrf(rest, lower=1, overwrite_ab=1)
+        if info == 0:
+            break
+        if info < 0:
+            raise ValueError(f"LAPACK pbtrf rejected argument {-info}")
+        k = (ab.shape[1] - rest.shape[1] + info - 1) // order
+        failed[k] = True
+        rest = ab[:, (k + 1) * order:]
+    return ~failed, shift
 
 
 @functools.lru_cache(maxsize=64)
@@ -596,14 +608,6 @@ def _start_vector(n):
     x = np.random.default_rng(n).standard_normal(n)
     x.setflags(write=False)
     return x
-
-
-def _shifted_cholesky(pbtrf, bands, sigma):
-    """Banded Cholesky factor of ``H - sigma I``, or None if not positive definite."""
-    ab = bands.copy(order="F")
-    ab[0] -= sigma
-    factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
-    return factor if info == 0 else None
 
 
 class RandomSource:

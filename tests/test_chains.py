@@ -414,6 +414,11 @@ class TestThermalMutualInfo:
         with pytest.raises(ValueError, match="guard"):
             thermal_mutual_info_check(big, 1.0, 5)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_is_refused(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            thermal_mutual_info_check(heisenberg_chain(4), beta, 2)
+
 
 class TestClassicalGibbs:
     def test_infinite_temperature(self):
@@ -497,3 +502,14 @@ class TestClassicalGibbs:
             classical_gibbs_mutual_info([np.zeros((10, 10))] * 6, 1.0, 3)
         with pytest.raises(ValueError, match="cut"):
             classical_gibbs_mutual_info([np.zeros((2, 2))] * 3, 1.0, 4)
+
+    @pytest.mark.parametrize("couplings, boundary", [
+        ([], "open"), ([], "periodic"), ([np.zeros((2, 2))], "periodic")])
+    def test_fewer_than_two_sites_is_refused(self, couplings, boundary):
+        with pytest.raises(ValueError, match="at least two sites"):
+            classical_gibbs_mutual_info(couplings, 1.0, 1, boundary=boundary)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_is_refused(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            classical_gibbs_mutual_info([np.zeros((2, 2))] * 3, beta, 2)

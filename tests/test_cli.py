@@ -26,6 +26,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def config_lines(err):
+    """The ``config:`` lines of stderr, each parsed as strict JSON."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return [json.loads(line[len("config: "):], parse_constant=refuse)
+            for line in err.splitlines() if line.startswith("config: ")]
+
+
 def parse_csv(text):
     lines = [ln for ln in text.splitlines() if ln]
     header = lines[0].split(",")
@@ -356,13 +365,20 @@ class TestScans:
         (["scan", "--n-max", "4", "--tol", "0"], "--tol"),
         (["scan", "--n-max", "4", "--tol", "-1"], "--tol"),
         (["scan", "--n-max", "4", "--tol", "nan"], "--tol"),
+        (["theta-sweep", "--n", "6", "--theta-min", "nan"], "--theta-min"),
+        (["theta-sweep", "--n", "6", "--theta-min=-inf"], "--theta-min"),
+        (["theta-sweep", "--n", "6", "--theta-max", "nan"], "--theta-max"),
+        (["theta-sweep", "--n", "6", "--theta-max", "inf"], "--theta-max"),
     ])
     def test_steps_and_point_counts_below_1_are_usage_errors(self, capsys, args, flag):
         code, out, err = run_cli(capsys, *args, "--family", "murcia")
         assert code == 2
         assert out == ""
-        want = {"--theta-points": "at least 64", "--tol": "positive and finite"}
+        want = {"--theta-points": "at least 64", "--tol": "positive and finite",
+                "--theta-min": "finite", "--theta-max": "finite"}
         assert f"error: {flag} must be {want.get(flag, 'at least 1')}" in err
+        # a refused run echoes no configuration, so no NaN or Infinity either
+        assert config_lines(err) == []
 
     def test_parallel_scan_matches_serial(self, capsys, tmp_path):
         f1, f2 = str(tmp_path / "serial.csv"), str(tmp_path / "par.csv")
@@ -447,6 +463,20 @@ class TestScans:
         assert all(r["ok"] == "true" for r in rows)
         assert all(float(r["bound"]) == 1.0 for r in rows)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gibbs-mi", "--sites", "1", "--cut", "1"], "at least two sites"),
+        (["gibbs-mi", "--sites", "0", "--cut", "1"], "at least two sites"),
+        (["gibbs-mi", "--sites", "4", "--cut", "2", "--beta", "nan"], "beta must be finite"),
+        (["gibbs-mi", "--sites", "4", "--cut", "2", "--beta", "1,inf"], "beta must be finite"),
+        (["thermal-mi", "--sites", "4", "--cut", "2", "--beta", "nan"], "beta must be finite"),
+        (["thermal-mi", "--sites", "4", "--cut", "2", "--beta=-inf"], "beta must be finite"),
+    ])
+    def test_mutual_information_refusals(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: " in err and message in err
+        assert "Traceback" not in err and config_lines(err) == []
+
 
 # output of _fmt and _jsonable as they were when both tested numpy types
 # directly; the numbers ABCs that replaced those tests must not move a byte
@@ -512,6 +542,13 @@ class TestOutputsAndReproducibility:
             main(["murcia", "--n", "4", "--bogus"])
         assert info.value.code == 2
         capsys.readouterr()
+        for argv in (["mps", "--random", "3", "--dmax", ","],
+                     ["thermal-mi", "--sites", "4", "--cut", "2", "--beta", ","],
+                     ["gibbs-mi", "--sites", "4", "--cut", "2", "--beta", ""]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "not a comma-separated" in capsys.readouterr().err
 
     def test_readme_commands_parse(self):
         # every `bellscope ...` line in the README's fenced blocks names

@@ -287,6 +287,48 @@ class TestLowestEigenBandedContract:
         with pytest.raises(ArithmeticError, match="did not close"):
             lowest_eigen_banded(bands)
 
+    @pytest.mark.parametrize("seed, degenerate", [(11, False), (12, True)])
+    def test_every_inertia_factorisation_carries_the_margin(
+            self, monkeypatch, seed, degenerate):
+        # white box: each successful pbtrf of the inertia path factors
+        # H - s I with s at least rho above the lower end lo it certifies,
+        # rho = ((b + 2)(2b + 1) + 4) eps (max entry + |lo|); the first
+        # factorisation is the Gershgorin start
+        bands, full = random_banded(INERTIA_CROSSOVER + 50, 2, seed, degenerate)
+        lam = np.linalg.eigvalsh(full)[0]
+        floor, norm = gershgorin_bounds(bands)
+        tol = numerics.INERTIA_RTOL * norm
+
+        def rho(lo):
+            return 24 * np.finfo(float).eps * (abs(bands.max()) + abs(lo))
+
+        real_lapack = numerics._lapack()
+        real_certify = numerics._certified_cholesky
+        shifts, levels = [], []
+
+        def pbtrf(ab, **kwargs):
+            shift = float(np.median(bands[0] - ab[0]))
+            factor, info = real_lapack[1](ab, **kwargs)
+            shifts.append((shift, info == 0))
+            return factor, info
+
+        def certify(ab, order, level, top):
+            levels.append(level)
+            return real_certify(ab, order, level, top)
+
+        monkeypatch.setattr(numerics, "_lapack",
+                            lambda: (real_lapack[0], pbtrf, *real_lapack[2:]))
+        monkeypatch.setattr(numerics, "_certified_cholesky", certify)
+        w, _ = lowest_eigen_banded(bands)
+        start = floor - 0.25 * tol
+        assert shifts[0][1] and shifts[0][0] - start >= 0.9 * rho(start)
+        assert len(levels) == len(shifts) and levels[0] == start
+        certified = [(lo, s) for lo, (s, ok) in zip(levels, shifts) if ok]
+        assert all(s - lo >= 0.9 * rho(lo) for lo, s in certified)
+        lo = max(lo for lo, _ in certified)
+        assert lo < lam <= w + 1e-15 * norm
+        assert w - lo <= tol
+
 
 _LOAD_ORDER_SCRIPT = """
 import json, sys
