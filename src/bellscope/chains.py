@@ -164,7 +164,9 @@ def ground_state_exact(ham):
     ``beta_m <= LANCZOS_TOL max_j(|alpha_j|, beta_j)`` (the Krylov space is
     exhausted), then needs ``||H psi - E psi|| <= LANCZOS_RESIDUAL max(1,
     ||T_m||)``; else, or at ``LANCZOS_MAX_STEPS``, ``ArithmeticError``.  A
-    degenerate ground level gives the start vector's projection onto it.
+    step or residual that overflows (terms above about 1e153, where
+    ||H v||^2 leaves the float range) raises ``ValueError``.  A degenerate
+    ground level gives the start vector's projection onto it.
     """
     dim = ham.dimension
     if dim > DENSE_GUARD:
@@ -199,6 +201,9 @@ def ground_state_exact(ham):
     x = s[:, 0] @ vm
     x /= np.linalg.norm(x)
     residual = float(np.linalg.norm(ham.apply(x) - theta[0] * x))
+    if not math.isfinite(residual + tnorm):  # some ||H v||^2 overflowed
+        raise ValueError("Lanczos overflowed: ||H v||^2 exceeds the float range; "
+                         "the chain's terms are too large")
     if not converged or residual > LANCZOS_RESIDUAL * max(1.0, scale):
         raise ArithmeticError(f"Lanczos did not converge in {m} steps: "
                               f"residual ||H psi - E psi|| = {residual:.3g}")
@@ -237,6 +242,18 @@ class ThermalMIReport:
     crossing_terms: int
 
 
+def _mi_report(mi, bound, norm, crossing):
+    return ThermalMIReport(mutual_info=mi, bound=float(bound), ok=bool(mi <= bound + 1e-9),
+                           boundary_norm=norm, crossing_terms=crossing)
+
+
+def _boltzmann(energy, beta):
+    """exp(-beta E) / Z, shifted by the E that minimises beta E, so no
+    weight exceeds 1 for either sign of beta."""
+    w = np.exp(-beta * (energy - (energy.min() if beta >= 0 else energy.max())))
+    return w / w.sum()
+
+
 def _crossing_terms(ham, cut):
     terms = [ham.bond_terms[cut - 1]]
     if ham.boundary == "periodic":
@@ -259,23 +276,14 @@ def thermal_mutual_info_check(ham, beta, cut):
     if not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     w, v = np.linalg.eigh(ham.dense())
-    weights = np.exp(-beta * (w - w[0]))  # shift for stability
-    weights /= weights.sum()
-    rho = (v * weights) @ v.conj().T
+    rho = (v * _boltzmann(w, beta)) @ v.conj().T
     d = ham.local_dim
     dims = (d**cut, d ** (ham.n_sites - cut))
     rho_op = DensityOperator(dims, rho, validate=False)
     mi = mutual_information(rho_op, base=math.e)
     terms = _crossing_terms(ham, cut)
     hnorm = max(float(np.max(np.abs(np.linalg.eigvalsh(t)))) for t in terms)
-    bound = 2.0 * beta * hnorm * len(terms)
-    return ThermalMIReport(
-        mutual_info=mi,
-        bound=float(bound),
-        ok=bool(mi <= bound + 1e-9),
-        boundary_norm=hnorm,
-        crossing_terms=len(terms),
-    )
+    return _mi_report(mi, 2.0 * beta * hnorm * len(terms), hnorm, len(terms))
 
 
 def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=None):
@@ -288,7 +296,7 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
         (s, t); a periodic chain's last entry couples (N-1, 0).  The
         chain needs at least two sites.
     beta : float
-        Finite.
+        Finite, of either sign.
     cut : int
         Sites 0..cut-1 form block A.
     fields : sequence of length-d arrays, optional
@@ -330,19 +338,11 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
             shape[i] = d
             energy += np.asarray(f, dtype=float).reshape(shape)
 
-    w = np.exp(-beta * (energy - energy.min()))
-    p = w / w.sum()
+    p = _boltzmann(energy, beta)
 
     p_a = p.sum(axis=tuple(range(cut, n)))
     p_b = p.sum(axis=tuple(range(cut)))
     mi = (_entropy_of_probs(p_a.reshape(-1), 2) + _entropy_of_probs(p_b.reshape(-1), 2)
           - _entropy_of_probs(p.reshape(-1), 2))
     crossing = 1 if boundary == "open" else 2
-    bound = crossing * math.log2(d)
-    return ThermalMIReport(
-        mutual_info=mi,
-        bound=float(bound),
-        ok=bool(mi <= bound + 1e-9),
-        boundary_norm=math.log2(d),
-        crossing_terms=crossing,
-    )
+    return _mi_report(mi, crossing * math.log2(d), math.log2(d), crossing)

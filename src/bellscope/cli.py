@@ -8,7 +8,9 @@ into place, and get a ``<out>.run.json`` sidecar with the resolved config
 and library version.  Floats are printed with 12 significant digits; exact
 rationals print in full, as integers or as 'p/q' strings.
 
-Exit codes: 0 success, 2 usage or validation error, 1 internal error.
+Every float flag, and every float a run prints, must be finite; one that is
+not is a validation error.  Exit codes: 0 success, 2 usage or validation
+error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ def _jsonable(value):
 
 
 def _emit(args, header, rows, sidecar_extra=None):
+    _require_finite((name, v) for row in rows for name, v in zip(header, row))
     print("config: " + json.dumps(_config_dict(args), sort_keys=True), file=sys.stderr)
     lines = [",".join(header)]
     for row in rows:
@@ -112,6 +115,14 @@ def _config_dict(args):
     return {
         k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip
     }
+
+
+def _require_finite(pairs):
+    """Refuse the first ``(name, value)`` pair whose value is a float that
+    is not finite: the one rule for float flags and for result rows."""
+    for name, value in pairs:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _list_of(kind):
@@ -219,7 +230,7 @@ def _cmd_scan(args):
                                ("--theta-points", args.theta_points, 64)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
-    if not 0.0 < args.tol < math.inf:
+    if not args.tol > 0.0:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))
     if not ns:
@@ -250,9 +261,6 @@ def _cmd_scan(args):
 def _cmd_theta_sweep(args):
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    for flag, value in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
     import numpy as np
 
     expr = getattr(symmetric, _SCAN_FAMILIES[args.family])(args.n)
@@ -483,6 +491,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_finite((f"--{key.replace('_', '-')}", v) for key, value in vars(args).items()
+                        for v in (value if isinstance(value, list) else [value]))
         header, rows, sidecar = args.func(args)
         _emit(args, header, rows, sidecar)
         return 0

@@ -319,8 +319,9 @@ def _polish_on_slope(value_and_slope, xs, i, tol):
     Returns the end with the smaller slope.  Without a sign change (x_i at
     the end of the grid with the function falling outward, or a non-smooth
     objective) it returns the best point evaluated; a non-finite slope
-    stops the polish at the better bracket end.  A bracket still wider than
-    ``tol`` after ``POLISH_MAX_STEPS`` steps raises ``ArithmeticError``.
+    stops the polish at the better bracket end.  The polish also stops when
+    no double lies strictly inside the bracket, whatever ``tol``; a bracket
+    still open after ``POLISH_MAX_STEPS`` steps raises ``ArithmeticError``.
     """
     m = float(xs[i])
     fm, gm = value_and_slope(m)
@@ -335,9 +336,14 @@ def _polish_on_slope(value_and_slope, xs, i, tol):
     # kept is +1 (-1) when the last step kept b (a)
     (a, fa, ga), (b, fb, gb) = sorted([(m, fm, gm), (e, fe, ge)])
     wa, wb, kept = ga, gb, 0
-    for step in range(POLISH_MAX_STEPS):
-        if b - a <= tol:
+    for step in range(POLISH_MAX_STEPS + 1):
+        if b - a <= tol or math.nextafter(a, b) == b:  # no double lies inside
             break
+        if step == POLISH_MAX_STEPS:
+            raise ArithmeticError(
+                f"slope polish did not close [{a!r}, {b!r}] to {tol!r} "
+                f"in {POLISH_MAX_STEPS} steps"
+            )
         if step < POLISH_SECANT_STEPS:
             x = b - wb * (b - a) / (wb - wa)
             x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
@@ -356,12 +362,6 @@ def _polish_on_slope(value_and_slope, xs, i, tol):
             b, fb, gb, wb = x, fx, gx, gx
             wa = 0.5 * wa if kept < 0 else wa
             kept = -1
-    else:
-        if b - a > tol:
-            raise ArithmeticError(
-                f"slope polish did not close [{a!r}, {b!r}] to {tol!r} "
-                f"in {POLISH_MAX_STEPS} steps"
-            )
     return (a, fa) if -ga <= gb else (b, fb)
 
 

@@ -317,8 +317,9 @@ def log_negativity(rho, side="B", bipartition=None):
 
 def _entropy_of_probs(p, base, alpha=1):
     """Shannon (alpha = 1) or Renyi entropy of each distribution along the
-    last axis of ``p``, with 0 log 0 = 0; entries <= 0 count as 0."""
-    p = np.where(p > 0.0, p, 0.0)
+    last axis of ``p``, with 0 log 0 = 0; entries <= 0 count as 0, and a
+    NaN entry makes its entropy NaN."""
+    p = np.where(p <= 0.0, 0.0, p)
     if alpha == 1:
         h = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) / math.log(base)
     else:

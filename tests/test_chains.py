@@ -175,6 +175,15 @@ class TestLanczos:
         gram = basis.conj() @ basis.T
         assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
 
+    @pytest.mark.parametrize("j, g", [(1e200, 1.0), (1.0, 5.623413251903491e153)],
+                             ids=["residual", "step"])
+    def test_overflow_is_a_value_error(self, j, g):
+        # at g = 5.6e153 the third step's ||H v||^2 overflows while the
+        # residual of the Ritz vector stays finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="Lanczos overflowed"):
+                ground_state_exact(transverse_ising_chain(4, j=j, g=g))
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(chains, "LANCZOS_MAX_STEPS", 3)
         with pytest.raises(ArithmeticError, match="residual"):
@@ -508,6 +517,20 @@ class TestClassicalGibbs:
     def test_fewer_than_two_sites_is_refused(self, couplings, boundary):
         with pytest.raises(ValueError, match="at least two sites"):
             classical_gibbs_mutual_info(couplings, 1.0, 1, boundary=boundary)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 1.0, 3.0, 800.0])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_negative_beta_is_the_negated_energy_bitwise(self, beta, boundary):
+        # exp(beta E) = exp(-beta (-E)); the weights shift by the largest
+        # energy for beta < 0, so beta = -800 neither overflows nor warns
+        rng = RandomSource(16)
+        couplings = [rng.normal((3, 3)) for _ in range(5)]
+        with np.errstate(over="raise", invalid="raise"):
+            hot = classical_gibbs_mutual_info(couplings, -beta, 2, boundary=boundary)
+            cold = classical_gibbs_mutual_info([-c for c in couplings], beta, 2,
+                                               boundary=boundary)
+        assert hot == cold
+        assert math.isfinite(hot.mutual_info) and hot.ok
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta_is_refused(self, beta):

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,11 +9,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellscope.cli import _fmt, _jsonable, build_parser, main
 from bellscope.correlations import TIExpression, chsh_correlator_functional
@@ -376,7 +382,8 @@ class TestScans:
         assert out == ""
         want = {"--theta-points": "at least 64", "--tol": "positive and finite",
                 "--theta-min": "finite", "--theta-max": "finite"}
-        assert f"error: {flag} must be {want.get(flag, 'at least 1')}" in err
+        want = "finite" if "nan" in args else want.get(flag, "at least 1")
+        assert f"error: {flag} must be {want}" in err
         # a refused run echoes no configuration, so no NaN or Infinity either
         assert config_lines(err) == []
 
@@ -476,6 +483,106 @@ class TestScans:
         assert code == 2 and out == ""
         assert "error: " in err and message in err
         assert "Traceback" not in err and config_lines(err) == []
+
+
+# a small run of every command that has a float flag
+FINITE_RUNS = {
+    "scan": [["scan", "--family", "murcia", "--n-min", "5", "--n-max", "8",
+              "--theta-points", "64", "--jobs", "1"]],
+    "theta-sweep": [["theta-sweep", "--family", "murcia", "--n", "6", "--points", "16"]],
+    "lmg": [["lmg", "--n", "4"]],
+    "area-law": [["area-law", "--sites", "4"]],
+    "thermal-mi": [["thermal-mi", "--sites", "4", "--cut", "2", "--model", model]
+                   for model in ("heisenberg", "ising", "random")],
+    "gibbs-mi": [["gibbs-mi", "--sites", "4", "--cut", "2"]],
+}
+
+
+def float_flags():
+    """``(command, flag)`` for every option whose type parses '0.5' to a float
+    or to a list of floats, read from the parser itself."""
+    def parses_floats(action):
+        try:
+            return action.type("0.5") in (0.5, [0.5])
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return False
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted((command, action.option_strings[-1])
+                  for command, p in sub.choices.items() for action in p._actions
+                  if action.option_strings and parses_floats(action))
+
+
+FLOAT_CASES = [(argv, flag) for command, flag in float_flags()
+               for argv in FINITE_RUNS[command]]
+
+
+def assert_finite_or_refused(code, out, err):
+    """Exit 0 with finite CSV cells and a strict-JSON config, or exit 2 with an
+    error line, no output and no config; never a traceback."""
+    assert "Traceback" not in err
+    if code == 0:
+        assert len(config_lines(err)) == 1
+        _, rows = parse_csv(out)
+        assert rows
+        cells = [c for row in rows for c in row.values() if c not in ("true", "false")]
+        assert all(math.isfinite(float(c)) for c in cells), out
+    else:
+        assert code == 2, err
+        assert out == "" and config_lines(err) == []
+        assert "error: " in err
+
+
+class TestFiniteNumbers:
+    def test_the_float_flags_are_known(self):
+        assert float_flags() == sorted([
+            ("scan", "--tol"), ("theta-sweep", "--theta-min"), ("theta-sweep", "--theta-max"),
+            ("lmg", "--coupling"), ("lmg", "--field"),
+            ("area-law", "--coupling"), ("area-law", "--field"),
+            ("thermal-mi", "--beta"), ("thermal-mi", "--coupling"), ("thermal-mi", "--field"),
+            ("gibbs-mi", "--beta"),
+        ])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(FLOAT_CASES),
+           value=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 5e-324, -5e-324,
+                                  1e-300, -1e-300, 1e200, -1e200, 1e308, -1e308])
+           | st.floats())
+    def test_every_float_flag_gives_a_finite_run_or_exit_2(self, case, value):
+        argv, flag = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, f"{flag}={value!r}"])
+        assert_finite_or_refused(code, out.getvalue(), err.getvalue())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lmg", "--n", "4", "--coupling", "nan"], "--coupling must be finite, got nan"),
+        (["thermal-mi", "--sites", "4", "--cut", "2", "--field", "nan"],
+         "--field must be finite, got nan"),
+        (["lmg", "--n", "4", "--field", "1e308"], "energy must be finite"),
+        (["area-law", "--sites", "4", "--coupling", "1e200"], "Lanczos overflowed"),
+    ])
+    def test_non_finite_inputs_and_results_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and message in err
+        assert_finite_or_refused(code, out, err)
+
+    def test_the_slope_polish_closes_at_float_resolution(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--family", "murcia", "--n-min", "5",
+                                 "--n-max", "6", "--tol", "1e-16")
+        assert code == 0
+        assert_finite_or_refused(code, out, err)
+
+    def test_gibbs_mi_takes_a_negative_beta(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would exit 1
+            code, out, err = run_cli(capsys, "gibbs-mi", "--sites", "4", "--cut", "2",
+                                     "--beta=-800")
+        assert code == 0
+        assert_finite_or_refused(code, out, err)
+        _, rows = parse_csv(out)
+        assert [r["ok"] for r in rows] == ["true"]
 
 
 # output of _fmt and _jsonable as they were when both tested numpy types

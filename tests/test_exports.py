@@ -69,6 +69,21 @@ def test_no_runtime_assert(name):
     assert lines == [], f"{name} uses assert at lines {lines}; raise instead"
 
 
+def test_the_cli_checks_finiteness_in_one_function():
+    # one rule covers every float flag and every printed float, so no
+    # command grows a finiteness check of its own
+    def isfinite_calls(node):
+        return sum(isinstance(call, ast.Call)
+                   and getattr(call.func, "attr", getattr(call.func, "id", None)) == "isfinite"
+                   for call in ast.walk(node))
+
+    tree = ast.parse(Path(importlib.import_module("bellscope.cli").__file__).read_text())
+    owners = [func for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and isfinite_calls(func)]
+    assert [func.name for func in owners] == ["_require_finite"]
+    assert isfinite_calls(owners[0]) == isfinite_calls(tree) == 1
+
+
 def test_each_export_is_its_submodules_object():
     for name in bellscope.__all__:
         if name == "__version__":

@@ -264,6 +264,20 @@ class TestEntropies:
         assert abs(renyi_entropy(rho, 1) - vn_entropy(rho)) < 1e-12
         assert abs(renyi_entropy(rho, math.inf) + math.log2(0.5)) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [1, 0.5, 2])
+    def test_nan_probabilities_give_nan_not_zero(self, alpha):
+        # an overflowed Boltzmann weight is NaN; counting it as 0 used to
+        # turn it into a plausible entropy
+        p = np.array([0.5, np.nan, 0.5])
+        assert math.isnan(quantum._entropy_of_probs(p, 2, alpha))
+        rows = np.array([[0.25, 0.75, 0.0], [np.nan, 0.5, 0.5]])
+        h = quantum._entropy_of_probs(rows, 2, alpha)
+        assert h[0] == quantum._entropy_of_probs(rows[0], 2, alpha) and math.isnan(h[1])
+
+    def test_entries_at_or_below_zero_still_count_as_zero(self):
+        p = np.array([0.5, -0.0, 0.25, -1e-17, 0.25])
+        assert quantum._entropy_of_probs(p, 2) == 1.5
+
     def test_renyi_monotone_in_alpha(self):
         rng = np.random.default_rng(21)
         alphas = [0.0, 0.3, 0.7, 1.0, 1.5, 2.0, 5.0, math.inf]

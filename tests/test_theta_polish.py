@@ -336,6 +336,16 @@ class TestScalarMinimizeSlope:
         assert abs(x - 0.3) <= 1e-9
         assert len(calls) <= numerics.POLISH_SECANT_STEPS + 30
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300, 5e-324])
+    def test_a_tol_below_float_resolution_closes_at_adjacent_doubles(self, tol):
+        # murcia(5)'s optimum used to end on the bracket
+        # [2.3468788734760695, 2.34687887347607], two adjacent doubles, and
+        # raise at the step cap
+        mv = max_violation(murcia(5), tol=tol)
+        ref = max_violation(murcia(5), tol=1e-12)
+        assert abs(mv.theta - ref.theta) <= 1e-9
+        assert mv.violation == pytest.approx(ref.violation, rel=1e-12)
+
     def test_open_bracket_at_the_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "POLISH_MAX_STEPS", 10)
 
