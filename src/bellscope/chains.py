@@ -165,7 +165,8 @@ def ground_state_exact(ham):
     exhausted), then needs ``||H psi - E psi|| <= LANCZOS_RESIDUAL max(1,
     ||T_m||)``; else, or at ``LANCZOS_MAX_STEPS``, ``ArithmeticError``.  A
     step or residual that overflows (terms above about 1e153, where
-    ||H v||^2 leaves the float range) raises ``ValueError``.  A degenerate
+    ||H v||^2 leaves the float range) raises ``ValueError`` as soon as it
+    is made, before any tridiagonal eigensolve sees it.  A degenerate
     ground level gives the start vector's projection onto it.
     """
     dim = ham.dimension
@@ -189,6 +190,7 @@ def ground_state_exact(ham):
         w -= alpha[-1] * v
         w -= (vm @ w.conj()).conj() @ vm  # full reorthogonalisation
         beta.append(float(np.linalg.norm(w)))
+        _require_no_overflow(alpha[-1] + beta[-1])
         tnorm = max(tnorm, abs(alpha[-1]), beta[-1])
         exhausted = m == dim or beta[-1] <= LANCZOS_TOL * tnorm
         if m % 4 == 0 or m == LANCZOS_MAX_STEPS or exhausted:
@@ -201,13 +203,17 @@ def ground_state_exact(ham):
     x = s[:, 0] @ vm
     x /= np.linalg.norm(x)
     residual = float(np.linalg.norm(ham.apply(x) - theta[0] * x))
-    if not math.isfinite(residual + tnorm):  # some ||H v||^2 overflowed
-        raise ValueError("Lanczos overflowed: ||H v||^2 exceeds the float range; "
-                         "the chain's terms are too large")
+    _require_no_overflow(residual)
     if not converged or residual > LANCZOS_RESIDUAL * max(1.0, scale):
         raise ArithmeticError(f"Lanczos did not converge in {m} steps: "
                               f"residual ||H psi - E psi|| = {residual:.3g}")
     return float(theta[0]), StateVector(dims, x)
+
+
+def _require_no_overflow(value):
+    """Refuse a Lanczos step or residual that left the float range."""
+    if not math.isfinite(value):
+        raise ValueError("Lanczos overflowed the float range: the chain's terms are too large")
 
 
 def block_entropy_curve(psi, max_block=None, base=2):
@@ -268,6 +274,7 @@ def thermal_mutual_info_check(ham, beta, cut):
     ``2 beta ||h|| |dA|`` with ``||h||`` the largest spectral norm among the
     boundary-crossing bond terms and ``|dA|`` their count; the comparison
     uses natural-log mutual information, which is what the bound controls.
+    A spectrum that overflows the float range raises ``ValueError``.
     """
     if not 1 <= cut <= ham.n_sites - 1:
         raise ValueError(f"cut must lie in 1..{ham.n_sites - 1}")
@@ -276,6 +283,8 @@ def thermal_mutual_info_check(ham, beta, cut):
     if not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     w, v = np.linalg.eigh(ham.dense())
+    if not np.isfinite(w).all():
+        raise ValueError("the dense spectrum overflowed: the chain's terms are too large")
     rho = (v * _boltzmann(w, beta)) @ v.conj().T
     d = ham.local_dim
     dims = (d**cut, d ** (ham.n_sites - cut))

@@ -3,9 +3,9 @@
 Every subcommand resolves its configuration, checks it, computes a row
 table, echoes the configuration to stderr as one JSON line, and writes CSV
 (default) or JSON to stdout or to ``--out PATH``; a refused run echoes no
-configuration.  File outputs are written to a temporary file and renamed
-into place, and get a ``<out>.run.json`` sidecar with the resolved config
-and library version.  Floats are printed with 12 significant digits; exact
+configuration and no warning.  File outputs are written to a temporary file
+and renamed into place, and get a ``<out>.run.json`` sidecar with the
+resolved config and library version.  Floats are printed with 12 significant digits; exact
 rationals print in full, as integers or as 'p/q' strings.
 
 Every float flag, and every float a run prints, must be finite; one that is
@@ -16,7 +16,6 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib.util
 import json
 import math
@@ -24,6 +23,7 @@ import numbers
 import os
 import sys
 import tempfile
+import warnings
 
 from . import __version__
 
@@ -72,7 +72,6 @@ def _jsonable(value):
 
 
 def _emit(args, header, rows, sidecar_extra=None):
-    _require_finite((name, v) for row in rows for name, v in zip(header, row))
     print("config: " + json.dumps(_config_dict(args), sort_keys=True), file=sys.stderr)
     lines = [",".join(header)]
     for row in rows:
@@ -226,7 +225,7 @@ _SCAN_FAMILIES = {
 
 
 def _cmd_scan(args):
-    for flag, value, least in (("--n-step", args.n_step, 1), ("--jobs", args.jobs, 1),
+    for flag, value, least in (("--n-step", args.n_step, 1),
                                ("--theta-points", args.theta_points, 64)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
@@ -236,21 +235,7 @@ def _cmd_scan(args):
     if not ns:
         raise ValueError("empty n range")
     family = getattr(symmetric, _SCAN_FAMILIES[args.family])
-    scan = functools.partial(collective.ratio_scan, family,
-                             tol=args.tol, grid_points=args.theta_points)
-    if args.jobs > 1:
-        import concurrent.futures
-
-        # contiguous chunks, none empty, so each worker's scan warm-starts
-        # every n after its first from the one before
-        k = min(args.jobs, len(ns))
-        cuts = [len(ns) * i // k for i in range(k + 1)]
-        chunks = [ns[a:b] for a, b in zip(cuts, cuts[1:])]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
-            results = sorted((r for rows in pool.map(scan, chunks) for r in rows),
-                             key=lambda r: r.n)
-    else:
-        results = scan(ns)
+    results = collective.ratio_scan(family, ns, tol=args.tol, grid_points=args.theta_points)
     rows = [(r.n, r.beta_c, r.qv, r.ratio, r.theta_star) for r in results]
     header = ["n", "beta_c", "qv", "ratio", "theta_star"]
     counts = {"evals": sum(r.evals for r in results),
@@ -426,7 +411,6 @@ def build_parser():
     p.add_argument("--n-step", type=int, default=1)
     p.add_argument("--theta-points", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("theta-sweep", _cmd_theta_sweep, "Bell operator minimum along an angle grid")
     p.add_argument("--family", choices=sorted(_SCAN_FAMILIES), required=True)
@@ -493,7 +477,13 @@ def main(argv=None):
     try:
         _require_finite((f"--{key.replace('_', '-')}", v) for key, value in vars(args).items()
                         for v in (value if isinstance(value, list) else [value]))
-        header, rows, sidecar = args.func(args)
+        # warnings are held back until the rows pass, so a refused run's
+        # stderr is its one error line; a finished run prints them first
+        with warnings.catch_warnings(record=True) as caught:
+            header, rows, sidecar = args.func(args)
+            _require_finite((name, v) for row in rows for name, v in zip(header, row))
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
         _emit(args, header, rows, sidecar)
         return 0
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -333,7 +333,7 @@ class MaxViolation:
     evaluations made (calls of ``lowest_eigen_banded``) and ``screened``
     the grid points ruled out by a banded Cholesky factorisation instead
     (:func:`numerics.eigen_above_stacked`): ``evals + screened`` is the
-    pre-scan's ``max(grid_points, 64)`` plus one per polish point.  How
+    pre-scan's ``grid_points`` plus one per polish point.  How
     they split depends on the ``start`` of :func:`max_violation`; every
     other field does not.
     """
@@ -370,7 +370,8 @@ def max_violation(expr, tol=1e-6, grid_points=256, start=None):
     product and differ from those of :func:`bell_operator_bands` in the
     last bits, which the margin covers.  Whatever ``start`` is, the result
     is bitwise that of the full grid; only the split of ``evals`` and
-    ``screened`` moves.  A non-finite ``start`` raises ``ValueError``.
+    ``screened`` moves.  A non-finite ``start`` or ``grid_points < 64``
+    raises ``ValueError``.
     """
     beta_c = _require_bound(expr)
     m = expr.n + 1

@@ -22,6 +22,7 @@ amplitudes are refused with ``ValueError``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +201,11 @@ def mps_from_dense(psi, d=2, dmax=None):
     cut, which projects every cut in turn onto its leading Schmidt space.
     The result is the canonical MPS of that projected state, renormalised,
     and the right-to-left pass costs O(N d dmax^3).  Use :func:`truncate`
-    to also get the truncation error.
+    to also get the truncation error.  A ``dmax`` below 1 or not an
+    integer raises ``ValueError``.
     """
+    if dmax is not None and not (isinstance(dmax, numbers.Integral) and dmax >= 1):
+        raise ValueError(f"dmax must be at least 1 and an integer, got {dmax!r}")
     amp, d = _as_amplitudes(psi, d)
     blocks, rest, discarded = _left_sweep(amp, d, None if dmax is None else int(dmax))
     return _right_pass(blocks, rest, d, discarded)
@@ -255,13 +259,11 @@ def truncate(psi, dmax, d=2):
     and the error is the sum of the squared singular values the sweep
     discards: no cancellation, and exactly 0.0 when no cut drops a value.
     """
-    if dmax < 1:
-        raise ValueError("dmax must be at least 1")
     if isinstance(psi, MpsState):
         amp, d = mps_to_dense(psi), psi.local_dim
     else:
         amp, d = _as_amplitudes(psi, d)
-    truncated = mps_from_dense(amp, d=d, dmax=int(dmax))
+    truncated = mps_from_dense(amp, d=d, dmax=dmax)
     return truncated, truncated.discarded
 
 

@@ -1,9 +1,12 @@
 """Shared numerical kernels: Hermitian eigensolvers, SVD, bracketed scalar
 minimisation, banded extreme eigenpairs, and seeded random streams.
 
-Everything downstream funnels its linear algebra through this module so that
-tolerances and conventions (eigenvalue ordering, singular-value ordering,
-band storage) are fixed in one place.
+It owns the kernels whose conventions other modules rely on: the checked
+Hermitian eigensolver and SVD, the QR-chain cut spectra, the banded lowest
+eigenpair and its Cholesky screen, the theta minimiser and its pre-scan
+grid, and the seeded random streams.  ``quantum.page_experiment``,
+``chains``, ``correlations.behavior_from_quantum`` and ``mps._right_pass``
+call ``np.linalg`` directly on matrices they build themselves.
 
 No scipy Python package is imported here.  The first
 :func:`lowest_eigen_banded` or :func:`eigen_above_stacked` call loads scipy's
@@ -249,8 +252,8 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, *, value_and_slope,
     Raises
     ------
     ValueError
-        If ``hi <= lo``, ``start`` is not finite, or ``f`` returns NaN on
-        the grid.
+        If ``hi <= lo``, ``grid_points < 64``, ``start`` is not finite, or
+        ``f`` returns NaN on the grid.
     ArithmeticError
         If the polish does not close its bracket in ``POLISH_MAX_STEPS``.
     """
@@ -272,8 +275,10 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, *, value_and_slope,
 
 def prescan_grid(lo, hi, grid_points):
     """The pre-scan grid of :func:`scalar_minimize`:
-    ``np.linspace(lo, hi, max(grid_points, 64))``."""
-    return np.linspace(lo, hi, max(int(grid_points), 64))
+    ``np.linspace(lo, hi, grid_points)``; fewer than 64 points raise ``ValueError``."""
+    if grid_points < 64:
+        raise ValueError(f"grid_points must be at least 64, got {grid_points}")
+    return np.linspace(lo, hi, int(grid_points))
 
 
 def _screened_scan(f, screen, xs, start):

@@ -312,7 +312,6 @@ def grid_brent_minimize(f, lo, hi, tol=1e-8, grid_points=64):
     used before its slope polish: same grid, same first-argmin bracket."""
     import scipy.optimize
 
-    grid_points = max(int(grid_points), 64)
     xs = np.linspace(lo, hi, grid_points)
     fs = np.array([float(f(x)) for x in xs])
     i = int(np.argmin(fs))

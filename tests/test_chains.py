@@ -175,11 +175,13 @@ class TestLanczos:
         gram = basis.conj() @ basis.T
         assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
 
-    @pytest.mark.parametrize("j, g", [(1e200, 1.0), (1.0, 5.623413251903491e153)],
-                             ids=["residual", "step"])
+    @pytest.mark.parametrize("j, g", [(1e200, 1.0), (1.0, 5.623413251903491e153),
+                                      (1.0, 1.7976931348623157e308)],
+                             ids=["residual", "step", "nan-step"])
     def test_overflow_is_a_value_error(self, j, g):
         # at g = 5.6e153 the third step's ||H v||^2 overflows while the
-        # residual of the Ritz vector stays finite
+        # residual of the Ritz vector stays finite; at the largest double the
+        # first step is NaN, and is refused before a tridiagonal eigh sees it
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="Lanczos overflowed"):
                 ground_state_exact(transverse_ising_chain(4, j=j, g=g))
@@ -427,6 +429,15 @@ class TestThermalMutualInfo:
     def test_non_finite_beta_is_refused(self, beta):
         with pytest.raises(ValueError, match="beta must be finite"):
             thermal_mutual_info_check(heisenberg_chain(4), beta, 2)
+
+    @pytest.mark.parametrize("j, g", [(1e308, 1.0), (1.0, 1.7976931348623157e308)],
+                             ids=["infinite-spectrum", "infinite-matrix"])
+    def test_an_overflowed_spectrum_is_refused(self, j, g):
+        # the dense spectrum is +-inf, or NaN from an infinite matrix entry,
+        # and would give NaN Gibbs weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="dense spectrum overflowed"):
+                thermal_mutual_info_check(transverse_ising_chain(4, j=j, g=g), 1.0, 2)
 
 
 class TestClassicalGibbs:

@@ -41,6 +41,13 @@ def config_lines(err):
             for line in err.splitlines() if line.startswith("config: ")]
 
 
+def run_cli_process(argv):
+    """``main(argv)`` in a fresh interpreter, so stderr carries its warnings."""
+    code = f"import sys; from bellscope.cli import main; sys.exit(main({list(argv)!r}))"
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+
+
 def parse_csv(text):
     lines = [ln for ln in text.splitlines() if ln]
     header = lines[0].split(",")
@@ -340,6 +347,12 @@ class TestJsonInputs:
         assert code == 2
         assert f"error: {option} must be at least" in err
 
+    @pytest.mark.parametrize("dmax", ["0", "-3", "1,0"])
+    def test_mps_refuses_a_bond_cap_below_1(self, capsys, dmax):
+        code, out, err = run_cli(capsys, "mps", "--random", "4", "--dmax", dmax)
+        assert code == 2 and out == ""
+        assert err.startswith("error: dmax must be at least 1") and err.count("\n") == 1
+
 
 class TestScans:
     def test_scan_rows_sorted_with_violations(self, capsys):
@@ -366,7 +379,7 @@ class TestScans:
         (["scan", "--n-max", "4", "--n-step", "0"], "--n-step"),
         (["theta-sweep", "--n", "6", "--points", "0"], "--points"),
         (["theta-sweep", "--n", "6", "--points", "-3"], "--points"),
-        (["scan", "--n-max", "4", "--jobs", "0"], "--jobs"),
+        (["scan", "--n-max", "4", "--theta-points", "63"], "--theta-points"),
         (["scan", "--n-max", "4", "--theta-points", "10"], "--theta-points"),
         (["scan", "--n-max", "4", "--tol", "0"], "--tol"),
         (["scan", "--n-max", "4", "--tol", "-1"], "--tol"),
@@ -387,42 +400,23 @@ class TestScans:
         # a refused run echoes no configuration, so no NaN or Infinity either
         assert config_lines(err) == []
 
-    def test_parallel_scan_matches_serial(self, capsys, tmp_path):
-        f1, f2 = str(tmp_path / "serial.csv"), str(tmp_path / "par.csv")
-        args = ["scan", "--family", "murcia", "--n-max", "6", "--theta-points", "64"]
-        assert main(args + ["--out", f1]) == 0
-        assert main(args + ["--jobs", "2", "--out", f2]) == 0
-        capsys.readouterr()
-        assert open(f1, "rb").read() == open(f2, "rb").read()
-
     def test_scan_sidecar_totals_eigen_work(self, capsys, tmp_path):
-        # --jobs k scans k contiguous chunks of n; within a chunk each n
-        # starts from the previous n's angle if that n was violated, so the
-        # counts are per-chunk sums
+        # each n starts from the previous n's angle if that n was violated,
+        # so the counts are the sums of the warm-started calls
         from bellscope.collective import max_violation
 
-        def warm_started_counts(chunks):
-            evals = screened = 0
-            for chunk in chunks:
-                start = None
-                for n in chunk:
-                    mv = max_violation(murcia(n), grid_points=64, start=start)
-                    start = mv.theta if mv.violation > 0 else None
-                    evals, screened = evals + mv.evals, screened + mv.screened
-            return evals, screened
-
-        chunks = {"1": [[2, 3, 4, 5, 6, 7, 8]],
-                  "2": [[2, 3, 4], [5, 6, 7, 8]],
-                  "3": [[2, 3], [4, 5], [6, 7, 8]]}
-        args = ["scan", "--family", "murcia", "--n-min", "2", "--n-max", "8",
-                "--theta-points", "64"]
-        for jobs in ("1", "2", "3"):
-            out = str(tmp_path / f"scan{jobs}.csv")
-            assert main(args + ["--jobs", jobs, "--out", out]) == 0
-            sidecar = json.loads(open(out + ".run.json").read())
-            assert (sidecar["evals"], sidecar["screened"]) == warm_started_counts(chunks[jobs])
-            assert open(out, "rb").read() == open(str(tmp_path / "scan1.csv"), "rb").read()
+        evals = screened = 0
+        start = None
+        for n in range(2, 9):
+            mv = max_violation(murcia(n), grid_points=64, start=start)
+            start = mv.theta if mv.violation > 0 else None
+            evals, screened = evals + mv.evals, screened + mv.screened
+        out = str(tmp_path / "scan.csv")
+        assert main(["scan", "--family", "murcia", "--n-min", "2", "--n-max", "8",
+                     "--theta-points", "64", "--out", out]) == 0
         capsys.readouterr()
+        sidecar = json.loads(open(out + ".run.json").read())
+        assert (sidecar["evals"], sidecar["screened"]) == (evals, screened)
 
     def test_scan_sidecar_counts_are_pinned(self, capsys, tmp_path):
         # the violation-small benchmark scan: each n after a violated one
@@ -488,7 +482,7 @@ class TestScans:
 # a small run of every command that has a float flag
 FINITE_RUNS = {
     "scan": [["scan", "--family", "murcia", "--n-min", "5", "--n-max", "8",
-              "--theta-points", "64", "--jobs", "1"]],
+              "--theta-points", "64"]],
     "theta-sweep": [["theta-sweep", "--family", "murcia", "--n", "6", "--points", "16"]],
     "lmg": [["lmg", "--n", "4"]],
     "area-law": [["area-law", "--sites", "4"]],
@@ -567,6 +561,31 @@ class TestFiniteNumbers:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and message in err
         assert_finite_or_refused(code, out, err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lmg", "--n", "4", "--field", "1e308"], "energy must be finite, got -inf"),
+        (["area-law", "--sites", "4", "--coupling", "1e200"], "Lanczos overflowed"),
+        (["area-law", "--sites", "4", "--field", "1.7976931348623157e308"],
+         "Lanczos overflowed"),
+        (["thermal-mi", "--sites", "4", "--cut", "2", "--model", "ising",
+          "--coupling", "1e308"], "dense spectrum overflowed"),
+    ])
+    def test_an_overflow_refusal_prints_one_error_line(self, argv, message):
+        # numpy's RuntimeWarnings of the refused computation are not printed
+        proc = run_cli_process(argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+
+    def test_a_finished_run_still_prints_its_warnings(self):
+        # its Gibbs weights underflow to 0 with an overflow warning, and the
+        # rows stay finite
+        proc = run_cli_process(["gibbs-mi", "--sites", "4", "--cut", "2", "--beta", "1e308"])
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 3, proc.stderr
+        assert "RuntimeWarning: overflow encountered in multiply" in lines[0]
+        assert lines[2].startswith("config: ")
 
     def test_the_slope_polish_closes_at_float_resolution(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--family", "murcia", "--n-min", "5",
@@ -751,7 +770,7 @@ class TestOutputsAndReproducibility:
     def test_violation_commands_load_only_the_lapack_extension(self, tmp_path):
         # orders 3..7 take the sbevx path, order 251 the pbtrf/pbtrs one
         scan = ["scan", "--family", "murcia", "--n-min", "2", "--n-max", "6",
-                "--jobs", "1", "--out", str(tmp_path / "scan.csv")]
+                "--out", str(tmp_path / "scan.csv")]
         sweep = ["theta-sweep", "--family", "murcia", "--n", "250", "--points", "3",
                  "--out", str(tmp_path / "sweep.csv")]
         code = ("import sys; from bellscope.cli import main; "

@@ -1,8 +1,8 @@
 """Every exported name resolves, so a deleted function cannot linger in an
 ``__all__`` list, no submodule re-exports another's callable, every imported
 name is used, the lazily loading package exports exactly what its submodules
-define, and no module checks itself with an ``assert`` that ``python -O``
-would strip."""
+define, no module checks itself with an ``assert`` that ``python -O``
+would strip, and no module starts a process pool or a thread."""
 
 import ast
 import importlib
@@ -67,6 +67,20 @@ def test_no_runtime_assert(name):
     tree = ast.parse(Path(module.__file__).read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{name} uses assert at lines {lines}; raise instead"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_starts_processes_or_threads(name):
+    # each run is one process on one thread, so the os.wait4 figures of the
+    # benchmark harness cover all of its work
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    forbidden = {"concurrent", "multiprocessing", "threading"}
+    assert [m for m in imported if m.partition(".")[0] in forbidden] == []
 
 
 def test_the_cli_checks_finiteness_in_one_function():

@@ -304,6 +304,27 @@ class TestRejectsBadStates:
             truncate(self.BAD[kind], 2)
 
 
+class TestBondCap:
+    @pytest.mark.parametrize("dmax", [0, -3, 2.7, 2.0])
+    def test_mps_from_dense_refuses(self, dmax):
+        with pytest.raises(ValueError) as info:
+            mps_from_dense(ghz(4), dmax=dmax)
+        assert str(info.value) == f"dmax must be at least 1 and an integer, got {dmax!r}"
+
+    @pytest.mark.parametrize("dmax", [0, -3, 2.7])
+    def test_truncate_refuses_through_the_same_rule(self, dmax):
+        for psi in (ghz(4), mps_from_dense(ghz(4))):
+            with pytest.raises(ValueError, match="^dmax must be at least 1"):
+                truncate(psi, dmax)
+
+    def test_integer_caps_of_any_integer_type(self):
+        amp = haar_vector(2**6, RandomSource(5).generator)
+        want = truncate(amp, 2)
+        for dmax in (np.int64(2), np.int32(2)):
+            got = truncate(amp, dmax)
+            assert got[1] == want[1] and got[0].bond_dimensions == want[0].bond_dimensions
+
+
 def _oracle_state(kind, d, n, rank, seed):
     """Haar, product, weighted GHZ (Schmidt rank d) or bond-``rank`` MPS state."""
     rng = np.random.default_rng(seed)

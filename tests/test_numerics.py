@@ -153,6 +153,28 @@ class TestScalarMinimize:
             scalar_minimize(lambda x: float("nan"), 0.0, 1.0,
                             value_and_slope=lambda x: (float("nan"), float("nan")))
 
+    @pytest.mark.parametrize("grid_points", [63, 10, 0, -5])
+    def test_grids_below_64_points_are_refused(self, grid_points):
+        from bellscope.collective import max_violation, ratio_scan
+        from bellscope.symmetric import murcia
+
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x
+
+        with pytest.raises(ValueError, match="grid_points must be at least 64"):
+            numerics.prescan_grid(0.0, 1.0, grid_points)
+        with pytest.raises(ValueError, match="grid_points must be at least 64"):
+            scalar_minimize(f, -1.0, 1.0, grid_points=grid_points,
+                            value_and_slope=lambda x: (f(x), 2.0 * x))
+        with pytest.raises(ValueError, match="grid_points must be at least 64"):
+            max_violation(murcia(6), grid_points=grid_points)
+        with pytest.raises(ValueError, match="grid_points must be at least 64"):
+            ratio_scan(murcia, [5, 6], grid_points=grid_points)
+        assert calls == []
+
     def test_matches_dense_grid_on_bell_objective(self):
         from bellscope.collective import _bell_slope, bell_operator
         from bellscope.symmetric import murcia

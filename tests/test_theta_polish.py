@@ -139,11 +139,11 @@ class TestMaxViolationOracle:
             return lowest_eigen_banded(bands, want_vector=want_vector)
 
         monkeypatch.setattr(collective, "lowest_eigen_banded", counting)
-        for n, grid_points in ((6, 256), (23, 256), (30, 40)):
+        for n, grid_points in ((6, 256), (23, 256), (30, 64)):
             calls.clear()
             mv = max_violation(murcia(n), grid_points=grid_points)
             assert mv.evals == len(calls)
-            scan = max(grid_points, 64)
+            scan = grid_points
             prescan = scan - mv.screened
             assert calls[:prescan] == [False] * prescan
             assert scan < mv.evals + mv.screened <= scan + 12
@@ -241,12 +241,12 @@ class TestScreenedScan:
         monkeypatch.setattr(collective, "lowest_eigen_banded", counting)
         monkeypatch.setattr(numerics, "_lapack",
                             lambda: (real_lapack[0], pbtrf, *real_lapack[2:]))
-        for n, grid_points in ((5, 256), (40, 256), (250, 256), (30, 40)):
+        for n, grid_points in ((5, 256), (40, 256), (250, 256), (30, 64)):
             for record in (stacks, calls):
                 record.clear()
             mv = max_violation(murcia(n), grid_points=grid_points)
             assert len(stacks) == 1 and not outside
-            grid, grid_evals = max(grid_points, 64), calls.count(False)
+            grid, grid_evals = grid_points, calls.count(False)
             assert len(stacks[0]) == grid
             assert mv.screened == grid - grid_evals <= int(stacks[0].sum())
 
