@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _cut_singular_values, _start_vector
+from .numerics import _cut_singular_values, _require_hermitian, _start_vector
 from .quantum import (
     DensityOperator,
     StateVector,
@@ -54,8 +54,7 @@ def _local_term(term, size, what):
         raise ValueError(f"{what} has shape {t.shape}, want ({size},{size})")
     if not np.isfinite(t).all():
         raise ValueError(f"{what} has non-finite entries")
-    if np.max(np.abs(t - t.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(t))):
-        raise ValueError(f"{what} is not Hermitian")
+    _require_hermitian(t, what)
     return t if t.imag.any() else t.real.copy()
 
 
@@ -255,8 +254,10 @@ def _mi_report(mi, bound, norm, crossing):
 
 def _boltzmann(energy, beta):
     """exp(-beta E) / Z, shifted by the E that minimises beta E, so no
-    weight exceeds 1 for either sign of beta."""
-    w = np.exp(-beta * (energy - (energy.min() if beta >= 0 else energy.max())))
+    weight exceeds 1 for either sign of beta.  An exponent can then only
+    overflow to -inf, whose weight 0 is exact."""
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta * (energy - (energy.min() if beta >= 0 else energy.max())))
     return w / w.sum()
 
 

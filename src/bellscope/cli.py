@@ -353,9 +353,15 @@ def _cmd_thermal_mi(args):
 
 
 def _cmd_gibbs_mi(args):
+    d = args.local_dim
+    if d < 1:
+        raise ValueError(f"--local-dim must be at least 1, got {d}")
+    if d**args.sites > chains.CLASSICAL_GUARD:  # checked before the d x d draws
+        raise ValueError(f"--local-dim {d} on {args.sites} sites exceeds the "
+                         f"classical guard d^n <= {chains.CLASSICAL_GUARD}")
     rng = numerics.RandomSource(args.seed)
     bonds = args.sites if args.boundary == "periodic" else args.sites - 1
-    couplings = [rng.normal((args.local_dim, args.local_dim)) for _ in range(bonds)]
+    couplings = [rng.normal((d, d)) for _ in range(bonds)]
     reps = [chains.classical_gibbs_mutual_info(couplings, beta, args.cut, boundary=args.boundary)
             for beta in args.beta]
     rows = [(beta, r.mutual_info, r.bound, r.ok) for beta, r in zip(args.beta, reps)]

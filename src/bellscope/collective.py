@@ -157,13 +157,13 @@ def to_full_space(state):
     n = state.n
     if n > 24:
         raise ValueError("full-space embedding guard is n <= 24")
-    full = np.zeros(2**n, dtype=complex)
     weights = np.array([
         state.amplitudes[k] / math.sqrt(math.comb(n, k)) for k in range(n + 1)
-    ])
-    for idx in range(2**n):
-        full[idx] = weights[idx.bit_count()]
-    return StateVector((2,) * n, full)
+    ], dtype=complex)
+    ones = np.zeros(1, dtype=np.intp)  # popcount of every index, one bit at a time
+    for _ in range(n):
+        ones = np.concatenate([ones, ones + 1])
+    return StateVector((2,) * n, weights[ones])
 
 
 def lmg_energies(n, lam, h):

@@ -277,8 +277,10 @@ def behavior_from_quantum(rho, measurements):
     ``rho`` (DensityOperator or StateVector) has one factor per party, and
     ``measurements[i][x][a]`` is party i's effect for setting x, outcome a.
     Every setting must be complete (effects summing to the identity within
-    1e-9) and every effect positive semidefinite.
+    1e-9) and every effect Hermitian, by the rule of
+    :func:`numerics.hermitian_eigen`, and positive semidefinite.
     """
+    from .numerics import _require_hermitian
     from .quantum import _as_density
 
     rho = _as_density(rho)
@@ -298,12 +300,11 @@ def behavior_from_quantum(rho, measurements):
             if np.max(np.abs(total - np.eye(rho.dims[i]))) > 1e-9:
                 raise ValueError(f"party {i} setting {x}: POVM does not sum to identity")
             for a, e in enumerate(eff):
-                wmin = float(np.linalg.eigvalsh((e + e.conj().T) / 2)[0])
+                what = f"party {i} setting {x} outcome {a}: effect"
+                _require_hermitian(e, what)
+                wmin = float(np.linalg.eigvalsh(e)[0])
                 if wmin < -1e-9:
-                    raise ValueError(
-                        f"party {i} setting {x} outcome {a}: effect not PSD "
-                        f"(min eigenvalue {wmin:.3e})"
-                    )
+                    raise ValueError(f"{what} not PSD (min eigenvalue {wmin:.3e})")
     sc = Scenario(n, m, d)
     effects = [[e for setting in party for e in setting] for party in measurements]
     return Behavior(sc, _settings_first(_local_expectations(rho, effects), m, d))
@@ -402,18 +403,10 @@ def chsh_probability_functional():
 
 def chsh_correlator_functional():
     """CHSH in correlator form <00> + <01> + <10> - <11>: local bound 2."""
-    weights = np.zeros((3, 3))
-    weights[1:, 1:] = [[1.0, 1.0], [1.0, -1.0]]
-    return _correlator_functional(Scenario(2, 2, 2), weights, direction="<=",
-                                  bound=2.0, name="chsh-correlator")
-
-
-def _correlator_functional(scenario, weights, **meta):
-    """``sum_c weights[c] <c>``, each term charged to the context in which
-    absent parties measure setting 0, as :func:`correlators_from_behavior` reads."""
-    m = scenario.settings
-    c = _map_parties(weights, [_correlator_map(m).T] * scenario.parties)
-    return BellFunctional(scenario, _settings_first(c, m, 2), **meta)
+    w = np.array([[1.0, 1.0], [1.0, -1.0]])
+    c = w[:, :, None, None] * np.multiply.outer(OUTCOME_SIGNS, OUTCOME_SIGNS)
+    return BellFunctional(Scenario(2, 2, 2), c, direction="<=", bound=2.0,
+                          name="chsh-correlator")
 
 
 def qubit_observable(theta):

@@ -128,14 +128,18 @@ def hermitian_eigen(matrix):
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _require_hermitian(m, "matrix")
+    return np.linalg.eigh(m)
+
+
+def _require_hermitian(m, what):
+    """Refuse a square ``m`` with max |M - M^dag| above ``HERMITICITY_TOL``
+    times max(1, max |M|), naming it ``what`` in the error."""
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if asym > HERMITICITY_TOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e} "
-            f"exceeds {HERMITICITY_TOL:.0e} * {scale:.3e}"
-        )
-    return np.linalg.eigh(m)
+        raise ValueError(f"{what} is not Hermitian: max |M - M^dag| = {asym:.3e} "
+                         f"exceeds {HERMITICITY_TOL:.0e} * {scale:.3e}")
 
 
 def svd(matrix):
@@ -648,14 +652,3 @@ class RandomSource:
 
     def integers(self, lo, hi=None, size=None):
         return self._gen.integers(lo, hi, size=size)
-
-    def spawn(self, count):
-        """Derive ``count`` independent child streams, deterministically."""
-        children = np.random.SeedSequence(self.seed).spawn(count)
-        out = []
-        for child in children:
-            src = RandomSource.__new__(RandomSource)
-            src.seed = self.seed
-            src._gen = np.random.Generator(np.random.PCG64(child))
-            out.append(src)
-        return out

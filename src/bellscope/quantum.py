@@ -178,13 +178,21 @@ def max_entangled(d):
     return StateVector((d, d), amp)
 
 
+#: Largest Haar vector ``_haar_rows`` draws: 2^24 amplitudes take 256 MiB
+#: of Gaussian draws and 256 MiB of complex amplitudes.
+HAAR_GUARD = 2**24
+
+
 def _haar_rows(k, size, rng):
     """``k`` Haar-random unit vectors in C^size, as the rows of a (k, size) array.
 
     Row i normalises ``g[i, 0] + 1j g[i, 1]`` for one ``rng.normal((k, 2,
     size))`` draw g, so a seed gives the same vectors whatever k is; the law
     of i.i.d. complex Gaussians is unitarily invariant, so this is exact.
+    A ``size`` above ``HAAR_GUARD`` is refused before anything is drawn.
     """
+    if size > HAAR_GUARD:
+        raise ValueError(f"Haar guard is dimension <= {HAAR_GUARD}, got {size}")
     g = rng.normal((k, 2, size))
     amp = g[:, 0] + 1j * g[:, 1]
     amp /= np.sqrt(np.einsum("kij,kij->k", g, g))[:, None]

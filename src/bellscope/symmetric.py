@@ -350,27 +350,27 @@ def pi_to_functional(expr):
     Every one- and two-body correlator is charged to the context in which
     the parties outside it measure setting 0, the completion
     :func:`correlations.correlators_from_behavior` reads.  On nonsignalling
-    behaviors the value is placement-independent.
+    behaviors the value is placement-independent.  Only the contexts with at
+    most two parties on setting 1 carry weight, and each is written directly.
     """
     import numpy as np
 
-    from .correlations import Scenario, _correlator_functional
+    from .correlations import OUTCOME_SIGNS, BellFunctional, Scenario
 
     n = expr.n
     sc = Scenario(n, 2, 2)
     alpha, beta, gamma, delta, epsilon = (float(v) for v in expr.coefficients())
-    # per party: 0 absent, 1 measures setting 0, 2 measures setting 1
-    weights = np.zeros((3,) * n)
+    s = OUTCOME_SIGNS[np.indices((2,) * n)]  # s[i] is party i's sign, per outcome
+    total = s.sum(axis=0)
+    c = np.zeros(sc.table_shape)  # adding onto +0.0 leaves no -0.0 behind
     eye = np.eye(n, dtype=int)
+    # all on setting 0; party i alone on setting 1; parties i and j on it
+    c[(0,) * n] += alpha * total + gamma * (total * total - n) / 2
     for i in range(n):
-        weights[tuple(eye[i])] += alpha
-        weights[tuple(2 * eye[i])] += beta
+        c[tuple(eye[i])] += s[i] * (beta + delta * (total - s[i]))
         for j in range(i + 1, n):
-            weights[tuple(eye[i] + eye[j])] += gamma
-            weights[tuple(eye[i] + 2 * eye[j])] += delta
-            weights[tuple(2 * eye[i] + eye[j])] += delta
-            weights[tuple(2 * eye[i] + 2 * eye[j])] += epsilon
-    return _correlator_functional(sc, weights, name=expr.name or "pi-expression")
+            c[tuple(eye[i] + eye[j])] += epsilon * s[i] * s[j]
+    return BellFunctional(sc, c, name=expr.name or "pi-expression")
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,23 @@ class TestJsonInputs:
         assert code == 2 and out == ""
         assert err.startswith("error: dmax must be at least 1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mps", "--random", "40"], "Haar guard"),
+        (["page", "--m", "1000000", "--n", "1000000", "--samples", "1"], "Haar guard"),
+        (["gibbs-mi", "--sites", "4", "--cut", "2", "--local-dim", "1000000"],
+         "--local-dim 1000000 on 4 sites exceeds the classical guard"),
+        (["gibbs-mi", "--sites", "4", "--cut", "2", "--local-dim", "0"],
+         "--local-dim must be at least 1"),
+        (["gibbs-mi", "--sites", "4", "--cut", "2", "--local-dim", "-1"],
+         "--local-dim must be at least 1"),
+    ], ids=["mps-16TiB", "page-16TB", "gibbs-8TB-couplings", "gibbs-dim-0", "gibbs-dim-neg"])
+    def test_oversized_requests_are_refused_before_allocating(self, capsys, argv, message):
+        # each size is a TiB or more, which numpy cannot allocate at once
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+
 
 class TestScans:
     def test_scan_rows_sorted_with_violations(self, capsys):
@@ -578,14 +595,31 @@ class TestFiniteNumbers:
         assert message in proc.stderr
 
     def test_a_finished_run_still_prints_its_warnings(self):
-        # its Gibbs weights underflow to 0 with an overflow warning, and the
-        # rows stay finite
-        proc = run_cli_process(["gibbs-mi", "--sites", "4", "--cut", "2", "--beta", "1e308"])
-        assert proc.returncode == 0
+        # a command patched to warn: main holds the warning back until the
+        # rows pass, then prints it before the config line
+        code = ("import sys, warnings\n"
+                "from bellscope import cli\n"
+                "def warns(args):\n"
+                "    warnings.warn('deliberate warning', RuntimeWarning)\n"
+                "    return ['n'], [(args.n,)], None\n"
+                "cli._cmd_murcia = warns\n"
+                "sys.exit(cli.main(['murcia', '--n', '4']))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == "n\n4\n"
         lines = proc.stderr.splitlines()
-        assert len(lines) == 3, proc.stderr
-        assert "RuntimeWarning: overflow encountered in multiply" in lines[0]
-        assert lines[2].startswith("config: ")
+        assert len(lines) == 2, proc.stderr
+        assert lines[0].endswith("RuntimeWarning: deliberate warning")
+        assert lines[1].startswith("config: ")
+
+    @pytest.mark.parametrize("beta", ["1e308", "-1e308"])
+    def test_underflowed_gibbs_weights_print_no_warning(self, beta):
+        # exp(-beta * dE) underflows to an exact weight 0, with no overflow warning
+        proc = run_cli_process(["gibbs-mi", "--sites", "4", "--cut", "2", f"--beta={beta}"])
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("config: ") and proc.stderr.count("\n") == 1, proc.stderr
+        _, rows = parse_csv(proc.stdout)
+        assert [(r["mutual_info"], r["ok"]) for r in rows] == [("0", "true")]
 
     def test_the_slope_polish_closes_at_float_resolution(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--family", "murcia", "--n-min", "5",

@@ -107,6 +107,20 @@ class TestDickeStates:
             got = np.vdot(f1.amplitudes, f2.amplitudes)
             assert abs(want - got) < 1e-12
 
+    def test_embedding_is_bitwise_the_per_index_loop(self):
+        # each index takes the weight of its popcount, as a loop over the
+        # 2^n indices would set it one by one
+        rng = RandomSource(32).generator
+        for n in range(1, 9):
+            for state in (random_symmetric_state(n, rng), dicke_state(n, n // 2)):
+                weights = [state.amplitudes[k] / math.sqrt(math.comb(n, k))
+                           for k in range(n + 1)]
+                loop = np.zeros(2**n, dtype=complex)
+                for idx in range(2**n):
+                    loop[idx] = weights[bin(idx).count("1")]
+                got = to_full_space(state).amplitudes
+                assert got.dtype == loop.dtype and got.tobytes() == loop.tobytes()
+
     def test_unnormalised_rejected(self):
         with pytest.raises(ValueError):
             SymmetricState(2, np.array([1.0, 1.0, 0.0]))

@@ -115,6 +115,14 @@ class TestQuantumBehavior:
         with pytest.raises(ValueError):
             behavior_from_quantum(rho, [[z, z], [z, broken]])
 
+    def test_non_hermitian_effect_rejected(self):
+        # its Hermitian part is I/2, so only the Hermiticity check refuses it
+        e0 = np.array([[0.5, 0.2], [-0.2, 0.5]])
+        z = qubit_projectors(0.0)
+        with pytest.raises(ValueError,
+                           match="party 0 setting 0 outcome 0: effect is not Hermitian"):
+            behavior_from_quantum(max_entangled(2), [[[e0, np.eye(2) - e0], z], [z, z]])
+
     def test_random_quantum_behaviors_are_nonsignalling(self):
         rng = np.random.default_rng(7)
         for trial in range(100):

@@ -587,16 +587,6 @@ class TestRandomSource:
         assert src.seed == 77
         assert isinstance(src.algorithm, str) and src.algorithm
 
-    def test_spawned_streams_are_reproducible_and_independent(self):
-        parent_a = RandomSource(9)
-        parent_b = RandomSource(9)
-        kids_a = parent_a.spawn(3)
-        kids_b = parent_b.spawn(3)
-        for ka, kb in zip(kids_a, kids_b):
-            assert np.array_equal(ka.normal(size=32), kb.normal(size=32))
-        draws = [tuple(k.normal(size=4)) for k in RandomSource(9).spawn(3)]
-        assert len(set(draws)) == 3
-
     def test_stream_is_usable_for_haar_sampling(self):
         rng = RandomSource(10)
         v = haar_vector(16, np.random.default_rng(0))
