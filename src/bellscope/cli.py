@@ -124,6 +124,20 @@ def _require_finite(pairs):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+#: Largest value of a count flag, the Haar sampler's 2^24 amplitudes
+#: (``quantum.HAAR_GUARD``), written out so that the check loads no module.
+COUNT_FLAG_GUARD = 2**24
+
+
+def _require_count(args):
+    """Refuse a count flag (``--samples``, ``--points``, ``--theta-points``)
+    above ``COUNT_FLAG_GUARD``: each sizes an array allocated before any work."""
+    for key in ("samples", "points", "theta_points"):
+        if getattr(args, key, 0) > COUNT_FLAG_GUARD:
+            raise ValueError(f"--{key.replace('_', '-')} must be at most {COUNT_FLAG_GUARD}, "
+                             f"got {getattr(args, key)}")
+
+
 def _list_of(kind):
     """argparse type for a non-empty comma-separated list of ``kind`` (int or float)."""
     def parse(text):
@@ -483,6 +497,7 @@ def main(argv=None):
     try:
         _require_finite((f"--{key.replace('_', '-')}", v) for key, value in vars(args).items()
                         for v in (value if isinstance(value, list) else [value]))
+        _require_count(args)
         # warnings are held back until the rows pass, so a refused run's
         # stderr is its one error line; a finished run prints them first
         with warnings.catch_warnings(record=True) as caught:

@@ -25,7 +25,6 @@ from .numerics import (
     eigen_above_stacked,
     gershgorin_bounds,
     lowest_eigen_banded,
-    prescan_grid,
     scalar_minimize,
 )
 from .symmetric import SymmetrizedCorrelators
@@ -329,13 +328,16 @@ class MaxViolation:
 
     ``theta`` comes from the pre-scan of :func:`numerics.scalar_minimize`
     polished by Illinois regula falsi on the exact Hellmann-Feynman slope
-    of the lowest eigenvalue.  ``evals`` counts the lowest-eigenvalue
+    of the lowest eigenvalue.  ``evals`` counts the lowest-eigenpair
     evaluations made (calls of ``lowest_eigen_banded``) and ``screened``
     the grid points ruled out by a banded Cholesky factorisation instead
-    (:func:`numerics.eigen_above_stacked`): ``evals + screened`` is the
-    pre-scan's ``grid_points`` plus one per polish point.  How
-    they split depends on the ``start`` of :func:`max_violation`; every
-    other field does not.
+    (:func:`numerics.eigen_above_stacked`).  Each grid angle is either
+    screened or evaluated once, the polish evaluates a screened neighbour
+    of the grid minimum and its off-grid trial angles, and one last call
+    gives the state at ``theta``: ``evals + screened`` is the pre-scan's
+    ``grid_points`` plus the polish's own calls plus one.  How they split
+    depends on the ``start`` of :func:`max_violation`; every other field
+    does not.
     """
 
     violation: float      # max(0, -lambda_min - beta_c)
@@ -352,10 +354,12 @@ def max_violation(expr, tol=1e-6, grid_points=256, start=None):
 
     Minimises the lowest Bell-operator eigenvalue over theta in [0, pi]: a
     ``grid_points`` scan, then a bracketed refinement to ``tol`` on the
-    slope lambda'(theta) = v^T H'(theta) v, with v the eigenvector of each
-    polish point; the state is the one kept from the polish at the returned
-    angle.  The range [0, pi] suffices: theta -> 2 pi - theta is a
-    similarity transform of the operator (conjugation by diag((-1)^k)).
+    slope lambda'(theta) = v^T H'(theta) v.  Each angle is evaluated once,
+    for its lowest eigenvalue and, from the eigenvector v, its slope; the
+    state is the eigenvector of one last eigen call at the returned angle,
+    so only O(n) of vector memory is held.  The range [0, pi] suffices:
+    theta -> 2 pi - theta is a similarity transform of the operator
+    (conjugation by diag((-1)^k)).
 
     The scan skips a grid point when a banded Cholesky factorisation
     certifies that every eigenvalue there exceeds a level by more than
@@ -365,10 +369,10 @@ def max_violation(expr, tol=1e-6, grid_points=256, start=None):
     ``start``, a guess such as the optimum of a neighbouring n, or without
     it the best of a coarse pass over every s-th angle, s = isqrt(grid
     size).  One call of :func:`numerics.eigen_above_stacked` then screens
-    the whole grid at that level, and every angle it leaves open is
-    evaluated.  The stack's bands come from one (k, 6) @ (6, 3 (n+1))
-    product and differ from those of :func:`bell_operator_bands` in the
-    last bits, which the margin covers.  Whatever ``start`` is, the result
+    the angles not yet evaluated at that level, and every angle it leaves
+    open is evaluated.  The stack's bands come from one
+    (k, 6) @ (6, 3 (n+1)) product and differ from those of
+    :func:`bell_operator_bands` in the last bits, which the margin covers.  Whatever ``start`` is, the result
     is bitwise that of the full grid; only the split of ``evals`` and
     ``screened`` moves.  A non-finite ``start`` or ``grid_points < 64``
     raises ``ValueError``.
@@ -381,45 +385,39 @@ def max_violation(expr, tol=1e-6, grid_points=256, start=None):
     # storage; _band_terms keeps (3, m), since laid out (m, 3) its one-angle
     # product changed the last diagonal entry in the last bit at 7% of angles
     stack_terms = terms.transpose(0, 2, 1).reshape(6, 3 * m)
-    grid = prescan_grid(0.0, math.pi, grid_points)
-    vectors = {}
-    evals = grid_evals = 0
+    evals = screened = 0
 
-    def grid_bands(i, j):
-        c, s = np.cos(grid[i:j]), np.sin(grid[i:j])
+    def screen(thetas, level):
+        nonlocal screened
+        c, s = np.cos(thetas), np.sin(thetas)
         weights = np.stack((np.ones_like(c), c, s, c * c, c * s, s * s), axis=1)
-        return (weights @ stack_terms).reshape(-1, 3).T
 
-    def screen(level):
-        return eigen_above_stacked(grid_bands, len(grid), m, level + margin)
+        def bands_of(i, j):
+            return (weights[i:j] @ stack_terms).reshape(-1, 3).T
 
-    def objective(theta):
-        nonlocal evals, grid_evals
-        evals += 1
-        grid_evals += 1
-        w, _ = lowest_eigen_banded(bell_operator_bands(expr, theta), want_vector=False)
-        return w
+        mask = eigen_above_stacked(bands_of, len(thetas), m, level + margin)
+        screened += int(mask.sum())
+        return mask
 
     def value_and_slope(theta):
         nonlocal evals
         evals += 1
         w, vec = lowest_eigen_banded(bell_operator_bands(expr, theta))
-        vectors[theta] = vec
         return w, _bell_slope(expr, theta, vec)
 
     theta_star, lam_min = scalar_minimize(
-        objective, 0.0, math.pi, tol=tol, grid_points=grid_points,
-        value_and_slope=value_and_slope, screen=screen, start=start,
+        value_and_slope, 0.0, math.pi, tol=tol, grid_points=grid_points,
+        screen=screen, start=start,
     )
-    vec = vectors[theta_star]
+    _, vec = lowest_eigen_banded(bell_operator_bands(expr, theta_star))
     return MaxViolation(
         violation=max(0.0, -lam_min - beta_c),
         theta=theta_star,
         quantum_value=lam_min,
         bound=beta_c,
         state=SymmetricState(expr.n, vec / np.linalg.norm(vec)),
-        evals=evals,
-        screened=len(grid) - grid_evals,
+        evals=evals + 1,
+        screened=screened,
     )
 
 
@@ -531,8 +529,7 @@ def theta_sweep(expr, thetas):
     beta_c = _require_bound(expr)
     rows = []
     for theta in thetas:
-        w, _ = lowest_eigen_banded(bell_operator_bands(expr, float(theta)),
-                                   want_vector=False)
+        w, _ = lowest_eigen_banded(bell_operator_bands(expr, float(theta)))
         rows.append(
             SweepRow(
                 n=expr.n,

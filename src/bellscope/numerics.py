@@ -14,11 +14,12 @@ compiled LAPACK extension, ``scipy.linalg._flapack``, straight from its file
 and takes the ``dsbevx``, ``dpbtrf``, ``dpbtrs`` and ``dlamch`` wrappers from
 it; commands that need no banded eigenpair never load it.  Nothing here uses
 ``scipy.optimize``: :func:`scalar_minimize` polishes its grid minimum by
-Illinois regula falsi on the slope, which the caller supplies exactly
-(``max_violation`` passes the Hellmann-Feynman slope of the lowest
-eigenvalue).  Its fine pre-scan is made cheap by screening: grid points
-that a banded Cholesky factorisation (:func:`eigen_above_stacked`) proves
-lie above a level are skipped, with the same answer as the full grid.
+Illinois regula falsi on the slope, which its one objective returns
+exactly with each value (``max_violation`` passes the Hellmann-Feynman
+slope of the lowest eigenvalue).  Its fine pre-scan is made cheap by
+screening: grid points that a banded Cholesky factorisation
+(:func:`eigen_above_stacked`) proves lie above a level are skipped, with
+the same answer as the full grid.
 """
 
 from __future__ import annotations
@@ -210,38 +211,42 @@ def _left_singular(matrix):
     return (u if q is None else q @ u), s
 
 
-def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, *, value_and_slope,
-                    screen=None, start=None):
-    """Minimise a scalar function on ``[lo, hi]``.
+def scalar_minimize(value_and_slope, lo, hi, tol=1e-8, grid_points=64, *, screen=None,
+                    start=None):
+    """Minimise a scalar function on ``[lo, hi]``, given its value and slope.
 
-    A uniform pre-scan on :func:`prescan_grid` locates the best grid point
-    x_i; grid ties resolve toward the smaller argument.  ``f`` returning NaN
-    at a grid point it is evaluated at is rejected.  The polish
+    A uniform pre-scan on :func:`prescan_grid` records the value and the
+    slope at each grid point it evaluates and locates the best grid point
+    x_i; grid ties resolve toward the smaller argument.  A NaN value at a
+    grid point it evaluates is rejected.  The polish
     (:func:`_polish_on_slope`) then looks for a zero of the slope f' in
     ``[x_{i-1}, x_{i+1}]`` by safeguarded Illinois regula falsi, turning to
     bisection after ``POLISH_SECANT_STEPS`` steps, until the bracket on that
-    zero is at most ``tol`` wide.  Its point replaces x_i only if its value
-    is lower, so the result is never worse than the grid minimum.
+    zero is at most ``tol`` wide.  It starts from the recorded value and
+    slope at x_i, and at its neighbour if the pre-scan evaluated it, so no
+    grid point is evaluated twice: the polish's own calls are a screened
+    neighbour and off-grid trial points.  Its point replaces x_i only if
+    its value is lower, so the result is never worse than the grid minimum.
 
     With ``screen``, the pre-scan skips the grid points that ``screen``
     rules out (:func:`_screened_scan`).  A skipped point has a value above
     one already found, so it can neither be nor tie with the minimum: x_i,
     f(x_i) and the polish are exactly those of the full grid, whatever
-    ``start`` is.  Keep the pre-scan fine: a narrow well is found only if a
-    grid point falls in it.
+    ``start`` is.  The objective is called once at each grid point not
+    screened out, plus the polish's own calls.  Keep the pre-scan fine: a
+    narrow well is found only if a grid point falls in it.
 
     Parameters
     ----------
-    f : callable
-        The objective, ``x -> float``; only its values are used on the grid.
     value_and_slope : callable
-        ``x -> (f(x), f'(x))``, with the exact slope, used by the polish,
-        which always calls it at the returned minimiser (grid point or not).
+        The objective, ``x -> (f(x), f'(x))``, with the exact slope: the
+        polish has no finite-difference fallback.
     screen : callable, optional
-        ``level -> bool array`` over the :func:`prescan_grid` points, True
-        only where f(x) > level is certain; it must be False where it
-        cannot tell, wherever f(x) may be NaN, and everywhere when
-        ``level`` is NaN.  It is called once per minimisation.
+        ``(xs, level) -> bool array`` over ``xs``, the grid points still
+        open after the first evaluations, True only where f(x) > level is
+        certain; it must be False where it cannot tell, wherever f(x) may be
+        NaN, and everywhere when ``level`` is not finite.  It is called once
+        per minimisation.
     start : float, optional
         A guess of the minimiser, such as the minimiser of a neighbouring
         problem.  The pre-scan evaluates the grid point nearest it first
@@ -257,7 +262,7 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, *, value_and_slope,
     ------
     ValueError
         If ``hi <= lo``, ``grid_points < 64``, ``start`` is not finite, or
-        ``f`` returns NaN on the grid.
+        the objective's value is NaN on the grid.
     ArithmeticError
         If the polish does not close its bracket in ``POLISH_MAX_STEPS``.
     """
@@ -266,12 +271,14 @@ def scalar_minimize(f, lo, hi, tol=1e-8, grid_points=64, *, value_and_slope,
     if start is not None and not math.isfinite(start):
         raise ValueError(f"start must be finite, got {start!r}")
     xs = prescan_grid(lo, hi, grid_points)
-    fs = _screened_scan(f, screen, xs, start)
+    seen = _screened_scan(value_and_slope, screen, xs, start)
+    fs = np.full(len(xs), np.inf)
+    fs[list(seen)] = [fx for fx, _ in seen.values()]
     if np.any(np.isnan(fs)):
         bad = xs[np.where(np.isnan(fs))[0][0]]
         raise ValueError(f"objective returned NaN at x = {bad!r}")
     i = int(np.argmin(fs))  # first minimum: ties go to smaller x
-    x, fx = _polish_on_slope(value_and_slope, xs, i, tol)
+    x, fx = _polish_on_slope(value_and_slope, xs, seen, i, tol)
     if fx < fs[i]:
         return float(x), float(fx)
     return float(xs[i]), float(fs[i])
@@ -285,17 +292,18 @@ def prescan_grid(lo, hi, grid_points):
     return np.linspace(lo, hi, int(grid_points))
 
 
-def _screened_scan(f, screen, xs, start):
-    """Values of ``f`` on the grid ``xs``, +inf where ``screen`` rules a point out.
+def _screened_scan(value_and_slope, screen, xs, start):
+    """Value and slope at the grid points of ``xs`` that ``screen`` leaves
+    open, as a dict ``{index: (f, f')}``.
 
-    First ``f`` is evaluated at the grid point nearest ``start`` (the
-    smaller x on a tie), or without ``start`` at every s-th point and the
-    last one, s = isqrt(len(xs)).  Then ``screen`` is called once, at the
-    least of those values, and every point it leaves open is evaluated.  It
-    rules out no point whose value is at most that level, and so none at or
-    below the grid minimum: the first grid argmin and its value are those of
-    the full grid, whatever the first points are.  Without ``screen`` every
-    point is evaluated.
+    First the objective is evaluated at the grid point nearest ``start``
+    (the smaller x on a tie), or without ``start`` at every s-th point and
+    the last one, s = isqrt(len(xs)).  Then ``screen`` is asked once about
+    the other points, at the least of those values, and every point it
+    leaves open is evaluated.  It rules out no point whose value is at most
+    that level, and so none at or below the grid minimum: the first grid
+    argmin and its value are those of the full grid, whatever the first
+    points are.  Without ``screen`` every point is evaluated.
     """
     m = len(xs)
     if start is None:
@@ -304,41 +312,42 @@ def _screened_scan(f, screen, xs, start):
             first.append(m - 1)
     else:
         first = [int(np.argmin(np.abs(xs - start)))]
-    fs = np.full(m, np.inf)
-    fs[first] = [float(f(xs[j])) for j in first]
-    left = np.ones(m, dtype=bool)
-    left[first] = False
+    seen = {j: value_and_slope(float(xs[j])) for j in first}
+    rest = np.delete(np.arange(m), first)
     if screen is not None:
-        left &= ~screen(float(np.min(fs[first])))
-    for j in np.flatnonzero(left).tolist():
-        fs[j] = float(f(xs[j]))
-    return fs
+        rest = rest[~screen(xs[rest], float(np.min([seen[j][0] for j in first])))]
+    for j in rest.tolist():
+        seen[j] = value_and_slope(float(xs[j]))
+    return seen
 
 
-def _polish_on_slope(value_and_slope, xs, i, tol):
+def _polish_on_slope(value_and_slope, xs, seen, i, tol):
     """Zero of the slope next to the grid minimum ``xs[i]``, as ``(x, f(x))``.
 
-    The slope at x_i says on which side of it the function falls.  With the
-    slope at that neighbour, a sign change brackets a stationary point,
-    which Illinois regula falsi closes to ``tol``: a bracket end kept twice
-    in a row has its slope halved, so both ends move, and every trial point
-    stays ``tol / 2`` inside the bracket, so the last step lands across the
-    zero.  At a multiple zero (a flat minimum) Illinois is only linear, so
-    after ``POLISH_SECANT_STEPS`` steps the trial point is the midpoint.
-    Returns the end with the smaller slope.  Without a sign change (x_i at
-    the end of the grid with the function falling outward, or a non-smooth
-    objective) it returns the best point evaluated; a non-finite slope
-    stops the polish at the better bracket end.  The polish also stops when
-    no double lies strictly inside the bracket, whatever ``tol``; a bracket
-    still open after ``POLISH_MAX_STEPS`` steps raises ``ArithmeticError``.
+    ``seen`` holds the value and slope recorded at each evaluated grid
+    point, x_i among them.  The slope at x_i says on which side of it the
+    function falls.  With the slope at that neighbour, recorded or (if it
+    was screened out) evaluated here, a sign change brackets a stationary
+    point, which Illinois regula falsi closes to ``tol``: a bracket end kept
+    twice in a row has its slope halved, so both ends move, and every trial
+    point stays ``tol / 2`` inside the bracket, so the last step lands
+    across the zero.  At a multiple zero (a flat minimum) Illinois is only
+    linear, so after ``POLISH_SECANT_STEPS`` steps the trial point is the
+    midpoint.  Returns the end with the smaller slope.  Without a sign
+    change (x_i at the end of the grid with the function falling outward,
+    or a non-smooth objective) it returns the best point evaluated; a
+    non-finite slope stops the polish at the better bracket end.  The
+    polish also stops when no double lies strictly inside the bracket,
+    whatever ``tol``; a bracket still open after ``POLISH_MAX_STEPS`` steps
+    raises ``ArithmeticError``.
     """
     m = float(xs[i])
-    fm, gm = value_and_slope(m)
+    fm, gm = seen[i]
     j = i - 1 if gm > 0 else i + 1
     if gm == 0 or not 0 <= j < len(xs):
         return m, fm
     e = float(xs[j])
-    fe, ge = value_and_slope(e)
+    fe, ge = seen[j] if j in seen else value_and_slope(e)
     if ge == 0 or (ge > 0) == (gm > 0):
         return (e, fe) if fe < fm else (m, fm)
     # slope < 0 at a and > 0 at b; wa, wb are the slopes regula falsi weighs;
@@ -374,7 +383,7 @@ def _polish_on_slope(value_and_slope, xs, i, tol):
     return (a, fa) if -ga <= gb else (b, fb)
 
 
-def lowest_eigen_banded(bands, want_vector=True):
+def lowest_eigen_banded(bands):
     """Lowest eigenpair of a real symmetric banded matrix.
 
     Two paths, split at ``INERTIA_CROSSOVER`` on the order n of the matrix:
@@ -402,16 +411,14 @@ def lowest_eigen_banded(bands, want_vector=True):
     bands : ndarray, shape (b + 1, n)
         Lower band storage: ``bands[i, j] = A[i + j, j]``; row 0 is the
         diagonal.  Must be finite.
-    want_vector : bool
-        Also return the eigenvector.
 
     Returns
     -------
     w : float
         Lowest eigenvalue.
-    v : ndarray or None
-        Corresponding unit eigenvector (sign-normalised so its largest
-        entry is positive), or None if ``want_vector`` is False.
+    v : ndarray
+        Corresponding unit eigenvector, sign-normalised so its largest
+        entry is positive.
 
     Raises
     ------
@@ -429,20 +436,17 @@ def lowest_eigen_banded(bands, want_vector=True):
     if bands.shape[1] < INERTIA_CROSSOVER:
         sbevx, _, _, abstol = _lapack()
         w, vecs, _, _, info = sbevx(
-            bands, 0.0, 1.0, 1, 1, compute_v=int(want_vector), range=2,
+            bands, 0.0, 1.0, 1, 1, compute_v=1, range=2,
             lower=1, abstol=abstol, mmax=1, overwrite_ab=0,
         )
         if info != 0:
             raise ArithmeticError(f"LAPACK sbevx failed with info = {info}")
-        w, vec = float(w[0]), (vecs[:, 0] if want_vector else None)
+        w, vec = float(w[0]), vecs[:, 0]
     else:
         w, vec = _lowest_by_inertia(bands)
-        if not want_vector:
-            vec = None
-    if vec is not None:
-        j = int(np.argmax(np.abs(vec)))
-        if vec[j] < 0:
-            vec = -vec
+    j = int(np.argmax(np.abs(vec)))
+    if vec[j] < 0:
+        vec = -vec
     return w, vec
 
 
@@ -532,8 +536,9 @@ def eigen_above_stacked(bands_of, count, order, level):
     True is a certificate: lambda_min(H) > level in exact arithmetic
     (:func:`_certified_cholesky`).  False means not certified: some
     eigenvalue is at most ``level``, or within the margin rho of it, or the
-    block or ``level`` is not finite.  Each block gets the answer it would
-    get alone.  A block that is not finite is zeroed and factored with
+    block or ``level`` is not finite; a non-finite ``level`` gets all False
+    before any stack is built.  Each block gets the answer it would get
+    alone.  A block that is not finite is zeroed and factored with
     ``top`` = +inf, so it fails before its values can reach a neighbour.
 
     A caller that certifies bands computed another way than those it will
@@ -544,11 +549,11 @@ def eigen_above_stacked(bands_of, count, order, level):
     """
     per = max(1, SCREEN_STACK_ROWS // order)
     certified = np.zeros(count, dtype=bool)
+    if not math.isfinite(level):
+        return certified
     for i in range(0, count, per):
         j = min(i + per, count)
         ab = np.asfortranarray(bands_of(i, j))
-        if not math.isfinite(level):
-            continue
         cols = ab.T.reshape(j - i, order, -1)
         top = cols.max(axis=(1, 2))
         bad = ~(np.isfinite(top) & np.isfinite(cols.min(axis=(1, 2))))

@@ -378,7 +378,8 @@ def pi_to_functional(expr):
 
 
 def number_to_json(v):
-    """Numbers stay numbers; non-dyadic rationals become 'p/q' strings."""
+    """Numbers stay numbers, except that every ``Fraction`` that is not an
+    integer becomes a 'p/q' string (``Fraction(1, 2)`` gives ``"1/2"``)."""
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return int(v)

@@ -371,6 +371,26 @@ class TestJsonInputs:
         assert message in err
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["page", "--m", "2", "--n", "2", "--samples", "10000000000000"], "--samples"),
+        (["page", "--m", "2", "--n", "2", "--samples", str(2**24 + 1)], "--samples"),
+        (["scan", "--family", "murcia", "--n-max", "5", "--theta-points", "100000000000"],
+         "--theta-points"),
+        (["scan", "--family", "murcia", "--n-max", "5", "--theta-points", str(2**24 + 1)],
+         "--theta-points"),
+        (["theta-sweep", "--family", "murcia", "--n", "5", "--points", "100000000000"],
+         "--points"),
+        (["theta-sweep", "--family", "murcia", "--n", "5", "--points", str(2**24 + 1)],
+         "--points"),
+    ], ids=["page-73TiB", "page-guard", "scan-745GiB", "scan-guard", "sweep-745GiB",
+            "sweep-guard"])
+    def test_oversized_counts_are_refused_before_allocating(self, argv, flag):
+        # sizes numpy cannot allocate at once, and the first count past the guard
+        proc = run_cli_process(argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {flag} must be at most {2**24}, got {argv[-1]}\n"
+
+
 class TestScans:
     def test_scan_rows_sorted_with_violations(self, capsys):
         code, out, _ = run_cli(
@@ -437,13 +457,14 @@ class TestScans:
 
     def test_scan_sidecar_counts_are_pinned(self, capsys, tmp_path):
         # the violation-small benchmark scan: each n after a violated one
-        # warm-starts from its angle; evals + screened stays the full-grid 25824
+        # warm-starts from its angle; each grid angle is evaluated at most
+        # once, and one last eigen call per n gives its state
         out = str(tmp_path / "scan.csv")
         assert main(["scan", "--family", "murcia", "--n-min", "2", "--n-max", "100",
                      "--out", out]) == 0
         capsys.readouterr()
         sidecar = json.loads(open(out + ".run.json").read())
-        assert (sidecar["evals"], sidecar["screened"]) == (681, 25143)
+        assert (sidecar["evals"], sidecar["screened"]) == (671, 25143)
 
     def test_theta_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -259,7 +259,7 @@ class TestBellOperator:
         expr = murcia(30)
         for theta in (0.3, 1.6, 3.0):
             bands = bell_operator_bands(expr, theta)
-            w_band, _ = lowest_eigen_banded(bands, want_vector=False)
+            w_band, _ = lowest_eigen_banded(bands)
             w_dense = np.linalg.eigvalsh(bell_operator(expr, theta))[0]
             assert w_band == pytest.approx(w_dense, abs=1e-9)
 

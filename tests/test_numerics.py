@@ -131,27 +131,64 @@ class TestQrFirstSingular:
 
 class TestScalarMinimize:
     def test_parabola(self):
-        x, f = scalar_minimize(lambda x: (x - 1.0) ** 2, 0.0, 2.0,
-                               value_and_slope=lambda x: ((x - 1.0) ** 2, 2.0 * (x - 1.0)))
+        x, f = scalar_minimize(lambda x: ((x - 1.0) ** 2, 2.0 * (x - 1.0)), 0.0, 2.0)
         assert abs(x - 1.0) <= 1e-8
         assert f <= 1e-15
 
     def test_cosine(self):
-        x, f = scalar_minimize(math.cos, 0.0, 2 * math.pi,
-                               value_and_slope=lambda x: (math.cos(x), -math.sin(x)))
+        x, f = scalar_minimize(lambda x: (math.cos(x), -math.sin(x)), 0.0, 2 * math.pi)
         assert abs(x - math.pi) <= 1e-8
 
     def test_tie_resolves_to_smaller_x(self):
         # identical wells at pi and 2*pi; the scan must pick the left one
-        x, _ = scalar_minimize(lambda x: math.sin(x) ** 2 - 1.0, 1.0, 8.0,
-                               value_and_slope=lambda x: (math.sin(x) ** 2 - 1.0,
-                                                          math.sin(2.0 * x)))
+        x, _ = scalar_minimize(lambda x: (math.sin(x) ** 2 - 1.0, math.sin(2.0 * x)),
+                               1.0, 8.0)
         assert abs(x - math.pi) <= 1e-6
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            scalar_minimize(lambda x: float("nan"), 0.0, 1.0,
-                            value_and_slope=lambda x: (float("nan"), float("nan")))
+            scalar_minimize(lambda x: (float("nan"), float("nan")), 0.0, 1.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        terms=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi)),
+                       max_size=4),
+        curvature=st.floats(-1.0, 1.0),
+        grid_points=st.integers(64, 300),
+        keep=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        start=st.one_of(st.none(), st.floats(-1.0, 4.0)),
+    )
+    def test_each_grid_point_is_evaluated_at_most_once(
+            self, terms, curvature, grid_points, keep, seed, start):
+        # a smooth f = c x^2 + sum_k a_k cos((k + 1) x + p_k) on [0, 3] and
+        # a sound screen, True only at some of the points where f > level
+        def value_and_slope(x):
+            f = curvature * x * x + sum(a * math.cos((k + 1) * x + p)
+                                        for k, (a, p) in enumerate(terms))
+            g = 2.0 * curvature * x - sum(a * (k + 1) * math.sin((k + 1) * x + p)
+                                          for k, (a, p) in enumerate(terms))
+            return f, g
+
+        def counted(x):
+            calls.append(x)
+            return value_and_slope(x)
+
+        def screen(xs, level):
+            assert not set(xs.tolist()) & set(calls)  # only points not yet evaluated
+            above = np.array([value_and_slope(x)[0] > level for x in xs.tolist()], dtype=bool)
+            return above & (rng.random(len(xs)) < keep)
+
+        grid = numerics.prescan_grid(0.0, 3.0, grid_points).tolist()
+        calls, rng = [], np.random.default_rng(seed)
+        got = scalar_minimize(counted, 0.0, 3.0, grid_points=grid_points, screen=screen,
+                              start=start)
+        on_grid = [x for x in calls if x in set(grid)]
+        assert len(on_grid) == len(set(on_grid))
+        calls.clear()
+        want = scalar_minimize(counted, 0.0, 3.0, grid_points=grid_points)
+        assert sorted(x for x in calls if x in set(grid)) == grid
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("grid_points", [63, 10, 0, -5])
     def test_grids_below_64_points_are_refused(self, grid_points):
@@ -160,15 +197,14 @@ class TestScalarMinimize:
 
         calls = []
 
-        def f(x):
+        def value_and_slope(x):
             calls.append(x)
-            return x * x
+            return x * x, 2.0 * x
 
         with pytest.raises(ValueError, match="grid_points must be at least 64"):
             numerics.prescan_grid(0.0, 1.0, grid_points)
         with pytest.raises(ValueError, match="grid_points must be at least 64"):
-            scalar_minimize(f, -1.0, 1.0, grid_points=grid_points,
-                            value_and_slope=lambda x: (f(x), 2.0 * x))
+            scalar_minimize(value_and_slope, -1.0, 1.0, grid_points=grid_points)
         with pytest.raises(ValueError, match="grid_points must be at least 64"):
             max_violation(murcia(6), grid_points=grid_points)
         with pytest.raises(ValueError, match="grid_points must be at least 64"):
@@ -196,8 +232,7 @@ class TestScalarMinimize:
         # (3e-4) is coarser than the agreement we are checking
         da, db = fs[i - 1] - fs[i], fs[i + 1] - fs[i]
         dense = xs[i] + 0.5 * (xs[i] - xs[i - 1]) * (da - db) / (da + db)
-        x, _ = scalar_minimize(objective, 0.0, math.pi, tol=1e-6,
-                               value_and_slope=value_and_slope)
+        x, _ = scalar_minimize(value_and_slope, 0.0, math.pi, tol=1e-6)
         assert abs(x - dense) <= 1e-4
 
 
@@ -218,7 +253,7 @@ class TestLowestEigenBanded:
         for trial in range(20):
             dim = int(rng.integers(4, 200))
             bands, full = self.build_banded(dim, 2, rng)
-            lam, vec = lowest_eigen_banded(bands, want_vector=True)
+            lam, vec = lowest_eigen_banded(bands)
             ref = np.linalg.eigvalsh(full)[0]
             assert abs(lam - ref) <= 1e-9 * max(1.0, abs(ref))
             assert np.linalg.norm(full @ vec - lam * vec) <= 1e-8 * max(
@@ -282,7 +317,6 @@ class TestLowestEigenBandedContract:
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
         assert np.linalg.norm(full @ vec - lam * vec) <= 1e-8 * norm
         assert vec[np.argmax(np.abs(vec))] > 0
-        assert lowest_eigen_banded(bands, want_vector=False) == (lam, None)
 
     def test_small_path_is_lapack_eig_banded(self):
         bands, _ = random_banded(INERTIA_CROSSOVER - 1, 2, 5, False)
@@ -501,7 +535,9 @@ class TestEigenAboveStacked:
         with mock.patch.object(numerics, "SCREEN_STACK_ROWS", rows):
             got = numerics.eigen_above_stacked(bands_of, len(blocks), order, level)
         per = max(1, rows // order)
-        assert asked == [(i, min(i + per, len(blocks))) for i in range(0, len(blocks), per)]
+        # a level that is not finite is refused before any stack is built
+        stacks = range(0, len(blocks), per) if math.isfinite(level) else ()
+        assert asked == [(i, min(i + per, len(blocks))) for i in stacks]
         return got.tolist()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -60,7 +60,55 @@ def band_norm(bands):
 
 
 def lowest(expr, theta):
-    return lowest_eigen_banded(bell_operator_bands(expr, theta), want_vector=False)[0]
+    return lowest_eigen_banded(bell_operator_bands(expr, theta))[0]
+
+
+def traced_max_violation(expr, screen=True, **kwargs):
+    """``max_violation`` with the angle of each eigen call recorded: every
+    call is made on ``bell_operator_bands(expr, theta)``, so its angle is
+    the one those bands were built at.  ``screen=False`` runs the pre-scan
+    unscreened, at every grid angle."""
+    angles, eigen_calls = [], []
+    real_bands, real_eigen = collective.bell_operator_bands, collective.lowest_eigen_banded
+
+    def bands(expr, theta):
+        angles.append(theta)
+        return real_bands(expr, theta)
+
+    def eigen(bands):
+        eigen_calls.append(bands)
+        return real_eigen(bands)
+
+    def unscreened(*args, screen=None, **kwargs):
+        return scalar_minimize(*args, **kwargs)
+
+    with mock.patch.object(collective, "bell_operator_bands", bands), \
+            mock.patch.object(collective, "lowest_eigen_banded", eigen), \
+            mock.patch.object(collective, "scalar_minimize",
+                              scalar_minimize if screen else unscreened):
+        mv = max_violation(expr, **kwargs)
+    assert len(eigen_calls) == len(angles) == mv.evals
+    return mv, angles
+
+
+def polish_calls(mv, angles, grid_points=256):
+    """The angles of the polish's own eigen calls, checking the order of a
+    ``max_violation`` call's evaluations: first the grid angles the
+    pre-scan evaluates, each once, then the polish's calls, which evaluate
+    off-grid angles and at most one grid angle the pre-scan skipped, then
+    one last call at the returned angle for the state.  Pins
+    ``evals + screened == grid_points + len(polish) + 1``."""
+    grid = set(np.linspace(0.0, math.pi, grid_points).tolist())
+    scanned = grid_points - mv.screened
+    *calls, last = angles
+    on_grid = [t for t in calls if t in grid]
+    assert last == mv.theta
+    assert len(set(on_grid)) == len(on_grid)  # no grid angle twice
+    assert set(calls[:scanned]) <= grid
+    polish = calls[scanned:]
+    assert len([t for t in polish if t in grid]) <= 1  # a screened neighbour
+    assert mv.evals + mv.screened == grid_points + len(polish) + 1
+    return polish
 
 
 class TestBands:
@@ -131,37 +179,17 @@ class TestMaxViolationOracle:
         assert 0.0 <= mv.theta <= math.pi
         assert mv.quantum_value == pytest.approx(lowest(expr, mv.theta), rel=1e-14, abs=1e-14)
 
-    def test_evals_counts_eigen_calls(self, monkeypatch):
-        calls = []
-
-        def counting(bands, want_vector=True):
-            calls.append(want_vector)
-            return lowest_eigen_banded(bands, want_vector=want_vector)
-
-        monkeypatch.setattr(collective, "lowest_eigen_banded", counting)
+    def test_evals_counts_eigen_calls(self):
         for n, grid_points in ((6, 256), (23, 256), (30, 64)):
-            calls.clear()
-            mv = max_violation(murcia(n), grid_points=grid_points)
-            assert mv.evals == len(calls)
-            scan = grid_points
-            prescan = scan - mv.screened
-            assert calls[:prescan] == [False] * prescan
-            assert scan < mv.evals + mv.screened <= scan + 12
+            mv, angles = traced_max_violation(murcia(n), grid_points=grid_points)
+            polish_calls(mv, angles, grid_points)
+            assert grid_points < mv.evals + mv.screened <= grid_points + 12
 
     def test_murcia_census_at_the_bound_is_exact(self):
         # lambda_min = -2n exactly for n <= 4; the polish adds no rounding
         for n in (2, 3, 4):
             mv = max_violation(murcia(n))
             assert mv.violation <= 1e-12
-
-
-def full_grid_max_violation(expr):
-    """``max_violation`` with its pre-scan unscreened: f at all grid points."""
-    def unscreened(*args, screen=None, **kwargs):
-        return scalar_minimize(*args, **kwargs)
-
-    with mock.patch.object(collective, "scalar_minimize", unscreened):
-        return max_violation(expr)
 
 
 class TestScreenedScan:
@@ -177,13 +205,21 @@ class TestScreenedScan:
     @example(n=300, coeffs=(0.3, 1, -0.7, 0.2, 0.9))
     def test_bitwise_equal_to_the_full_grid(self, n, coeffs):
         expr = expression(n, coeffs)
-        mv = max_violation(expr)
-        ref = full_grid_max_violation(expr)
+        self.check_full_grid_answer(expr, *traced_max_violation(expr))
+
+    @staticmethod
+    def check_full_grid_answer(expr, mv, angles):
+        # the same answer as the unscreened scan, whose polish evaluates no
+        # grid angle, and the same off-grid polish points
+        ref, ref_angles = traced_max_violation(expr, screen=False)
         assert ref.screened == 0
         assert mv.theta.hex() == ref.theta.hex()
         assert mv.quantum_value.hex() == ref.quantum_value.hex()
         assert mv.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
-        assert mv.evals + mv.screened == ref.evals
+        polish, ref_polish = polish_calls(mv, angles), polish_calls(ref, ref_angles)
+        grid = set(THETA_GRID.tolist())
+        assert not grid & set(ref_polish)
+        assert [t for t in polish if t not in grid] == ref_polish
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 60), coeffs=st.one_of(COEFFS, MIRRORED),
@@ -199,12 +235,7 @@ class TestScreenedScan:
     @example(n=24, coeffs=(0, 1, -0.7, 0, 0.9), start=4.0)
     def test_any_start_gives_the_full_grid_answer(self, n, coeffs, start):
         expr = expression(n, coeffs)
-        mv = max_violation(expr, start=start)
-        ref = full_grid_max_violation(expr)
-        assert mv.theta.hex() == ref.theta.hex()
-        assert mv.quantum_value.hex() == ref.quantum_value.hex()
-        assert mv.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
-        assert mv.evals + mv.screened == ref.evals
+        self.check_full_grid_answer(expr, *traced_max_violation(expr, start=start))
 
     @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
     def test_non_finite_start_is_refused(self, start):
@@ -212,11 +243,13 @@ class TestScreenedScan:
             max_violation(murcia(6), start=start)
 
     def test_one_stacked_screen_per_call(self, monkeypatch):
-        # one stacked screen per call, and no pbtrf outside it and the eigen
+        # one stacked screen per call, over the grid angles the first
+        # evaluations left open, and no pbtrf outside it and the eigen
         # kernel; every grid angle the screen leaves open is evaluated
-        stacks, calls, inside, outside = [], [], [], []
+        stacks, angles, inside, outside = [], [], [], []
         real_stacked = collective.eigen_above_stacked
         real_eigen = collective.lowest_eigen_banded
+        real_bands = collective.bell_operator_bands
         real_lapack = numerics._lapack()
 
         def stacked(bands_of, count, order, level):
@@ -225,12 +258,15 @@ class TestScreenedScan:
             inside.pop()
             return stacks[-1]
 
-        def counting(bands, want_vector=True):
-            calls.append(want_vector)
+        def counting(bands):
             inside.append(True)
-            result = real_eigen(bands, want_vector)
+            result = real_eigen(bands)
             inside.pop()
             return result
+
+        def bands(expr, theta):
+            angles.append(theta)
+            return real_bands(expr, theta)
 
         def pbtrf(*args, **kwargs):
             if not inside:
@@ -239,16 +275,18 @@ class TestScreenedScan:
 
         monkeypatch.setattr(collective, "eigen_above_stacked", stacked)
         monkeypatch.setattr(collective, "lowest_eigen_banded", counting)
+        monkeypatch.setattr(collective, "bell_operator_bands", bands)
         monkeypatch.setattr(numerics, "_lapack",
                             lambda: (real_lapack[0], pbtrf, *real_lapack[2:]))
         for n, grid_points in ((5, 256), (40, 256), (250, 256), (30, 64)):
-            for record in (stacks, calls):
+            for record in (stacks, angles):
                 record.clear()
             mv = max_violation(murcia(n), grid_points=grid_points)
             assert len(stacks) == 1 and not outside
-            grid, grid_evals = grid_points, calls.count(False)
-            assert len(stacks[0]) == grid
-            assert mv.screened == grid - grid_evals <= int(stacks[0].sum())
+            first = math.isqrt(grid_points) + 1  # the coarse pass
+            assert len(stacks[0]) == grid_points - first
+            assert mv.screened == int(stacks[0].sum())
+            polish_calls(mv, angles, grid_points)
 
     def test_screens_most_of_the_grid(self):
         for n in (5, 40, 250):
@@ -258,20 +296,16 @@ class TestScreenedScan:
     def test_generic_objective_keeps_the_grid_answer(self):
         # identical wells at pi and 2 pi: the screened scan must still pick
         # the left one, and find the value of the full scan
-        def f(x):
-            calls.append(x)
-            return math.sin(x) ** 2 - 1.0
-
         def value_and_slope(x):
+            calls.append(x)
             return math.sin(x) ** 2 - 1.0, math.sin(2.0 * x)
 
         calls = []
-        want = scalar_minimize(f, 1.0, 8.0, grid_points=256, value_and_slope=value_and_slope)
+        want = scalar_minimize(value_and_slope, 1.0, 8.0, grid_points=256)
         full = len(calls)
         calls.clear()
-        xs = numerics.prescan_grid(1.0, 8.0, 256)
-        got = scalar_minimize(f, 1.0, 8.0, grid_points=256, value_and_slope=value_and_slope,
-                              screen=lambda level: np.sin(xs) ** 2 - 1.0 > level + 1e-12)
+        got = scalar_minimize(value_and_slope, 1.0, 8.0, grid_points=256,
+                              screen=lambda xs, level: np.sin(xs) ** 2 - 1.0 > level + 1e-12)
         assert got == want
         assert abs(got[0] - math.pi) <= 1e-6
         assert len(calls) < full // 2
@@ -285,7 +319,7 @@ class TestScalarMinimizeSlope:
         def value_and_slope(x):
             return f(x), -3 * math.sin(3 * x) + 0.6 * x
 
-        x, _ = scalar_minimize(f, -2.0, 3.0, tol=1e-10, value_and_slope=value_and_slope)
+        x, _ = scalar_minimize(value_and_slope, -2.0, 3.0, tol=1e-10)
         assert abs(value_and_slope(x)[1]) <= 1e-8
 
     def test_narrow_well_next_to_the_end(self):
@@ -298,17 +332,15 @@ class TestScalarMinimizeSlope:
             u = (x - 0.02) / 0.015
             return f(x), math.exp(-u * u) * u / 0.015 + 0.1 * math.sin(x - 2.0)
 
-        x, fx = scalar_minimize(f, 0.0, math.pi, tol=1e-9, grid_points=256,
-                                value_and_slope=value_and_slope)
+        x, fx = scalar_minimize(value_and_slope, 0.0, math.pi, tol=1e-9, grid_points=256)
         assert x == pytest.approx(0.02, abs=1e-3)
         grid = min(f(t) for t in THETA_GRID)
         assert fx <= grid
 
     def test_minimum_at_the_range_end(self):
-        x, fx = scalar_minimize(lambda x: x * x, 0.5, 2.0,
-                                value_and_slope=lambda x: (x * x, 2.0 * x))
+        x, fx = scalar_minimize(lambda x: (x * x, 2.0 * x), 0.5, 2.0)
         assert (x, fx) == (0.5, 0.25)
-        x, fx = scalar_minimize(lambda x: -x, 0.0, 1.0, value_and_slope=lambda x: (-x, -1.0))
+        x, fx = scalar_minimize(lambda x: (-x, -1.0), 0.0, 1.0)
         assert (x, fx) == (1.0, -1.0)
 
     def test_flat_minimum_closes(self):
@@ -317,24 +349,24 @@ class TestScalarMinimizeSlope:
         def value_and_slope(x):
             return (x - 0.3) ** 4, 4 * (x - 0.3) ** 3
 
-        x, _ = scalar_minimize(lambda x: (x - 0.3) ** 4, 0.0, 1.0, tol=1e-9,
-                               value_and_slope=value_and_slope)
+        x, _ = scalar_minimize(value_and_slope, 0.0, 1.0, tol=1e-9)
         assert abs(x - 0.3) <= 1e-8
 
     @pytest.mark.parametrize("p", [6, 8, 10])
     def test_flatter_minima_close_by_bisection(self, p):
         # Illinois alone is linear here and used to stop at its step cap with
-        # an open bracket (errors 1.1e-7 at p = 8 and 2e-6 at p = 10)
+        # an open bracket (errors 1.1e-7 at p = 8 and 2e-6 at p = 10); the
+        # polish's calls are the off-grid ones
         calls = []
 
         def value_and_slope(x):
             calls.append(x)
             return (x - 0.3) ** p, p * (x - 0.3) ** (p - 1)
 
-        x, _ = scalar_minimize(lambda x: (x - 0.3) ** p, 0.0, 1.0, tol=1e-9,
-                               value_and_slope=value_and_slope)
+        x, _ = scalar_minimize(value_and_slope, 0.0, 1.0, tol=1e-9)
         assert abs(x - 0.3) <= 1e-9
-        assert len(calls) <= numerics.POLISH_SECANT_STEPS + 30
+        grid = set(numerics.prescan_grid(0.0, 1.0, 64).tolist())
+        assert len([t for t in calls if t not in grid]) <= numerics.POLISH_SECANT_STEPS + 30
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-300, 5e-324])
     def test_a_tol_below_float_resolution_closes_at_adjacent_doubles(self, tol):
@@ -353,16 +385,14 @@ class TestScalarMinimizeSlope:
             return (x - 0.3) ** 8, 8 * (x - 0.3) ** 7
 
         with pytest.raises(ArithmeticError, match=r"did not close \["):
-            scalar_minimize(lambda x: (x - 0.3) ** 8, 0.0, 1.0, tol=1e-9,
-                            value_and_slope=value_and_slope)
+            scalar_minimize(value_and_slope, 0.0, 1.0, tol=1e-9)
 
     def test_polish_never_loses_to_the_grid(self):
         # a kink: the slope jumps from -1 to +1 at 1/3
         def value_and_slope(x):
             return abs(x - 1.0 / 3.0), math.copysign(1.0, x - 1.0 / 3.0)
 
-        x, fx = scalar_minimize(lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0, tol=1e-12,
-                                value_and_slope=value_and_slope)
+        x, fx = scalar_minimize(value_and_slope, 0.0, 1.0, tol=1e-12)
         assert abs(x - 1.0 / 3.0) <= 1e-9
         assert fx <= 1e-9
 
