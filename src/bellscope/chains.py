@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _cut_singular_values, _require_hermitian, _start_vector
+from .numerics import _cut_singular_values, _require_hermitian, _require_size, _start_vector
 from .quantum import (
     DensityOperator,
     StateVector,
@@ -40,7 +40,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-DENSE_GUARD = 2**13   # total dimension for exact ground states
+DENSE_GUARD = 2**13   # total dimension d^n of a chain and of its ground state
 LANCZOS_TOL = 1e-14   # stop at residual estimate <= LANCZOS_TOL * ||T||
 LANCZOS_RESIDUAL = 1e-10   # verified ||H psi - E psi|| <= this * max(1, ||T||)
 LANCZOS_MAX_STEPS = 300
@@ -66,6 +66,7 @@ class ChainHamiltonian:
     chain carries one extra term on (N-1, 0).  ``site_fields`` is an
     optional list of (d, d) single-site terms.  Terms must be finite and
     Hermitian to 1e-12 relative; real ones are stored, and applied, as real.
+    The dimension d^N is at most ``DENSE_GUARD``.
     """
 
     n_sites: int
@@ -79,7 +80,7 @@ class ChainHamiltonian:
             raise ValueError("need at least two sites")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        want = self.n_sites if self.boundary == "periodic" else self.n_sites - 1
+        want = _bond_count(self.n_sites, self.local_dim, self.boundary)
         if len(self.bond_terms) != want:
             raise ValueError(
                 f"{self.boundary} chain of {self.n_sites} sites needs "
@@ -115,8 +116,6 @@ class ChainHamiltonian:
 
     def dense(self):
         """The full complex Hamiltonian: ``apply`` on 128 identity columns at a time."""
-        if self.dimension > DENSE_GUARD:
-            raise ValueError(f"assembly guard is dimension <= {DENSE_GUARD}")
         terms = [*self.bond_terms, *(self.site_fields or ())]
         out = np.eye(self.dimension, dtype=np.result_type(*terms))  # real when H is real
         for j in range(0, self.dimension, 128):
@@ -124,19 +123,24 @@ class ChainHamiltonian:
         return out.astype(complex, copy=False)
 
 
+def _bond_count(n, d, boundary):
+    """Bonds of an n-site chain, after the one check of d^n against ``DENSE_GUARD``."""
+    _require_size("chain", "dimension d^n", DENSE_GUARD, d, n)
+    return n if boundary == "periodic" else n - 1
+
+
 def heisenberg_chain(n, j=1.0, boundary="open"):
     """Isotropic Heisenberg chain J sum_i S_i . S_{i+1} (spin-1/2)."""
     term = (j / 4.0) * (
         np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
     )
-    bonds = n if boundary == "periodic" else n - 1
-    return ChainHamiltonian(n, 2, [term] * bonds, boundary=boundary)
+    return ChainHamiltonian(n, 2, [term] * _bond_count(n, 2, boundary), boundary=boundary)
 
 
 def transverse_ising_chain(n, j=1.0, g=1.0, boundary="open"):
     """Transverse-field Ising chain -j sum sx sx - g sum sz."""
     term = -j * np.kron(SIGMA_X, SIGMA_X)
-    bonds = n if boundary == "periodic" else n - 1
+    bonds = _bond_count(n, 2, boundary)
     fields = [-g * SIGMA_Z] * n
     return ChainHamiltonian(n, 2, [term] * bonds, site_fields=fields, boundary=boundary)
 
@@ -146,7 +150,7 @@ def random_chain(n, d, rng, boundary="open", field_scale=0.0):
     def hermitian(g):
         return (g + g.conj().T) / 2.0
 
-    bonds = n if boundary == "periodic" else n - 1
+    bonds = _bond_count(n, d, boundary)
     terms = [hermitian(rng.complex_normal((d * d, d * d))) for _ in range(bonds)]
     fields = None
     if field_scale:
@@ -158,7 +162,7 @@ def ground_state_exact(ham):
     """Lowest eigenpair ``(energy, StateVector)`` of a chain Hamiltonian.
 
     Lanczos with full reorthogonalisation (Parlett, ch. 13) on ``ham.apply``
-    from the seeded ``numerics._start_vector(dim)``, up to ``DENSE_GUARD``.
+    from the seeded ``numerics._start_vector(dim)``.
     It stops at ``beta_m |s_m| <= LANCZOS_TOL ||T_m||``, at ``m == dim`` or at
     ``beta_m <= LANCZOS_TOL max_j(|alpha_j|, beta_j)`` (the Krylov space is
     exhausted), then needs ``||H psi - E psi|| <= LANCZOS_RESIDUAL max(1,
@@ -169,8 +173,6 @@ def ground_state_exact(ham):
     ground level gives the start vector's projection onto it.
     """
     dim = ham.dimension
-    if dim > DENSE_GUARD:
-        raise ValueError(f"ground-state guard is dimension <= {DENSE_GUARD}")
     dims = (ham.local_dim,) * ham.n_sites
     v = _start_vector(dim)
     v = v / np.linalg.norm(v)
@@ -279,8 +281,7 @@ def thermal_mutual_info_check(ham, beta, cut):
     """
     if not 1 <= cut <= ham.n_sites - 1:
         raise ValueError(f"cut must lie in 1..{ham.n_sites - 1}")
-    if ham.dimension > THERMAL_GUARD:
-        raise ValueError(f"thermal guard is dimension <= {THERMAL_GUARD}")
+    _require_size("thermal", "dimension d^n", THERMAL_GUARD, ham.local_dim, ham.n_sites)
     if not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     w, v = np.linalg.eigh(ham.dense())
@@ -327,8 +328,7 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
     d = couplings[0].shape[0]
     if any(c.shape != (d, d) for c in couplings):
         raise ValueError("ragged coupling tables")
-    if d**n > CLASSICAL_GUARD:
-        raise ValueError(f"classical guard is d^n <= {CLASSICAL_GUARD}")
+    _require_size("classical", "d^n", CLASSICAL_GUARD, d, n)
     if not 1 <= cut <= n - 1:
         raise ValueError(f"cut must lie in 1..{n - 1}")
 

@@ -239,15 +239,16 @@ _SCAN_FAMILIES = {
 
 
 def _cmd_scan(args):
-    for flag, value, least in (("--n-step", args.n_step, 1),
+    for flag, value, least in (("--n-min", args.n_min, 2), ("--n-step", args.n_step, 1),
                                ("--theta-points", args.theta_points, 64)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     if not args.tol > 0.0:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-    ns = list(range(args.n_min, args.n_max + 1, args.n_step))
+    ns = range(args.n_min, args.n_max + 1, args.n_step)
     if not ns:
         raise ValueError("empty n range")
+    numerics._require_size("Dicke-basis", "n", collective.DICKE_GUARD, ns[-1])  # before any row
     family = getattr(symmetric, _SCAN_FAMILIES[args.family])
     results = collective.ratio_scan(family, ns, tol=args.tol, grid_points=args.theta_points)
     rows = [(r.n, r.beta_c, r.qv, r.ratio, r.theta_star) for r in results]
@@ -318,6 +319,7 @@ def _mps_input_state(args):
         raise ValueError("pass either --state FILE or --random N")
     if n < 1:
         raise ValueError(f"--random must be at least 1, got {n}")
+    numerics._require_size("Haar", "dimension", quantum.HAAR_GUARD, d, n)  # before d^(n-1)
     rng = numerics.RandomSource(args.seed)
     return quantum.haar_state(d, d ** (n - 1), rng).amplitudes, d
 
@@ -370,9 +372,8 @@ def _cmd_gibbs_mi(args):
     d = args.local_dim
     if d < 1:
         raise ValueError(f"--local-dim must be at least 1, got {d}")
-    if d**args.sites > chains.CLASSICAL_GUARD:  # checked before the d x d draws
-        raise ValueError(f"--local-dim {d} on {args.sites} sites exceeds the "
-                         f"classical guard d^n <= {chains.CLASSICAL_GUARD}")
+    # the library's classical guard, checked here before the d x d draws
+    numerics._require_size("classical", "d^n", chains.CLASSICAL_GUARD, d, args.sites)
     rng = numerics.RandomSource(args.seed)
     bonds = args.sites if args.boundary == "periodic" else args.sites - 1
     couplings = [rng.normal((d, d)) for _ in range(bonds)]

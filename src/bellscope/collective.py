@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (
+    _require_size,
     eigen_above_stacked,
     gershgorin_bounds,
     lowest_eigen_banded,
@@ -52,6 +53,9 @@ __all__ = [
 
 NORM_TOL = 1e-10
 DENSE_GUARD = 4000  # largest n for which dense (n+1)^2 matrices are built
+EMBED_GUARD = 24  # largest n embedded in the full 2^n space
+#: Largest n of the Dicke basis |n, 0..n>; ``_band_terms`` holds about 150 MB there.
+DICKE_GUARD = 2**20
 
 #: Screening margin of ``max_violation``, relative to a bound S on
 #: ||H(theta)||_inf over all theta.  It must exceed the error of the
@@ -91,7 +95,8 @@ class CollectiveOperator:
 
 
 def _jz_diag(n):
-    # m = n/2 - k for k = 0..n
+    # m = n/2 - k for k = 0..n; _ladder_offdiag's callers pass this or a dense guard first
+    _require_size("Dicke-basis", "n", DICKE_GUARD, n)
     return n / 2.0 - np.arange(n + 1)
 
 
@@ -109,8 +114,7 @@ def collective_operator(n, label):
     """
     if n < 1:
         raise ValueError("need at least one spin")
-    if n > DENSE_GUARD:
-        raise ValueError(f"dense operator guard is n <= {DENSE_GUARD}")
+    _require_size("dense operator", "n", DENSE_GUARD, n)
     label_lc = str(label).lower()
     dim = n + 1
     f = _ladder_offdiag(n)
@@ -154,8 +158,7 @@ def to_full_space(state):
     from .quantum import StateVector
 
     n = state.n
-    if n > 24:
-        raise ValueError("full-space embedding guard is n <= 24")
+    _require_size("full-space embedding", "n", EMBED_GUARD, n)
     weights = np.array([
         state.amplitudes[k] / math.sqrt(math.comb(n, k)) for k in range(n + 1)
     ], dtype=complex)
@@ -194,6 +197,7 @@ def lmg_energies(n, lam, h):
 
 def measurement_pair(n, theta):
     """Dense collective measurement operators (A, B) at angle theta."""
+    _require_size("dense operator", "n", DENSE_GUARD, n)
     a = np.diag(2.0 * _jz_diag(n))
     jx = np.zeros((n + 1, n + 1))
     f = _ladder_offdiag(n)
@@ -300,8 +304,7 @@ def _bell_slope(expr, theta, vec):
 def bell_operator(expr, theta):
     """Dense Bell operator matrix (for moderate n; scans use the bands)."""
     n = expr.n
-    if n > DENSE_GUARD:
-        raise ValueError(f"dense Bell operator guard is n <= {DENSE_GUARD}")
+    _require_size("dense operator", "n", DENSE_GUARD, n)
     bands = bell_operator_bands(expr, theta)
     mat = np.diag(bands[0])
     idx = np.arange(n)

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .numerics import _require_hermitian, _require_size
 from .symmetric import number_from_json, number_to_json, to_common_denominator
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
     "expression_from_json",
 ]
 
-TABLE_GUARD = 10**7  # max dense-table entries (m*d)^n
+TABLE_GUARD = 10**7  # max dense-table entries (m d)^n, and max strategies d^(m n)
 POSITIVITY_TOL = 1e-10
 NORMALISATION_TOL = 1e-9
 SIGNALLING_TOL = 1e-9
@@ -83,7 +84,8 @@ def _one_hot(responses, d):
 
 @dataclass(frozen=True)
 class Scenario:
-    """An (n, m, d) Bell scenario: n parties, m settings, d outcomes each."""
+    """An (n, m, d) Bell scenario: n parties, m settings, d outcomes each,
+    whose dense table has at most ``TABLE_GUARD`` entries."""
 
     parties: int
     settings: int
@@ -92,23 +94,12 @@ class Scenario:
     def __post_init__(self):
         if min(self.parties, self.settings, self.outcomes) < 1:
             raise ValueError(f"scenario fields must be positive, got {self}")
-        if self.table_size > TABLE_GUARD:
-            raise ValueError(
-                f"dense table would need {self.table_size} entries "
-                f"(guard is {TABLE_GUARD})"
-            )
+        _require_size("table", "entries (m d)^n", TABLE_GUARD,
+                      self.settings * self.outcomes, self.parties)
 
     @property
     def table_shape(self):
         return (self.settings,) * self.parties + (self.outcomes,) * self.parties
-
-    @property
-    def table_size(self):
-        return (self.settings * self.outcomes) ** self.parties
-
-    @property
-    def strategy_count(self):
-        return self.outcomes ** (self.settings * self.parties)
 
 
 @dataclass
@@ -208,7 +199,7 @@ class BoundReport:
 def local_bound_bruteforce(functional):
     """Exact local (LHV) extremes by full deterministic enumeration.
 
-    Covers all ``d**(m*n)`` response assignments (guarded at 1e7) and
+    Covers all ``d**(m*n)`` response assignments, at most ``TABLE_GUARD``, and
     returns both the maximum and the minimum with witnessing strategies:
     mixtures of deterministic points can never leave ``[min, max]``.
 
@@ -217,12 +208,8 @@ def local_bound_bruteforce(functional):
     first strategy in lexicographic per-party order.
     """
     sc = functional.scenario
-    if sc.strategy_count > TABLE_GUARD:
-        raise ValueError(
-            f"{sc.strategy_count} deterministic strategies exceed the "
-            f"enumeration guard {TABLE_GUARD}"
-        )
     n, m, d = sc.parties, sc.settings, sc.outcomes
+    _require_size("enumeration", "strategies d^(m n)", TABLE_GUARD, d, m * n)
     per_party = np.indices((d,) * m).reshape(m, -1).T  # lexicographic
     select = _one_hot(per_party, d)
     values = _map_parties(_pair_axes(functional.coefficients), [select] * n).reshape(-1)
@@ -280,7 +267,6 @@ def behavior_from_quantum(rho, measurements):
     1e-9) and every effect Hermitian, by the rule of
     :func:`numerics.hermitian_eigen`, and positive semidefinite.
     """
-    from .numerics import _require_hermitian
     from .quantum import _as_density
 
     rho = _as_density(rho)
@@ -460,7 +446,8 @@ class TIExpression:
           + sum_{k=1}^{n-1} omega_k T01^(k)
 
     with ``Tij^(k) = sum_m <Mi^(m) Mj^(m+k mod n)>``.  Distances k and n-k
-    are kept as distinct coefficients for the 01 block (no folding).
+    are kept as distinct coefficients for the 01 block (no folding).  A ring
+    above ``TI_MAX_PARTIES`` parties is refused before any tuple is padded.
     """
 
     n: int
@@ -473,6 +460,7 @@ class TIExpression:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two parties on the ring")
+        _require_size("ring enumeration", "parties n", TI_MAX_PARTIES, self.n)
         half = self.n // 2
 
         def pad(values, size, name):
@@ -498,8 +486,6 @@ def ti_classical_bound(expr):
     Fraction.
     """
     n = expr.n
-    if n > TI_MAX_PARTIES:
-        raise ValueError(f"4^{n} strategies exceed the enumeration guard")
     half = n // 2
     coeffs = [expr.alpha, expr.beta, *expr.gamma, *expr.epsilon, *expr.omega]
     ints, den = to_common_denominator(coeffs)

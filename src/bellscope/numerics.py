@@ -143,6 +143,16 @@ def _require_hermitian(m, what):
                          f"exceeds {HERMITICITY_TOL:.0e} * {scale:.3e}")
 
 
+def _require_size(what, quantity, limit, base, exponent=1):
+    """The one size rule: refuse ``base**exponent`` above ``limit`` with
+    ``ValueError("<what> guard is <quantity> <= <limit>, got <value>")``.
+    For base >= 2 an exponent above ``limit.bit_length()`` is refused without
+    building the power, so no exponent can stall the check."""
+    if (base >= 2 and exponent > limit.bit_length()) or base**exponent > limit:
+        got = base if exponent == 1 else f"{base}^{exponent}"
+        raise ValueError(f"{what} guard is {quantity} <= {limit}, got {got}")
+
+
 def svd(matrix):
     """Singular value decomposition ``M = U @ diag(s) @ V.conj().T``.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import hermitian_eigen, svd
+from .numerics import _require_size, hermitian_eigen, svd
 
 __all__ = [
     "StateVector",
@@ -191,8 +191,7 @@ def _haar_rows(k, size, rng):
     of i.i.d. complex Gaussians is unitarily invariant, so this is exact.
     A ``size`` above ``HAAR_GUARD`` is refused before anything is drawn.
     """
-    if size > HAAR_GUARD:
-        raise ValueError(f"Haar guard is dimension <= {HAAR_GUARD}, got {size}")
+    _require_size("Haar", "dimension", HAAR_GUARD, size)
     g = rng.normal((k, 2, size))
     amp = g[:, 0] + 1j * g[:, 1]
     amp /= np.sqrt(np.einsum("kij,kij->k", g, g))[:, None]

@@ -63,6 +63,16 @@ def chain_oracle(ham):
 
 
 class TestAssembly:
+    def test_a_chain_past_the_guard_is_refused_before_its_terms(self):
+        # the one check precedes every term, so these bad ones are never read
+        bad = np.full((3, 3), np.nan)
+        with pytest.raises(ValueError, match=r"^chain guard is dimension d\^n <= 8192, got 2\^14$"):
+            ChainHamiltonian(14, 2, [bad] * 13)
+        for build in (heisenberg_chain, transverse_ising_chain,
+                      lambda n: random_chain(n, 2, None)):
+            with pytest.raises(ValueError, match=r"got 2\^1000000000000$"):
+                build(10**12)
+
     def test_open_chain_matches_loop_oracle(self):
         rng = RandomSource(1)
         ham = random_chain(4, 2, rng, field_scale=0.5)

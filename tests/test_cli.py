@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import shutil
 import subprocess
@@ -357,7 +358,7 @@ class TestJsonInputs:
         (["mps", "--random", "40"], "Haar guard"),
         (["page", "--m", "1000000", "--n", "1000000", "--samples", "1"], "Haar guard"),
         (["gibbs-mi", "--sites", "4", "--cut", "2", "--local-dim", "1000000"],
-         "--local-dim 1000000 on 4 sites exceeds the classical guard"),
+         "classical guard is d^n <= 1000000, got 1000000^4"),
         (["gibbs-mi", "--sites", "4", "--cut", "2", "--local-dim", "0"],
          "--local-dim must be at least 1"),
         (["gibbs-mi", "--sites", "4", "--cut", "2", "--local-dim", "-1"],
@@ -389,6 +390,82 @@ class TestJsonInputs:
         proc = run_cli_process(argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: {flag} must be at most {2**24}, got {argv[-1]}\n"
+
+
+TERA = "1000000000000"
+DICKE_PAST = str(2**20 + 1)  # the first n past collective.DICKE_GUARD
+HUGE_FUNCTIONAL = {"kind": "functional", "coefficients": [],
+                   "scenario": {"parties": 10**12, "settings": 2, "outcomes": 2}}
+HUGE_RING = {"kind": "ti", "parties": 10**12, "alpha": 1, "beta": 0,
+             "gamma": [], "epsilon": [], "omega": []}
+
+
+def run_cli_bounded(argv):
+    """``main(argv)`` in a fresh interpreter capped at 10 s and 4 GiB of
+    address space, so a request that hangs or grows fails its test instead
+    of stalling the suite or taking the host's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    code = f"import sys; from bellscope.cli import main; sys.exit(main({list(argv)!r}))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, preexec_fn=cap)
+
+
+class TestSizeRule:
+    """Every oversized request exits 2 at once, with one ``error:`` line in
+    the one shape "<what> guard is <quantity> <= <limit>, got <value>".
+    Each size is one numpy refuses at once, or the first past a limit."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--family", "murcia", "--n-min", TERA, "--n-max", TERA],
+         f"Dicke-basis guard is n <= 1048576, got {TERA}"),
+        (["scan", "--family", "dicke", "--n-max", TERA],
+         f"Dicke-basis guard is n <= 1048576, got {TERA}"),
+        (["scan", "--family", "murcia", "--n-min", DICKE_PAST, "--n-max", DICKE_PAST],
+         f"Dicke-basis guard is n <= 1048576, got {DICKE_PAST}"),
+        (["theta-sweep", "--family", "murcia", "--n", TERA, "--points", "1"],
+         f"Dicke-basis guard is n <= 1048576, got {TERA}"),
+        (["theta-sweep", "--family", "dicke", "--n", DICKE_PAST, "--points", "1"],
+         f"Dicke-basis guard is n <= 1048576, got {DICKE_PAST}"),
+        (["lmg", "--n", TERA], f"Dicke-basis guard is n <= 1048576, got {TERA}"),
+        (["lmg", "--n", DICKE_PAST], f"Dicke-basis guard is n <= 1048576, got {DICKE_PAST}"),
+        (["mps", "--random", TERA], f"Haar guard is dimension <= 16777216, got 2^{TERA}"),
+        (["mps", "--random", "40"], "Haar guard is dimension <= 16777216, got 2^40"),
+        (["page", "--m", "1000000", "--n", "1000000", "--samples", "1"],
+         f"Haar guard is dimension <= 16777216, got {TERA}"),
+        (["gibbs-mi", "--sites", TERA, "--cut", "1"],
+         f"classical guard is d^n <= 1000000, got 2^{TERA}"),
+        (["gibbs-mi", "--sites", "4", "--cut", "2", "--local-dim", "1000000"],
+         "classical guard is d^n <= 1000000, got 1000000^4"),
+        (["area-law", "--sites", TERA], f"chain guard is dimension d^n <= 8192, got 2^{TERA}"),
+        (["thermal-mi", "--sites", TERA, "--cut", "1"],
+         f"chain guard is dimension d^n <= 8192, got 2^{TERA}"),
+        (["thermal-mi", "--sites", TERA, "--cut", "1", "--model", "random"],
+         f"chain guard is dimension d^n <= 8192, got 2^{TERA}"),
+        (["bound", "--expr", "{functional}"],
+         f"table guard is entries (m d)^n <= 10000000, got 4^{TERA}"),
+        (["bound", "--expr", "{ring}"], f"ring enumeration guard is parties n <= 12, got {TERA}"),
+    ], ids=["scan-tera", "scan-range-tera", "scan-past", "sweep-tera", "sweep-past",
+            "lmg-tera", "lmg-past", "mps-tera", "mps-40", "page", "gibbs-tera", "gibbs-dim",
+            "area-law-tera", "thermal-tera", "thermal-random-tera", "functional-tera",
+            "ring-tera"])
+    def test_oversized_requests_exit_2_at_once(self, tmp_path, argv, message):
+        paths = {}
+        for name, data in (("functional", HUGE_FUNCTIONAL), ("ring", HUGE_RING)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data))
+        proc = run_cli_bounded([a.format(**paths) for a in argv])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["dicke", "murcia"])
+    def test_exact_commands_take_any_n(self, command):
+        # exact in n and allocate nothing, so no size limit reaches them
+        proc = run_cli_bounded([command, "--n", TERA])
+        assert proc.returncode == 0, proc.stderr
+        _, rows = parse_csv(proc.stdout)
+        assert [r["n"] for r in rows] == [TERA]
 
 
 class TestScans:
@@ -436,6 +513,13 @@ class TestScans:
         assert f"error: {flag} must be {want}" in err
         # a refused run echoes no configuration, so no NaN or Infinity either
         assert config_lines(err) == []
+
+    @pytest.mark.parametrize("n_min", ["1", "-" + TERA])
+    def test_scan_refuses_an_n_min_below_2_before_building_its_range(self, capsys, n_min):
+        code, out, err = run_cli(capsys, "scan", "--family", "murcia",
+                                 "--n-min", n_min, "--n-max", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: --n-min must be at least 2, got {n_min}\n"
 
     def test_scan_sidecar_totals_eigen_work(self, capsys, tmp_path):
         # each n starts from the previous n's angle if that n was violated,

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bellscope.collective import (
+    DENSE_GUARD,
     SymmetricState,
     bell_operator,
     bell_operator_bands,
@@ -223,6 +225,24 @@ class TestBellOperator:
                 + coeffs[4] / 2 * (b @ b - n * eye)
             )
             assert np.allclose(bell_operator(expr, theta), want, atol=1e-9)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: measurement_pair(n, 0.3),
+        lambda n: collective_operator(n, "jx"),
+        lambda n: bell_operator(murcia(n), 0.3),
+    ], ids=["measurement_pair", "collective_operator", "bell_operator"])
+    def test_dense_builders_refuse_past_the_guard_before_allocating(self, build):
+        # each builds (n+1)^2 matrices, 128 MB apiece just past the guard
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                build(DENSE_GUARD + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"dense operator guard is n <= {DENSE_GUARD}, "
+                                   f"got {DENSE_GUARD + 1}")
+        assert peak < 2**20
 
     def test_expectation_consistent_with_correlators(self):
         rng = RandomSource(19).generator

@@ -2,7 +2,8 @@
 ``__all__`` list, no submodule re-exports another's callable, every imported
 name is used, the lazily loading package exports exactly what its submodules
 define, no module checks itself with an ``assert`` that ``python -O``
-would strip, and no module starts a process pool or a thread."""
+would strip, no module starts a process pool or a thread, and every size
+limit raises through one helper."""
 
 import ast
 import importlib
@@ -96,6 +97,34 @@ def test_the_cli_checks_finiteness_in_one_function():
               if isinstance(func, ast.FunctionDef) and isfinite_calls(func)]
     assert [func.name for func in owners] == ["_require_finite"]
     assert isfinite_calls(owners[0]) == isfinite_calls(tree) == 1
+
+
+def guard_raises(tree):
+    """The enclosing function of each ``raise`` whose message mentions a guard."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and "guard" in c.value.lower() for c in ast.walk(child)):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_size_limit_raises_through_one_helper():
+    # one decision says what is too big and how it is said, so no module
+    # grows a size message of its own
+    owners = [(name, owner) for name in MODULES
+              for owner in guard_raises(ast.parse(
+                  Path(importlib.import_module(name).__file__).read_text()))]
+    assert owners == [("bellscope.numerics", "_require_size")]
 
 
 def test_each_export_is_its_submodules_object():

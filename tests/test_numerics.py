@@ -63,6 +63,34 @@ class TestHermitianEigen:
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestRequireSize:
+    def test_limit_is_accepted_and_limit_plus_one_refused(self):
+        numerics._require_size("x", "n", 10**6, 10**6)
+        numerics._require_size("x", "d^n", 10**6, 10**3, 2)
+        with pytest.raises(ValueError) as info:
+            numerics._require_size("x", "n", 10**6, 10**6 + 1)
+        assert str(info.value) == "x guard is n <= 1000000, got 1000001"
+        with pytest.raises(ValueError, match=r"^x guard is d\^n <= 1000000, got 1001\^2$"):
+            numerics._require_size("x", "d^n", 10**6, 1001, 2)
+
+    @pytest.mark.parametrize("base", [2, 3, 10**6])
+    def test_a_power_is_refused_without_being_built(self, base):
+        # 2^(10^18) has more bits than any memory; refusing it proves the
+        # comparison never builds the power
+        with pytest.raises(ValueError, match=rf"got {base}\^{10**18}$"):
+            numerics._require_size("x", "d^n", 10**6, base, 10**18)
+
+    def test_every_exponent_at_the_bit_length_is_compared_exactly(self):
+        limit = 10**6  # 20 bits: 2^19 passes, 2^20 does not
+        numerics._require_size("x", "d^n", limit, 2, 19)
+        with pytest.raises(ValueError):
+            numerics._require_size("x", "d^n", limit, 2, 20)
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_a_base_below_2_passes_any_exponent(self, base):
+        numerics._require_size("x", "d^n", 10**6, base, 10**18)
+
+
 class TestSvd:
     def test_zero_matrix(self):
         u, s, v = svd(np.zeros((3, 2)))
