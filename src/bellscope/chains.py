@@ -46,6 +46,7 @@ LANCZOS_RESIDUAL = 1e-10   # verified ||H psi - E psi|| <= this * max(1, ||T||)
 LANCZOS_MAX_STEPS = 300
 THERMAL_GUARD = 2**10
 CLASSICAL_GUARD = 10**6
+CLASSICAL_SITES = 64   # the energy table has one axis per site, and numpy allows 64
 
 
 def _local_term(term, size, what):
@@ -329,6 +330,7 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
     if any(c.shape != (d, d) for c in couplings):
         raise ValueError("ragged coupling tables")
     _require_size("classical", "d^n", CLASSICAL_GUARD, d, n)
+    _require_size("classical", "sites n", CLASSICAL_SITES, n)
     if not 1 <= cut <= n - 1:
         raise ValueError(f"cut must lie in 1..{n - 1}")
 

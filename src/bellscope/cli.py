@@ -374,6 +374,7 @@ def _cmd_gibbs_mi(args):
         raise ValueError(f"--local-dim must be at least 1, got {d}")
     # the library's classical guard, checked here before the d x d draws
     numerics._require_size("classical", "d^n", chains.CLASSICAL_GUARD, d, args.sites)
+    numerics._require_size("classical", "sites n", chains.CLASSICAL_SITES, args.sites)
     rng = numerics.RandomSource(args.seed)
     bonds = args.sites if args.boundary == "periodic" else args.sites - 1
     couplings = [rng.normal((d, d)) for _ in range(bonds)]

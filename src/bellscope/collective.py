@@ -106,6 +106,24 @@ def _ladder_offdiag(n):
     return np.sqrt(k * (n - k + 1.0))
 
 
+def _dense(n, dtype, bands, weights=((1.0, 1.0),) * 3):
+    # The one dense (n+1)^2 build, made after the dense-operator guard: band d of
+    # bands() sits at (k + d, k) and (k, k + d), scaled there by weights[d] = (lower, upper).
+    _require_size("dense operator", "n", DENSE_GUARD, n)
+    values = bands()  # made before the matrix, so their scratch arrays are gone by then
+    mat = np.zeros((n + 1, n + 1), dtype=dtype)
+    flat = mat.reshape(-1)  # a view; entry (i, j) is flat[i (n + 1) + j], so a band steps by n + 2
+    for d, (band, (lower, upper)) in enumerate(zip(values, weights)):
+        np.multiply(band[: n + 1 - d], lower, out=flat[d * (n + 1):: n + 2])
+        np.multiply(band[: n + 1 - d], upper, out=flat[d: (n + 1 - d) * (n + 1): n + 2])
+    return mat
+
+
+# (diagonal, below, above) weights of Jz and of the ladder f = <k-1| J+ |k>
+_LABEL_WEIGHTS = {"jz": (1.0, 0.0, 0.0), "j+": (0.0, 0.0, 1.0), "j-": (0.0, 1.0, 0.0),
+                  "jx": (0.0, 0.5, 0.5), "jy": (0.0, 0.5j, -0.5j)}
+
+
 def collective_operator(n, label):
     """Total spin operator on the (n+1)-dimensional symmetric sector.
 
@@ -114,28 +132,12 @@ def collective_operator(n, label):
     """
     if n < 1:
         raise ValueError("need at least one spin")
-    _require_size("dense operator", "n", DENSE_GUARD, n)
     label_lc = str(label).lower()
-    dim = n + 1
-    f = _ladder_offdiag(n)
-    if label_lc == "jz":
-        mat = np.diag(_jz_diag(n)).astype(complex)
-    elif label_lc == "j+":
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[np.arange(n), np.arange(1, n + 1)] = f
-    elif label_lc == "j-":
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[np.arange(1, n + 1), np.arange(n)] = f
-    elif label_lc == "jx":
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[np.arange(n), np.arange(1, n + 1)] = f / 2.0
-        mat[np.arange(1, n + 1), np.arange(n)] = f / 2.0
-    elif label_lc == "jy":
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[np.arange(n), np.arange(1, n + 1)] = f / 2.0j
-        mat[np.arange(1, n + 1), np.arange(n)] = -f / 2.0j
-    else:
+    if label_lc not in _LABEL_WEIGHTS:
         raise ValueError(f"unknown label {label!r}")
+    diag, below, above = _LABEL_WEIGHTS[label_lc]
+    mat = _dense(n, complex, lambda: (_jz_diag(n), _ladder_offdiag(n)),
+                 ((diag, diag), (below, above)))
     return CollectiveOperator(n=n, label=label_lc, matrix=mat)
 
 
@@ -143,6 +145,7 @@ def dicke_state(n, k):
     """The Dicke state |n, k>: k flipped spins, fully symmetrised."""
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
+    _require_size("Dicke-basis", "n", DICKE_GUARD, n)
     amp = np.zeros(n + 1, dtype=complex)
     amp[k] = 1.0
     return SymmetricState(n, amp)
@@ -197,13 +200,9 @@ def lmg_energies(n, lam, h):
 
 def measurement_pair(n, theta):
     """Dense collective measurement operators (A, B) at angle theta."""
-    _require_size("dense operator", "n", DENSE_GUARD, n)
-    a = np.diag(2.0 * _jz_diag(n))
-    jx = np.zeros((n + 1, n + 1))
-    f = _ladder_offdiag(n)
-    jx[np.arange(n), np.arange(1, n + 1)] = f / 2.0
-    jx[np.arange(1, n + 1), np.arange(n)] = f / 2.0
-    b = math.cos(theta) * np.diag(2.0 * _jz_diag(n)) + 2.0 * math.sin(theta) * jx
+    a = _dense(n, float, lambda: (2.0 * _jz_diag(n),))
+    b = _dense(n, float, lambda: (math.cos(theta) * (2.0 * _jz_diag(n)),
+                                  math.sin(theta) * _ladder_offdiag(n)))
     return a, b
 
 
@@ -303,17 +302,7 @@ def _bell_slope(expr, theta, vec):
 
 def bell_operator(expr, theta):
     """Dense Bell operator matrix (for moderate n; scans use the bands)."""
-    n = expr.n
-    _require_size("dense operator", "n", DENSE_GUARD, n)
-    bands = bell_operator_bands(expr, theta)
-    mat = np.diag(bands[0])
-    idx = np.arange(n)
-    mat[idx, idx + 1] = bands[1, :n]
-    mat[idx + 1, idx] = bands[1, :n]
-    idx = np.arange(n - 1)
-    mat[idx, idx + 2] = bands[2, : n - 1]
-    mat[idx + 2, idx] = bands[2, : n - 1]
-    return mat
+    return _dense(expr.n, float, lambda: bell_operator_bands(expr, theta))
 
 
 def _require_bound(expr):

@@ -533,6 +533,16 @@ class TestClassicalGibbs:
         with pytest.raises(ValueError, match="cut"):
             classical_gibbs_mutual_info([np.zeros((2, 2))] * 3, 1.0, 4)
 
+    def test_one_state_per_site_is_refused_past_the_numpy_axis_limit(self):
+        # d = 1 passes the d^n check at any n, but the energy table has one
+        # axis per site; 64 sites still give the zero mutual information
+        report = classical_gibbs_mutual_info([np.zeros((1, 1))] * 63, 1.0, 1)
+        assert report.mutual_info == 0.0
+        with pytest.raises(ValueError) as info:
+            classical_gibbs_mutual_info([np.zeros((1, 1))] * 64, 1.0, 1)
+        assert str(info.value) == (f"classical guard is sites n <= {chains.CLASSICAL_SITES}, "
+                                   "got 65")
+
     @pytest.mark.parametrize("couplings, boundary", [
         ([], "open"), ([], "periodic"), ([np.zeros((2, 2))], "periodic")])
     def test_fewer_than_two_sites_is_refused(self, couplings, boundary):

@@ -438,6 +438,10 @@ class TestSizeRule:
          f"classical guard is d^n <= 1000000, got 2^{TERA}"),
         (["gibbs-mi", "--sites", "4", "--cut", "2", "--local-dim", "1000000"],
          "classical guard is d^n <= 1000000, got 1000000^4"),
+        (["gibbs-mi", "--sites", TERA, "--cut", "1", "--local-dim", "1"],
+         f"classical guard is sites n <= 64, got {TERA}"),
+        (["gibbs-mi", "--sites", "65", "--cut", "1", "--local-dim", "1"],
+         "classical guard is sites n <= 64, got 65"),
         (["area-law", "--sites", TERA], f"chain guard is dimension d^n <= 8192, got 2^{TERA}"),
         (["thermal-mi", "--sites", TERA, "--cut", "1"],
          f"chain guard is dimension d^n <= 8192, got 2^{TERA}"),
@@ -448,6 +452,7 @@ class TestSizeRule:
         (["bound", "--expr", "{ring}"], f"ring enumeration guard is parties n <= 12, got {TERA}"),
     ], ids=["scan-tera", "scan-range-tera", "scan-past", "sweep-tera", "sweep-past",
             "lmg-tera", "lmg-past", "mps-tera", "mps-40", "page", "gibbs-tera", "gibbs-dim",
+            "gibbs-dim1-tera", "gibbs-dim1-65",
             "area-law-tera", "thermal-tera", "thermal-random-tera", "functional-tera",
             "ring-tera"])
     def test_oversized_requests_exit_2_at_once(self, tmp_path, argv, message):

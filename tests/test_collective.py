@@ -7,6 +7,7 @@ import pytest
 
 from bellscope.collective import (
     DENSE_GUARD,
+    DICKE_GUARD,
     SymmetricState,
     bell_operator,
     bell_operator_bands,
@@ -92,6 +93,19 @@ class TestDickeStates:
             dicke_state(3, 4)
         with pytest.raises(ValueError):
             dicke_state(3, -1)
+
+    @pytest.mark.parametrize("n", [DICKE_GUARD + 1, 10**12])
+    def test_refuses_past_the_dicke_guard_before_allocating(self, n):
+        # the amplitudes of DICKE_GUARD + 1 take 16 MB, and of 10^12 more than any host holds
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="Dicke-basis guard") as info:
+                dicke_state(n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"Dicke-basis guard is n <= {DICKE_GUARD}, got {n}"
+        assert peak < 2**20
 
     def test_embedding_matches_explicit_symmetrization(self):
         for n, k in ((2, 1), (4, 2), (5, 3)):
@@ -243,6 +257,59 @@ class TestBellOperator:
         assert str(info.value) == (f"dense operator guard is n <= {DENSE_GUARD}, "
                                    f"got {DENSE_GUARD + 1}")
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_dense_builders_place_every_entry_of_the_dicke_ladder(self, n):
+        """Every entry and the dtype of each dense builder, against matrices
+        placed here one entry at a time from <k|Jz|k> = n/2 - k,
+        <k-1|J+|k> = sqrt(k (n - k + 1)) and the Bell operator's bands."""
+        dim = n + 1
+        jz = [n / 2 - k for k in range(dim)]
+        ladder = [(k - 1, k, math.sqrt(k * (n - k + 1))) for k in range(1, dim)]
+        want = {label: np.zeros((dim, dim), dtype=complex)
+                for label in ("jz", "j+", "j-", "jx", "jy")}
+        for k in range(dim):
+            want["jz"][k, k] = jz[k]
+        for row, col, f in ladder:
+            want["j+"][row, col] = f
+            want["j-"][col, row] = f
+            want["jx"][row, col] = want["jx"][col, row] = f / 2
+            want["jy"][row, col] = complex(0.0, -f / 2)
+            want["jy"][col, row] = complex(0.0, f / 2)
+        for label, mat in want.items():
+            got = collective_operator(n, label.upper()).matrix
+            assert got.dtype == mat.dtype and np.array_equal(got, mat), label
+
+        exprs = [PIBellExpression(n=n, alpha=1, beta=-2, gamma=3, delta=-1, epsilon=2),
+                 murcia(n)] if n >= 2 else []
+        for theta in (0.0, 0.3, math.pi / 2, 2.0, math.pi, 4.7, 6.2):
+            a_want, b_want = np.zeros((dim, dim)), np.zeros((dim, dim))
+            for k in range(dim):
+                a_want[k, k] = 2 * jz[k]
+                b_want[k, k] = math.cos(theta) * (2 * jz[k])
+            for row, col, f in ladder:
+                b_want[row, col] = b_want[col, row] = math.sin(theta) * f
+            for got, mat in zip(measurement_pair(n, theta), (a_want, b_want)):
+                assert got.dtype == mat.dtype and np.array_equal(got, mat), theta
+            for expr in exprs:
+                bands = bell_operator_bands(expr, theta)
+                mat = np.zeros((dim, dim))
+                for d in range(3):
+                    for k in range(dim - d):
+                        mat[k + d, k] = mat[k, k + d] = bands[d, k]
+                got = bell_operator(expr, theta)
+                assert got.dtype == mat.dtype and np.array_equal(got, mat), (expr.name, theta)
+
+    def test_collective_operator_builds_only_the_requested_matrix(self):
+        # one complex (n+1)^2 array is 36 MB at n = 1500; building every
+        # label and then picking one would cost several
+        tracemalloc.start()
+        try:
+            collective_operator(1500, "jx")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 1501**2 * np.dtype(complex).itemsize
 
     def test_expectation_consistent_with_correlators(self):
         rng = RandomSource(19).generator
