@@ -21,7 +21,7 @@ from bellscope.chains import (
     thermal_mutual_info_check,
     transverse_ising_chain,
 )
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 
 # Gapped ground state: entropy saturates.  Critical-ish: it keeps creeping.
 N = 12
@@ -43,11 +43,11 @@ for beta in (0.05, 0.2, 1.0, 5.0, 20.0):
 print("the bound scales linearly in beta; the actual MI saturates\n")
 
 # Classical chains: the same cut geometry, a temperature-free ceiling.
-rng = RandomSource(8)
+rng = seeded_generator(8)
 print("random classical Gibbs chains (d = 3), bound |dA| log2(3) = 1.585 bits")
 for beta in (0.5, 2.0, 8.0):
     mis = []
     for _ in range(20):
-        couplings = [rng.normal((3, 3)) for _ in range(5)]
+        couplings = [rng.standard_normal((3, 3)) for _ in range(5)]
         mis.append(classical_gibbs_mutual_info(couplings, beta, cut=3).mutual_info)
     print(f"  beta = {beta:>4}: I in [{min(mis):.4f}, {max(mis):.4f}] bits")

@@ -19,9 +19,9 @@ from bellscope import (
     ppt_report,
     schmidt_decompose,
 )
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 
-rng = RandomSource(11).generator
+rng = seeded_generator(11)
 
 # Pure states: negative-eigenvalue count is pure combinatorics in the rank.
 print("pure states on C^4 x C^4, Schmidt rank r -> negative PT eigenvalues")

@@ -22,10 +22,10 @@ from bellscope.mps import (
     truncate,
     truncation_bound,
 )
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 
 N = 10
-rng = RandomSource(3).generator
+rng = seeded_generator(3)
 
 amp = rng.standard_normal(2**N) + 1j * rng.standard_normal(2**N)
 random_state = amp / np.linalg.norm(amp)

@@ -14,14 +14,14 @@ The mean purity of the small side is exactly (m+n)/(mn+1), often rounded to
 import math
 
 from bellscope import page_experiment
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 
 samples = 4000
 print(f"{samples} Haar samples per row; entropies in nats")
 print(f"{'(m, n)':>8} {'mean S':>9} {'se':>8} {'exact mean':>11} "
       f"{'asymptotic':>11} {'purity':>8} {'(m+n)/(mn+1)':>13}")
 for m, n in ((2, 2), (2, 8), (2, 16), (2, 64), (4, 16)):
-    rng = RandomSource(20260815)
+    rng = seeded_generator(20260815)
     mean, se, purity = page_experiment(m, n, samples, rng)
     exact = sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2.0 * n)
     asymptotic = math.log(m) - m / (2.0 * n)

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # defining submodule -> the names bellscope exports from it
 _EXPORTS = {
-    "numerics": ("RandomSource", "hermitian_eigen", "scalar_minimize", "svd"),
+    "numerics": ("hermitian_eigen", "scalar_minimize", "seeded_generator"),
     "quantum": (
         "StateVector", "DensityOperator", "max_entangled", "haar_state",
         "schmidt_decompose", "schmidt_rank", "separable_pure",

@@ -148,14 +148,15 @@ def transverse_ising_chain(n, j=1.0, g=1.0, boundary="open"):
 
 def random_chain(n, d, rng, boundary="open", field_scale=0.0):
     """Chain with independent random Hermitian bond terms (unit scale)."""
-    def hermitian(g):
+    def hermitian(shape, scale=1.0):  # real part drawn first
+        g = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         return (g + g.conj().T) / 2.0
 
     bonds = _bond_count(n, d, boundary)
-    terms = [hermitian(rng.complex_normal((d * d, d * d))) for _ in range(bonds)]
+    terms = [hermitian((d * d, d * d)) for _ in range(bonds)]
     fields = None
     if field_scale:
-        fields = [hermitian(field_scale * rng.complex_normal((d, d))) for _ in range(n)]
+        fields = [hermitian((d, d), field_scale) for _ in range(n)]
     return ChainHamiltonian(n, d, terms, site_fields=fields, boundary=boundary)
 
 

@@ -280,7 +280,7 @@ def _cmd_lmg(args):
 
 
 def _cmd_page(args):
-    rng = numerics.RandomSource(args.seed)
+    rng = numerics.seeded_generator(args.seed)
     mean_s, se, purity = quantum.page_experiment(args.m, args.n, args.samples, rng)
     predicted = math.log(args.m) - args.m / (2.0 * args.n)
     predicted_purity = (args.m + args.n) / (args.m * args.n)
@@ -320,7 +320,7 @@ def _mps_input_state(args):
     if n < 1:
         raise ValueError(f"--random must be at least 1, got {n}")
     numerics._require_size("Haar", "dimension", quantum.HAAR_GUARD, d, n)  # before d^(n-1)
-    rng = numerics.RandomSource(args.seed)
+    rng = numerics.seeded_generator(args.seed)
     return quantum.haar_state(d, d ** (n - 1), rng).amplitudes, d
 
 
@@ -357,7 +357,7 @@ def _thermal_chain(args):
     if args.model == "ising":
         return chains.transverse_ising_chain(args.sites, j=args.coupling,
                                              g=args.field, boundary=args.boundary)
-    rng = numerics.RandomSource(args.seed)
+    rng = numerics.seeded_generator(args.seed)
     return chains.random_chain(args.sites, 2, rng, boundary=args.boundary)
 
 
@@ -375,9 +375,9 @@ def _cmd_gibbs_mi(args):
     # the library's classical guard, checked here before the d x d draws
     numerics._require_size("classical", "d^n", chains.CLASSICAL_GUARD, d, args.sites)
     numerics._require_size("classical", "sites n", chains.CLASSICAL_SITES, args.sites)
-    rng = numerics.RandomSource(args.seed)
+    rng = numerics.seeded_generator(args.seed)
     bonds = args.sites if args.boundary == "periodic" else args.sites - 1
-    couplings = [rng.normal((d, d)) for _ in range(bonds)]
+    couplings = [rng.standard_normal((d, d)) for _ in range(bonds)]
     reps = [chains.classical_gibbs_mutual_info(couplings, beta, args.cut, boundary=args.boundary)
             for beta in args.beta]
     rows = [(beta, r.mutual_info, r.bound, r.ok) for beta, r in zip(args.beta, reps)]

@@ -190,6 +190,13 @@ def _right_pass(blocks, rest, d, discarded):
     return MpsState(tensors=tensors, lambdas=lambdas, discarded=discarded)
 
 
+def _bond_cap(dmax):
+    """``dmax`` as an int, or ``ValueError`` if it is below 1 or not an integer."""
+    if not (isinstance(dmax, numbers.Integral) and dmax >= 1):
+        raise ValueError(f"dmax must be at least 1 and an integer, got {dmax!r}")
+    return int(dmax)
+
+
 def mps_from_dense(psi, d=2, dmax=None):
     """Exact (or bond-capped) canonical MPS of a dense state vector.
 
@@ -204,10 +211,9 @@ def mps_from_dense(psi, d=2, dmax=None):
     to also get the truncation error.  A ``dmax`` below 1 or not an
     integer raises ``ValueError``.
     """
-    if dmax is not None and not (isinstance(dmax, numbers.Integral) and dmax >= 1):
-        raise ValueError(f"dmax must be at least 1 and an integer, got {dmax!r}")
+    dmax = None if dmax is None else _bond_cap(dmax)
     amp, d = _as_amplitudes(psi, d)
-    blocks, rest, discarded = _left_sweep(amp, d, None if dmax is None else int(dmax))
+    blocks, rest, discarded = _left_sweep(amp, d, dmax)
     return _right_pass(blocks, rest, d, discarded)
 
 
@@ -269,10 +275,10 @@ def truncate(psi, dmax, d=2):
 
 def truncation_bound(spectra, dmax):
     """Tail-sum bound: || psi - psi_D ||^2 <= 2 sum_cuts sum_{i > D} lambda_i."""
-    total = 0.0
+    dmax, total = _bond_cap(dmax), 0.0
     for lam in spectra:
         lam = np.sort(np.asarray(lam, dtype=float))[::-1]
-        total += float(lam[int(dmax):].sum())
+        total += float(lam[dmax:].sum())
     return 2.0 * total
 
 
@@ -287,6 +293,7 @@ def renyi_tail_bound(spectrum, alpha, dmax):
     with S_alpha the base-2 Renyi entropy of the spectrum.  Returns the
     right-hand side.
     """
+    dmax = _bond_cap(dmax)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     s_alpha = _entropy_of_probs(np.asarray(spectrum, dtype=float), 2, alpha)

@@ -1,12 +1,14 @@
-"""Shared numerical kernels: Hermitian eigensolvers, SVD, bracketed scalar
-minimisation, banded extreme eigenpairs, and seeded random streams.
+"""Shared numerical kernels: Hermitian eigensolvers, bracketed scalar
+minimisation, banded extreme eigenpairs, and the seeded random generator.
 
 It owns the kernels whose conventions other modules rely on: the checked
-Hermitian eigensolver and SVD, the QR-chain cut spectra, the banded lowest
+Hermitian eigensolver, the QR-chain cut spectra, the banded lowest
 eigenpair and its Cholesky screen, the theta minimiser and its pre-scan
-grid, and the seeded random streams.  ``quantum.page_experiment``,
-``chains``, ``correlations.behavior_from_quantum`` and ``mps._right_pass``
-call ``np.linalg`` directly on matrices they build themselves.
+grid, and :func:`seeded_generator`, the one place a numpy random
+``Generator`` is built.  ``quantum`` (the Schmidt SVDs and
+``page_experiment``), ``chains``, ``correlations.behavior_from_quantum``
+and ``mps._right_pass`` call ``np.linalg`` directly on matrices they build
+themselves.
 
 No scipy Python package is imported here.  The first
 :func:`lowest_eigen_banded` or :func:`eigen_above_stacked` call loads scipy's
@@ -35,13 +37,12 @@ import numpy as np
 
 __all__ = [
     "hermitian_eigen",
-    "svd",
     "scalar_minimize",
     "lowest_eigen_banded",
     "eigen_above_stacked",
     "gershgorin_bounds",
     "prescan_grid",
-    "RandomSource",
+    "seeded_generator",
 ]
 
 #: Relative tolerance for accepting a matrix as Hermitian.
@@ -151,21 +152,6 @@ def _require_size(what, quantity, limit, base, exponent=1):
     if (base >= 2 and exponent > limit.bit_length()) or base**exponent > limit:
         got = base if exponent == 1 else f"{base}^{exponent}"
         raise ValueError(f"{what} guard is {quantity} <= {limit}, got {got}")
-
-
-def svd(matrix):
-    """Singular value decomposition ``M = U @ diag(s) @ V.conj().T``.
-
-    Returns
-    -------
-    u : ndarray
-    s : ndarray
-        Singular values, descending (LAPACK convention).
-    v : ndarray
-        Right singular vectors as columns (not the adjoint).
-    """
-    u, s, vh = np.linalg.svd(np.asarray(matrix), full_matrices=False)
-    return u, s, vh.conj().T
 
 
 def _qr_reduced(matrix, with_q=False):
@@ -626,44 +612,15 @@ def _certified_cholesky(ab, order, level, top):
     return ~failed, shift
 
 
+def seeded_generator(seed):
+    """numpy ``Generator`` over ``PCG64(seed)``: the one place the bit
+    generator is pinned, so equal seeds give bitwise-equal streams."""
+    return np.random.Generator(np.random.PCG64(int(seed)))
+
+
 @functools.lru_cache(maxsize=64)
 def _start_vector(n):
     """Fixed seeded start vector for inverse iteration and Lanczos (read-only)."""
-    x = np.random.default_rng(n).standard_normal(n)
+    x = seeded_generator(n).standard_normal(n)
     x.setflags(write=False)
     return x
-
-
-class RandomSource:
-    """Seeded random stream (PCG64).  Equal seeds give bitwise-equal streams.
-
-    Thin wrapper over :class:`numpy.random.Generator` that records the seed
-    and algorithm so runs can be reproduced from logged configuration.
-    """
-
-    algorithm = "pcg64"
-
-    def __init__(self, seed=0):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def __repr__(self):
-        return f"RandomSource(seed={self.seed})"
-
-    @property
-    def generator(self):
-        """The underlying :class:`numpy.random.Generator`."""
-        return self._gen
-
-    def normal(self, size=None):
-        return self._gen.standard_normal(size)
-
-    def complex_normal(self, size=None):
-        """Standard complex Gaussian: independent N(0,1) real and imaginary parts."""
-        return self._gen.standard_normal(size) + 1j * self._gen.standard_normal(size)
-
-    def uniform(self, lo=0.0, hi=1.0, size=None):
-        return self._gen.uniform(lo, hi, size)
-
-    def integers(self, lo, hi=None, size=None):
-        return self._gen.integers(lo, hi, size=size)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _require_size, hermitian_eigen, svd
+from .numerics import _require_size, hermitian_eigen
 
 __all__ = [
     "StateVector",
@@ -186,13 +186,14 @@ HAAR_GUARD = 2**24
 def _haar_rows(k, size, rng):
     """``k`` Haar-random unit vectors in C^size, as the rows of a (k, size) array.
 
-    Row i normalises ``g[i, 0] + 1j g[i, 1]`` for one ``rng.normal((k, 2,
-    size))`` draw g, so a seed gives the same vectors whatever k is; the law
-    of i.i.d. complex Gaussians is unitarily invariant, so this is exact.
+    ``rng`` is a numpy ``Generator``.  Row i normalises ``g[i, 0] + 1j g[i,
+    1]`` for one ``g = rng.standard_normal((k, 2, size))`` draw, so a seed
+    gives the same vectors whatever k is; the law of i.i.d. complex
+    Gaussians is unitarily invariant, so this is exact.
     A ``size`` above ``HAAR_GUARD`` is refused before anything is drawn.
     """
     _require_size("Haar", "dimension", HAAR_GUARD, size)
-    g = rng.normal((k, 2, size))
+    g = rng.standard_normal((k, 2, size))
     amp = g[:, 0] + 1j * g[:, 1]
     amp /= np.sqrt(np.einsum("kij,kij->k", g, g))[:, None]
     return amp
@@ -225,11 +226,9 @@ def schmidt_decompose(psi, bipartition=None):
     """
     m, n = _bipartition(psi, bipartition)
     mat = psi.amplitudes.reshape(m, n)
-    u, s, v = svd(mat)
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = _rank(s, RANK_TOL)
-    return SchmidtData(
-        coefficients=s[:rank], left=u[:, :rank], right=v.conj()[:, :rank], rank=rank
-    )
+    return SchmidtData(coefficients=s[:rank], left=u[:, :rank], right=vh.T[:, :rank], rank=rank)
 
 
 def _schmidt_values(psi, bipartition):

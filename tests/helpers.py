@@ -139,6 +139,11 @@ def ground_energy_power_iteration(h, iters=8000, seed=5):
     return float(shift - np.real(np.vdot(v, m @ v)))
 
 
+def complex_normal(rng, size):
+    """Standard complex Gaussians from a numpy Generator, real parts drawn first."""
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
 def haar_vector(dim, rng):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
@@ -251,7 +256,7 @@ def page_oracle(m, n, samples, rng):
     ent = np.empty(samples)
     pur = np.empty(samples)
     for i in range(samples):
-        amp = rng.complex_normal(m * n)
+        amp = complex_normal(rng, m * n)
         amp /= np.linalg.norm(amp)
         s = np.linalg.svd(amp.reshape(m, n), compute_uv=False)
         p = s * s

@@ -35,7 +35,7 @@ from bellscope.mps import (
     truncate,
     truncation_bound,
 )
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 from bellscope.quantum import DensityOperator, page_experiment, ppt_report
 from bellscope.symmetric import (
     PIBellExpression,
@@ -122,7 +122,7 @@ def test_criterion_03_closed_form_bound_identity():
 
 def test_criterion_04_count_enumeration_oracle():
     start = time.perf_counter()
-    rng = RandomSource(4)
+    rng = seeded_generator(4)
     checked = 0
     worst = None
     for trial in range(20):
@@ -242,7 +242,7 @@ def test_criterion_07_lmg():
 def test_criterion_08_random_state_entropy():
     start = time.perf_counter()
     m, n, samples = 2, 16, 10**4
-    rng = RandomSource(20260815)
+    rng = seeded_generator(20260815)
     mean, se, purity = page_experiment(m, n, samples, rng)
     target = math.log(m) - m / (2.0 * n)
     exact_mean = sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2.0 * n)
@@ -264,7 +264,7 @@ def test_criterion_08_random_state_entropy():
 
 def test_criterion_09_ppt_structure():
     start = time.perf_counter()
-    rng = RandomSource(9).generator
+    rng = seeded_generator(9)
     count_ok = True
     for r in (2, 3, 4):
         for trial in range(10):
@@ -296,7 +296,7 @@ def test_criterion_09_ppt_structure():
 
 def test_criterion_10_mps():
     start = time.perf_counter()
-    rng = RandomSource(10).generator
+    rng = seeded_generator(10)
     worst_fidelity = 1.0
     worst_residual = 0.0
     for n in range(2, 9):
@@ -340,7 +340,7 @@ def test_criterion_10_mps():
 
 def test_criterion_11_mutual_information_bounds():
     start = time.perf_counter()
-    rng = RandomSource(11)
+    rng = seeded_generator(11)
     thermal_failures = 0
     for trial in range(50):
         n = int(rng.integers(4, 9))
@@ -359,7 +359,7 @@ def test_criterion_11_mutual_information_bounds():
             n = 6
         boundary = "periodic" if trial % 3 == 0 else "open"
         bonds = n if boundary == "periodic" else n - 1
-        couplings = [rng.normal((d, d)) for _ in range(bonds)]
+        couplings = [rng.standard_normal((d, d)) for _ in range(bonds)]
         cut = int(rng.integers(1, n))
         beta = float(rng.uniform(0.0, 3.0))
         rep = classical_gibbs_mutual_info(couplings, beta, cut, boundary=boundary)

@@ -18,11 +18,12 @@ from bellscope.chains import (
     thermal_mutual_info_check,
     transverse_ising_chain,
 )
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 from bellscope.quantum import StateVector
 
 from helpers import (
     chain_kron_sparse,
+    complex_normal,
     eigsh_ground_state,
     entropy_of_matrix,
     ground_energy_power_iteration,
@@ -74,12 +75,12 @@ class TestAssembly:
                 build(10**12)
 
     def test_open_chain_matches_loop_oracle(self):
-        rng = RandomSource(1)
+        rng = seeded_generator(1)
         ham = random_chain(4, 2, rng, field_scale=0.5)
         assert np.max(np.abs(ham.dense() - chain_oracle(ham))) < 1e-12
 
     def test_periodic_wrap_matches_loop_oracle(self):
-        rng = RandomSource(2)
+        rng = seeded_generator(2)
         for d in (2, 3):
             ham = random_chain(4, d, rng, boundary="periodic")
             assert np.max(np.abs(ham.dense() - chain_oracle(ham))) < 1e-12
@@ -125,7 +126,7 @@ class TestApply:
            periodic=st.booleans(), fields=st.booleans(), real=st.booleans(),
            k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_vector_and_block_match_oracles(self, d, n, periodic, fields, real, k, seed):
-        ham = random_chain(n, d, RandomSource(seed),
+        ham = random_chain(n, d, seeded_generator(seed),
                            boundary="periodic" if periodic else "open",
                            field_scale=0.7 if fields else 0.0)
         if real:  # the real parts of Hermitian terms are real symmetric
@@ -203,7 +204,7 @@ class TestLanczos:
 
     @pytest.mark.parametrize("ham", [
         heisenberg_chain(2),
-        random_chain(2, 3, RandomSource(7), field_scale=0.5),
+        random_chain(2, 3, seeded_generator(7), field_scale=0.5),
         transverse_ising_chain(9, g=1.0),
     ], ids=["dim-4", "dim-9", "dim-512"])
     def test_never_assembles_and_stops_at_the_dimension(self, ham, monkeypatch):
@@ -256,14 +257,14 @@ def model_chain(kind, n, d, boundary, seed):
     bonds = n if boundary == "periodic" else n - 1
     sx, sy, sz = spin_matrices(d)
     if kind == "random":
-        return random_chain(n, d, RandomSource(seed), boundary=boundary, field_scale=0.5)
+        return random_chain(n, d, seeded_generator(seed), boundary=boundary, field_scale=0.5)
     if kind == "heisenberg":
         term = sum(np.kron(a, a) for a in (sx, sy, sz))
         return ChainHamiltonian(n, d, [term] * bonds, boundary=boundary)
     if kind == "ising":
         return ChainHamiltonian(n, d, [-np.kron(sx, sx)] * bonds,
                                 site_fields=[-1.3 * sz] * n, boundary=boundary)
-    fields = random_chain(n, d, RandomSource(seed), field_scale=1.0).site_fields
+    fields = random_chain(n, d, seeded_generator(seed), field_scale=1.0).site_fields
     return ChainHamiltonian(n, d, [np.zeros((d * d, d * d))] * bonds,
                             site_fields=fields, boundary=boundary)
 
@@ -309,7 +310,7 @@ class TestGroundState:
         assert energy == pytest.approx(-2.0, abs=1e-10)
 
     def test_matches_power_iteration_oracle(self):
-        rng = RandomSource(3)
+        rng = seeded_generator(3)
         for trial in range(3):
             ham = random_chain(4, 2, rng, field_scale=0.3)
             energy, _ = ground_state_exact(ham)
@@ -332,10 +333,10 @@ class TestGroundState:
 
 class TestBlockEntropy:
     def test_product_state_is_flat_zero(self):
-        rng = RandomSource(4)
+        rng = seeded_generator(4)
         amp = np.array([1.0], dtype=complex)
         for _ in range(6):
-            v = rng.complex_normal(2)
+            v = complex_normal(rng, 2)
             amp = np.kron(amp, v / np.linalg.norm(v))
         curve = block_entropy_curve(StateVector((2,) * 6, amp))
         assert np.allclose(curve, 0.0, atol=1e-10)
@@ -368,7 +369,7 @@ class TestBlockEntropy:
 
 class TestThermalMutualInfo:
     def test_infinite_temperature(self):
-        rng = RandomSource(5)
+        rng = seeded_generator(5)
         ham = random_chain(5, 2, rng)
         report = thermal_mutual_info_check(ham, 0.0, 2)
         assert report.mutual_info == pytest.approx(0.0, abs=1e-10)
@@ -376,7 +377,7 @@ class TestThermalMutualInfo:
         assert report.ok
 
     def test_decoupled_cut(self):
-        rng = RandomSource(6)
+        rng = seeded_generator(6)
         ham = random_chain(6, 2, rng)
         ham.bond_terms[2] = np.zeros((4, 4))
         report = thermal_mutual_info_check(ham, 1.0, 3)
@@ -384,7 +385,7 @@ class TestThermalMutualInfo:
         assert report.bound == 0.0
 
     def test_random_chains_respect_bound(self):
-        rng = RandomSource(7)
+        rng = seeded_generator(7)
         for trial in range(6):
             n = int(rng.integers(4, 7))
             ham = random_chain(n, 2, rng, field_scale=0.5)
@@ -395,7 +396,7 @@ class TestThermalMutualInfo:
                 assert report.mutual_info <= report.bound + 1e-9
 
     def test_against_direct_computation(self):
-        rng = RandomSource(8)
+        rng = seeded_generator(8)
         ham = random_chain(4, 2, rng)
         beta, cut = 0.7, 2
         report = thermal_mutual_info_check(ham, beta, cut)
@@ -415,7 +416,7 @@ class TestThermalMutualInfo:
         assert report.mutual_info == pytest.approx(want, abs=1e-9)
 
     def test_periodic_cut_counts_two_terms(self):
-        rng = RandomSource(9)
+        rng = seeded_generator(9)
         ham = random_chain(5, 2, rng, boundary="periodic")
         report = thermal_mutual_info_check(ham, 0.5, 2)
         assert report.crossing_terms == 2
@@ -425,7 +426,7 @@ class TestThermalMutualInfo:
         assert report.ok
 
     def test_validation(self):
-        rng = RandomSource(10)
+        rng = seeded_generator(10)
         ham = random_chain(4, 2, rng)
         with pytest.raises(ValueError, match="cut"):
             thermal_mutual_info_check(ham, 1.0, 4)
@@ -452,8 +453,8 @@ class TestThermalMutualInfo:
 
 class TestClassicalGibbs:
     def test_infinite_temperature(self):
-        rng = RandomSource(11)
-        couplings = [rng.normal((3, 3)) for _ in range(4)]
+        rng = seeded_generator(11)
+        couplings = [rng.standard_normal((3, 3)) for _ in range(4)]
         report = classical_gibbs_mutual_info(couplings, 0.0, 2)
         assert report.mutual_info == pytest.approx(0.0, abs=1e-12)
 
@@ -466,11 +467,11 @@ class TestClassicalGibbs:
         assert report.ok
 
     def test_random_instances_respect_bound(self):
-        rng = RandomSource(12)
+        rng = seeded_generator(12)
         for trial in range(20):
             d = int(rng.integers(2, 4))
             n = int(rng.integers(3, 7))
-            couplings = [rng.normal((d, d)) for _ in range(n - 1)]
+            couplings = [rng.standard_normal((d, d)) for _ in range(n - 1)]
             cut = int(rng.integers(1, n))
             beta = float(rng.uniform(0.0, 3.0))
             report = classical_gibbs_mutual_info(couplings, beta, cut)
@@ -478,10 +479,10 @@ class TestClassicalGibbs:
             assert report.bound == pytest.approx(math.log2(d), abs=1e-12)
 
     def test_against_configuration_enumeration(self):
-        rng = RandomSource(13)
+        rng = seeded_generator(13)
         d, n, beta, cut = 2, 4, 0.9, 2
-        couplings = [rng.normal((d, d)) for _ in range(n - 1)]
-        fields = [rng.normal(d) for _ in range(n)]
+        couplings = [rng.standard_normal((d, d)) for _ in range(n - 1)]
+        fields = [rng.standard_normal(d) for _ in range(n)]
         report = classical_gibbs_mutual_info(couplings, beta, cut, fields=fields)
         weights = {}
         for cfg in itertools.product(range(d), repeat=n):
@@ -502,8 +503,8 @@ class TestClassicalGibbs:
         assert report.mutual_info == pytest.approx(want, abs=1e-10)
 
     def test_periodic_ring_doubles_bound(self):
-        rng = RandomSource(14)
-        couplings = [rng.normal((2, 2)) for _ in range(5)]
+        rng = seeded_generator(14)
+        couplings = [rng.standard_normal((2, 2)) for _ in range(5)]
         report = classical_gibbs_mutual_info(couplings, 1.5, 2, boundary="periodic")
         assert report.bound == 2.0
         assert report.crossing_terms == 2
@@ -511,8 +512,8 @@ class TestClassicalGibbs:
 
     def test_periodic_complementary_cuts_agree(self):
         # uniform ring: swapping the blocks relabels sites, so I is unchanged
-        rng = RandomSource(15)
-        c = rng.normal((2, 2))
+        rng = seeded_generator(15)
+        c = rng.standard_normal((2, 2))
         couplings = [c] * 6
 
         def mi(cut):
@@ -554,8 +555,8 @@ class TestClassicalGibbs:
     def test_negative_beta_is_the_negated_energy_bitwise(self, beta, boundary):
         # exp(beta E) = exp(-beta (-E)); the weights shift by the largest
         # energy for beta < 0, so beta = -800 neither overflows nor warns
-        rng = RandomSource(16)
-        couplings = [rng.normal((3, 3)) for _ in range(5)]
+        rng = seeded_generator(16)
+        couplings = [rng.standard_normal((3, 3)) for _ in range(5)]
         with np.errstate(over="raise", invalid="raise"):
             hot = classical_gibbs_mutual_info(couplings, -beta, 2, boundary=boundary)
             cold = classical_gibbs_mutual_info([-c for c in couplings], beta, 2,

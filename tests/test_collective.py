@@ -22,7 +22,7 @@ from bellscope.collective import (
     theta_sweep,
     to_full_space,
 )
-from bellscope.numerics import RandomSource, lowest_eigen_banded
+from bellscope.numerics import lowest_eigen_banded, seeded_generator
 from bellscope.symmetric import PIBellExpression, dicke_expression, murcia
 
 from helpers import (
@@ -113,7 +113,7 @@ class TestDickeStates:
             assert np.allclose(full.amplitudes, dicke_dense(n, k))
 
     def test_embedding_preserves_norm_and_overlaps(self):
-        rng = RandomSource(31).generator
+        rng = seeded_generator(31)
         for n in (2, 4, 6):
             s1 = random_symmetric_state(n, rng)
             s2 = random_symmetric_state(n, rng)
@@ -126,7 +126,7 @@ class TestDickeStates:
     def test_embedding_is_bitwise_the_per_index_loop(self):
         # each index takes the weight of its popcount, as a loop over the
         # 2^n indices would set it one by one
-        rng = RandomSource(32).generator
+        rng = seeded_generator(32)
         for n in range(1, 9):
             for state in (random_symmetric_state(n, rng), dicke_state(n, n // 2)):
                 weights = [state.amplitudes[k] / math.sqrt(math.comb(n, k))
@@ -177,7 +177,7 @@ class TestLmg:
 
 class TestSymmetrizedCorrelators:
     def test_matches_full_space_oracle(self):
-        rng = RandomSource(7).generator
+        rng = seeded_generator(7)
         for n in (2, 3, 5):
             state = random_symmetric_state(n, rng)
             psi = to_full_space(state).amplitudes
@@ -207,7 +207,7 @@ class TestSymmetrizedCorrelators:
         assert np.allclose(got.as_tuple(), (n, n, n * n - n, n * n - n, n * n - n))
 
     def test_theta_zero_collapses_settings(self):
-        rng = RandomSource(11).generator
+        rng = seeded_generator(11)
         state = random_symmetric_state(4, rng)
         c = symmetrized_correlators(state, 0.0)
         assert c.s0 == pytest.approx(c.s1, abs=1e-12)
@@ -221,7 +221,7 @@ class TestBellOperator:
         assert np.allclose(bell_operator(expr, 1.1), 0.0)
 
     def test_dense_matches_measurement_pair_build(self):
-        rng = RandomSource(17)
+        rng = seeded_generator(17)
         for trial in range(10):
             n = int(rng.integers(2, 9))
             coeffs = [int(v) for v in rng.integers(-3, 4, size=5)]
@@ -229,7 +229,7 @@ class TestBellOperator:
                 n=n, alpha=coeffs[0], beta=coeffs[1], gamma=coeffs[2],
                 delta=coeffs[3], epsilon=coeffs[4],
             )
-            theta = float(rng.generator.uniform(0, 2 * math.pi))
+            theta = float(rng.uniform(0, 2 * math.pi))
             a, b = measurement_pair(n, theta)
             eye = np.eye(n + 1)
             want = (
@@ -312,7 +312,7 @@ class TestBellOperator:
         assert peak <= 1.1 * 1501**2 * np.dtype(complex).itemsize
 
     def test_expectation_consistent_with_correlators(self):
-        rng = RandomSource(19).generator
+        rng = seeded_generator(19)
         for n in (3, 6):
             expr = dicke_expression(n)
             state = random_symmetric_state(n, rng)

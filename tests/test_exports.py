@@ -3,7 +3,8 @@
 name is used, the lazily loading package exports exactly what its submodules
 define, no module checks itself with an ``assert`` that ``python -O``
 would strip, no module starts a process pool or a thread, every size
-limit raises through one helper, and ``src/`` stays within its code budget."""
+limit raises through one helper, one function builds every random
+generator, and ``src/`` stays within its code budget."""
 
 import ast
 import importlib
@@ -99,32 +100,50 @@ def test_the_cli_checks_finiteness_in_one_function():
     assert isfinite_calls(owners[0]) == isfinite_calls(tree) == 1
 
 
-def guard_raises(tree):
-    """The enclosing function of each ``raise`` whose message mentions a guard."""
+def owners(matches):
+    """``(module, enclosing function)`` of each node of ``src/`` that ``matches``;
+    the function is None at module or class level."""
     found = []
 
-    def visit(node, owner):
+    def visit(name, node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(name, child, child.name)
                 continue
-            if isinstance(child, ast.Raise) and any(
-                    isinstance(c, ast.Constant) and isinstance(c.value, str)
-                    and "guard" in c.value.lower() for c in ast.walk(child)):
-                found.append(owner)
-            visit(child, owner)
+            if matches(child):
+                found.append((name, owner))
+            visit(name, child, owner)
 
-    visit(tree, None)
+    for name in MODULES:
+        visit(name, ast.parse(Path(importlib.import_module(name).__file__).read_text()), None)
     return found
 
 
 def test_every_size_limit_raises_through_one_helper():
     # one decision says what is too big and how it is said, so no module
     # grows a size message of its own
-    owners = [(name, owner) for name in MODULES
-              for owner in guard_raises(ast.parse(
-                  Path(importlib.import_module(name).__file__).read_text()))]
-    assert owners == [("bellscope.numerics", "_require_size")]
+    def guard_raise(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str)
+            and "guard" in c.value.lower() for c in ast.walk(node))
+
+    assert owners(guard_raise) == [("bellscope.numerics", "_require_size")]
+
+
+def test_one_function_builds_every_random_generator():
+    # every seeded draw comes from numerics.seeded_generator, so no module
+    # pins a bit generator, seeds a global stream or draws from one
+    def numpy_random(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        return isinstance(node, ast.Import) and any(
+            alias.name.startswith("numpy.random") for alias in node.names)
+
+    assert set(owners(numpy_random)) == {("bellscope.numerics", "seeded_generator")}
 
 
 def test_each_export_is_its_submodules_object():

@@ -17,7 +17,7 @@ from bellscope.mps import (
     truncate,
     truncation_bound,
 )
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 from bellscope.quantum import StateVector
 
 from helpers import (
@@ -46,7 +46,7 @@ def product_state(n, rng):
 
 class TestConstruction:
     def test_product_state_has_trivial_bonds(self):
-        rng = RandomSource(1).generator
+        rng = seeded_generator(1)
         mps = mps_from_dense(product_state(5, rng))
         assert mps.bond_dimensions == (1, 1, 1, 1)
         assert all(lam.shape == (1,) for lam in mps.lambdas)
@@ -58,7 +58,7 @@ class TestConstruction:
             assert np.allclose(np.sort(lam), [0.5, 0.5])
 
     def test_round_trip_exact(self):
-        rng = RandomSource(2).generator
+        rng = seeded_generator(2)
         for n in (2, 4, 6):
             amp = haar_vector(2**n, rng)
             back = mps_to_dense(mps_from_dense(amp))
@@ -66,20 +66,20 @@ class TestConstruction:
             assert fidelity >= 1 - 1e-10
 
     def test_round_trip_with_ample_cap(self):
-        rng = RandomSource(3).generator
+        rng = seeded_generator(3)
         amp = haar_vector(2**6, rng)
         back = mps_to_dense(mps_from_dense(amp, dmax=8))
         assert abs(np.vdot(amp, back)) >= 1 - 1e-10
 
     def test_accepts_state_vector_and_qutrits(self):
-        rng = RandomSource(4).generator
+        rng = seeded_generator(4)
         amp = haar_vector(3**3, rng)
         mps = mps_from_dense(StateVector((3, 3, 3), amp))
         assert mps.local_dim == 3
         assert abs(np.vdot(amp, mps_to_dense(mps))) >= 1 - 1e-10
 
     def test_lambda_equals_cut_density_spectrum(self):
-        rng = RandomSource(5).generator
+        rng = seeded_generator(5)
         amp = haar_vector(2**5, rng)
         mps = mps_from_dense(amp)
         for k, lam in enumerate(mps.lambdas, start=1):
@@ -89,7 +89,7 @@ class TestConstruction:
             assert np.allclose(np.sort(lam)[::-1], w, atol=1e-9)
 
     def test_bond_dimension_ceiling(self):
-        rng = RandomSource(6).generator
+        rng = seeded_generator(6)
         amp = haar_vector(2**7, rng)
         mps = mps_from_dense(amp)
         n = 7
@@ -101,7 +101,7 @@ class TestConstruction:
             mps_from_dense(np.ones(6) / math.sqrt(6.0))  # not a power of d=2
         with pytest.raises(ValueError):
             mps_from_dense(StateVector((2, 3), np.ones(6) / math.sqrt(6.0)))
-        rng = RandomSource(18).generator
+        rng = seeded_generator(18)
         good = mps_from_dense(haar_vector(2**5, rng))
         assert good.bond_dimensions == (2, 4, 4, 2)
         with pytest.raises(ValueError, match="bond"):
@@ -120,7 +120,7 @@ class TestConstruction:
 
 class TestCanonicalForm:
     def test_constructed_states_are_canonical(self):
-        rng = RandomSource(7).generator
+        rng = seeded_generator(7)
         for n in (3, 5, 7):
             res = canonical_residuals(mps_from_dense(haar_vector(2**n, rng)))
             assert np.max(res) <= 1e-10
@@ -141,7 +141,7 @@ class TestCanonicalForm:
         assert res[0, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_phase_gauge_moves_are_invisible(self):
-        rng = RandomSource(8).generator
+        rng = seeded_generator(8)
         amp = haar_vector(2**5, rng)
         mps = mps_from_dense(amp)
         for k in range(mps.n_sites - 1):
@@ -155,21 +155,21 @@ class TestCanonicalForm:
 
 class TestTruncation:
     def test_full_rank_cap_is_lossless(self):
-        rng = RandomSource(9).generator
+        rng = seeded_generator(9)
         amp = haar_vector(2**6, rng)
         mps, err2 = truncate(amp, 8)
         assert err2 <= 1e-20
         assert abs(np.vdot(amp, mps_to_dense(mps))) >= 1 - 1e-10
 
     def test_product_state_d1_exact(self):
-        rng = RandomSource(10).generator
+        rng = seeded_generator(10)
         amp = product_state(6, rng)
         mps, err2 = truncate(amp, 1)
         assert err2 <= 1e-20
         assert truncation_bound(cut_spectra(amp), 1) <= 1e-12
 
     def test_error_within_tail_bound(self):
-        rng = RandomSource(11).generator
+        rng = seeded_generator(11)
         for trial in range(100):
             amp = haar_vector(2**8, rng)
             spectra = cut_spectra(amp)
@@ -179,14 +179,14 @@ class TestTruncation:
                 assert err2 <= bound + 1e-12
 
     def test_error_monotone_in_cap(self):
-        rng = RandomSource(12).generator
+        rng = seeded_generator(12)
         for trial in range(10):
             amp = haar_vector(2**7, rng)
             errs = [truncate(amp, dmax)[1] for dmax in (1, 2, 4, 8)]
             assert all(a >= b - 1e-14 for a, b in zip(errs, errs[1:]))
 
     def test_input_forms_agree(self):
-        rng = RandomSource(13).generator
+        rng = seeded_generator(13)
         amp = haar_vector(2**5, rng)
         m1, e1 = truncate(amp, 2)
         m2, e2 = truncate(StateVector((2,) * 5, amp), 2)
@@ -198,7 +198,7 @@ class TestTruncation:
         assert abs(np.vdot(v1, mps_to_dense(m3))) >= 1 - 1e-10
 
     def test_dense_input_matches_mps_input(self):
-        rng = RandomSource(15).generator
+        rng = seeded_generator(15)
         states = [(haar_vector(2**6, rng), 2), (haar_vector(2**9, rng), 2),
                   (haar_vector(3**4, rng), 3), (ghz(5), 2)]
         for amp, d in states:
@@ -210,7 +210,7 @@ class TestTruncation:
                 assert m1.bond_dimensions == m2.bond_dimensions
 
     def test_truncated_state_is_canonical(self):
-        rng = RandomSource(14).generator
+        rng = seeded_generator(14)
         amp = haar_vector(2**6, rng)
         mps, _ = truncate(amp, 2)
         assert max(mps.bond_dimensions) <= 2
@@ -235,7 +235,7 @@ class TestRenyiTailBound:
         assert math.isfinite(bound)  # eps = 0, inequality vacuous
 
     def test_random_spectra(self):
-        rng = RandomSource(15).generator
+        rng = seeded_generator(15)
         for trial in range(100):
             lam = np.sort(rng.dirichlet(np.ones(16)))[::-1]
             for alpha in (0.3, 0.5, 0.7):
@@ -254,7 +254,7 @@ class TestRenyiTailBound:
 
 class TestEntropies:
     def test_bond_entropies_match_dense(self):
-        rng = RandomSource(16).generator
+        rng = seeded_generator(16)
         amp = haar_vector(2**6, rng)
         mps = mps_from_dense(amp)
         ents = bond_entropies(mps)
@@ -273,7 +273,7 @@ class TestEntropies:
         assert np.allclose(nats, math.log(2.0), atol=1e-12)
 
     def test_cut_spectra_shannon_consistency(self):
-        rng = RandomSource(17).generator
+        rng = seeded_generator(17)
         amp = haar_vector(2**5, rng)
         mps = mps_from_dense(amp)
         for lam, ent in zip(cut_spectra(amp), bond_entropies(mps)):
@@ -317,8 +317,17 @@ class TestBondCap:
             with pytest.raises(ValueError, match="^dmax must be at least 1"):
                 truncate(psi, dmax)
 
+    @pytest.mark.parametrize("dmax", [0, -1, 2.7, 2.0])
+    def test_bounds_refuse_through_the_same_rule(self, dmax):
+        # a negative cap once summed the last entries, a float was floored
+        # and 0 reached log2(0)
+        with pytest.raises(ValueError, match="^dmax must be at least 1"):
+            truncation_bound([[0.7, 0.2, 0.1], [0.5, 0.5]], dmax)
+        with pytest.raises(ValueError, match="^dmax must be at least 1"):
+            renyi_tail_bound([0.5, 0.5], 0.5, dmax)
+
     def test_integer_caps_of_any_integer_type(self):
-        amp = haar_vector(2**6, RandomSource(5).generator)
+        amp = haar_vector(2**6, seeded_generator(5))
         want = truncate(amp, 2)
         for dmax in (np.int64(2), np.int32(2)):
             got = truncate(amp, dmax)
@@ -427,7 +436,7 @@ class TestAgainstTwoSweepOracle:
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(mps_module, name, counted)
-        amp = haar_vector(2**8, RandomSource(19).generator)
+        amp = haar_vector(2**8, seeded_generator(19))
         for dmax in (1, 4, 16):
             calls.update({"_left_sweep": 0, "mps_from_dense": 0})
             truncate(amp, dmax)
@@ -484,7 +493,7 @@ class TestCutSpectraChain:
 
     @pytest.mark.parametrize("n,full_size", [(12, 3), (11, 2)])
     def test_at_most_three_full_size_factorisations(self, monkeypatch, n, full_size):
-        amp = haar_vector(2**n, RandomSource(n).generator)
+        amp = haar_vector(2**n, seeded_generator(n))
         calls = self._count_factorisations(monkeypatch)
         spectra = cut_spectra(amp)
         assert len(spectra) == n - 1
@@ -493,7 +502,7 @@ class TestCutSpectraChain:
     @pytest.mark.parametrize("max_block,full_size", [(3, 1), (8, 3)])
     def test_block_curve_factors_no_cut_beyond_max_block(self, monkeypatch, max_block,
                                                          full_size):
-        amp = haar_vector(2**12, RandomSource(max_block).generator)
+        amp = haar_vector(2**12, seeded_generator(max_block))
         calls = self._count_factorisations(monkeypatch)
         block_entropy_curve(StateVector((2,) * 12, amp), max_block=max_block)
         assert [name for name, _ in calls].count("svd") == max_block

@@ -16,15 +16,14 @@ from hypothesis import strategies as st
 from bellscope import numerics
 from bellscope.numerics import (
     INERTIA_CROSSOVER,
-    RandomSource,
     gershgorin_bounds,
     hermitian_eigen,
     lowest_eigen_banded,
     scalar_minimize,
-    svd,
+    seeded_generator,
 )
 
-from helpers import haar_vector
+from helpers import complex_normal, haar_vector
 from helpers import pointwise_eigen_above
 
 
@@ -89,36 +88,6 @@ class TestRequireSize:
     @pytest.mark.parametrize("base", [0, 1])
     def test_a_base_below_2_passes_any_exponent(self, base):
         numerics._require_size("x", "d^n", 10**6, base, 10**18)
-
-
-class TestSvd:
-    def test_zero_matrix(self):
-        u, s, v = svd(np.zeros((3, 2)))
-        assert np.allclose(s, 0.0)
-
-    def test_diagonal(self):
-        u, s, v = svd(np.diag([2.0, 1.0]))
-        assert np.allclose(s, [2.0, 1.0])
-
-    def test_bell_state_coefficients(self):
-        # amplitude matrix of (|00> + |11>)/sqrt(2)
-        c = np.array([[1.0, 0.0], [0.0, 1.0]]) / math.sqrt(2)
-        _, s, _ = svd(c)
-        assert np.allclose(s, [1 / math.sqrt(2)] * 2)
-
-    def test_reconstruction_and_isometries(self):
-        rng = np.random.default_rng(2)
-        for trial in range(100):
-            r = int(rng.integers(1, 65))
-            c = int(rng.integers(1, 65))
-            m = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
-            u, s, v = svd(m)
-            scale = max(np.linalg.norm(m), 1.0)
-            assert np.linalg.norm(m - (u * s) @ v.conj().T) <= 1e-9 * scale
-            k = s.size
-            assert np.linalg.norm(u.conj().T @ u - np.eye(k)) <= 1e-9
-            assert np.linalg.norm(v.conj().T @ v - np.eye(k)) <= 1e-9
-            assert np.all(np.diff(s) <= 1e-12) and np.all(s >= -1e-15)
 
 
 class TestQrFirstSingular:
@@ -631,29 +600,28 @@ class TestEigenAboveStacked:
             assert self.screen(blocks, level, 12) == [False] * 3
 
 
-class TestRandomSource:
+class TestSeededGenerator:
     def test_equal_seeds_equal_streams(self):
-        a = RandomSource(123)
-        b = RandomSource(123)
-        assert np.array_equal(a.normal(size=1000), b.normal(size=1000))
+        a = seeded_generator(123)
+        b = seeded_generator(123)
+        assert np.array_equal(a.standard_normal(size=1000), b.standard_normal(size=1000))
         assert np.array_equal(a.integers(0, 10, size=50), b.integers(0, 10, size=50))
-        za = a.complex_normal(64)
-        zb = b.complex_normal(64)
+        za = complex_normal(a, 64)
+        zb = complex_normal(b, 64)
         assert np.array_equal(za, zb)
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(
-            RandomSource(1).normal(size=100), RandomSource(2).normal(size=100)
+            seeded_generator(1).standard_normal(size=100),
+            seeded_generator(2).standard_normal(size=100),
         )
 
-    def test_records_seed_and_algorithm(self):
-        src = RandomSource(77)
-        assert src.seed == 77
-        assert isinstance(src.algorithm, str) and src.algorithm
+    def test_bit_generator_is_pcg64(self):
+        assert isinstance(seeded_generator(77).bit_generator, np.random.PCG64)
 
     def test_stream_is_usable_for_haar_sampling(self):
-        rng = RandomSource(10)
+        rng = seeded_generator(10)
         v = haar_vector(16, np.random.default_rng(0))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        w = rng.complex_normal(16)
+        w = complex_normal(rng, 16)
         assert w.shape == (16,) and np.iscomplexobj(w)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellscope import cli, quantum
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 from bellscope.quantum import (
     DensityOperator,
     StateVector,
@@ -109,6 +109,22 @@ class TestSchmidt:
                 w = np.sort(np.linalg.eigvalsh(red))[::
                     -1][: data.rank]
                 assert np.allclose(w, data.coefficients**2, atol=1e-9)
+
+    def test_reconstruction_and_isometries(self):
+        rng = np.random.default_rng(2)
+        for trial in range(100):
+            r = int(rng.integers(1, 65))
+            c = int(rng.integers(1, 65))
+            m = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+            m /= np.linalg.norm(m)
+            data = schmidt_decompose(StateVector(dims=(r, c), amplitudes=m.reshape(-1)))
+            u, s, v = data.left, data.coefficients, data.right
+            assert data.rank == s.size == min(r, c)
+            assert np.linalg.norm(m - (u * s) @ v.T) <= 1e-9
+            k = s.size
+            assert np.linalg.norm(u.conj().T @ u - np.eye(k)) <= 1e-9
+            assert np.linalg.norm(v.conj().T @ v - np.eye(k)) <= 1e-9
+            assert np.all(np.diff(s) <= 1e-12) and np.all(s >= -1e-15)
 
     def test_rank_and_separability(self):
         zero_one = StateVector(dims=(2, 2), amplitudes=[0, 1, 0, 0])
@@ -290,7 +306,7 @@ class TestEntropies:
     def test_renyi_below_1_ignores_rounding_level_eigenvalues(self):
         # a pure density's 15 zero eigenvalues come out near 1e-17, which
         # p**0.1 would lift to about 0.02 each
-        rho = haar_state(2, 16, RandomSource(1)).density()
+        rho = haar_state(2, 16, seeded_generator(1)).density()
         for alpha in (0.0, 0.1, 0.5):
             assert abs(renyi_entropy(rho, alpha)) < 1e-12
         p = np.random.default_rng(24).dirichlet(np.ones(6))
@@ -352,13 +368,13 @@ class TestMutualInformation:
 
 class TestHaarSampling:
     def test_normalized(self, monkeypatch):
-        rng = RandomSource(31)
+        rng = seeded_generator(31)
         psi = haar_state(2, 5, rng)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
         # page blocks (here of 2 and 1 samples) and `mps --random` draw the
         # states that successive haar_state calls give, bit for bit
-        rng = RandomSource(31)
+        rng = seeded_generator(31)
         singles = [haar_state(2, 4, rng).amplitudes for _ in range(3)]
         blocks = []
         haar_rows = quantum._haar_rows
@@ -369,7 +385,7 @@ class TestHaarSampling:
 
         monkeypatch.setattr(quantum, "_haar_rows", spy)
         monkeypatch.setattr(quantum, "PAGE_BLOCK_AMPLITUDES", 16)
-        page_experiment(2, 4, 3, RandomSource(31))
+        page_experiment(2, 4, 3, seeded_generator(31))
         assert [len(b) for b in blocks] == [2, 1]
         assert np.array_equal(np.concatenate(blocks), singles)
         args = argparse.Namespace(local_dim=None, state=None, random=3, seed=31)
@@ -377,7 +393,7 @@ class TestHaarSampling:
         assert d == 2 and np.array_equal(amp, singles[0])
 
     def test_mean_amplitude_vanishes(self):
-        rng = RandomSource(32)
+        rng = seeded_generator(32)
         total = np.zeros(4, dtype=complex)
         samples = 10_000
         for _ in range(samples):
@@ -391,8 +407,8 @@ class TestHaarSampling:
     def test_local_unitary_invariance_of_entropy_statistics(self):
         rng = np.random.default_rng(33)
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-        src_a = RandomSource(34)
-        src_b = RandomSource(34)
+        src_a = seeded_generator(34)
+        src_b = seeded_generator(34)
         plain, rotated = [], []
         for _ in range(400):
             psi = haar_state(2, 4, src_a)
@@ -406,28 +422,28 @@ class TestHaarSampling:
 
 class TestPageExperiment:
     def test_m1_gives_zero_entropy(self):
-        mean, se, purity = page_experiment(1, 4, 120, RandomSource(41))
+        mean, se, purity = page_experiment(1, 4, 120, seeded_generator(41))
         assert mean == 0.0 and abs(purity - 1.0) < 1e-12
 
     def test_rejects_m_bigger_than_n(self):
         with pytest.raises(ValueError):
-            page_experiment(4, 2, 100, RandomSource(42))
+            page_experiment(4, 2, 100, seeded_generator(42))
 
     def test_small_case_purity_is_finite_size_biased(self):
         # at (2,2) the asymptotic purity estimate (m+n)/(mn) = 1 overshoots;
         # the exact ensemble purity is (m+n)/(mn+1) = 0.8
-        mean, se, purity = page_experiment(2, 2, 4000, RandomSource(43))
+        mean, se, purity = page_experiment(2, 2, 4000, seeded_generator(43))
         assert abs(purity - 0.8) < 0.02
         assert purity < 1.0
 
     def test_reproducible(self):
-        a = page_experiment(2, 8, 200, RandomSource(44))
-        b = page_experiment(2, 8, 200, RandomSource(44))
+        a = page_experiment(2, 8, 200, seeded_generator(44))
+        b = page_experiment(2, 8, 200, seeded_generator(44))
         assert a == b
 
     def test_tracks_exact_ensemble_mean(self):
         exact = sum(1.0 / k for k in range(9, 17)) - 1.0 / 16
-        mean, se, _ = page_experiment(2, 8, 3000, RandomSource(45))
+        mean, se, _ = page_experiment(2, 8, 3000, seeded_generator(45))
         assert abs(mean - exact) < 4 * se
 
 
@@ -438,8 +454,8 @@ class TestPageBlocks:
 
     @staticmethod
     def assert_matches_oracle(m, n, samples, seed):
-        got = page_experiment(m, n, samples, RandomSource(seed))
-        want = page_oracle(m, n, samples, RandomSource(seed))
+        got = page_experiment(m, n, samples, seeded_generator(seed))
+        want = page_oracle(m, n, samples, seeded_generator(seed))
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-14, abs=0.0)
 
@@ -456,14 +472,14 @@ class TestPageBlocks:
         self.assert_matches_oracle(3, 16, block + 1, seed=61)
 
     def test_draws_at_most_the_block_size(self):
-        class Recording(RandomSource):
-            def normal(self, size=None):
+        class Recording(np.random.Generator):
+            def standard_normal(self, size=None):
                 sizes.append(size)
-                return super().normal(size)
+                return super().standard_normal(size)
 
         sizes = []
         block = quantum.PAGE_BLOCK_AMPLITUDES // (3 * 16)
-        page_experiment(3, 16, 3 * block + 7, Recording(62))
+        page_experiment(3, 16, 3 * block + 7, Recording(seeded_generator(62).bit_generator))
         assert sizes == [(block, 2, 48)] * 3 + [(7, 2, 48)]
         assert block * 48 <= 2**20
 

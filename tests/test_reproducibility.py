@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bellscope.chains import ground_state_exact, transverse_ising_chain
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 from bellscope.quantum import page_experiment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -64,7 +64,7 @@ def test_sparse_ground_state_repeats_in_process():
 @pytest.mark.parametrize("samples", [0, -3])
 def test_page_refuses_empty_sample(samples):
     with pytest.raises(ValueError, match="at least one sample"):
-        page_experiment(2, 4, samples, RandomSource(1))
+        page_experiment(2, 4, samples, seeded_generator(1))
 
 
 def test_page_cli_reports_empty_sample():
@@ -98,6 +98,21 @@ GOLDEN_STDOUT = {
         '7,0.255180897793\n'
         '8,0.248498649552\n'
         '9,0.209036108507\n'
+    )),
+    # the seeded random-chain draws: complex bond terms and real couplings
+    "thermal-mi": (["thermal-mi", "--sites", "4", "--cut", "2", "--model", "random",
+                    "--seed", "5"], (
+        'beta,mutual_info,bound,ok\n'
+        '0.1,0.00902131603221,0.759468032503,true\n'
+        '1,0.296819810542,7.59468032503,true\n'
+        '5,0.36591555581,37.9734016252,true\n'
+    )),
+    "gibbs-mi": (["gibbs-mi", "--sites", "5", "--cut", "2", "--local-dim", "3",
+                  "--seed", "5"], (
+        'beta,mutual_info,bound,ok\n'
+        '0.1,0.00472630316085,1.58496250072,true\n'
+        '1,0.267430991462,1.58496250072,true\n'
+        '5,0.304437361779,1.58496250072,true\n'
     )),
 }
 

@@ -17,7 +17,7 @@ from bellscope.correlations import (
     is_nonsignalling,
     local_bound_bruteforce,
 )
-from bellscope.numerics import RandomSource
+from bellscope.numerics import seeded_generator
 from bellscope.symmetric import (
     PIBellExpression,
     StrategyCounts,
@@ -72,7 +72,7 @@ class TestCorrelatorsOfCounts:
                 assert correlators_of_counts(counts).as_tuple() == want
 
     def test_random_large_counts_against_oracle(self):
-        rng = RandomSource(3)
+        rng = seeded_generator(3)
         for trial in range(100):
             n = int(rng.integers(2, 41))
             splits = np.sort(rng.integers(0, n + 1, size=3))
@@ -94,7 +94,7 @@ class TestClassicalBound:
         assert classical_bound_symmetric(dicke_expression(4))[0] == 18
 
     def test_witness_attains_bound(self):
-        rng = RandomSource(5)
+        rng = seeded_generator(5)
         for trial in range(20):
             coeffs = [int(v) for v in rng.integers(-4, 5, size=5)]
             n = int(rng.integers(2, 30))
@@ -106,7 +106,7 @@ class TestClassicalBound:
             assert expr.value(correlators_of_counts(witness)) == -bound
 
     def test_agrees_with_full_enumeration(self):
-        rng = RandomSource(13)
+        rng = seeded_generator(13)
         for trial in range(20):
             coeffs = [int(v) for v in rng.integers(-4, 5, size=5)]
             for n in range(2, 9):
@@ -136,7 +136,7 @@ class TestClassicalBound:
         assert murcia(5000).value(correlators_of_counts(witness)) == -bound
 
     def test_permutation_invariance_of_functional(self):
-        rng = RandomSource(8)
+        rng = seeded_generator(8)
         for trial in range(10):
             n = int(rng.integers(2, 7))
             expr = PIBellExpression(
@@ -357,7 +357,7 @@ class TestDickeExpression:
 
 class TestFunctionalBridge:
     def test_strategy_values_match_counts(self):
-        rng = RandomSource(21)
+        rng = seeded_generator(21)
         for trial in range(20):
             n = int(rng.integers(2, 7))
             expr = PIBellExpression(
