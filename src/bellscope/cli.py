@@ -129,13 +129,24 @@ def _require_finite(pairs):
 COUNT_FLAG_GUARD = 2**24
 
 
-def _require_count(args):
-    """Refuse a count flag (``--samples``, ``--points``, ``--theta-points``)
-    above ``COUNT_FLAG_GUARD``: each sizes an array allocated before any work."""
-    for key in ("samples", "points", "theta_points"):
-        if getattr(args, key, 0) > COUNT_FLAG_GUARD:
-            raise ValueError(f"--{key.replace('_', '-')} must be at most {COUNT_FLAG_GUARD}, "
-                             f"got {getattr(args, key)}")
+#: Range ``(least, most)`` of each integer flag that has one, per command; a count
+#: flag sizes an array allocated before any work, so its most is ``COUNT_FLAG_GUARD``.
+_INT_RANGES = {"scan": {"n_min": (2, math.inf), "n_step": (1, math.inf),
+                        "theta_points": (64, COUNT_FLAG_GUARD)},
+               "theta-sweep": {"points": (1, COUNT_FLAG_GUARD)},
+               "page": {"samples": (-math.inf, COUNT_FLAG_GUARD)},
+               "mps": {"local_dim": (2, math.inf), "random": (1, math.inf)},
+               "gibbs-mi": {"local_dim": (1, math.inf)}}
+
+
+def _require_ranges(args):
+    """Refuse the first integer flag of ``_INT_RANGES`` outside its range, in
+    the table's order; a flag that was not given (``None``) is skipped."""
+    for key, (least, most) in _INT_RANGES.get(args.command, {}).items():
+        value = getattr(args, key)
+        if value is not None and not least <= value <= most:
+            limit = f"at least {least}" if value < least else f"at most {most}"
+            raise ValueError(f"--{key.replace('_', '-')} must be {limit}, got {value}")
 
 
 def _list_of(kind):
@@ -239,10 +250,6 @@ _SCAN_FAMILIES = {
 
 
 def _cmd_scan(args):
-    for flag, value, least in (("--n-min", args.n_min, 2), ("--n-step", args.n_step, 1),
-                               ("--theta-points", args.theta_points, 64)):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
     if not args.tol > 0.0:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     ns = range(args.n_min, args.n_max + 1, args.n_step)
@@ -259,8 +266,6 @@ def _cmd_scan(args):
 
 
 def _cmd_theta_sweep(args):
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
     import numpy as np
 
     expr = getattr(symmetric, _SCAN_FAMILIES[args.family])(args.n)
@@ -304,8 +309,6 @@ def _cmd_ppt(args):
 
 def _mps_input_state(args):
     d = args.local_dim
-    if d is not None and d < 2:
-        raise ValueError(f"--local-dim must be at least 2, got {d}")
     if args.state is not None:
         psi = quantum.state_from_json(_load_json(args.state))
         if not isinstance(psi, quantum.StateVector):
@@ -317,8 +320,6 @@ def _mps_input_state(args):
     n = args.random
     if n is None:
         raise ValueError("pass either --state FILE or --random N")
-    if n < 1:
-        raise ValueError(f"--random must be at least 1, got {n}")
     numerics._require_size("Haar", "dimension", quantum.HAAR_GUARD, d, n)  # before d^(n-1)
     rng = numerics.seeded_generator(args.seed)
     return quantum.haar_state(d, d ** (n - 1), rng).amplitudes, d
@@ -370,8 +371,6 @@ def _cmd_thermal_mi(args):
 
 def _cmd_gibbs_mi(args):
     d = args.local_dim
-    if d < 1:
-        raise ValueError(f"--local-dim must be at least 1, got {d}")
     # the library's classical guard, checked here before the d x d draws
     numerics._require_size("classical", "d^n", chains.CLASSICAL_GUARD, d, args.sites)
     numerics._require_size("classical", "sites n", chains.CLASSICAL_SITES, args.sites)
@@ -499,7 +498,7 @@ def main(argv=None):
     try:
         _require_finite((f"--{key.replace('_', '-')}", v) for key, value in vars(args).items()
                         for v in (value if isinstance(value, list) else [value]))
-        _require_count(args)
+        _require_ranges(args)
         # warnings are held back until the rows pass, so a refused run's
         # stderr is its one error line; a finished run prints them first
         with warnings.catch_warnings(record=True) as caught:

@@ -324,10 +324,11 @@ class MaxViolation:
     evaluations made (calls of ``lowest_eigen_banded``) and ``screened``
     the grid points ruled out by a banded Cholesky factorisation instead
     (:func:`numerics.eigen_above_stacked`).  Each grid angle is either
-    screened or evaluated once, the polish evaluates a screened neighbour
-    of the grid minimum and its off-grid trial angles, and one last call
-    gives the state at ``theta``: ``evals + screened`` is the pre-scan's
-    ``grid_points`` plus the polish's own calls plus one.  How they split
+    screened or evaluated once, and the polish evaluates a screened
+    neighbour of the grid minimum and its off-grid trial angles:
+    ``evals + screened`` is the pre-scan's ``grid_points`` plus the
+    polish's own calls.  ``state`` is the eigenvector of the evaluation at
+    ``theta``, not of a call of its own.  How they split
     depends on the ``start`` of :func:`max_violation`; every other field
     does not.
     """
@@ -348,8 +349,9 @@ def max_violation(expr, tol=1e-6, grid_points=256, start=None):
     ``grid_points`` scan, then a bracketed refinement to ``tol`` on the
     slope lambda'(theta) = v^T H'(theta) v.  Each angle is evaluated once,
     for its lowest eigenvalue and, from the eigenvector v, its slope; the
-    state is the eigenvector of one last eigen call at the returned angle,
-    so only O(n) of vector memory is held.  The range [0, pi] suffices:
+    minimiser hands back the v of the returned angle's evaluation as the
+    state, holding at most a few vectors at a time, so no angle is sent to
+    the eigen kernel twice.  The range [0, pi] suffices:
     theta -> 2 pi - theta is a similarity transform of the operator
     (conjugation by diag((-1)^k)).
 
@@ -395,20 +397,19 @@ def max_violation(expr, tol=1e-6, grid_points=256, start=None):
         nonlocal evals
         evals += 1
         w, vec = lowest_eigen_banded(bell_operator_bands(expr, theta))
-        return w, _bell_slope(expr, theta, vec)
+        return w, _bell_slope(expr, theta, vec), vec
 
-    theta_star, lam_min = scalar_minimize(
+    theta_star, lam_min, vec = scalar_minimize(
         value_and_slope, 0.0, math.pi, tol=tol, grid_points=grid_points,
         screen=screen, start=start,
     )
-    _, vec = lowest_eigen_banded(bell_operator_bands(expr, theta_star))
     return MaxViolation(
         violation=max(0.0, -lam_min - beta_c),
         theta=theta_star,
         quantum_value=lam_min,
         bound=beta_c,
         state=SymmetricState(expr.n, vec / np.linalg.norm(vec)),
-        evals=evals + 1,
+        evals=evals,
         screened=screened,
     )
 

@@ -235,8 +235,11 @@ def scalar_minimize(value_and_slope, lo, hi, tol=1e-8, grid_points=64, *, screen
     Parameters
     ----------
     value_and_slope : callable
-        The objective, ``x -> (f(x), f'(x))``, with the exact slope: the
-        polish has no finite-difference fallback.
+        The objective, ``x -> (f(x), f'(x), *extra)``, with the exact slope:
+        the polish has no finite-difference fallback.  ``extra`` (such as
+        the eigenvector behind a value) is handed back for the returned
+        point, from the call that evaluated it; it is kept for the best
+        grid point and the polish's bracket ends only.
     screen : callable, optional
         ``(xs, level) -> bool array`` over ``xs``, the grid points still
         open after the first evaluations, True only where f(x) > level is
@@ -251,8 +254,9 @@ def scalar_minimize(value_and_slope, lo, hi, tol=1e-8, grid_points=64, *, screen
 
     Returns
     -------
-    (x, fx) : tuple of float
-        Approximate minimiser and its value.
+    (x, fx, *extra) : tuple
+        Approximate minimiser, its value as floats, and the objective's
+        ``extra`` at it.
 
     Raises
     ------
@@ -267,17 +271,11 @@ def scalar_minimize(value_and_slope, lo, hi, tol=1e-8, grid_points=64, *, screen
     if start is not None and not math.isfinite(start):
         raise ValueError(f"start must be finite, got {start!r}")
     xs = prescan_grid(lo, hi, grid_points)
-    seen = _screened_scan(value_and_slope, screen, xs, start)
-    fs = np.full(len(xs), np.inf)
-    fs[list(seen)] = [fx for fx, _ in seen.values()]
-    if np.any(np.isnan(fs)):
-        bad = xs[np.where(np.isnan(fs))[0][0]]
-        raise ValueError(f"objective returned NaN at x = {bad!r}")
-    i = int(np.argmin(fs))  # first minimum: ties go to smaller x
-    x, fx = _polish_on_slope(value_and_slope, xs, seen, i, tol)
-    if fx < fs[i]:
-        return float(x), float(fx)
-    return float(xs[i]), float(fs[i])
+    seen, i = _screened_scan(value_and_slope, screen, xs, start)
+    x, record = _polish_on_slope(value_and_slope, xs, seen, i, tol)
+    if not record[0] < seen[i][0]:
+        x, record = xs[i], seen[i]
+    return float(x), float(record[0]), *record[2:]
 
 
 def prescan_grid(lo, hi, grid_points):
@@ -289,17 +287,20 @@ def prescan_grid(lo, hi, grid_points):
 
 
 def _screened_scan(value_and_slope, screen, xs, start):
-    """Value and slope at the grid points of ``xs`` that ``screen`` leaves
-    open, as a dict ``{index: (f, f')}``.
+    """Records at the grid points of ``xs`` that ``screen`` leaves open, and
+    the first grid argmin i, as ``({index: record}, i)``.
 
-    First the objective is evaluated at the grid point nearest ``start``
-    (the smaller x on a tie), or without ``start`` at every s-th point and
-    the last one, s = isqrt(len(xs)).  Then ``screen`` is asked once about
-    the other points, at the least of those values, and every point it
-    leaves open is evaluated.  It rules out no point whose value is at most
-    that level, and so none at or below the grid minimum: the first grid
-    argmin and its value are those of the full grid, whatever the first
-    points are.  Without ``screen`` every point is evaluated.
+    A record is the objective's ``(f, f', *extra)``; only x_i's keeps its
+    ``extra`` and every other point keeps ``(f, f')``, so one ``extra`` is
+    held at a time.  A NaN value raises ``ValueError`` at once.  First the
+    objective is evaluated at the grid point nearest ``start`` (the smaller
+    x on a tie), or without ``start`` at every s-th point and the last one,
+    s = isqrt(len(xs)).  Then ``screen`` is asked once about the other
+    points, at the least of those values, and every point it leaves open is
+    evaluated.  It rules out no point whose value is at most that level,
+    and so none at or below the grid minimum: i (ties to the smaller index)
+    and its value are those of the full grid, whatever the first points
+    are.  Without ``screen`` every point is evaluated.
     """
     m = len(xs)
     if start is None:
@@ -308,22 +309,34 @@ def _screened_scan(value_and_slope, screen, xs, start):
             first.append(m - 1)
     else:
         first = [int(np.argmin(np.abs(xs - start)))]
-    seen = {j: value_and_slope(float(xs[j])) for j in first}
-    rest = np.delete(np.arange(m), first)
-    if screen is not None:
-        rest = rest[~screen(xs[rest], float(np.min([seen[j][0] for j in first])))]
-    for j in rest.tolist():
-        seen[j] = value_and_slope(float(xs[j]))
-    return seen
+
+    def order():  # the screen runs once the first points are evaluated
+        yield from first
+        rest = np.delete(np.arange(m), first)
+        if screen is not None:
+            rest = rest[~screen(xs[rest], float(np.min([seen[j][0] for j in first])))]
+        yield from rest.tolist()
+
+    seen, i = {}, None
+    for j in order():
+        record = seen[j] = value_and_slope(float(xs[j]))
+        if math.isnan(record[0]):
+            raise ValueError(f"objective returned NaN at x = {xs[j]!r}")
+        if i is None or (record[0], j) < (seen[i][0], i):
+            i, j = j, i
+        if j is not None:  # j is now the point that lost
+            seen[j] = seen[j][:2]
+    return seen, i
 
 
 def _polish_on_slope(value_and_slope, xs, seen, i, tol):
-    """Zero of the slope next to the grid minimum ``xs[i]``, as ``(x, f(x))``.
+    """Zero of the slope next to the grid minimum ``xs[i]``, as ``(x, record)``
+    with ``record`` the objective's ``(f, f', *extra)`` at x.
 
-    ``seen`` holds the value and slope recorded at each evaluated grid
-    point, x_i among them.  The slope at x_i says on which side of it the
-    function falls.  With the slope at that neighbour, recorded or (if it
-    was screened out) evaluated here, a sign change brackets a stationary
+    ``seen`` holds the record of each evaluated grid point, x_i's with its
+    ``extra``.  The slope at x_i says on which side of it the function
+    falls.  With the slope at that neighbour, recorded or (if it was
+    screened out) evaluated here, a sign change brackets a stationary
     point, which Illinois regula falsi closes to ``tol``: a bracket end kept
     twice in a row has its slope halved, so both ends move, and every trial
     point stays ``tol / 2`` inside the bracket, so the last step lands
@@ -335,21 +348,21 @@ def _polish_on_slope(value_and_slope, xs, seen, i, tol):
     non-finite slope stops the polish at the better bracket end.  The
     polish also stops when no double lies strictly inside the bracket,
     whatever ``tol``; a bracket still open after ``POLISH_MAX_STEPS`` steps
-    raises ``ArithmeticError``.
+    raises ``ArithmeticError``.  A recorded neighbour has no ``extra``, but
+    its value is not below x_i's, so the caller never returns it.
     """
-    m = float(xs[i])
-    fm, gm = seen[i]
-    j = i - 1 if gm > 0 else i + 1
-    if gm == 0 or not 0 <= j < len(xs):
-        return m, fm
+    m, rm = float(xs[i]), seen[i]
+    j = i - 1 if rm[1] > 0 else i + 1
+    if rm[1] == 0 or not 0 <= j < len(xs):
+        return m, rm
     e = float(xs[j])
-    fe, ge = seen[j] if j in seen else value_and_slope(e)
-    if ge == 0 or (ge > 0) == (gm > 0):
-        return (e, fe) if fe < fm else (m, fm)
+    re = seen[j] if j in seen else value_and_slope(e)
+    if re[1] == 0 or (re[1] > 0) == (rm[1] > 0):
+        return (e, re) if re[0] < rm[0] else (m, rm)
     # slope < 0 at a and > 0 at b; wa, wb are the slopes regula falsi weighs;
     # kept is +1 (-1) when the last step kept b (a)
-    (a, fa, ga), (b, fb, gb) = sorted([(m, fm, gm), (e, fe, ge)])
-    wa, wb, kept = ga, gb, 0
+    (a, ra), (b, rb) = ((m, rm), (e, re)) if m < e else ((e, re), (m, rm))
+    wa, wb, kept = ra[1], rb[1], 0
     for step in range(POLISH_MAX_STEPS + 1):
         if b - a <= tol or math.nextafter(a, b) == b:  # no double lies inside
             break
@@ -363,20 +376,20 @@ def _polish_on_slope(value_and_slope, xs, seen, i, tol):
             x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
         else:
             x = 0.5 * (a + b)
-        fx, gx = value_and_slope(x)
-        if gx == 0:
-            return x, fx
-        if not math.isfinite(gx):
+        rx = value_and_slope(x)
+        if rx[1] == 0:
+            return x, rx
+        if not math.isfinite(rx[1]):
             break
-        if gx < 0:
-            a, fa, ga, wa = x, fx, gx, gx
+        if rx[1] < 0:
+            a, ra, wa = x, rx, rx[1]
             wb = 0.5 * wb if kept > 0 else wb
             kept = 1
         else:
-            b, fb, gb, wb = x, fx, gx, gx
+            b, rb, wb = x, rx, rx[1]
             wa = 0.5 * wa if kept < 0 else wa
             kept = -1
-    return (a, fa) if -ga <= gb else (b, fb)
+    return (a, ra) if -ra[1] <= rb[1] else (b, rb)
 
 
 def lowest_eigen_banded(bands):

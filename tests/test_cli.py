@@ -391,6 +391,17 @@ class TestJsonInputs:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: {flag} must be at most {2**24}, got {argv[-1]}\n"
 
+    def test_every_ranged_flag_is_an_int_flag_of_its_command(self):
+        # cli._INT_RANGES is the one range rule for integer flags; a key it
+        # misspelt would end the run with an AttributeError, not exit 2
+        from bellscope import cli
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command, ranges in cli._INT_RANGES.items():
+            types = {a.dest: a.type for a in sub.choices[command]._actions}
+            assert all(types.get(key) is int for key in ranges), command
+
 
 TERA = "1000000000000"
 DICKE_PAST = str(2**20 + 1)  # the first n past collective.DICKE_GUARD
@@ -546,14 +557,16 @@ class TestScans:
 
     def test_scan_sidecar_counts_are_pinned(self, capsys, tmp_path):
         # the violation-small benchmark scan: each n after a violated one
-        # warm-starts from its angle; each grid angle is evaluated at most
-        # once, and one last eigen call per n gives its state
+        # warm-starts from its angle, and each angle is evaluated at most
+        # once, the returned one included; the README quotes the count
         out = str(tmp_path / "scan.csv")
         assert main(["scan", "--family", "murcia", "--n-min", "2", "--n-max", "100",
                      "--out", out]) == 0
         capsys.readouterr()
         sidecar = json.loads(open(out + ".run.json").read())
-        assert (sidecar["evals"], sidecar["screened"]) == (671, 25143)
+        assert (sidecar["evals"], sidecar["screened"]) == (572, 25143)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"{sidecar['evals']} over n = 2..100" in " ".join(readme.split())
 
     def test_theta_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -187,6 +187,53 @@ class TestScalarMinimize:
         assert sorted(x for x in calls if x in set(grid)) == grid
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        terms=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi)),
+                       max_size=4),
+        curvature=st.floats(-1.0, 1.0),
+        grid_points=st.integers(64, 300),
+        keep=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        start=st.one_of(st.none(), st.floats(-1.0, 4.0)),
+    )
+    # the minimum on the grid: at the end 3.0, and at 1.5 where the slope is 0
+    @example(terms=[], curvature=-1.0, grid_points=64, keep=None, seed=0, start=None)
+    @example(terms=[], curvature=-1.0, grid_points=64, keep=1.0, seed=0, start=0.0)
+    @example(terms=[(-1.0, -1.5)], curvature=0.0, grid_points=67, keep=None, seed=0,
+             start=None)
+    @example(terms=[(-1.0, -1.5)], curvature=0.0, grid_points=67, keep=0.5, seed=1,
+             start=2.0)
+    # the minimum off the grid, at pi - 0.3, reached by the polish
+    @example(terms=[(1.0, 0.3)], curvature=0.0, grid_points=64, keep=None, seed=0,
+             start=None)
+    @example(terms=[(1.0, 0.3)], curvature=0.0, grid_points=64, keep=1.0, seed=0,
+             start=1.0)
+    def test_extras_come_from_the_evaluation_of_the_returned_point(
+            self, terms, curvature, grid_points, keep, seed, start):
+        # an objective returning (f, f', x, -x) gets back the extras of the
+        # call that evaluated the returned x; dropping them changes nothing
+        def value_and_slope(x):
+            f = curvature * x * x + sum(a * math.cos((k + 1) * x + p)
+                                        for k, (a, p) in enumerate(terms))
+            g = 2.0 * curvature * x - sum(a * (k + 1) * math.sin((k + 1) * x + p)
+                                          for k, (a, p) in enumerate(terms))
+            return f, g, x, -x
+
+        def screen(xs, level):
+            above = np.array([value_and_slope(x)[0] > level for x in xs.tolist()], dtype=bool)
+            return above & (rng.random(len(xs)) < keep)
+
+        rng = np.random.default_rng(seed)
+        kwargs = dict(grid_points=grid_points, start=start,
+                      screen=None if keep is None else screen)
+        got = scalar_minimize(value_and_slope, 0.0, 3.0, **kwargs)
+        assert len(got) == 4
+        assert got[2].hex() == got[0].hex() and got[3].hex() == (-got[0]).hex()
+        rng = np.random.default_rng(seed)
+        plain = scalar_minimize(lambda x: value_and_slope(x)[:2], 0.0, 3.0, **kwargs)
+        assert [v.hex() for v in plain] == [v.hex() for v in got[:2]]
+
     @pytest.mark.parametrize("grid_points", [63, 10, 0, -5])
     def test_grids_below_64_points_are_refused(self, grid_points):
         from bellscope.collective import max_violation, ratio_scan

@@ -6,6 +6,7 @@ the unscreened grid and the grid + Brent minimiser in ``helpers``."""
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -95,19 +96,18 @@ def polish_calls(mv, angles, grid_points=256):
     """The angles of the polish's own eigen calls, checking the order of a
     ``max_violation`` call's evaluations: first the grid angles the
     pre-scan evaluates, each once, then the polish's calls, which evaluate
-    off-grid angles and at most one grid angle the pre-scan skipped, then
-    one last call at the returned angle for the state.  Pins
-    ``evals + screened == grid_points + len(polish) + 1``."""
+    off-grid angles and at most one grid angle the pre-scan skipped; the
+    returned angle is one of the evaluated ones.  Pins
+    ``evals + screened == grid_points + len(polish)``."""
     grid = set(np.linspace(0.0, math.pi, grid_points).tolist())
     scanned = grid_points - mv.screened
-    *calls, last = angles
-    on_grid = [t for t in calls if t in grid]
-    assert last == mv.theta
+    on_grid = [t for t in angles if t in grid]
+    assert mv.theta in angles
     assert len(set(on_grid)) == len(on_grid)  # no grid angle twice
-    assert set(calls[:scanned]) <= grid
-    polish = calls[scanned:]
+    assert set(angles[:scanned]) <= grid
+    polish = angles[scanned:]
     assert len([t for t in polish if t in grid]) <= 1  # a screened neighbour
-    assert mv.evals + mv.screened == grid_points + len(polish) + 1
+    assert mv.evals + mv.screened == grid_points + len(polish)
     return polish
 
 
@@ -184,6 +184,53 @@ class TestMaxViolationOracle:
             mv, angles = traced_max_violation(murcia(n), grid_points=grid_points)
             polish_calls(mv, angles, grid_points)
             assert grid_points < mv.evals + mv.screened <= grid_points + 12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 60), coeffs=st.one_of(COEFFS, MIRRORED),
+           start=st.one_of(st.none(), st.floats(0.0, math.pi)))
+    @example(n=5, coeffs=MURCIA, start=None)
+    @example(n=40, coeffs=MURCIA, start=2.0)
+    @example(n=250, coeffs=MURCIA, start=None)
+    @example(n=300, coeffs=(0.3, 1, -0.7, 0.2, 0.9), start=1.0)
+    def test_no_angle_reaches_the_eigen_kernel_twice(self, n, coeffs, start):
+        # the state comes from the evaluation at theta, not from a call of
+        # its own, and it is bitwise the normalised vector of a fresh call
+        expr = expression(n, coeffs)
+        mv, angles = traced_max_violation(expr, start=start)
+        assert len(set(angles)) == len(angles)
+        assert mv.theta in angles
+        _, vec = lowest_eigen_banded(bell_operator_bands(expr, mv.theta))
+        want = collective.SymmetricState(n, vec / np.linalg.norm(vec)).amplitudes
+        assert mv.state.amplitudes.tobytes() == want.tobytes()
+
+    def test_holds_a_few_eigenvectors_not_one_per_evaluation(self):
+        # the reference drops each evaluation's vector and builds the state
+        # from one more eigen call at theta.  The scan keeps one vector, the
+        # best grid angle's, and the polish also keeps its two bracket ends':
+        # at most three vectors more than the reference, where one per grid
+        # angle evaluated would be about thirty
+        n = 20_000
+        expr = murcia(n)
+
+        def last_call(value_and_slope, *args, **kwargs):
+            x, f = scalar_minimize(lambda t: value_and_slope(t)[:2], *args, **kwargs)
+            return x, f, lowest_eigen_banded(bell_operator_bands(expr, x))[1]
+
+        def peak(**patch):
+            with mock.patch.multiple(collective, **patch):
+                tracemalloc.start()
+                try:
+                    mv = max_violation(expr)
+                    return tracemalloc.get_traced_memory()[1], mv
+                finally:
+                    tracemalloc.stop()
+
+        max_violation(expr)  # fills the band-term cache and loads LAPACK
+        ref_peak, ref = peak(scalar_minimize=last_call)
+        got_peak, got = peak(scalar_minimize=scalar_minimize)
+        assert got.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
+        assert (got.theta, got.evals) == (ref.theta, ref.evals)  # evals skips the last call
+        assert got_peak <= ref_peak + 3 * 8 * (n + 1) + 4096
 
     def test_murcia_census_at_the_bound_is_exact(self):
         # lambda_min = -2n exactly for n <= 4; the polish adds no rounding
