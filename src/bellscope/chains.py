@@ -313,6 +313,7 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
     cut : int
         Sites 0..cut-1 form block A.
     fields : sequence of length-d arrays, optional
+        One per site.  Every coupling and field entry must be finite.
 
     Returns
     -------
@@ -334,6 +335,12 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
     _require_size("classical", "sites n", CLASSICAL_SITES, n)
     if not 1 <= cut <= n - 1:
         raise ValueError(f"cut must lie in 1..{n - 1}")
+    if fields is not None:
+        fields = [np.asarray(f, dtype=float) for f in fields]
+        if len(fields) != n or any(f.shape != (d,) for f in fields):
+            raise ValueError(f"need {n} fields of shape ({d},), one per site")
+    if not all(np.isfinite(t).all() for t in (*couplings, *(fields or ()))):
+        raise ValueError("couplings and fields must be finite")
 
     energy = np.zeros((d,) * n)
     for i, c in enumerate(couplings):
@@ -345,11 +352,10 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
             energy += c.reshape(shape)
         else:  # wrap-around: axis order in reshape is (j=0 ... i=n-1)
             energy += c.T.reshape(shape)
-    if fields is not None:
-        for i, f in enumerate(fields):
-            shape = [1] * n
-            shape[i] = d
-            energy += np.asarray(f, dtype=float).reshape(shape)
+    for i, f in enumerate(fields or ()):
+        shape = [1] * n
+        shape[i] = d
+        energy += f.reshape(shape)
 
     p = _boltzmann(energy, beta)
 

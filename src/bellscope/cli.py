@@ -258,10 +258,11 @@ def _cmd_scan(args):
     numerics._require_size("Dicke-basis", "n", collective.DICKE_GUARD, ns[-1])  # before any row
     family = getattr(symmetric, _SCAN_FAMILIES[args.family])
     results = collective.ratio_scan(family, ns, tol=args.tol, grid_points=args.theta_points)
-    rows = [(r.n, r.beta_c, r.qv, r.ratio, r.theta_star) for r in results]
+    rows = [(mv.state.n, mv.bound, mv.violation, mv.violation / mv.bound, mv.theta)
+            for mv in results]
     header = ["n", "beta_c", "qv", "ratio", "theta_star"]
-    counts = {"evals": sum(r.evals for r in results),
-              "screened": sum(r.screened for r in results)}
+    counts = {"evals": sum(mv.evals for mv in results),
+              "screened": sum(mv.screened for mv in results)}
     return header, rows, counts
 
 
@@ -270,10 +271,9 @@ def _cmd_theta_sweep(args):
 
     expr = getattr(symmetric, _SCAN_FAMILIES[args.family])(args.n)
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
-    rows = [
-        (r.n, r.theta, r.value, r.beta_c, r.violated)
-        for r in collective.theta_sweep(expr, thetas)
-    ]
+    beta_c = float(expr.bound)
+    rows = [(expr.n, float(theta), value, beta_c, bool(value < -beta_c - 1e-9))
+            for theta, value in zip(thetas, collective.theta_sweep(expr, thetas))]
     header = ["n", "theta", "value", "beta_c", "violated"]
     return header, rows, {"expression": symmetric.expression_to_json(expr)}
 

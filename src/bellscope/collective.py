@@ -32,11 +32,8 @@ from .symmetric import SymmetrizedCorrelators
 
 __all__ = [
     "SymmetricState",
-    "CollectiveOperator",
     "MaxViolation",
     "DickeViolation",
-    "ScanRow",
-    "SweepRow",
     "collective_operator",
     "dicke_state",
     "to_full_space",
@@ -85,15 +82,6 @@ class SymmetricState:
         self.amplitudes = amp
 
 
-@dataclass
-class CollectiveOperator:
-    """A collective spin operator restricted to the symmetric sector."""
-
-    n: int
-    label: str
-    matrix: np.ndarray
-
-
 def _jz_diag(n):
     # m = n/2 - k for k = 0..n; _ladder_offdiag's callers pass this or a dense guard first
     _require_size("Dicke-basis", "n", DICKE_GUARD, n)
@@ -125,20 +113,20 @@ _LABEL_WEIGHTS = {"jz": (1.0, 0.0, 0.0), "j+": (0.0, 0.0, 1.0), "j-": (0.0, 1.0,
 
 
 def collective_operator(n, label):
-    """Total spin operator on the (n+1)-dimensional symmetric sector.
+    """Total spin operator on the (n+1)-dimensional symmetric sector, as a
+    complex (n+1, n+1) matrix.
 
-    Labels: ``jz``, ``jx``, ``jy``, ``j+``, ``j-``.  Basis ordering is
-    k = 0..n flipped spins, so ``jz`` is ``diag(n/2 - k)``.
+    Labels: ``jz``, ``jx``, ``jy``, ``j+``, ``j-``, in either case.  Basis
+    ordering is k = 0..n flipped spins, so ``jz`` is ``diag(n/2 - k)``.
     """
     if n < 1:
         raise ValueError("need at least one spin")
-    label_lc = str(label).lower()
-    if label_lc not in _LABEL_WEIGHTS:
+    weights = _LABEL_WEIGHTS.get(str(label).lower())
+    if weights is None:
         raise ValueError(f"unknown label {label!r}")
-    diag, below, above = _LABEL_WEIGHTS[label_lc]
-    mat = _dense(n, complex, lambda: (_jz_diag(n), _ladder_offdiag(n)),
-                 ((diag, diag), (below, above)))
-    return CollectiveOperator(n=n, label=label_lc, matrix=mat)
+    diag, below, above = weights
+    return _dense(n, complex, lambda: (_jz_diag(n), _ladder_offdiag(n)),
+                  ((diag, diag), (below, above)))
 
 
 def dicke_state(n, k):
@@ -305,15 +293,6 @@ def bell_operator(expr, theta):
     return _dense(expr.n, float, lambda: bell_operator_bands(expr, theta))
 
 
-def _require_bound(expr):
-    if expr.bound is None:
-        raise ValueError(
-            "expression has no classical bound; set one (closed form or "
-            "classical_bound_symmetric) before asking for violations"
-        )
-    return float(expr.bound)
-
-
 @dataclass
 class MaxViolation:
     """Best quantum violation over measurement angles.
@@ -371,7 +350,12 @@ def max_violation(expr, tol=1e-6, grid_points=256, start=None):
     ``screened`` moves.  A non-finite ``start`` or ``grid_points < 64``
     raises ``ValueError``.
     """
-    beta_c = _require_bound(expr)
+    if expr.bound is None:
+        raise ValueError(
+            "expression has no classical bound; set one (closed form or "
+            "classical_bound_symmetric) before asking for violations"
+        )
+    beta_c = float(expr.bound)
     m = expr.n + 1
     terms = _band_terms(expr.n, _float_coeffs(expr)).reshape(6, 3, m)
     margin = SCREEN_RTOL * sum(gershgorin_bounds(p)[1] for p in terms)
@@ -459,25 +443,14 @@ def dicke_violation(n):
     )
 
 
-@dataclass
-class ScanRow:
-    n: int
-    beta_c: float
-    qv: float
-    ratio: float
-    theta_star: float
-    evals: int      # MaxViolation.evals and .screened of the row's call
-    screened: int
-
-
 def ratio_scan(family, ns, tol=1e-6, grid_points=256):
     """Violation scan over system sizes for a family of expressions.
 
     Each n's :func:`max_violation` starts its screened pre-scan from the
     previous n's optimal angle if that n was violated; the first n, and any
-    n after one without a violation, takes the coarse pass.  The rows are
-    those of independent calls, and only ``evals`` and ``screened`` depend
-    on which n came before.
+    n after one without a violation, takes the coarse pass.  The results
+    are those of independent calls, and only ``evals`` and ``screened``
+    depend on which n came before.
 
     Parameters
     ----------
@@ -485,51 +458,19 @@ def ratio_scan(family, ns, tol=1e-6, grid_points=256):
         Maps n to a PIBellExpression carrying its classical bound.
     ns : iterable of int
 
-    Returns rows (n, beta_c, qv, qv/beta_c, theta_star, evals, screened)
-    sorted by n.
+    Returns the :class:`MaxViolation` of each n, in increasing n.
     """
-    rows = []
+    results = []
     start = None
     for n in sorted(int(v) for v in ns):
-        expr = family(n)
-        mv = max_violation(expr, tol=tol, grid_points=grid_points, start=start)
+        mv = max_violation(family(n), tol=tol, grid_points=grid_points, start=start)
         start = mv.theta if mv.violation > 0 else None
-        rows.append(
-            ScanRow(
-                n=n,
-                beta_c=mv.bound,
-                qv=mv.violation,
-                ratio=mv.violation / mv.bound if mv.bound else math.nan,
-                theta_star=mv.theta,
-                evals=mv.evals,
-                screened=mv.screened,
-            )
-        )
-    return rows
-
-
-@dataclass
-class SweepRow:
-    n: int
-    theta: float
-    value: float    # lowest Bell-operator eigenvalue at theta
-    beta_c: float
-    violated: bool
+        results.append(mv)
+    return results
 
 
 def theta_sweep(expr, thetas):
-    """Lowest Bell-operator eigenvalue along a grid of angles."""
-    beta_c = _require_bound(expr)
-    rows = []
-    for theta in thetas:
-        w, _ = lowest_eigen_banded(bell_operator_bands(expr, float(theta)))
-        rows.append(
-            SweepRow(
-                n=expr.n,
-                theta=float(theta),
-                value=w,
-                beta_c=beta_c,
-                violated=bool(w < -beta_c - 1e-9),
-            )
-        )
-    return rows
+    """Lowest Bell-operator eigenvalue at each angle of ``thetas``, as a list
+    of floats; the expression needs no classical bound."""
+    return [lowest_eigen_banded(bell_operator_bands(expr, float(theta)))[0]
+            for theta in thetas]

@@ -93,6 +93,8 @@ def _infer_sites(size, d):
     n = round(math.log(size, d))
     if d**n != size:
         raise ValueError(f"amplitude length {size} is not a power of d = {d}")
+    if n < 1:
+        raise ValueError("a single amplitude is a state of zero sites; need at least one")
     return n
 
 

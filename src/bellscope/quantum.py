@@ -307,7 +307,7 @@ def ppt_report(rho, side="B", bipartition=None, tol=1e-10):
         negative_count=int(np.count_nonzero(w < -tol)),
         min_eigenvalue=float(w[0]),
         entangled=bool(w[0] < -tol),
-        negativity=float(-w[w < 0.0].sum()),
+        negativity=float((-w[w < 0.0]).sum()),  # negated first: no negatives sum to +0.0
     )
 
 
@@ -349,7 +349,7 @@ def renyi_entropy(rho, alpha, base=2):
     as 0, since p**alpha would lift rounding-level ones to real weight.
     A StateVector gives 0 for every alpha.
     """
-    if alpha < 0:
+    if not alpha >= 0:  # also refuses NaN
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if isinstance(rho, StateVector):
         return 0.0

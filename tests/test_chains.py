@@ -534,6 +534,25 @@ class TestClassicalGibbs:
         with pytest.raises(ValueError, match="cut"):
             classical_gibbs_mutual_info([np.zeros((2, 2))] * 3, 1.0, 4)
 
+    def test_too_many_fields_are_refused(self):
+        with pytest.raises(ValueError, match=r"need 3 fields of shape \(2,\), one per site"):
+            classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1, fields=[np.zeros(2)] * 4)
+
+    def test_too_few_fields_are_refused(self):
+        with pytest.raises(ValueError, match=r"need 3 fields of shape \(2,\), one per site"):
+            classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1, fields=[np.zeros(2)])
+        with pytest.raises(ValueError, match="one per site"):  # right count, wrong shape
+            classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1, fields=[np.zeros(3)] * 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_couplings_and_fields_are_refused(self, bad):
+        couplings = [np.zeros((2, 2)), np.array([[0.0, bad], [0.0, 0.0]])]
+        with pytest.raises(ValueError, match="couplings and fields must be finite"):
+            classical_gibbs_mutual_info(couplings, 1.0, 1)
+        with pytest.raises(ValueError, match="couplings and fields must be finite"):
+            classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1,
+                                        fields=[np.zeros(2), np.zeros(2), np.array([bad, 0.0])])
+
     def test_one_state_per_site_is_refused_past_the_numpy_axis_limit(self):
         # d = 1 passes the d^n check at any n, but the energy table has one
         # axis per site; 64 sites still give the zero mutual information

@@ -270,6 +270,16 @@ class TestJsonInputs:
         assert float(row["negativity"]) == pytest.approx(0.5, abs=1e-10)
         assert float(row["log_negativity"]) == pytest.approx(1.0, abs=1e-10)
 
+    def test_ppt_on_product_state_prints_zero_negativity(self, capsys, tmp_path):
+        from bellscope.quantum import StateVector
+
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(state_to_json(StateVector((2, 2), [1.0, 0.0, 0.0, 0.0]))))
+        code, out, _ = run_cli(capsys, "ppt", "--state", str(path))
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        assert (row["entangled"], row["negativity"], row["log_negativity"]) == ("false", "0", "0")
+
     def test_ppt_on_density_file_takes_one_pt_spectrum(self, capsys, tmp_path, monkeypatch):
         from bellscope import quantum
 

@@ -173,7 +173,7 @@ def test_star_import_binds_exactly_all():
 
 #: The ROADMAP's ceiling on code lines in ``src/bellscope``; the PRs of its
 #: directions 1 and 3 raise it by exactly the lines they declare.
-CODE_LINE_CEILING = 2326
+CODE_LINE_CEILING = 2234
 
 
 def code_lines(source):

@@ -303,6 +303,13 @@ class TestRejectsBadStates:
         with pytest.raises(ValueError, match="finite, nonzero norm"):
             truncate(self.BAD[kind], 2)
 
+    def test_a_single_amplitude_is_refused_as_zero_sites(self):
+        one = np.array([1.0])
+        for call in (lambda: cut_spectra(one), lambda: mps_from_dense(one),
+                     lambda: truncate(one, 1)):
+            with pytest.raises(ValueError, match="zero sites; need at least one"):
+                call()
+
 
 class TestBondCap:
     @pytest.mark.parametrize("dmax", [0, -3, 2.7, 2.0])

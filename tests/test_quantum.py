@@ -250,6 +250,13 @@ class TestNegativity:
         assert negativity(rho) < 1e-12
         assert log_negativity(rho) < 1e-10
 
+    def test_no_negative_eigenvalue_gives_positive_zero(self):
+        # -(empty sum) was -0.0, which the CLI printed as "-0"
+        product = StateVector(dims=(2, 2), amplitudes=np.array([1.0, 0.0, 0.0, 0.0]))
+        for state in (product, DensityOperator(dims=(2, 2), matrix=np.eye(4) / 4)):
+            assert negativity(state) == 0.0
+            assert math.copysign(1.0, negativity(state)) == 1.0
+
     def test_bell_state_values(self):
         rho = pure_density(max_entangled(2).amplitudes, (2, 2))
         assert abs(negativity(rho) - 0.5) < 1e-12
@@ -319,6 +326,12 @@ class TestEntropies:
         rho = DensityOperator(dims=(2,), matrix=np.eye(2) / 2)
         with pytest.raises(ValueError):
             renyi_entropy(rho, -0.5)
+
+    def test_rejects_nan_alpha_and_keeps_the_min_entropy(self):
+        rho = DensityOperator(dims=(2,), matrix=np.diag([0.75, 0.25]))
+        with pytest.raises(ValueError, match="alpha must be nonnegative, got nan"):
+            renyi_entropy(rho, math.nan)
+        assert renyi_entropy(rho, math.inf) == pytest.approx(-math.log2(0.75), abs=1e-12)
 
     def test_additive_on_products(self):
         rng = np.random.default_rng(22)
