@@ -15,27 +15,26 @@ _EXPORTS = {
     "numerics": ("hermitian_eigen", "scalar_minimize", "seeded_generator"),
     "quantum": (
         "StateVector", "DensityOperator", "max_entangled", "haar_state",
-        "schmidt_decompose", "schmidt_rank", "separable_pure",
+        "schmidt_decompose",
         "state_to_json", "state_from_json",
         "partial_trace", "partial_transpose", "ppt_report",
         "negativity", "log_negativity", "vn_entropy", "renyi_entropy",
-        "entanglement_entropy", "mutual_information", "page_experiment",
+        "mutual_information", "page_experiment",
     ),
     "correlations": (
-        "Scenario", "Behavior", "BellFunctional", "CorrelatorSet", "TIExpression",
-        "is_nonsignalling", "behavior_from_quantum", "correlators_from_behavior",
-        "behavior_from_correlators", "local_bound_bruteforce",
+        "Scenario", "Behavior", "BellFunctional", "TIExpression",
+        "is_nonsignalling", "local_bound_bruteforce",
         "chsh_probability_functional", "chsh_correlator_functional",
         "chsh_quantum_demo", "ti_classical_bound",
     ),
     "symmetric": (
         "PIBellExpression", "StrategyCounts", "SymmetrizedCorrelators",
-        "correlators_of_counts", "classical_bound_symmetric",
+        "classical_bound_symmetric",
         "rioja", "murcia", "dicke_expression",
     ),
     "collective": (
-        "collective_operator", "dicke_state", "lmg_energies", "bell_operator",
-        "max_violation", "dicke_violation", "ratio_scan", "theta_sweep",
+        "dicke_state", "lmg_energies", "max_violation", "dicke_violation",
+        "ratio_scan", "theta_sweep",
     ),
     "chains": (),
     "mps": (),

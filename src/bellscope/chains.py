@@ -328,9 +328,10 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
         raise ValueError("a chain needs at least two sites")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    d = couplings[0].shape[0]
-    if any(c.shape != (d, d) for c in couplings):
-        raise ValueError("ragged coupling tables")
+    d = couplings[0].shape[0] if couplings[0].ndim else 0
+    if not d or any(c.shape != (d, d) for c in couplings):
+        raise ValueError("coupling tables must all be (d, d) with one d >= 1, "
+                         "not ragged or non-square")
     _require_size("classical", "d^n", CLASSICAL_GUARD, d, n)
     _require_size("classical", "sites n", CLASSICAL_SITES, n)
     if not 1 <= cut <= n - 1:

@@ -34,13 +34,9 @@ __all__ = [
     "SymmetricState",
     "MaxViolation",
     "DickeViolation",
-    "collective_operator",
     "dicke_state",
-    "to_full_space",
     "lmg_energies",
-    "measurement_pair",
     "symmetrized_correlators",
-    "bell_operator",
     "bell_operator_bands",
     "max_violation",
     "dicke_violation",
@@ -49,8 +45,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
-DENSE_GUARD = 4000  # largest n for which dense (n+1)^2 matrices are built
-EMBED_GUARD = 24  # largest n embedded in the full 2^n space
 #: Largest n of the Dicke basis |n, 0..n>; ``_band_terms`` holds about 150 MB there.
 DICKE_GUARD = 2**20
 
@@ -83,7 +77,7 @@ class SymmetricState:
 
 
 def _jz_diag(n):
-    # m = n/2 - k for k = 0..n; _ladder_offdiag's callers pass this or a dense guard first
+    # m = n/2 - k for k = 0..n; _ladder_offdiag's callers pass this first
     _require_size("Dicke-basis", "n", DICKE_GUARD, n)
     return n / 2.0 - np.arange(n + 1)
 
@@ -94,41 +88,6 @@ def _ladder_offdiag(n):
     return np.sqrt(k * (n - k + 1.0))
 
 
-def _dense(n, dtype, bands, weights=((1.0, 1.0),) * 3):
-    # The one dense (n+1)^2 build, made after the dense-operator guard: band d of
-    # bands() sits at (k + d, k) and (k, k + d), scaled there by weights[d] = (lower, upper).
-    _require_size("dense operator", "n", DENSE_GUARD, n)
-    values = bands()  # made before the matrix, so their scratch arrays are gone by then
-    mat = np.zeros((n + 1, n + 1), dtype=dtype)
-    flat = mat.reshape(-1)  # a view; entry (i, j) is flat[i (n + 1) + j], so a band steps by n + 2
-    for d, (band, (lower, upper)) in enumerate(zip(values, weights)):
-        np.multiply(band[: n + 1 - d], lower, out=flat[d * (n + 1):: n + 2])
-        np.multiply(band[: n + 1 - d], upper, out=flat[d: (n + 1 - d) * (n + 1): n + 2])
-    return mat
-
-
-# (diagonal, below, above) weights of Jz and of the ladder f = <k-1| J+ |k>
-_LABEL_WEIGHTS = {"jz": (1.0, 0.0, 0.0), "j+": (0.0, 0.0, 1.0), "j-": (0.0, 1.0, 0.0),
-                  "jx": (0.0, 0.5, 0.5), "jy": (0.0, 0.5j, -0.5j)}
-
-
-def collective_operator(n, label):
-    """Total spin operator on the (n+1)-dimensional symmetric sector, as a
-    complex (n+1, n+1) matrix.
-
-    Labels: ``jz``, ``jx``, ``jy``, ``j+``, ``j-``, in either case.  Basis
-    ordering is k = 0..n flipped spins, so ``jz`` is ``diag(n/2 - k)``.
-    """
-    if n < 1:
-        raise ValueError("need at least one spin")
-    weights = _LABEL_WEIGHTS.get(str(label).lower())
-    if weights is None:
-        raise ValueError(f"unknown label {label!r}")
-    diag, below, above = weights
-    return _dense(n, complex, lambda: (_jz_diag(n), _ladder_offdiag(n)),
-                  ((diag, diag), (below, above)))
-
-
 def dicke_state(n, k):
     """The Dicke state |n, k>: k flipped spins, fully symmetrised."""
     if not 0 <= k <= n:
@@ -137,26 +96,6 @@ def dicke_state(n, k):
     amp = np.zeros(n + 1, dtype=complex)
     amp[k] = 1.0
     return SymmetricState(n, amp)
-
-
-def to_full_space(state):
-    """Embed a symmetric-sector state into the full 2^n product space.
-
-    Each Dicke component |n, k> spreads uniformly over the C(n, k)
-    computational basis states with k ones (site 0 is the most significant
-    bit).
-    """
-    from .quantum import StateVector
-
-    n = state.n
-    _require_size("full-space embedding", "n", EMBED_GUARD, n)
-    weights = np.array([
-        state.amplitudes[k] / math.sqrt(math.comb(n, k)) for k in range(n + 1)
-    ], dtype=complex)
-    ones = np.zeros(1, dtype=np.intp)  # popcount of every index, one bit at a time
-    for _ in range(n):
-        ones = np.concatenate([ones, ones + 1])
-    return StateVector((2,) * n, weights[ones])
 
 
 def lmg_energies(n, lam, h):
@@ -184,14 +123,6 @@ def lmg_energies(n, lam, h):
     scale = max(1.0, float(np.max(np.abs(energies))))
     ground = tuple(int(k) for k in np.nonzero(energies - emin <= 1e-12 * scale)[0])
     return energies, ground
-
-
-def measurement_pair(n, theta):
-    """Dense collective measurement operators (A, B) at angle theta."""
-    a = _dense(n, float, lambda: (2.0 * _jz_diag(n),))
-    b = _dense(n, float, lambda: (math.cos(theta) * (2.0 * _jz_diag(n)),
-                                  math.sin(theta) * _ladder_offdiag(n)))
-    return a, b
 
 
 def _apply_b(state_amp, n, theta):
@@ -286,11 +217,6 @@ def _bell_slope(expr, theta, vec):
         + 2.0 * (bands[n: 2 * n - 1] @ (vec[:-1] * vec[1:]))
         + 2.0 * (bands[2 * n: 3 * n - 2] @ (vec[:-2] * vec[2:]))
     )
-
-
-def bell_operator(expr, theta):
-    """Dense Bell operator matrix (for moderate n; scans use the bands)."""
-    return _dense(expr.n, float, lambda: bell_operator_bands(expr, theta))
 
 
 @dataclass

@@ -1,6 +1,5 @@
 """Bell scenarios: behaviors, deterministic strategies, Bell functionals,
-correlator conversions, brute-force local bounds, and translation-invariant
-ring expressions.
+brute-force local bounds, and translation-invariant ring expressions.
 
 Conventions
 -----------
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import _require_hermitian, _require_size
+from .numerics import _require_size
 from .symmetric import number_from_json, number_to_json, to_common_denominator
 
 __all__ = [
@@ -27,21 +26,15 @@ __all__ = [
     "Behavior",
     "DeterministicStrategy",
     "BellFunctional",
-    "CorrelatorSet",
     "TIExpression",
     "BoundReport",
-    "deterministic_strategies",
     "is_nonsignalling",
-    "behavior_from_quantum",
-    "correlators_from_behavior",
-    "behavior_from_correlators",
     "local_bound_bruteforce",
     "ti_classical_bound",
     "chsh_probability_functional",
     "chsh_correlator_functional",
     "chsh_quantum_demo",
     "qubit_observable",
-    "qubit_projectors",
     "expression_to_json",
     "expression_from_json",
 ]
@@ -143,13 +136,6 @@ class DeterministicStrategy:
         return Behavior(scenario, _settings_first(t, m, d))
 
 
-def deterministic_strategies(scenario):
-    """Iterate over all local deterministic strategies of a scenario."""
-    per_party = list(itertools.product(range(scenario.outcomes), repeat=scenario.settings))
-    for joint in itertools.product(per_party, repeat=scenario.parties):
-        yield DeterministicStrategy(joint)
-
-
 @dataclass
 class BellFunctional:
     """Linear functional sum_{x,a} c(a,x) P(a|x) + offset.
@@ -228,7 +214,7 @@ def local_bound_bruteforce(functional):
 
 
 # ---------------------------------------------------------------------------
-# Nonsignalling check and quantum behaviors
+# Nonsignalling check
 
 
 def is_nonsignalling(behavior, tol=SIGNALLING_TOL):
@@ -256,120 +242,6 @@ def is_nonsignalling(behavior, tol=SIGNALLING_TOL):
             if dev > worst:
                 worst, witness = dev, (k, x)
     return worst <= tol, worst, witness
-
-
-def behavior_from_quantum(rho, measurements):
-    """Born-rule behavior of a multipartite state under local POVMs.
-
-    ``rho`` (DensityOperator or StateVector) has one factor per party, and
-    ``measurements[i][x][a]`` is party i's effect for setting x, outcome a.
-    Every setting must be complete (effects summing to the identity within
-    1e-9) and every effect Hermitian, by the rule of
-    :func:`numerics.hermitian_eigen`, and positive semidefinite.
-    """
-    from .quantum import _as_density
-
-    rho = _as_density(rho)
-    n = len(measurements)
-    if len(rho.dims) != n:
-        raise ValueError(
-            f"state has {len(rho.dims)} factors but {n} measurement sets given"
-        )
-    m = len(measurements[0])
-    d = len(measurements[0][0])
-    for i, party in enumerate(measurements):
-        if len(party) != m or any(len(setting) != d for setting in party):
-            raise ValueError("ragged measurement specification")
-        for x, setting in enumerate(party):
-            eff = [np.asarray(e, dtype=complex) for e in setting]
-            total = sum(eff)
-            if np.max(np.abs(total - np.eye(rho.dims[i]))) > 1e-9:
-                raise ValueError(f"party {i} setting {x}: POVM does not sum to identity")
-            for a, e in enumerate(eff):
-                what = f"party {i} setting {x} outcome {a}: effect"
-                _require_hermitian(e, what)
-                wmin = float(np.linalg.eigvalsh(e)[0])
-                if wmin < -1e-9:
-                    raise ValueError(f"{what} not PSD (min eigenvalue {wmin:.3e})")
-    sc = Scenario(n, m, d)
-    effects = [[e for setting in party for e in setting] for party in measurements]
-    return Behavior(sc, _settings_first(_local_expectations(rho, effects), m, d))
-
-
-def _local_expectations(rho, ops):
-    """``Tr(rho (E_1 x ... x E_n))`` for every choice of ``E_i`` in ``ops[i]``."""
-    # row k of party i's map, E_k^T flattened, traces its (ket, bra) axis
-    maps = [np.asarray(o, dtype=complex).transpose(0, 2, 1).reshape(len(o), -1) for o in ops]
-    return _map_parties(_pair_axes(rho.matrix.reshape(rho.dims * 2)), maps).real
-
-
-# ---------------------------------------------------------------------------
-# Full correlators <-> behavior (two outcomes only)
-
-
-@dataclass
-class CorrelatorSet:
-    """All correlators of a two-outcome behavior.
-
-    ``values`` has shape ``(m+1,)*n``; index 0 means the party is absent
-    from the product, index ``s >= 1`` means it measures setting ``s - 1``.
-    The all-absent entry is the empty product and equals 1.
-    """
-
-    parties: int
-    settings: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        want = (self.settings + 1,) * self.parties
-        if v.shape != want:
-            raise ValueError(f"values shape {v.shape}, expected {want}")
-        if abs(v[(0,) * self.parties] - 1.0) > 1e-12:
-            raise ValueError("empty-product correlator must be 1")
-        self.values = v
-
-
-def _correlator_map(m):
-    """(m+1, 2m) map from (x, a) to correlator index: row 0 sums setting 0's
-    outcomes (party absent), row s >= 1 signs those of setting s - 1."""
-    k = np.zeros((m + 1, m, 2))
-    k[0, 0] = 1.0
-    k[1:] = np.eye(m)[:, :, None] * OUTCOME_SIGNS
-    return k.reshape(m + 1, 2 * m)
-
-
-def correlators_from_behavior(behavior):
-    """Extract every correlator of a d=2 behavior.
-
-    Absent parties are marginalised using their setting-0 context; for a
-    nonsignalling behavior any completion gives the same number.
-    """
-    sc = behavior.scenario
-    if sc.outcomes != 2:
-        raise ValueError("correlator conversion requires two outcomes")
-    n, m = sc.parties, sc.settings
-    vals = _map_parties(_pair_axes(behavior.table), [_correlator_map(m)] * n)
-    return CorrelatorSet(n, m, vals)
-
-
-def behavior_from_correlators(corr):
-    """Reconstruct the unique d=2 behavior with the given correlators.
-
-    Party by party ``p(a|x) = (c_0 + sign(a) c_{x+1}) / 2``.  Tables with
-    entries below -1e-10 are rejected: such a correlator set is not a valid
-    behavior.
-    """
-    n, m = corr.parties, corr.settings
-    sc = Scenario(n, m, 2)
-    inverse = 0.5 * _correlator_map(m).T
-    inverse[:, 0] = 0.5
-    table = _settings_first(_map_parties(corr.values, [inverse] * n), m, 2)
-    if float(table.min()) < -POSITIVITY_TOL:
-        raise ValueError(
-            f"correlators do not define a behavior: entry {table.min()!r} < 0"
-        )
-    return Behavior(sc, table)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +273,11 @@ def qubit_observable(theta):
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def qubit_projectors(theta):
-    """Eigenprojectors of :func:`qubit_observable`, outcome 0 -> +1 branch."""
-    m = qubit_observable(theta)
-    eye = np.eye(2, dtype=complex)
-    return [(eye + m) / 2, (eye - m) / 2]
+def _local_expectations(rho, ops):
+    """``Tr(rho (E_1 x ... x E_n))`` for every choice of ``E_i`` in ``ops[i]``."""
+    # row k of party i's map, E_k^T flattened, traces its (ket, bra) axis
+    maps = [np.asarray(o, dtype=complex).transpose(0, 2, 1).reshape(len(o), -1) for o in ops]
+    return _map_parties(_pair_axes(rho.matrix.reshape(rho.dims * 2)), maps).real
 
 
 def chsh_quantum_demo(state=None):

@@ -39,7 +39,6 @@ __all__ = [
     "truncate",
     "truncation_bound",
     "renyi_tail_bound",
-    "bond_entropies",
 ]
 
 SVD_CUTOFF = 1e-12  # relative to the largest singular value at each cut
@@ -301,7 +300,3 @@ def renyi_tail_bound(spectrum, alpha, dmax):
     s_alpha = _entropy_of_probs(np.asarray(spectrum, dtype=float), 2, alpha)
     return ((1.0 - alpha) / alpha) * (s_alpha - math.log2(dmax / (1.0 - alpha)))
 
-
-def bond_entropies(mps, base=2):
-    """Entanglement entropy at every bond, from the canonical spectra."""
-    return np.asarray([_entropy_of_probs(lam, base) for lam in mps.lambdas])

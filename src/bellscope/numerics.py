@@ -6,9 +6,8 @@ Hermitian eigensolver, the QR-chain cut spectra, the banded lowest
 eigenpair and its Cholesky screen, the theta minimiser and its pre-scan
 grid, and :func:`seeded_generator`, the one place a numpy random
 ``Generator`` is built.  ``quantum`` (the Schmidt SVDs and
-``page_experiment``), ``chains``, ``correlations.behavior_from_quantum``
-and ``mps._right_pass`` call ``np.linalg`` directly on matrices they build
-themselves.
+``page_experiment``), ``chains`` and ``mps._right_pass`` call
+``np.linalg`` directly on matrices they build themselves.
 
 No scipy Python package is imported here.  The first
 :func:`lowest_eigen_banded` or :func:`eigen_above_stacked` call loads scipy's

@@ -36,7 +36,6 @@ __all__ = [
     "log_negativity",
     "vn_entropy",
     "renyi_entropy",
-    "entanglement_entropy",
     "mutual_information",
     "page_experiment",
     "state_to_json",
@@ -227,30 +226,8 @@ def schmidt_decompose(psi, bipartition=None):
     m, n = _bipartition(psi, bipartition)
     mat = psi.amplitudes.reshape(m, n)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = _rank(s, RANK_TOL)
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0  # s descends
     return SchmidtData(coefficients=s[:rank], left=u[:, :rank], right=vh.T[:, :rank], rank=rank)
-
-
-def _schmidt_values(psi, bipartition):
-    """Schmidt coefficients across an (m, n) bipartition, descending, untruncated."""
-    m, n = _bipartition(psi, bipartition)
-    return np.linalg.svd(psi.amplitudes.reshape(m, n), compute_uv=False)
-
-
-def _rank(values, tol):
-    """Count of ``values`` above ``tol`` times the largest (0 if none is positive)."""
-    top = values.max(initial=0.0)
-    return int(np.count_nonzero(values > tol * top)) if top > 0 else 0
-
-
-def schmidt_rank(psi, bipartition=None, tol=RANK_TOL):
-    """Count of Schmidt coefficients above ``tol`` (relative to the largest)."""
-    return _rank(_schmidt_values(psi, bipartition), tol)
-
-
-def separable_pure(psi, bipartition=None, tol=RANK_TOL):
-    """A pure state factorises across the cut iff its Schmidt rank is one."""
-    return schmidt_rank(psi, bipartition, tol) == 1
 
 
 def _as_density(rho):
@@ -361,12 +338,6 @@ def renyi_entropy(rho, alpha, base=2):
     if math.isinf(alpha):
         return float(-math.log(p[-1]) / math.log(base))
     return _entropy_of_probs(p, base, alpha)
-
-
-def entanglement_entropy(psi, bipartition=None, base=2):
-    """Entropy of entanglement of a pure state across a bipartition."""
-    s = _schmidt_values(psi, bipartition)
-    return _entropy_of_probs(s * s, base)
 
 
 def mutual_information(rho, bipartition=None, base=2):

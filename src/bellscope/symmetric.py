@@ -25,12 +25,10 @@ __all__ = [
     "StrategyCounts",
     "SymmetrizedCorrelators",
     "PIBellExpression",
-    "correlators_of_counts",
     "classical_bound_symmetric",
     "rioja",
     "murcia",
     "dicke_expression",
-    "pi_to_functional",
     "expression_to_json",
     "expression_from_json",
     "rioja_parity_ok",
@@ -129,29 +127,6 @@ def to_common_denominator(values):
     fracs = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
     den = math.lcm(*(f.denominator for f in fracs))
     return [int(f * den) for f in fracs], den
-
-
-def correlators_of_counts(counts):
-    """Symmetrized correlators of a deterministic strategy given its counts.
-
-    With ``Sig0 = a+b-c-d``, ``Sig1 = a-b+c-d`` and the same-site product sum
-    ``D = a-b-c+d``:
-
-        S0 = Sig0, S1 = Sig1,
-        S00 = Sig0^2 - n, S11 = Sig1^2 - n, S01 = Sig0*Sig1 - D.
-    """
-    a, b, c, d = counts.a, counts.b, counts.c, counts.d
-    n = counts.n
-    sig0 = a + b - c - d
-    sig1 = a - b + c - d
-    same = a - b - c + d
-    return SymmetrizedCorrelators(
-        s0=sig0,
-        s1=sig1,
-        s00=sig0 * sig0 - n,
-        s01=sig0 * sig1 - same,
-        s11=sig1 * sig1 - n,
-    )
 
 
 def classical_bound_symmetric(expr):
@@ -338,39 +313,6 @@ def dicke_expression(n):
         bound_provenance="closed-form",
         name=f"dicke(n={n})",
     )
-
-
-# ---------------------------------------------------------------------------
-# Bridges
-
-
-def pi_to_functional(expr):
-    """Expand a PI expression into a dense Bell functional (2 settings).
-
-    Every one- and two-body correlator is charged to the context in which
-    the parties outside it measure setting 0, the completion
-    :func:`correlations.correlators_from_behavior` reads.  On nonsignalling
-    behaviors the value is placement-independent.  Only the contexts with at
-    most two parties on setting 1 carry weight, and each is written directly.
-    """
-    import numpy as np
-
-    from .correlations import OUTCOME_SIGNS, BellFunctional, Scenario
-
-    n = expr.n
-    sc = Scenario(n, 2, 2)
-    alpha, beta, gamma, delta, epsilon = (float(v) for v in expr.coefficients())
-    s = OUTCOME_SIGNS[np.indices((2,) * n)]  # s[i] is party i's sign, per outcome
-    total = s.sum(axis=0)
-    c = np.zeros(sc.table_shape)  # adding onto +0.0 leaves no -0.0 behind
-    eye = np.eye(n, dtype=int)
-    # all on setting 0; party i alone on setting 1; parties i and j on it
-    c[(0,) * n] += alpha * total + gamma * (total * total - n) / 2
-    for i in range(n):
-        c[tuple(eye[i])] += s[i] * (beta + delta * (total - s[i]))
-        for j in range(i + 1, n):
-            c[tuple(eye[i] + eye[j])] += epsilon * s[i] * s[j]
-    return BellFunctional(sc, c, name=expr.name or "pi-expression")
 
 
 # ---------------------------------------------------------------------------

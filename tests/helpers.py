@@ -62,6 +62,31 @@ def pi_min_bruteforce(coeffs, n):
     return best
 
 
+def correlators_of_counts(counts):
+    """Symmetrized correlators of a deterministic strategy given its counts.
+
+    With ``Sig0 = a+b-c-d``, ``Sig1 = a-b+c-d`` and the same-site product sum
+    ``D = a-b-c+d``:
+
+        S0 = Sig0, S1 = Sig1,
+        S00 = Sig0^2 - n, S11 = Sig1^2 - n, S01 = Sig0*Sig1 - D.
+    """
+    from bellscope.symmetric import SymmetrizedCorrelators
+
+    a, b, c, d = counts.a, counts.b, counts.c, counts.d
+    n = counts.n
+    sig0 = a + b - c - d
+    sig1 = a - b + c - d
+    same = a - b - c + d
+    return SymmetrizedCorrelators(
+        s0=sig0,
+        s1=sig1,
+        s00=sig0 * sig0 - n,
+        s01=sig0 * sig1 - same,
+        s11=sig1 * sig1 - n,
+    )
+
+
 def dicke_dense(n, k):
     """|n, k down spins> as an explicit symmetric sum in the 2^n space."""
     vec = np.zeros(2**n, dtype=complex)
@@ -295,6 +320,34 @@ def bell_operator_bands_explicit(expr, theta):
     return bands
 
 
+def dense_from_bands(bands):
+    """The symmetric matrix of lower band storage ``bands``, entry by entry:
+    ``bands[d, k]`` sits at (k + d, k) and (k, k + d)."""
+    m = bands.shape[1]
+    mat = np.zeros((m, m))
+    for d in range(bands.shape[0]):
+        for k in range(m - d):
+            mat[k + d, k] = mat[k, k + d] = bands[d, k]
+    return mat
+
+
+def bell_operator_dense(expr, theta):
+    """Dense Bell operator on the Dicke basis, from the explicit bands."""
+    return dense_from_bands(bell_operator_bands_explicit(expr, theta))
+
+
+def dicke_measurements(n, theta):
+    """Dense A = 2 Jz and B = 2 (cos(theta) Jz + sin(theta) Jx) on the Dicke
+    basis, from <k|Jz|k> = n/2 - k and <k-1|J+|k> = sqrt(k (n - k + 1))."""
+    a, b = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        a[k, k] = n - 2 * k
+        b[k, k] = math.cos(theta) * (n - 2 * k)
+    for k in range(1, n + 1):
+        b[k - 1, k] = b[k, k - 1] = math.sin(theta) * math.sqrt(k * (n - k + 1))
+    return a, b
+
+
 def pointwise_eigen_above(bands, level):
     """The Cholesky screen of ``numerics.eigen_above_stacked`` on one
     matrix alone, through scipy: one ``pbtrf`` of H - (level + rho) I on a
@@ -486,10 +539,10 @@ def eigsh_ground_state(ham):
     return float(w[0]), v[:, 0] / np.linalg.norm(v[:, 0])
 
 
-# The context loops, sign profiles, subset sums and Kronecker products that
-# ``bellscope.correlations`` and ``symmetric.pi_to_functional`` used before
-# every conversion went through one per-party tensor map.  Tables are
-# settings first, shape (m,)*n + (d,)*n; outcome 0 has sign +1.
+# Context loops, sign profiles, subset sums and Kronecker products: the
+# behaviour tables, correlators and PI functionals of two-outcome scenarios,
+# written out one context at a time.  Tables are settings first, shape
+# (m,)*n + (d,)*n; outcome 0 has sign +1.
 
 OUTCOME_SIGNS = np.array([1.0, -1.0])
 
@@ -597,9 +650,11 @@ def quantum_table_kron(rho_matrix, measurements):
 
 
 def pi_functional_loops(expr):
-    """Coefficients of a PI expression with one-body terms charged to the
-    all-same-setting context and each ordered pair (i, j) to the context
-    where everyone else measures setting 0."""
+    """A PI expression as a dense two-setting Bell functional, with one-body
+    terms charged to the all-same-setting context and each ordered pair
+    (i, j) to the context where everyone else measures setting 0."""
+    from bellscope.correlations import BellFunctional, Scenario
+
     n = expr.n
     coeffs = np.zeros((2,) * (2 * n))
     alpha, beta, gamma, delta, epsilon = (float(v) for v in expr.coefficients())
@@ -623,4 +678,4 @@ def pi_functional_loops(expr):
                     x = [0] * n
                     x[i], x[j] = si, sj
                     coeffs[tuple(x)] += weight * signs(i, j)
-    return coeffs
+    return BellFunctional(Scenario(n, 2, 2), coeffs, name=expr.name or "pi-expression")

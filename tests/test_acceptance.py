@@ -42,7 +42,6 @@ from bellscope.symmetric import (
     classical_bound_symmetric,
     dicke_expression,
     murcia,
-    pi_to_functional,
     rioja,
     rioja_parity_ok,
 )
@@ -54,6 +53,7 @@ from helpers import (
     embed,
     full_space_bell,
     haar_vector,
+    pi_functional_loops,
     pure_density,
     random_rank_r_state,
 )
@@ -133,7 +133,7 @@ def test_criterion_04_count_enumeration_oracle():
                 delta=coeffs[3], epsilon=coeffs[4],
             )
             fast, _ = classical_bound_symmetric(expr)
-            full = local_bound_bruteforce(pi_to_functional(expr))
+            full = local_bound_bruteforce(pi_functional_loops(expr))
             if Fraction(fast) != -Fraction(full.min_value):
                 worst = (coeffs, n, fast, full.min_value)
             checked += 1

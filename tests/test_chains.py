@@ -534,6 +534,12 @@ class TestClassicalGibbs:
         with pytest.raises(ValueError, match="cut"):
             classical_gibbs_mutual_info([np.zeros((2, 2))] * 3, 1.0, 4)
 
+    @pytest.mark.parametrize("coupling", [1.0, np.zeros((2, 3))], ids=["scalar", "2x3"])
+    def test_non_square_couplings_are_refused(self, coupling):
+        # a scalar has no rows to read d from
+        with pytest.raises(ValueError, match=r"must all be \(d, d\) with one d >= 1"):
+            classical_gibbs_mutual_info([coupling, coupling], 1.0, 1)
+
     def test_too_many_fields_are_refused(self):
         with pytest.raises(ValueError, match=r"need 3 fields of shape \(2,\), one per site"):
             classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1, fields=[np.zeros(2)] * 4)

@@ -5,22 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bellscope import collective
 from bellscope.collective import (
-    DENSE_GUARD,
     DICKE_GUARD,
     SymmetricState,
-    bell_operator,
     bell_operator_bands,
-    collective_operator,
     dicke_state,
     dicke_violation,
     lmg_energies,
     max_violation,
-    measurement_pair,
     ratio_scan,
     symmetrized_correlators,
     theta_sweep,
-    to_full_space,
 )
 from bellscope.numerics import lowest_eigen_banded, seeded_generator
 from bellscope.symmetric import PIBellExpression, dicke_expression, murcia
@@ -29,8 +25,11 @@ from helpers import (
     SX,
     SY,
     SZ,
+    bell_operator_dense,
+    dense_from_bands,
     dicke_dense,
     dicke_embedding,
+    dicke_measurements,
     embed,
     full_space_bell,
 )
@@ -42,25 +41,32 @@ def random_symmetric_state(n, rng):
     return SymmetricState(n, amp)
 
 
+def spin_operators(n):
+    """Dense Jz, Jx and Jy on the Dicke basis, from the diagonal and the
+    ladder that the Bell-operator bands, ``symmetrized_correlators`` and
+    ``lmg_energies`` are built from."""
+    jz = np.diag(collective._jz_diag(n)).astype(complex)
+    jp = np.diag(collective._ladder_offdiag(n), 1).astype(complex)
+    return {"jz": jz, "jx": (jp + jp.T) / 2, "jy": (jp - jp.T) / 2j}
+
+
 class TestCollectiveOperators:
     def test_single_spin_is_half_pauli(self):
-        assert np.allclose(collective_operator(1, "jz"), SZ / 2)
-        assert np.allclose(collective_operator(1, "jx"), SX / 2)
-        assert np.allclose(collective_operator(1, "jy"), SY / 2)
+        ops = spin_operators(1)
+        assert np.allclose(ops["jz"], SZ / 2)
+        assert np.allclose(ops["jx"], SX / 2)
+        assert np.allclose(ops["jy"], SY / 2)
 
     def test_two_spin_jz(self):
-        assert np.allclose(
-            collective_operator(2, "jz"), np.diag([1.0, 0.0, -1.0])
-        )
+        assert np.allclose(spin_operators(2)["jz"], np.diag([1.0, 0.0, -1.0]))
 
     def test_ladder_and_commutators(self):
         for n in (1, 2, 5, 40, 200):
-            jx = collective_operator(n, "jx")
-            jy = collective_operator(n, "jy")
-            jz = collective_operator(n, "jz")
-            jp = collective_operator(n, "j+")
-            assert np.allclose(jp, jx + 1j * jy)
+            ops = spin_operators(n)
+            jx, jy, jz = ops["jx"], ops["jy"], ops["jz"]
             assert np.allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-10)
+            assert np.allclose(jy @ jz - jz @ jy, 1j * jx, atol=1e-10)
+            assert np.allclose(jz @ jx - jx @ jz, 1j * jy, atol=1e-10)
             casimir = jx @ jx + jy @ jy + jz @ jz
             j = n / 2.0
             assert np.allclose(casimir, j * (j + 1) * np.eye(n + 1), atol=1e-9)
@@ -69,18 +75,17 @@ class TestCollectiveOperators:
         paulis = {"jz": SZ, "jx": SX, "jy": SY}
         for n in (2, 3, 5):
             v = dicke_embedding(n)
+            ops = spin_operators(n)
             for label, pauli in paulis.items():
                 full = sum(embed(pauli, i, n) for i in range(n)) / 2.0
                 restricted = v.conj().T @ full @ v
-                assert np.allclose(
-                    restricted, collective_operator(n, label), atol=1e-12
-                )
+                assert np.allclose(restricted, ops[label], atol=1e-12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            collective_operator(0, "jz")
-        with pytest.raises(ValueError):
-            collective_operator(3, "jq")
+        with pytest.raises(ValueError, match="at least one spin"):
+            lmg_energies(0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="need 4 amplitudes, got 3"):
+            SymmetricState(3, np.ones(3) / math.sqrt(3))
 
 
 class TestDickeStates:
@@ -108,34 +113,23 @@ class TestDickeStates:
         assert peak < 2**20
 
     def test_embedding_matches_explicit_symmetrization(self):
+        # |n, k> has k flipped spins, so total Jz is n/2 - k on its embedding
         for n, k in ((2, 1), (4, 2), (5, 3)):
-            full = to_full_space(dicke_state(n, k))
-            assert np.allclose(full.amplitudes, dicke_dense(n, k))
+            full = dicke_embedding(n) @ dicke_state(n, k).amplitudes
+            assert np.allclose(full, dicke_dense(n, k))
+            jz = sum(embed(SZ, i, n) for i in range(n)) / 2.0
+            assert np.allclose(jz @ full, collective._jz_diag(n)[k] * full)
 
     def test_embedding_preserves_norm_and_overlaps(self):
         rng = seeded_generator(31)
         for n in (2, 4, 6):
             s1 = random_symmetric_state(n, rng)
             s2 = random_symmetric_state(n, rng)
-            f1, f2 = to_full_space(s1), to_full_space(s2)
-            assert abs(np.linalg.norm(f1.amplitudes) - 1.0) < 1e-12
+            f1, f2 = dicke_embedding(n) @ s1.amplitudes, dicke_embedding(n) @ s2.amplitudes
+            assert abs(np.linalg.norm(f1) - 1.0) < 1e-12
             want = np.vdot(s1.amplitudes, s2.amplitudes)
-            got = np.vdot(f1.amplitudes, f2.amplitudes)
+            got = np.vdot(f1, f2)
             assert abs(want - got) < 1e-12
-
-    def test_embedding_is_bitwise_the_per_index_loop(self):
-        # each index takes the weight of its popcount, as a loop over the
-        # 2^n indices would set it one by one
-        rng = seeded_generator(32)
-        for n in range(1, 9):
-            for state in (random_symmetric_state(n, rng), dicke_state(n, n // 2)):
-                weights = [state.amplitudes[k] / math.sqrt(math.comb(n, k))
-                           for k in range(n + 1)]
-                loop = np.zeros(2**n, dtype=complex)
-                for idx in range(2**n):
-                    loop[idx] = weights[bin(idx).count("1")]
-                got = to_full_space(state).amplitudes
-                assert got.dtype == loop.dtype and got.tobytes() == loop.tobytes()
 
     def test_unnormalised_rejected(self):
         with pytest.raises(ValueError):
@@ -180,7 +174,7 @@ class TestSymmetrizedCorrelators:
         rng = seeded_generator(7)
         for n in (2, 3, 5):
             state = random_symmetric_state(n, rng)
-            psi = to_full_space(state).amplitudes
+            psi = dicke_embedding(n) @ state.amplitudes
             for theta in np.linspace(0.0, 2 * math.pi, 9):
                 m0 = SZ
                 m1 = math.cos(theta) * SZ + math.sin(theta) * SX
@@ -218,7 +212,7 @@ class TestSymmetrizedCorrelators:
 class TestBellOperator:
     def test_zero_expression(self):
         expr = PIBellExpression(n=4, alpha=0, beta=0, gamma=0, delta=0, epsilon=0)
-        assert np.allclose(bell_operator(expr, 1.1), 0.0)
+        assert not bell_operator_bands(expr, 1.1).any()
 
     def test_dense_matches_measurement_pair_build(self):
         rng = seeded_generator(17)
@@ -230,7 +224,7 @@ class TestBellOperator:
                 delta=coeffs[3], epsilon=coeffs[4],
             )
             theta = float(rng.uniform(0, 2 * math.pi))
-            a, b = measurement_pair(n, theta)
+            a, b = dicke_measurements(n, theta)
             eye = np.eye(n + 1)
             want = (
                 coeffs[0] * a + coeffs[1] * b
@@ -238,78 +232,54 @@ class TestBellOperator:
                 + coeffs[3] * ((a @ b + b @ a) / 2 - n * math.cos(theta) * eye)
                 + coeffs[4] / 2 * (b @ b - n * eye)
             )
-            assert np.allclose(bell_operator(expr, theta), want, atol=1e-9)
+            got = dense_from_bands(bell_operator_bands(expr, theta))
+            assert np.allclose(got, want, atol=1e-9)
 
     @pytest.mark.parametrize("build", [
-        lambda n: measurement_pair(n, 0.3),
-        lambda n: collective_operator(n, "jx"),
-        lambda n: bell_operator(murcia(n), 0.3),
-    ], ids=["measurement_pair", "collective_operator", "bell_operator"])
+        lambda n: bell_operator_bands(murcia(n), 0.3),
+        lambda n: theta_sweep(murcia(n), [0.3]),
+        lambda n: max_violation(murcia(n)),
+        lambda n: lmg_energies(n, 1.0, 0.0),
+    ], ids=["bell_operator_bands", "theta_sweep", "max_violation", "lmg_energies"])
     def test_dense_builders_refuse_past_the_guard_before_allocating(self, build):
-        # each builds (n+1)^2 matrices, 128 MB apiece just past the guard
+        # each builds Dicke-basis arrays; the cached band terms alone take
+        # 150 MB just past the guard
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as info:
-                build(DENSE_GUARD + 1)
+                build(DICKE_GUARD + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(info.value) == (f"dense operator guard is n <= {DENSE_GUARD}, "
-                                   f"got {DENSE_GUARD + 1}")
+        assert str(info.value) == (f"Dicke-basis guard is n <= {DICKE_GUARD}, "
+                                   f"got {DICKE_GUARD + 1}")
         assert peak < 2**20
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_dense_builders_place_every_entry_of_the_dicke_ladder(self, n):
-        """Every entry and the dtype of each dense builder, against matrices
-        placed here one entry at a time from <k|Jz|k> = n/2 - k,
-        <k-1|J+|k> = sqrt(k (n - k + 1)) and the Bell operator's bands."""
-        dim = n + 1
-        jz = [n / 2 - k for k in range(dim)]
-        ladder = [(k - 1, k, math.sqrt(k * (n - k + 1))) for k in range(1, dim)]
-        want = {label: np.zeros((dim, dim), dtype=complex)
-                for label in ("jz", "j+", "j-", "jx", "jy")}
-        for k in range(dim):
-            want["jz"][k, k] = jz[k]
-        for row, col, f in ladder:
-            want["j+"][row, col] = f
-            want["j-"][col, row] = f
-            want["jx"][row, col] = want["jx"][col, row] = f / 2
-            want["jy"][row, col] = complex(0.0, -f / 2)
-            want["jy"][col, row] = complex(0.0, f / 2)
-        for label, mat in want.items():
-            got = collective_operator(n, label.upper())
-            assert got.dtype == mat.dtype and np.array_equal(got, mat), label
+        """The Dicke-basis diagonal and ladder, bitwise, against entries
+        placed here one at a time from <k|Jz|k> = n/2 - k and
+        <k-1|J+|k> = sqrt(k (n - k + 1)); and every entry of the Bell
+        operator's bands against the measurement operators placed the same
+        way."""
+        jz = np.array([n / 2 - k for k in range(n + 1)])
+        ladder = np.array([math.sqrt(k * (n - k + 1)) for k in range(1, n + 1)])
+        for got, want in ((collective._jz_diag(n), jz), (collective._ladder_offdiag(n), ladder)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
         exprs = [PIBellExpression(n=n, alpha=1, beta=-2, gamma=3, delta=-1, epsilon=2),
                  murcia(n)] if n >= 2 else []
+        eye = np.eye(n + 1)
         for theta in (0.0, 0.3, math.pi / 2, 2.0, math.pi, 4.7, 6.2):
-            a_want, b_want = np.zeros((dim, dim)), np.zeros((dim, dim))
-            for k in range(dim):
-                a_want[k, k] = 2 * jz[k]
-                b_want[k, k] = math.cos(theta) * (2 * jz[k])
-            for row, col, f in ladder:
-                b_want[row, col] = b_want[col, row] = math.sin(theta) * f
-            for got, mat in zip(measurement_pair(n, theta), (a_want, b_want)):
-                assert got.dtype == mat.dtype and np.array_equal(got, mat), theta
+            a, b = dicke_measurements(n, theta)
             for expr in exprs:
-                bands = bell_operator_bands(expr, theta)
-                mat = np.zeros((dim, dim))
-                for d in range(3):
-                    for k in range(dim - d):
-                        mat[k + d, k] = mat[k, k + d] = bands[d, k]
-                got = bell_operator(expr, theta)
-                assert got.dtype == mat.dtype and np.array_equal(got, mat), (expr.name, theta)
-
-    def test_collective_operator_builds_only_the_requested_matrix(self):
-        # one complex (n+1)^2 array is 36 MB at n = 1500; building every
-        # label and then picking one would cost several
-        tracemalloc.start()
-        try:
-            collective_operator(1500, "jx")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * 1501**2 * np.dtype(complex).itemsize
+                al, be, ga, de, ep = (float(v) for v in expr.coefficients())
+                want = (al * a + be * b + ga / 2 * (a @ a - n * eye)
+                        + de * ((a @ b + b @ a) / 2 - n * math.cos(theta) * eye)
+                        + ep / 2 * (b @ b - n * eye))
+                got = dense_from_bands(bell_operator_bands(expr, theta))
+                assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max()), (
+                    expr.name, theta)
 
     def test_expectation_consistent_with_correlators(self):
         rng = seeded_generator(19)
@@ -317,7 +287,7 @@ class TestBellOperator:
             expr = dicke_expression(n)
             state = random_symmetric_state(n, rng)
             for theta in (0.4, 1.9):
-                op = bell_operator(expr, theta)
+                op = bell_operator_dense(expr, theta)
                 direct = float(
                     np.vdot(state.amplitudes, op @ state.amplitudes).real
                 )
@@ -329,7 +299,7 @@ class TestBellOperator:
             expr = murcia(n)
             for theta in (0.7, 2.0, 2.9):
                 full = np.linalg.eigvalsh(full_space_bell(expr, theta))[0]
-                sector = np.linalg.eigvalsh(bell_operator(expr, theta))[0]
+                sector = np.linalg.eigvalsh(bell_operator_dense(expr, theta))[0]
                 assert sector == pytest.approx(full, abs=1e-9)
 
     def test_restriction_of_full_operator(self):
@@ -339,7 +309,7 @@ class TestBellOperator:
             for theta in (0.9, 2.4):
                 full = full_space_bell(expr, theta)
                 assert np.allclose(
-                    v.conj().T @ full @ v, bell_operator(expr, theta), atol=1e-10
+                    v.conj().T @ full @ v, bell_operator_dense(expr, theta), atol=1e-10
                 )
 
     def test_band_storage_agrees_with_dense(self):
@@ -347,14 +317,14 @@ class TestBellOperator:
         for theta in (0.3, 1.6, 3.0):
             bands = bell_operator_bands(expr, theta)
             w_band, _ = lowest_eigen_banded(bands)
-            w_dense = np.linalg.eigvalsh(bell_operator(expr, theta))[0]
+            w_dense = np.linalg.eigvalsh(bell_operator_dense(expr, theta))[0]
             assert w_band == pytest.approx(w_dense, abs=1e-9)
 
     def test_mirror_angle_preserves_spectrum(self):
         expr = dicke_expression(7)
         for theta in (0.5, 1.2, 2.8):
-            w1 = np.linalg.eigvalsh(bell_operator(expr, theta))
-            w2 = np.linalg.eigvalsh(bell_operator(expr, 2 * math.pi - theta))
+            w1 = np.linalg.eigvalsh(bell_operator_dense(expr, theta))
+            w2 = np.linalg.eigvalsh(bell_operator_dense(expr, 2 * math.pi - theta))
             assert np.allclose(w1, w2, atol=1e-10)
 
 
@@ -378,14 +348,14 @@ class TestMaxViolation:
     def test_matches_dense_diagonalisation(self):
         expr = murcia(10)
         mv = max_violation(expr)
-        w = np.linalg.eigvalsh(bell_operator(expr, mv.theta))
+        w = np.linalg.eigvalsh(bell_operator_dense(expr, mv.theta))
         assert mv.quantum_value == pytest.approx(w[0], abs=1e-9)
         assert mv.violation == pytest.approx(1.105534, abs=1e-5)
 
     def test_reported_state_is_the_ground_state(self):
         expr = murcia(12)
         mv = max_violation(expr)
-        op = bell_operator(expr, mv.theta)
+        op = bell_operator_dense(expr, mv.theta)
         val = float(np.vdot(mv.state.amplitudes, op @ mv.state.amplitudes).real)
         assert val == pytest.approx(mv.quantum_value, abs=1e-8)
 
@@ -493,11 +463,11 @@ class TestScans:
         expr = dicke_expression(5)
         thetas = [0.5, 1.5, 2.5]
         for theta, value in zip(thetas, theta_sweep(expr, thetas), strict=True):
-            w = np.linalg.eigvalsh(bell_operator(expr, theta))[0]
+            w = np.linalg.eigvalsh(bell_operator_dense(expr, theta))[0]
             assert value == pytest.approx(w, abs=1e-9)
 
     def test_sweep_needs_no_bound(self):
         expr = PIBellExpression(n=5, alpha=1, beta=-2, gamma=3, delta=-1, epsilon=2)
         assert expr.bound is None
         (value,) = theta_sweep(expr, [0.7])
-        assert value == pytest.approx(np.linalg.eigvalsh(bell_operator(expr, 0.7))[0], abs=1e-9)
+        assert value == pytest.approx(np.linalg.eigvalsh(bell_operator_dense(expr, 0.7))[0], abs=1e-9)

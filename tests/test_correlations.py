@@ -11,41 +11,37 @@ from hypothesis import strategies as st
 from bellscope.correlations import (
     Behavior,
     BellFunctional,
-    CorrelatorSet,
     DeterministicStrategy,
     Scenario,
     TIExpression,
-    behavior_from_correlators,
-    behavior_from_quantum,
     chsh_correlator_functional,
     chsh_probability_functional,
     chsh_quantum_demo,
-    correlators_from_behavior,
-    deterministic_strategies,
     expression_from_json,
     expression_to_json,
     is_nonsignalling,
     local_bound_bruteforce,
-    qubit_projectors,
+    qubit_observable,
     ti_classical_bound,
 )
 from bellscope.quantum import DensityOperator, max_entangled
-from bellscope.symmetric import PIBellExpression, pi_to_functional
 
 from helpers import (
     behavior_from_correlators_loops,
     correlators_loops,
     haar_vector,
     local_bound_contraction,
-    pi_functional_loops,
     quantum_table_kron,
     strategy_table_loops,
     strategy_value_loops,
-    strategy_values_contraction,
     ti_value_direct,
 )
 
 CHSH = Scenario(parties=2, settings=2, outcomes=2)
+
+# every deterministic CHSH strategy, each party answering (x = 0, x = 1)
+CHSH_STRATEGIES = [DeterministicStrategy(responses) for responses in
+                   itertools.product(itertools.product(range(2), repeat=2), repeat=2)]
 
 
 def random_strategy(scenario, rng):
@@ -61,16 +57,21 @@ def pure_density(amp, dims):
     return DensityOperator(dims=dims, matrix=np.outer(amp, amp.conj()))
 
 
-def random_projective(dim, outcomes, rng):
-    """Projective measurement: random basis, each vector a random outcome."""
-    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-    labels = rng.integers(outcomes, size=dim)
-    return [u[:, labels == a] @ u[:, labels == a].conj().T for a in range(outcomes)]
+def projectors(theta):
+    """Eigenprojectors of ``qubit_observable(theta)``, outcome 0 on +1."""
+    m = qubit_observable(theta)
+    return [(np.eye(2) + m) / 2, (np.eye(2) - m) / 2]
+
+
+def quantum_behavior(rho, measurements):
+    """Born-rule behavior of ``rho`` under ``measurements[i][x][a]``."""
+    n, m, d = len(measurements), len(measurements[0]), len(measurements[0][0])
+    return Behavior(Scenario(n, m, d), quantum_table_kron(rho.matrix, measurements))
 
 
 class TestBehaviorBasics:
     def test_deterministic_behaviors_are_valid_and_nonsignalling(self):
-        for strat in itertools.islice(deterministic_strategies(CHSH), 16):
+        for strat in CHSH_STRATEGIES:
             b = strat.to_behavior(CHSH)
             ok, worst, witness = is_nonsignalling(b)
             assert ok and worst <= 1e-12
@@ -94,34 +95,28 @@ class TestBehaviorBasics:
 
 
 class TestQuantumBehavior:
+    """Born-rule tables of the ``helpers`` oracle, which ``Behavior`` checks."""
+
     def test_bell_state_zz_marginals(self):
         rho = pure_density(max_entangled(2).amplitudes, (2, 2))
-        z = qubit_projectors(0.0)
-        b = behavior_from_quantum(rho, [[z, z], [z, z]])
+        z = projectors(0.0)
+        b = quantum_behavior(rho, [[z, z], [z, z]])
         assert abs(b.table[0, 0, 0, 0] - 0.5) < 1e-12
         assert abs(b.table[0, 0, 1, 1] - 0.5) < 1e-12
         assert b.table[0, 0, 0, 1] < 1e-12
 
     def test_product_state_deterministic_marginals(self):
         rho = pure_density([1, 0, 0, 0], (2, 2))
-        z = qubit_projectors(0.0)
-        b = behavior_from_quantum(rho, [[z, z], [z, z]])
+        z = projectors(0.0)
+        b = quantum_behavior(rho, [[z, z], [z, z]])
         assert abs(b.table[0, 0, 0, 0] - 1.0) < 1e-12
 
     def test_incomplete_measurement_rejected(self):
         rho = pure_density([1, 0, 0, 0], (2, 2))
-        z = qubit_projectors(0.0)
-        broken = [z[0], z[1] * 0.5]
-        with pytest.raises(ValueError):
-            behavior_from_quantum(rho, [[z, z], [z, broken]])
-
-    def test_non_hermitian_effect_rejected(self):
-        # its Hermitian part is I/2, so only the Hermiticity check refuses it
-        e0 = np.array([[0.5, 0.2], [-0.2, 0.5]])
-        z = qubit_projectors(0.0)
-        with pytest.raises(ValueError,
-                           match="party 0 setting 0 outcome 0: effect is not Hermitian"):
-            behavior_from_quantum(max_entangled(2), [[[e0, np.eye(2) - e0], z], [z, z]])
+        z = projectors(0.0)
+        broken = [z[0] * 0.5, z[1]]  # the state's outcome keeps half its weight
+        with pytest.raises(ValueError, match="not normalised"):
+            quantum_behavior(rho, [[z, z], [z, broken]])
 
     def test_random_quantum_behaviors_are_nonsignalling(self):
         rng = np.random.default_rng(7)
@@ -130,29 +125,30 @@ class TestQuantumBehavior:
             v = haar_vector(2**n, rng)
             rho = pure_density(v, (2,) * n)
             settings = [
-                [qubit_projectors(rng.uniform(0, math.pi)) for _ in range(2)]
+                [projectors(rng.uniform(0, math.pi)) for _ in range(2)]
                 for _ in range(n)
             ]
-            b = behavior_from_quantum(rho, settings)
+            b = quantum_behavior(rho, settings)
             ok, worst, _ = is_nonsignalling(b, tol=1e-10)
             assert ok, worst
 
 
 class TestCorrelatorConversion:
+    """The correlator oracles of ``helpers`` on known cases; ``Behavior``
+    refuses a table that correlators do not make a behavior."""
+
     def test_uniform_behavior_has_zero_correlators(self):
         t = np.full(CHSH.table_shape, 0.25)
-        c = correlators_from_behavior(Behavior(CHSH, t))
-        values = np.asarray(c.values)
+        values = correlators_loops(Behavior(CHSH, t).table, 2)
         assert abs(values.reshape(-1)[1:]).max() < 1e-12
 
     def test_bell_state_equal_settings_correlator(self):
         rho = pure_density(max_entangled(2).amplitudes, (2, 2))
-        z = qubit_projectors(0.0)
-        x = qubit_projectors(math.pi / 2)
-        b = behavior_from_quantum(rho, [[z, x], [z, x]])
-        c = correlators_from_behavior(b)
+        z = projectors(0.0)
+        x = projectors(math.pi / 2)
+        values = correlators_loops(quantum_behavior(rho, [[z, x], [z, x]]).table, 2)
         # both parties measuring sigma_z: perfect correlation
-        assert abs(c.values[1, 1] - 1.0) < 1e-10
+        assert abs(values[1, 1] - 1.0) < 1e-10
 
     def test_round_trip_on_lhv_behaviors(self):
         rng = np.random.default_rng(8)
@@ -163,7 +159,8 @@ class TestCorrelatorConversion:
                 for w in weights
             )
             b = Behavior(CHSH, table)
-            back = behavior_from_correlators(correlators_from_behavior(b))
+            values = correlators_loops(b.table, 2)
+            back = Behavior(CHSH, behavior_from_correlators_loops(values, 2))
             assert np.abs(back.table - b.table).max() < 1e-10
 
     def test_inconsistent_correlators_rejected(self):
@@ -172,8 +169,8 @@ class TestCorrelatorConversion:
         values[1, 1] = 1.0   # <M0 M0> = 1
         values[1, 0] = 1.0   # <M0 x 1> = 1
         values[0, 1] = -1.0  # <1 x M0> = -1: contradicts the pair term
-        with pytest.raises(ValueError):
-            behavior_from_correlators(CorrelatorSet(parties=2, settings=2, values=values))
+        with pytest.raises(ValueError, match="negative probability"):
+            Behavior(CHSH, behavior_from_correlators_loops(values, 2))
 
 
 class TestPartyMapsAgainstLoops:
@@ -181,16 +178,10 @@ class TestPartyMapsAgainstLoops:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 3), d=st.integers(2, 3),
-           local_dims=st.lists(st.integers(2, 3), min_size=3, max_size=3),
            seed=st.integers(0, 2**32 - 1))
-    def test_conversions(self, n, m, d, local_dims, seed):
+    def test_conversions(self, n, m, d, seed):
         rng = np.random.default_rng(seed)
         sc = Scenario(n, m, d)
-        dims = tuple(local_dims[:n])
-        rho = pure_density(haar_vector(math.prod(dims), rng), dims)
-        measurements = [[random_projective(k, d, rng) for _ in range(m)] for k in dims]
-        table = behavior_from_quantum(rho, measurements).table
-        assert np.abs(table - quantum_table_kron(rho.matrix, measurements)).max() <= 1e-12
 
         # integer coefficients keep every sum exact, so these agree bitwise
         strategy = random_strategy(sc, rng)
@@ -203,31 +194,6 @@ class TestPartyMapsAgainstLoops:
         rep = local_bound_bruteforce(f)
         assert (rep.max_value, rep.max_strategy.responses, rep.min_value,
                 rep.min_strategy.responses) == local_bound_contraction(f)
-
-        if d == 2:
-            corr = correlators_from_behavior(Behavior(sc, table))
-            assert np.abs(corr.values - correlators_loops(table, m)).max() <= 1e-12
-            back = behavior_from_correlators(corr).table
-            assert np.abs(back - behavior_from_correlators_loops(corr.values, m)).max() <= 1e-12
-
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(2, 5),
-           coeffs=st.tuples(*[st.integers(-4, 4)] * 5).filter(lambda c: c[1] != 0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_pi_functional_moves_beta_but_no_value(self, n, coeffs, seed):
-        # beta's terms now sit in the contexts where the others measure
-        # setting 0; no deterministic or nonsignalling value changes
-        expr = PIBellExpression(n, *coeffs)
-        f = pi_to_functional(expr)
-        old = pi_functional_loops(expr)
-        assert not np.array_equal(f.coefficients, old)
-        assert np.array_equal(strategy_values_contraction(f.coefficients, 2, 2)[0],
-                              strategy_values_contraction(old, 2, 2)[0])
-        rng = np.random.default_rng(seed)
-        rho = pure_density(haar_vector(2**n, rng), (2,) * n)
-        angles = rng.uniform(0, math.pi, size=(n, 2))
-        b = behavior_from_quantum(rho, [[qubit_projectors(t) for t in row] for row in angles])
-        assert f.value(b) == pytest.approx(float(np.sum(old * b.table)), abs=1e-10)
 
 
 class TestLocalBounds:
@@ -260,7 +226,7 @@ class TestLocalBounds:
         c = rng.integers(-2, 3, size=CHSH.table_shape).astype(float)
         f = BellFunctional(CHSH, c)
         rep = local_bound_bruteforce(f)
-        strategies = list(deterministic_strategies(CHSH))
+        strategies = CHSH_STRATEGIES
         for trial in range(50):
             weights = rng.dirichlet(np.ones(6))
             picks = rng.choice(len(strategies), size=6, replace=False)

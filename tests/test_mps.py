@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bellscope.chains import block_entropy_curve
 from bellscope.mps import (
     MpsState,
-    bond_entropies,
     canonical_residuals,
     cut_spectra,
     mps_from_dense,
@@ -253,31 +252,40 @@ class TestRenyiTailBound:
 
 
 class TestEntropies:
+    """The canonical spectra ``lambdas`` are the reduced spectra at each
+    bond, so their Shannon entropies are the bond entanglement entropies."""
+
     def test_bond_entropies_match_dense(self):
         rng = seeded_generator(16)
         amp = haar_vector(2**6, rng)
         mps = mps_from_dense(amp)
-        ents = bond_entropies(mps)
+        ents = [shannon(lam) for lam in mps.lambdas]
         for k in range(1, 6):
             da = 2**k
             rho = partial_trace_loops(np.outer(amp, amp.conj()), da, 2**6 // da, "A")
             assert ents[k - 1] == pytest.approx(entropy_of_matrix(rho), abs=1e-9)
 
     def test_ghz_is_one_bit_everywhere(self):
-        ents = bond_entropies(mps_from_dense(ghz(5)))
-        assert np.allclose(ents, 1.0, atol=1e-12)
+        lambdas = mps_from_dense(ghz(5)).lambdas
+        assert len(lambdas) == 4
+        assert all(np.allclose(lam, [0.5, 0.5], rtol=0, atol=1e-12) for lam in lambdas)
+        assert np.allclose([shannon(lam) for lam in lambdas], 1.0, atol=1e-12)
 
     def test_natural_log_base(self):
         mps = mps_from_dense(ghz(4))
-        nats = bond_entropies(mps, base=math.e)
+        nats = [shannon(lam, base=math.e) for lam in mps.lambdas]
         assert np.allclose(nats, math.log(2.0), atol=1e-12)
 
     def test_cut_spectra_shannon_consistency(self):
         rng = seeded_generator(17)
         amp = haar_vector(2**5, rng)
         mps = mps_from_dense(amp)
-        for lam, ent in zip(cut_spectra(amp), bond_entropies(mps)):
-            assert shannon(lam) == pytest.approx(ent, abs=1e-9)
+        spectra = cut_spectra(amp)
+        assert len(spectra) == len(mps.lambdas) == 4
+        for lam, canonical in zip(spectra, mps.lambdas):
+            assert lam.shape == canonical.shape
+            assert np.allclose(lam, canonical, rtol=0, atol=1e-12)
+            assert shannon(lam) == pytest.approx(shannon(canonical), abs=1e-9)
 
 
 class TestRejectsBadStates:

@@ -23,7 +23,7 @@ from bellscope.numerics import (
     seeded_generator,
 )
 
-from helpers import complex_normal, haar_vector
+from helpers import bell_operator_dense, complex_normal, haar_vector
 from helpers import pointwise_eigen_above
 
 
@@ -256,17 +256,17 @@ class TestScalarMinimize:
         assert calls == []
 
     def test_matches_dense_grid_on_bell_objective(self):
-        from bellscope.collective import _bell_slope, bell_operator
+        from bellscope.collective import _bell_slope
         from bellscope.symmetric import murcia
 
         expr = murcia(10)
 
         def objective(theta):
-            return float(np.linalg.eigvalsh(bell_operator(expr, theta))[0])
+            return float(np.linalg.eigvalsh(bell_operator_dense(expr, theta))[0])
 
         def value_and_slope(theta):
             # Hellmann-Feynman slope on the eigh eigenvector
-            w, v = np.linalg.eigh(bell_operator(expr, theta))
+            w, v = np.linalg.eigh(bell_operator_dense(expr, theta))
             return float(w[0]), _bell_slope(expr, theta, v[:, 0])
 
         xs = np.linspace(0.0, math.pi, 10_000)

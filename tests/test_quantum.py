@@ -10,7 +10,6 @@ from bellscope.numerics import seeded_generator
 from bellscope.quantum import (
     DensityOperator,
     StateVector,
-    entanglement_entropy,
     haar_state,
     log_negativity,
     max_entangled,
@@ -22,8 +21,6 @@ from bellscope.quantum import (
     ppt_report,
     renyi_entropy,
     schmidt_decompose,
-    schmidt_rank,
-    separable_pure,
     state_from_json,
     state_to_json,
     vn_entropy,
@@ -74,7 +71,7 @@ class TestMaxEntangled:
 
     def test_entropy_is_log_d(self):
         for d in (2, 3, 4):
-            assert abs(entanglement_entropy(max_entangled(d), (d, d)) - math.log2(d)) < 1e-10
+            assert abs(vn_entropy(partial_trace(max_entangled(d), "A")) - math.log2(d)) < 1e-10
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
@@ -127,21 +124,18 @@ class TestSchmidt:
             assert np.all(np.diff(s) <= 1e-12) and np.all(s >= -1e-15)
 
     def test_rank_and_separability(self):
+        # a pure state is separable across the cut iff its Schmidt rank is 1
         zero_one = StateVector(dims=(2, 2), amplitudes=[0, 1, 0, 0])
-        assert schmidt_rank(zero_one, (2, 2)) == 1
-        assert separable_pure(zero_one)
-        assert schmidt_rank(max_entangled(2), (2, 2)) == 2
-        assert not separable_pure(max_entangled(2))
+        assert schmidt_decompose(zero_one, (2, 2)).rank == 1
+        assert schmidt_decompose(max_entangled(2), (2, 2)).rank == 2
         plus = StateVector(dims=(2, 2), amplitudes=np.array([1, 1, 0, 0]) / math.sqrt(2))
-        assert schmidt_rank(plus, (2, 2)) == 1
+        assert schmidt_decompose(plus, (2, 2)).rank == 1
         # Schmidt coefficients proportional to (1, 1e-12): the second lies
-        # below schmidt_decompose's cutoff but above a 1e-14 tolerance
+        # below the relative cutoff 1e-10
         amp = np.array([1.0, 0.0, 0.0, 1e-12])
         psi = StateVector(dims=(2, 2), amplitudes=amp / np.linalg.norm(amp))
-        assert schmidt_decompose(psi).rank == 1
-        assert schmidt_rank(psi) == 1
-        assert schmidt_rank(psi, tol=1e-14) == 2
-        assert not separable_pure(psi, tol=1e-14)
+        data = schmidt_decompose(psi)
+        assert data.rank == 1 and data.coefficients.shape == (1,)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -266,9 +260,9 @@ class TestNegativity:
         rng = np.random.default_rng(20)
         for trial in range(50):
             v = haar_vector(9, rng)
-            psi = StateVector(dims=(3, 3), amplitudes=v)
             rho = pure_density(v, (3, 3))
-            assert log_negativity(rho) >= entanglement_entropy(psi, (3, 3)) - 1e-9
+            entropy = entropy_of_matrix(partial_trace_loops(rho.matrix, 3, 3, "A"))
+            assert log_negativity(rho) >= entropy - 1e-9
 
 
 class TestEntropies:
@@ -350,7 +344,7 @@ class TestEntropies:
             rho = np.outer(v, v.conj())
             sa = entropy_of_matrix(partial_trace_loops(rho, 2, 4, "A"))
             sb = entropy_of_matrix(partial_trace_loops(rho, 2, 4, "B"))
-            e = entanglement_entropy(psi, (2, 4))
+            e = vn_entropy(partial_trace(psi, "A"))
             assert abs(sa - sb) < 1e-9
             assert abs(e - sa) < 1e-9
 
@@ -368,9 +362,9 @@ class TestMutualInformation:
         assert abs(mutual_information(rho) - 2.0) < 1e-10
         rng = np.random.default_rng(25)
         v = haar_vector(6, rng)
-        psi = StateVector(dims=(2, 3), amplitudes=v)
         rho = pure_density(v, (2, 3))
-        assert abs(mutual_information(rho) - 2 * entanglement_entropy(psi, (2, 3))) < 1e-9
+        entropy = entropy_of_matrix(partial_trace_loops(rho.matrix, 2, 3, "A"))
+        assert abs(mutual_information(rho) - 2 * entropy) < 1e-9
 
     def test_classically_correlated_pair(self):
         m = np.zeros((4, 4))
@@ -425,9 +419,9 @@ class TestHaarSampling:
         plain, rotated = [], []
         for _ in range(400):
             psi = haar_state(2, 4, src_a)
-            plain.append(entanglement_entropy(psi, (2, 4)))
+            plain.append(vn_entropy(partial_trace(psi, "A")))
             amp = np.kron(u, np.eye(4)) @ np.asarray(haar_state(2, 4, src_b).amplitudes)
-            rotated.append(entanglement_entropy(StateVector(dims=(2, 4), amplitudes=amp), (2, 4)))
+            rotated.append(vn_entropy(partial_trace(StateVector(dims=(2, 4), amplitudes=amp), "A")))
         plain, rotated = np.array(plain), np.array(rotated)
         pooled = math.sqrt(plain.var(ddof=1) / plain.size + rotated.var(ddof=1) / rotated.size)
         assert abs(plain.mean() - rotated.mean()) < 4 * pooled

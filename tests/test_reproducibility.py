@@ -114,14 +114,93 @@ GOLDEN_STDOUT = {
         '1,0.267430991462,1.58496250072,true\n'
         '5,0.304437361779,1.58496250072,true\n'
     )),
+    # captured before the test-only dense builders, behaviour conversions and
+    # conveniences left src/; every collective, bound and CHSH command
+    "scan": (["scan", "--family", "murcia", "--n-max", "12"], (
+        'n,beta_c,qv,ratio,theta_star\n'
+        '2,4,0,0,0\n'
+        '3,6,0,0,0\n'
+        '4,8,0,0,0\n'
+        '5,10,0.151463728958,0.0151463728958,2.34687887352\n'
+        '6,12,0.258374854715,0.0215312378929,2.26397542376\n'
+        '7,14,0.473819969506,0.0338442835362,2.24864851408\n'
+        '8,16,0.649337123796,0.0405835702372,2.21231386154\n'
+        '9,18,0.887654041311,0.0493141134062,2.21164286149\n'
+        '10,20,1.10553389097,0.0552766945483,2.1928616795\n'
+        '11,22,1.36203407166,0.0619106396211,2.19277698298\n'
+        '12,24,1.60879415166,0.0670330896526,2.18190320541\n'
+    )),
+    "theta-sweep": (["theta-sweep", "--family", "dicke", "--n", "6", "--points", "9"], (
+        'n,theta,value,beta_c,violated\n'
+        '6,0,-60,60,false\n'
+        '6,0.392699081699,-60.7804670139,60,true\n'
+        '6,0.785398163397,-62.5134337348,60,true\n'
+        '6,1.1780972451,-63.5294562894,60,true\n'
+        '6,1.57079632679,-61.6148286701,60,true\n'
+        '6,1.96349540849,-54.9286367085,60,false\n'
+        '6,2.35619449019,-43.3241745312,60,false\n'
+        '6,2.74889357189,-30.2642310291,60,false\n'
+        '6,3.14159265359,-24,60,false\n'
+    )),
+    "dicke": (["dicke", "--n", "7"], (
+        'n,alpha,beta,gamma,delta,epsilon,beta_c,quantum_value,violated,theta_star\n'
+        '7,21,3,21,3.5,-1,105,-59.4,false,0.927295218002\n'
+    )),
+    "bound": (["bound", "--expr", "pi.json"], (
+        'quantity,value\n'
+        'enumerated_bound,65/6\n'
+        'declared_bound,10\n'
+        'match,false\n'
+        'witness_counts,0|3|2|0\n'
+    )),
+    "murcia": (["murcia", "--n", "9"], (
+        'n,alpha,beta,gamma,delta,epsilon,bound_closed,bound_enum,match\n'
+        '9,-2,0,1,-1,1,18,18,true\n'
+    )),
+    "rioja": (["rioja", "--x", "2", "--y", "1", "--sigma", "1", "--mu", "0", "--n", "5",
+               "--verify"], (
+        'n,x,y,sigma,mu,branch,bound_closed,bound_enum,match\n'
+        '5,2,1,1,0,plus,24,24,true\n'
+    )),
+    "lmg": (["lmg", "--n", "5", "--coupling", "1.5", "--field", "0.25"], (
+        'k,m,energy,is_ground\n'
+        '0,2.5,-1.25,false\n'
+        '1,1.5,-3.15,false\n'
+        '2,0.5,-3.85,true\n'
+        '3,-0.5,-3.35,false\n'
+        '4,-1.5,-1.65,false\n'
+        '5,-2.5,1.25,false\n'
+    )),
+    "ppt": (["ppt", "--state", "state.json"], (
+        'negative_count,min_eigenvalue,entangled,negativity,log_negativity\n'
+        '1,-0.48,true,0.48,0.97085365434\n'
+    )),
+    "chsh": (["chsh"], (
+        'quantity,value\n'
+        'probability_form_local_max,3\n'
+        'correlator_form_local_max,2\n'
+        'correlator_form_local_min,-2\n'
+        'quantum_max,2.82842712475\n'
+    )),
+}
+
+# the JSON files the pinned ``bound`` and ``ppt`` runs read from their directory
+GOLDEN_INPUTS = {
+    "pi.json": ('{"n": 5, "alpha": "-7/3", "beta": "1/2", "gamma": 1, "delta": -1, '
+                '"epsilon": 1, "bound": 10, "bound_provenance": "closed-form", '
+                '"name": "pinned"}'),
+    "state.json": '{"dims": [2, 2], "re": [0.6, 0.0, 0.0, 0.8], "im": [0.0, 0.0, 0.0, 0.0]}',
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
-def test_seeded_stdout_matches_golden(name):
+def test_seeded_stdout_matches_golden(name, tmp_path):
     argv, expected = GOLDEN_STDOUT[name]
+    for file_name, text in GOLDEN_INPUTS.items():
+        (tmp_path / file_name).write_text(text)
     proc = subprocess.run(
-        [sys.executable, "-m", "bellscope.cli", *argv], capture_output=True, timeout=300,
+        [sys.executable, "-m", "bellscope.cli", *argv], cwd=tmp_path, capture_output=True,
+        timeout=300,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
     )

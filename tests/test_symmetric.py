@@ -9,34 +9,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellscope.correlations import (
-    Behavior,
-    DeterministicStrategy,
-    Scenario,
-    correlators_from_behavior,
-    is_nonsignalling,
-    local_bound_bruteforce,
-)
+from bellscope.correlations import DeterministicStrategy, local_bound_bruteforce
 from bellscope.numerics import seeded_generator
 from bellscope.symmetric import (
     PIBellExpression,
     StrategyCounts,
-    SymmetrizedCorrelators,
     classical_bound_symmetric,
-    correlators_of_counts,
     dicke_expression,
     expression_from_json,
     expression_to_json,
     murcia,
-    pi_to_functional,
     rioja,
     rioja_parity_ok,
 )
 
 from helpers import (
+    correlators_of_counts,
     five_tuple_of_assignment,
     pi_bound_candidate_scan,
     pi_bound_grid,
+    pi_functional_loops,
     pi_min_bruteforce,
 )
 
@@ -115,7 +107,7 @@ class TestClassicalBound:
                     delta=coeffs[3], epsilon=coeffs[4],
                 )
                 bound, _ = classical_bound_symmetric(expr)
-                rep = local_bound_bruteforce(pi_to_functional(expr))
+                rep = local_bound_bruteforce(pi_functional_loops(expr))
                 assert Fraction(bound) == -Fraction(rep.min_value)
 
     def test_exact_with_rational_coefficients(self):
@@ -144,7 +136,7 @@ class TestClassicalBound:
                 gamma=int(rng.integers(-3, 4)), delta=int(rng.integers(-3, 4)),
                 epsilon=int(rng.integers(-3, 4)),
             )
-            f = pi_to_functional(expr)
+            f = pi_functional_loops(expr)
             assignment = [
                 (int(rng.integers(2)) * 2 - 1, int(rng.integers(2)) * 2 - 1)
                 for _ in range(n)
@@ -365,7 +357,7 @@ class TestFunctionalBridge:
                 gamma=int(rng.integers(-3, 4)), delta=int(rng.integers(-3, 4)),
                 epsilon=int(rng.integers(-3, 4)),
             )
-            f = pi_to_functional(expr)
+            f = pi_functional_loops(expr)
             signs = [
                 (int(rng.integers(2)) * 2 - 1, int(rng.integers(2)) * 2 - 1)
                 for _ in range(n)
@@ -379,45 +371,6 @@ class TestFunctionalBridge:
             counts = StrategyCounts(a, b, c, n - a - b - c)
             want = expr.value(correlators_of_counts(counts))
             assert f.strategy_value(strat) == float(want)
-
-
-PI_COEFFICIENTS = st.one_of(
-    st.integers(-6, 6),
-    st.fractions(min_value=-6, max_value=6, max_denominator=12),
-)
-
-
-def pi_value_of_correlators(expr, corr):
-    """The PI value read off a CorrelatorSet: index 1 is setting 0, 2 setting 1."""
-    n, v = expr.n, corr.values
-    eye = np.eye(n, dtype=int)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return expr.value_float(SymmetrizedCorrelators(
-        sum(v[tuple(eye[i])] for i in range(n)),
-        sum(v[tuple(2 * eye[i])] for i in range(n)),
-        sum(v[tuple(eye[i] + eye[j])] for i, j in pairs),
-        sum(v[tuple(eye[i] + 2 * eye[j])] for i, j in pairs),
-        sum(v[tuple(2 * eye[i] + 2 * eye[j])] for i, j in pairs),
-    ))
-
-
-class TestFunctionalCompletion:
-    """On a signalling behavior the value depends on the context each
-    correlator is charged to; the functional must charge it where
-    ``correlators_from_behavior`` reads it, with absent parties on setting 0."""
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
-           coeffs=st.tuples(*[PI_COEFFICIENTS] * 5))
-    def test_value_on_signalling_behaviors_matches_correlators(self, n, seed, coeffs):
-        expr = PIBellExpression(n, *coeffs)
-        sc = Scenario(n, 2, 2)
-        rows = np.random.default_rng(seed).random((2**n, 2**n)) + 0.01
-        behavior = Behavior(sc, (rows / rows.sum(axis=1, keepdims=True)).reshape(sc.table_shape))
-        assert not is_nonsignalling(behavior)[0]
-        got = pi_to_functional(expr).value(behavior)
-        want = pi_value_of_correlators(expr, correlators_from_behavior(behavior))
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestExpressionJson:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from bellscope import collective, numerics
 from bellscope.collective import (
     _bell_slope,
-    bell_operator,
     bell_operator_bands,
     dicke_state,
     dicke_violation,
@@ -30,7 +29,12 @@ from bellscope.numerics import lowest_eigen_banded, scalar_minimize
 from bellscope.quantum import DensityOperator
 from bellscope.symmetric import PIBellExpression, dicke_expression, murcia
 
-from helpers import bell_operator_bands_explicit, grid_brent_minimize, pair_correlator
+from helpers import (
+    bell_operator_bands_explicit,
+    bell_operator_dense,
+    grid_brent_minimize,
+    pair_correlator,
+)
 
 COEFF = st.one_of(
     st.integers(-6, 6),
@@ -150,13 +154,13 @@ class TestHellmannFeynmanSlope:
         expr = expression(n, coeffs)
         h = 1e-5
         for theta in np.linspace(0.2, 2.9, 7):
-            w = np.linalg.eigvalsh(bell_operator(expr, theta))
+            w = np.linalg.eigvalsh(bell_operator_dense(expr, theta))
             scale = band_norm(bell_operator_bands(expr, theta))
             if w[1] - w[0] < 1e-3 * scale:
                 continue  # slope of a near-degenerate level is not defined
             _, vec = lowest_eigen_banded(bell_operator_bands(expr, theta))
             slope = _bell_slope(expr, theta, vec)
-            lam = [np.linalg.eigvalsh(bell_operator(expr, t))[0]
+            lam = [np.linalg.eigvalsh(bell_operator_dense(expr, t))[0]
                    for t in (theta - h, theta + h)]
             fd = (lam[1] - lam[0]) / (2 * h)
             assert slope == pytest.approx(fd, abs=1e-6 * scale)
