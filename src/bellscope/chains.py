@@ -1,7 +1,7 @@
 """Short spin chains: matrix-free Hamiltonians, ground states by Lanczos, block
 entropies, and thermal and classical Gibbs mutual information.
 
-Quantum entropies in this module default to base 2, except the thermal
+Entropies in this module are in bits, except the thermal
 mutual-information check, which works in nats: its bound carries no log
 factor, so it is only a theorem for the natural-log mutual information.
 """
@@ -219,8 +219,8 @@ def _require_no_overflow(value):
         raise ValueError("Lanczos overflowed the float range: the chain's terms are too large")
 
 
-def block_entropy_curve(psi, max_block=None, base=2):
-    """Entanglement entropy of the leftmost r sites, r = 1..max_block.
+def block_entropy_curve(psi, max_block=None):
+    """Entanglement entropy (bits) of the leftmost r sites, r = 1..max_block.
 
     The Schmidt values come from one QR chain per side of the middle
     (:func:`numerics._cut_singular_values`), which factors no cut beyond
@@ -237,7 +237,7 @@ def block_entropy_curve(psi, max_block=None, base=2):
     if not 1 <= max_block <= n - 1:
         raise ValueError(f"max_block must lie in 1..{n - 1}")
     spectra = _cut_singular_values(psi.amplitudes, d, n, max_block)
-    return np.array([_entropy_of_probs(s * s, base) for s in spectra])
+    return np.array([_entropy_of_probs(s * s, 2) for s in spectra])
 
 
 @dataclass
@@ -299,7 +299,7 @@ def thermal_mutual_info_check(ham, beta, cut):
     return _mi_report(mi, 2.0 * beta * hnorm * len(terms), hnorm, len(terms))
 
 
-def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=None):
+def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open"):
     """Shannon mutual information (bits) across a cut of a classical chain.
 
     Parameters
@@ -307,13 +307,11 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
     couplings : sequence of (d, d) arrays
         ``couplings[i][s, t]`` is the energy of sites (i, i+1) in states
         (s, t); a periodic chain's last entry couples (N-1, 0).  The
-        chain needs at least two sites.
+        chain needs at least two sites, and every entry must be finite.
     beta : float
         Finite, of either sign.
     cut : int
         Sites 0..cut-1 form block A.
-    fields : sequence of length-d arrays, optional
-        One per site.  Every coupling and field entry must be finite.
 
     Returns
     -------
@@ -336,12 +334,8 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
     _require_size("classical", "sites n", CLASSICAL_SITES, n)
     if not 1 <= cut <= n - 1:
         raise ValueError(f"cut must lie in 1..{n - 1}")
-    if fields is not None:
-        fields = [np.asarray(f, dtype=float) for f in fields]
-        if len(fields) != n or any(f.shape != (d,) for f in fields):
-            raise ValueError(f"need {n} fields of shape ({d},), one per site")
-    if not all(np.isfinite(t).all() for t in (*couplings, *(fields or ()))):
-        raise ValueError("couplings and fields must be finite")
+    if not all(np.isfinite(c).all() for c in couplings):
+        raise ValueError("couplings must be finite")
 
     energy = np.zeros((d,) * n)
     for i, c in enumerate(couplings):
@@ -353,10 +347,6 @@ def classical_gibbs_mutual_info(couplings, beta, cut, boundary="open", fields=No
             energy += c.reshape(shape)
         else:  # wrap-around: axis order in reshape is (j=0 ... i=n-1)
             energy += c.T.reshape(shape)
-    for i, f in enumerate(fields or ()):
-        shape = [1] * n
-        shape[i] = d
-        energy += f.reshape(shape)
 
     p = _boltzmann(energy, beta)
 

@@ -63,12 +63,6 @@ def _pair_axes(t):
     return t.transpose(order).reshape([t.shape[i] * t.shape[n + i] for i in range(n)])
 
 
-def _settings_first(t, m, d):
-    """Inverse of :func:`_pair_axes` on tables: ``(m*d,)*n`` to ``(m,)*n + (d,)*n``."""
-    n = t.ndim
-    return t.reshape((m, d) * n).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-
-
 def _one_hot(responses, d):
     """Rows selecting ``(x, responses[..., x])`` on a party's (x, a) axis."""
     r = np.asarray(responses)
@@ -129,12 +123,6 @@ class DeterministicStrategy:
 
     responses: tuple
 
-    def to_behavior(self, scenario):
-        m, d = scenario.settings, scenario.outcomes
-        rows = _one_hot(self.responses, d)
-        t = _map_parties(np.ones((1,) * len(rows)), rows[:, :, None])
-        return Behavior(scenario, _settings_first(t, m, d))
-
 
 @dataclass
 class BellFunctional:
@@ -164,12 +152,6 @@ class BellFunctional:
         if behavior.scenario != self.scenario:
             raise ValueError("behavior and functional live on different scenarios")
         return float(np.sum(self.coefficients * behavior.table) + self.offset)
-
-    def strategy_value(self, strategy):
-        """Exact value on a deterministic strategy (no table built)."""
-        rows = _one_hot(strategy.responses, self.scenario.outcomes)
-        total = _map_parties(_pair_axes(self.coefficients), rows[:, None, :])
-        return float(total.item() + self.offset)
 
 
 @dataclass
@@ -273,32 +255,25 @@ def qubit_observable(theta):
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def _local_expectations(rho, ops):
-    """``Tr(rho (E_1 x ... x E_n))`` for every choice of ``E_i`` in ``ops[i]``."""
-    # row k of party i's map, E_k^T flattened, traces its (ket, bra) axis
-    maps = [np.asarray(o, dtype=complex).transpose(0, 2, 1).reshape(len(o), -1) for o in ops]
-    return _map_parties(_pair_axes(rho.matrix.reshape(rho.dims * 2)), maps).real
-
-
-def chsh_quantum_demo(state=None):
-    """Best CHSH correlator of a two-qubit state over planar measurements.
+def chsh_quantum_demo():
+    """Best CHSH correlator of the maximally entangled two-qubit state over
+    planar measurements.
 
     In the (z, x) plane the correlator is bilinear, ``C(a, b) = u(a)^T T
     u(b)`` with ``u(t) = (cos t, sin t)`` and ``T`` the (z, x) block of the
     correlation matrix, so the optimum is ``2 ||T||_F`` (Horodecki,
     Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)): Bob measures at
     ``+-b`` with ``tan b = |T e_x| / |T e_z|``, and Alice along ``T e_z``
-    and ``T e_x``.  The default maximally entangled input gives the
-    Tsirelson value ``2 sqrt(2)``; product states stay at or below the
-    local bound 2.  Returns the value and the angles ``(a0, a1, b0, b1)``.
+    and ``T e_x``.  This gives the Tsirelson value ``2 sqrt(2)``.  Returns
+    the value and the angles ``(a0, a1, b0, b1)``.
     """
-    from .quantum import _as_density, max_entangled
+    from .quantum import max_entangled
 
-    state = _as_density(max_entangled(2) if state is None else state)
-    if state.dims != (2, 2):
-        raise ValueError(f"need a two-qubit state, got dims {state.dims}")
-    observables = [qubit_observable(0.0), qubit_observable(0.5 * math.pi)]
-    t = _local_expectations(state, [observables, observables])
+    rho = max_entangled(2).density().matrix.reshape(2, 2, 2, 2)
+    # row k of a party's map, E_k^T flattened, traces its (ket, bra) axis
+    observables = np.array([qubit_observable(0.0), qubit_observable(0.5 * math.pi)])
+    maps = [observables.transpose(0, 2, 1).reshape(2, -1)] * 2
+    t = _map_parties(_pair_axes(rho), maps).real
     # u(b0) + u(b1) = 2 cos(b) e_z and u(b0) - u(b1) = 2 sin(b) e_x
     b = math.atan2(np.linalg.norm(t[:, 1]), np.linalg.norm(t[:, 0]))
     angles = np.array([math.atan2(t[1, 0], t[0, 0]), math.atan2(t[1, 1], t[0, 1]), b, -b])

@@ -256,20 +256,17 @@ def canonical_residuals(mps):
 def truncate(psi, dmax, d=2):
     """Cap every bond at ``dmax``, reporting the squared truncation error.
 
-    Accepts a dense state (array or StateVector) or an existing MpsState.
-    The error is ``|| psi - P psi ||^2`` for the sequential Schmidt-space
-    projection P (the quantity the tail-sum bound controls); the returned
-    MPS is the renormalised projected state, again in canonical form, from
-    the single capped sweep of :func:`mps_from_dense`.  Each cut's kept
+    Accepts a dense state, as an array or a StateVector.  The error is
+    ``|| psi - P psi ||^2`` for the sequential Schmidt-space projection P
+    (the quantity the tail-sum bound controls); the returned MPS is the
+    renormalised projected state, again in canonical form, from the single
+    capped sweep of :func:`mps_from_dense`.  Each cut's kept
     left space lies inside the previous cut's kept space tensored with C^d,
     so ``psi - P psi`` is a sum of mutually orthogonal pieces, one per cut,
     and the error is the sum of the squared singular values the sweep
     discards: no cancellation, and exactly 0.0 when no cut drops a value.
     """
-    if isinstance(psi, MpsState):
-        amp, d = mps_to_dense(psi), psi.local_dim
-    else:
-        amp, d = _as_amplitudes(psi, d)
+    amp, d = _as_amplitudes(psi, d)
     truncated = mps_from_dense(amp, d=d, dmax=dmax)
     return truncated, truncated.discarded
 

@@ -85,10 +85,6 @@ class StateVector:
             raise ValueError(f"state vector is not normalised: |psi| = {nrm!r}")
         self.amplitudes = amp
 
-    @property
-    def dim(self):
-        return self.amplitudes.size
-
     def density(self):
         """Rank-one density operator |psi><psi|."""
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
@@ -131,10 +127,6 @@ class DensityOperator:
                 m /= np.trace(m).real
                 self.was_clipped = True
         self.matrix = m
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
     def eigenvalues(self):
         """Spectrum, ascending, clipped to be nonnegative."""

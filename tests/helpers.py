@@ -446,14 +446,11 @@ def _plain_mps_from_dense(psi, d=2, dmax=None):
 
 def two_sweep_truncate(psi, dmax, d=2):
     """``mps.truncate`` as two full left sweeps: project, then re-factor."""
-    from bellscope.mps import MpsState, _as_amplitudes, mps_to_dense
+    from bellscope.mps import _as_amplitudes
 
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
-    if isinstance(psi, MpsState):
-        amp, d = mps_to_dense(psi), psi.local_dim
-    else:
-        amp, d = _as_amplitudes(psi, d)
+    amp, d = _as_amplitudes(psi, d)
     projected = _plain_project_tails(amp, d, int(dmax))
     err2 = float(np.linalg.norm(amp - projected) ** 2)
     norm = np.linalg.norm(projected)
@@ -562,6 +559,31 @@ def strategy_table_loops(responses, m, d):
     for x in itertools.product(range(m), repeat=n):
         t[x + tuple(responses[i][x[i]] for i in range(n))] = 1.0
     return t
+
+
+def settings_first(t, m, d):
+    """``(m*d,)*n`` party-paired axes back to ``(m,)*n + (d,)*n``."""
+    n = t.ndim
+    return t.reshape((m, d) * n).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+
+
+def strategy_behavior(strategy, scenario):
+    """Behavior of a deterministic strategy, by one-hot rows party by party."""
+    from bellscope.correlations import Behavior, _map_parties, _one_hot
+
+    m, d = scenario.settings, scenario.outcomes
+    rows = _one_hot(strategy.responses, d)
+    t = _map_parties(np.ones((1,) * len(rows)), rows[:, :, None])
+    return Behavior(scenario, settings_first(t, m, d))
+
+
+def strategy_value(functional, strategy):
+    """Exact value on a deterministic strategy (no table built)."""
+    from bellscope.correlations import _map_parties, _one_hot, _pair_axes
+
+    rows = _one_hot(strategy.responses, functional.scenario.outcomes)
+    total = _map_parties(_pair_axes(functional.coefficients), rows[:, None, :])
+    return float(total.item() + functional.offset)
 
 
 def strategy_value_loops(coefficients, offset, responses):

@@ -7,8 +7,6 @@ guarantee does not hold, the test fails and its message carries the measured
 counterexample.
 """
 
-import itertools
-import json
 import math
 import subprocess
 import sys

@@ -482,12 +482,10 @@ class TestClassicalGibbs:
         rng = seeded_generator(13)
         d, n, beta, cut = 2, 4, 0.9, 2
         couplings = [rng.standard_normal((d, d)) for _ in range(n - 1)]
-        fields = [rng.standard_normal(d) for _ in range(n)]
-        report = classical_gibbs_mutual_info(couplings, beta, cut, fields=fields)
+        report = classical_gibbs_mutual_info(couplings, beta, cut)
         weights = {}
         for cfg in itertools.product(range(d), repeat=n):
             e = sum(couplings[i][cfg[i], cfg[i + 1]] for i in range(n - 1))
-            e += sum(fields[i][cfg[i]] for i in range(n))
             weights[cfg] = math.exp(-beta * e)
         z = sum(weights.values())
         pa, pb, pj = {}, {}, {}
@@ -540,24 +538,11 @@ class TestClassicalGibbs:
         with pytest.raises(ValueError, match=r"must all be \(d, d\) with one d >= 1"):
             classical_gibbs_mutual_info([coupling, coupling], 1.0, 1)
 
-    def test_too_many_fields_are_refused(self):
-        with pytest.raises(ValueError, match=r"need 3 fields of shape \(2,\), one per site"):
-            classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1, fields=[np.zeros(2)] * 4)
-
-    def test_too_few_fields_are_refused(self):
-        with pytest.raises(ValueError, match=r"need 3 fields of shape \(2,\), one per site"):
-            classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1, fields=[np.zeros(2)])
-        with pytest.raises(ValueError, match="one per site"):  # right count, wrong shape
-            classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1, fields=[np.zeros(3)] * 3)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_couplings_and_fields_are_refused(self, bad):
+    def test_non_finite_couplings_are_refused(self, bad):
         couplings = [np.zeros((2, 2)), np.array([[0.0, bad], [0.0, 0.0]])]
-        with pytest.raises(ValueError, match="couplings and fields must be finite"):
+        with pytest.raises(ValueError, match="couplings must be finite"):
             classical_gibbs_mutual_info(couplings, 1.0, 1)
-        with pytest.raises(ValueError, match="couplings and fields must be finite"):
-            classical_gibbs_mutual_info([np.zeros((2, 2))] * 2, 1.0, 1,
-                                        fields=[np.zeros(2), np.zeros(2), np.array([bad, 0.0])])
 
     def test_one_state_per_site_is_refused_past_the_numpy_axis_limit(self):
         # d = 1 passes the d^n check at any n, but the energy table has one

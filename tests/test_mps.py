@@ -189,24 +189,8 @@ class TestTruncation:
         amp = haar_vector(2**5, rng)
         m1, e1 = truncate(amp, 2)
         m2, e2 = truncate(StateVector((2,) * 5, amp), 2)
-        m3, e3 = truncate(mps_from_dense(amp), 2)
         assert e1 == pytest.approx(e2, abs=1e-14)
-        assert e1 == pytest.approx(e3, abs=1e-12)
-        v1 = mps_to_dense(m1)
-        assert abs(np.vdot(v1, mps_to_dense(m2))) >= 1 - 1e-12
-        assert abs(np.vdot(v1, mps_to_dense(m3))) >= 1 - 1e-10
-
-    def test_dense_input_matches_mps_input(self):
-        rng = seeded_generator(15)
-        states = [(haar_vector(2**6, rng), 2), (haar_vector(2**9, rng), 2),
-                  (haar_vector(3**4, rng), 3), (ghz(5), 2)]
-        for amp, d in states:
-            full = mps_from_dense(amp, d)
-            for dmax in (1, 2, 3, 8, amp.size):
-                m1, e1 = truncate(amp, dmax, d)
-                m2, e2 = truncate(full, dmax)
-                assert abs(e1 - e2) <= 1e-12
-                assert m1.bond_dimensions == m2.bond_dimensions
+        assert abs(np.vdot(mps_to_dense(m1), mps_to_dense(m2))) >= 1 - 1e-12
 
     def test_truncated_state_is_canonical(self):
         rng = seeded_generator(14)
@@ -328,7 +312,7 @@ class TestBondCap:
 
     @pytest.mark.parametrize("dmax", [0, -3, 2.7])
     def test_truncate_refuses_through_the_same_rule(self, dmax):
-        for psi in (ghz(4), mps_from_dense(ghz(4))):
+        for psi in (ghz(4), StateVector((2,) * 4, ghz(4))):
             with pytest.raises(ValueError, match="^dmax must be at least 1"):
                 truncate(psi, dmax)
 

@@ -153,6 +153,16 @@ GOLDEN_STDOUT = {
         'match,false\n'
         'witness_counts,0|3|2|0\n'
     )),
+    # captured before the test-only members of correlations left src/
+    "bound-functional": (["bound", "--expr", "chsh.json"], (
+        'quantity,value\n'
+        'local_max,2\n'
+        'local_min,-2\n'
+    )),
+    "bound-ti": (["bound", "--expr", "ti.json"], (
+        'quantity,value\n'
+        'beta_c,101/6\n'
+    )),
     "murcia": (["murcia", "--n", "9"], (
         'n,alpha,beta,gamma,delta,epsilon,bound_closed,bound_enum,match\n'
         '9,-2,0,1,-1,1,18,18,true\n'
@@ -190,6 +200,28 @@ GOLDEN_INPUTS = {
                 '"epsilon": 1, "bound": 10, "bound_provenance": "closed-form", '
                 '"name": "pinned"}'),
     "state.json": '{"dims": [2, 2], "re": [0.6, 0.0, 0.0, 0.8], "im": [0.0, 0.0, 0.0, 0.0]}',
+    # the CHSH correlator functional, as correlations.expression_to_json writes it
+    "chsh.json": ('{"kind": "functional", "scenario": {"parties": 2, "settings": 2, '
+                  '"outcomes": 2}, "offset": 0.0, "direction": "<=", "bound": 2.0, '
+                  '"name": "chsh-correlator", "coefficients": ['
+                  '{"settings": [0, 0], "outcomes": [0, 0], "value": 1.0}, '
+                  '{"settings": [0, 0], "outcomes": [0, 1], "value": -1.0}, '
+                  '{"settings": [0, 0], "outcomes": [1, 0], "value": -1.0}, '
+                  '{"settings": [0, 0], "outcomes": [1, 1], "value": 1.0}, '
+                  '{"settings": [0, 1], "outcomes": [0, 0], "value": 1.0}, '
+                  '{"settings": [0, 1], "outcomes": [0, 1], "value": -1.0}, '
+                  '{"settings": [0, 1], "outcomes": [1, 0], "value": -1.0}, '
+                  '{"settings": [0, 1], "outcomes": [1, 1], "value": 1.0}, '
+                  '{"settings": [1, 0], "outcomes": [0, 0], "value": 1.0}, '
+                  '{"settings": [1, 0], "outcomes": [0, 1], "value": -1.0}, '
+                  '{"settings": [1, 0], "outcomes": [1, 0], "value": -1.0}, '
+                  '{"settings": [1, 0], "outcomes": [1, 1], "value": 1.0}, '
+                  '{"settings": [1, 1], "outcomes": [0, 0], "value": -1.0}, '
+                  '{"settings": [1, 1], "outcomes": [0, 1], "value": 1.0}, '
+                  '{"settings": [1, 1], "outcomes": [1, 0], "value": 1.0}, '
+                  '{"settings": [1, 1], "outcomes": [1, 1], "value": -1.0}]}'),
+    "ti.json": ('{"kind": "ti", "parties": 5, "alpha": 1, "beta": "-1/3", "gamma": [1, -1], '
+                '"epsilon": [0, 2], "omega": [1, 0, "3/2", -1]}'),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellscope.correlations import DeterministicStrategy, local_bound_bruteforce
+from bellscope.correlations import local_bound_bruteforce
 from bellscope.numerics import seeded_generator
 from bellscope.symmetric import (
     PIBellExpression,
@@ -30,6 +30,7 @@ from helpers import (
     pi_bound_grid,
     pi_functional_loops,
     pi_min_bruteforce,
+    strategy_value_loops,
 )
 
 
@@ -144,12 +145,8 @@ class TestClassicalBound:
             base = None
             for perm in itertools.islice(itertools.permutations(range(n)), 10):
                 permuted = [assignment[p] for p in perm]
-                strat = DeterministicStrategy(
-                    tuple(
-                        ((1 - m0) // 2, (1 - m1) // 2) for m0, m1 in permuted
-                    )
-                )
-                v = f.strategy_value(strat)
+                responses = tuple(((1 - m0) // 2, (1 - m1) // 2) for m0, m1 in permuted)
+                v = strategy_value_loops(f.coefficients, f.offset, responses)
                 if base is None:
                     base = v
                 assert v == base
@@ -362,15 +359,13 @@ class TestFunctionalBridge:
                 (int(rng.integers(2)) * 2 - 1, int(rng.integers(2)) * 2 - 1)
                 for _ in range(n)
             ]
-            strat = DeterministicStrategy(
-                tuple(((1 - m0) // 2, (1 - m1) // 2) for m0, m1 in signs)
-            )
+            responses = tuple(((1 - m0) // 2, (1 - m1) // 2) for m0, m1 in signs)
             a = sum(1 for s in signs if s == (1, 1))
             b = sum(1 for s in signs if s == (1, -1))
             c = sum(1 for s in signs if s == (-1, 1))
             counts = StrategyCounts(a, b, c, n - a - b - c)
             want = expr.value(correlators_of_counts(counts))
-            assert f.strategy_value(strat) == float(want)
+            assert strategy_value_loops(f.coefficients, f.offset, responses) == float(want)
 
 
 class TestExpressionJson:
