@@ -366,7 +366,9 @@ def _cmd_thermal_mi(args):
     ham = _thermal_chain(args)
     reps = [chains.thermal_mutual_info_check(ham, beta, args.cut) for beta in args.beta]
     rows = [(beta, r.mutual_info, r.bound, r.ok) for beta, r in zip(args.beta, reps)]
-    return ["beta", "mutual_info", "bound", "ok"], rows, None
+    # each bound is 2 beta ||h|| |dA|; ||h|| and |dA| do not depend on beta
+    return ["beta", "mutual_info", "bound", "ok"], rows, dict(
+        boundary_norm=reps[0].boundary_norm, crossing_terms=reps[0].crossing_terms)
 
 
 def _cmd_gibbs_mi(args):

@@ -278,8 +278,8 @@ def max_violation(expr, tol=1e-6, grid_points=256, start=None):
     """
     if expr.bound is None:
         raise ValueError(
-            "expression has no classical bound; set one (closed form or "
-            "classical_bound_symmetric) before asking for violations"
+            "expression has no classical bound; build it with bound= (a closed form, "
+            "or classical_bound_symmetric(expr)[0]) before asking for violations"
         )
     beta_c = float(expr.bound)
     m = expr.n + 1

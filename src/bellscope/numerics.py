@@ -402,8 +402,12 @@ def lowest_eigen_banded(bands):
     * ``n >= INERTIA_CROSSOVER``: Sylvester-inertia bisection with inverse
       iteration (:func:`_lowest_by_inertia`), O(n b^2) per step.
 
-    The split sits where ``sbevx``'s O(n^2) band-to-tridiagonal reduction
-    overtakes the 10 to 14 O(n b^2) factorisations of the inertia path.
+    The split is not where the two cost the same: ``sbevx``'s O(n^2)
+    band-to-tridiagonal reduction overtakes the 10 to 14 O(n b^2)
+    factorisations of the inertia path from order about 130 (murcia bands,
+    one BLAS thread, 2-vCPU Xeon: 221 against 183 us at order 130, 634
+    against 211 us at order 199).  It stays at 200 because moving it
+    would change the printed digits of every order in between.
 
     Accuracy contract: below the crossover, the backward-stable LAPACK
     result.  From the crossover up, ``w`` is the upper end of a bracket

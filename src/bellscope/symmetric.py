@@ -11,6 +11,10 @@ the value depends only on how many parties pick each of the four sign pairs,
 so the classical bound reduces to a minimum over occupation counts instead
 of 4^n strategies.  All bound computations are exact (integer or rational
 arithmetic).
+
+The three records, ``StrategyCounts``, ``SymmetrizedCorrelators`` and
+``PIBellExpression``, are immutable named tuples that compare as tuples;
+``_replace`` builds a changed copy and checks it as the constructor does.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -38,44 +42,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StrategyCounts:
+class StrategyCounts(namedtuple("StrategyCounts", "a b c d")):
     """Occupation counts of the four deterministic sign pairs.
 
     ``a, b, c, d`` count parties answering (+,+), (+,-), (-,+), (-,-) on
     (setting 0, setting 1); they are nonnegative and sum to n.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) < 0:
             raise ValueError(f"counts must be nonnegative: {self}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
     @property
     def n(self):
         return self.a + self.b + self.c + self.d
 
 
-@dataclass(frozen=True)
-class SymmetrizedCorrelators:
+class SymmetrizedCorrelators(namedtuple("SymmetrizedCorrelators", "s0 s1 s00 s01 s11")):
     """The five permutation-invariant moments (S0, S1, S00, S01, S11)."""
 
-    s0: float
-    s1: float
-    s00: float
-    s01: float
-    s11: float
-
-    def as_tuple(self):
-        return (self.s0, self.s1, self.s00, self.s01, self.s11)
+    __slots__ = ()
 
 
-@dataclass
-class PIBellExpression:
+class PIBellExpression(namedtuple("PIBellExpression", "n alpha beta gamma delta epsilon "
+                                  "bound bound_provenance name", defaults=(None, "", ""))):
     """Permutationally invariant two-body expression for n parties.
 
     The inequality reads ``I >= -bound`` for all local deterministic
@@ -83,34 +79,30 @@ class PIBellExpression:
     closed form or from enumeration.
     """
 
-    n: int
-    alpha: object
-    beta: object
-    gamma: object
-    delta: object
-    epsilon: object
-    bound: object = None
-    bound_provenance: str = ""
-    name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 2:
             raise ValueError("two-body sums need at least two parties")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
     def coefficients(self):
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
 
     def value(self, corr):
         """Evaluate on symmetrized correlators (exact if inputs are exact)."""
-        if _all_rational(self.coefficients()) and _all_rational(corr.as_tuple()):
+        if _all_rational(self.coefficients()) and _all_rational(corr):
             a, b, g, d, e = (Fraction(v) for v in self.coefficients())
-            s0, s1, s00, s01, s11 = corr.as_tuple()
+            s0, s1, s00, s01, s11 = corr
             return a * s0 + b * s1 + g * s00 / 2 + d * s01 + e * s11 / 2
         return self.value_float(corr)
 
     def value_float(self, corr):
         a, b, g, d, e = (float(v) for v in self.coefficients())
-        s0, s1, s00, s01, s11 = corr.as_tuple()
+        s0, s1, s00, s01, s11 = corr
         return a * s0 + b * s1 + g * s00 / 2.0 + d * s01 + e * s11 / 2.0
 
 

@@ -893,23 +893,30 @@ class TestOutputsAndReproducibility:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    # the exact commands compute in integers and Fractions: no numpy, and
+    # no dataclasses, whose import pulls in inspect, ast, dis and tokenize
+    EXACT_UNNEEDED = {"numpy", "dataclasses", "inspect"}
+
     @pytest.mark.parametrize("argv, needed, unneeded", [
-        (["--version"], {"bellscope.cli"}, {"numpy"}),
-        (["--help"], {"bellscope.cli"}, {"numpy"}),
-        (["bound", "--expr", "{pi}"], {"bellscope.symmetric"}, {"numpy"}),
-        (["rioja", "--x", "1", "--y", "2", "--sigma", "1", "--mu", "0", "--n", "5",
-          "--verify"], {"bellscope.symmetric"}, {"numpy"}),
-        (["murcia", "--n", "7"], {"bellscope.symmetric"}, {"numpy"}),
+        (["--version"], {"bellscope.cli"}, EXACT_UNNEEDED),
+        (["--help"], {"bellscope.cli"}, EXACT_UNNEEDED),
+        (["bound", "--expr", "{pi}"], {"bellscope.symmetric"}, EXACT_UNNEEDED),
+        (["rioja", "--x", "1", "--y", "2", "--sigma", "1", "--mu", "1", "--n", "5",
+          "--verify"], {"bellscope.symmetric"}, EXACT_UNNEEDED),
+        (["rioja", "--x", "1", "--y", "2", "--sigma", "1", "--mu", "1", "--n", "5",
+          "--branch", "minus", "--verify"], {"bellscope.symmetric"}, EXACT_UNNEEDED),
+        (["murcia", "--n", "7"], {"bellscope.symmetric"}, EXACT_UNNEEDED),
         (["scan", "--family", "murcia", "--n-max", "6"],
          {"numpy", "bellscope.collective"},
          {"bellscope.quantum", "bellscope.chains", "bellscope.mps", "bellscope.correlations"}),
         (["page", "--m", "2", "--n", "4", "--samples", "10"],
          {"numpy", "bellscope.quantum"},
          {"bellscope.collective", "bellscope.symmetric", "bellscope.chains"}),
-    ], ids=["version", "help", "bound", "rioja", "murcia", "scan", "page"])
+    ], ids=["version", "help", "bound", "rioja", "rioja-minus", "murcia", "scan", "page"])
     def test_commands_load_only_what_they_run(self, tmp_path, argv, needed, unneeded):
-        # a submodule the CLI has not touched yet is an unexecuted lazy
-        # module object; it becomes a plain module once its code has run
+        # every module that has run, standard library included; a submodule
+        # the CLI has not touched yet is an unexecuted lazy module object,
+        # and becomes a plain module once its code has run
         pi = tmp_path / "pi.json"
         pi.write_text(json.dumps(pi_to_json(murcia(7))))
         argv = [a.format(pi=pi) for a in argv]
@@ -917,13 +924,16 @@ class TestOutputsAndReproducibility:
             argv += ["--out", str(tmp_path / "out.csv")]
         code = ("import json, sys, types\n"
                 "from bellscope.cli import main\n"
-                "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-                "print(json.dumps([n for n, m in sys.modules.items() if n.split('.')[0] in "
-                "('numpy', 'bellscope') and type(m) is types.ModuleType]))")
+                "try:\n    status = main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+                "    status = exc.code\n"
+                "print(json.dumps([status, [n for n, m in sys.modules.items() "
+                "if type(m) is types.ModuleType]]))")
         proc = subprocess.run([sys.executable, "-c", code, *argv],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        status, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert status == 0, proc.stderr
+        loaded = set(loaded)
         assert needed <= loaded and not unneeded & loaded, sorted(loaded)
 
     def test_import_bellscope_runs_no_submodule(self):
@@ -969,6 +979,19 @@ class TestOutputsAndReproducibility:
         sidecar = json.loads(open(out + ".run.json").read())
         assert sidecar["ground_energy"] < 0.0
         assert 0.0 <= sidecar["ground_residual"] <= 1e-9
+
+    def test_thermal_mi_sidecar_records_the_bound_inputs(self, capsys, tmp_path):
+        out = str(tmp_path / "thermal.csv")
+        assert main(["thermal-mi", "--sites", "6", "--cut", "3", "--boundary", "periodic",
+                     "--beta", "0.5,2", "--out", out]) == 0
+        capsys.readouterr()
+        sidecar = json.loads(open(out + ".run.json").read())
+        # a Heisenberg bond (J/4) sigma.sigma has norm 3J/4; a periodic cut crosses two bonds
+        assert sidecar["boundary_norm"] == pytest.approx(0.75, rel=1e-12)
+        assert sidecar["crossing_terms"] == 2
+        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        assert [float(bound) for _, _, bound, _ in rows] == pytest.approx(
+            [2 * float(beta) * sidecar["boundary_norm"] * 2 for beta, _, _, _ in rows], rel=1e-11)
 
     def test_module_invocation(self):
         proc = subprocess.run(

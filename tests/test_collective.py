@@ -19,7 +19,8 @@ from bellscope.collective import (
     theta_sweep,
 )
 from bellscope.numerics import lowest_eigen_banded, seeded_generator
-from bellscope.symmetric import PIBellExpression, dicke_expression, murcia
+from bellscope.symmetric import (PIBellExpression, classical_bound_symmetric,
+                                 dicke_expression, murcia)
 
 from helpers import (
     SX,
@@ -192,13 +193,13 @@ class TestSymmetrizedCorrelators:
                         s11 += ev(embed(m1, i, n) @ embed(m1, j, n))
                 got = symmetrized_correlators(state, theta)
                 want = (s0, s1, s00, s01, s11)
-                assert np.allclose(got.as_tuple(), want, atol=1e-9), (n, theta)
+                assert np.allclose(got, want, atol=1e-9), (n, theta)
 
     def test_polarised_state_values(self):
         # all spins up: every correlator is its classical all-plus value
         n = 5
         got = symmetrized_correlators(dicke_state(n, 0), 0.0)
-        assert np.allclose(got.as_tuple(), (n, n, n * n - n, n * n - n, n * n - n))
+        assert np.allclose(got, (n, n, n * n - n, n * n - n, n * n - n))
 
     def test_theta_zero_collapses_settings(self):
         rng = seeded_generator(11)
@@ -371,8 +372,13 @@ class TestMaxViolation:
 
     def test_missing_bound_rejected(self):
         expr = PIBellExpression(n=4, alpha=0, beta=0, gamma=1, delta=0, epsilon=1)
-        with pytest.raises(ValueError, match="bound"):
+        with pytest.raises(ValueError, match="bound") as info:
             max_violation(expr)
+        # the record is immutable, so the refusal says how to build one with a bound
+        assert "build it with bound=" in str(info.value)
+        assert "classical_bound_symmetric(expr)[0]" in str(info.value)
+        mv = max_violation(expr._replace(bound=classical_bound_symmetric(expr)[0]))
+        assert mv.bound == 4.0 and mv.violation <= 1e-9
 
     def test_large_n_banded_path(self):
         mv = max_violation(murcia(800), grid_points=64)

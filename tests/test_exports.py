@@ -294,7 +294,7 @@ def test_readme_says_what_each_library_only_function_is_for():
 
 #: The ROADMAP's ceiling on code lines in ``src/bellscope``; the PRs of its
 #: directions 1, 3 and 8 raise it by exactly the lines they declare.
-CODE_LINE_CEILING = 2032
+CODE_LINE_CEILING = 2020
 
 
 def code_lines(source):

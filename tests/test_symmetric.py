@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -52,17 +54,17 @@ def all_counts(n):
 class TestCorrelatorsOfCounts:
     def test_all_plus(self):
         got = correlators_of_counts(StrategyCounts(3, 0, 0, 0))
-        assert got.as_tuple() == (3, 3, 6, 6, 6)
+        assert got == (3, 3, 6, 6, 6)
 
     def test_two_party_mixed(self):
         got = correlators_of_counts(StrategyCounts(1, 0, 0, 1))
-        assert got.as_tuple() == (0, 0, -2, -2, -2)
+        assert got == (0, 0, -2, -2, -2)
 
     def test_exhaustive_against_assignment_oracle(self):
         for n in range(1, 9):
             for counts in all_counts(n):
                 want = five_tuple_of_assignment(counts_assignment(counts))
-                assert correlators_of_counts(counts).as_tuple() == want
+                assert correlators_of_counts(counts) == want
 
     def test_random_large_counts_against_oracle(self):
         rng = seeded_generator(3)
@@ -74,17 +76,42 @@ class TestCorrelatorsOfCounts:
                 int(splits[2] - splits[1]), int(n - splits[2]),
             )
             want = five_tuple_of_assignment(counts_assignment(counts))
-            assert correlators_of_counts(counts).as_tuple() == want
+            assert correlators_of_counts(counts) == want
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            StrategyCounts(-1, 1, 0, 0)
+        # every way a record can be built runs the check, with one message
+        unchecked = tuple.__new__(StrategyCounts, (-1, 1, 0, 0))
+        builds = [lambda: StrategyCounts(-1, 1, 0, 0),
+                  lambda: StrategyCounts(a=-1, b=1, c=0, d=0),
+                  lambda: StrategyCounts._make([-1, 1, 0, 0]),
+                  lambda: StrategyCounts(0, 1, 0, 0)._replace(a=-1),
+                  lambda: copy.copy(unchecked),
+                  lambda: pickle.loads(pickle.dumps(unchecked))]
+        for build in builds:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == (
+                "counts must be nonnegative: StrategyCounts(a=-1, b=1, c=0, d=0)")
+
+
+class TestRecords:
+    def test_records_are_immutable(self):
+        records = [StrategyCounts(1, 0, 0, 1), correlators_of_counts(StrategyCounts(1, 0, 0, 1)),
+                   murcia(4)]
+        for record, field in zip(records, ("a", "s0", "bound")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                record.note = "a record has no room for new attributes"
 
 
 class TestClassicalBound:
     def test_known_bounds(self):
         assert classical_bound_symmetric(murcia(7))[0] == 14
         assert classical_bound_symmetric(dicke_expression(4))[0] == 18
+        witness = classical_bound_symmetric(murcia(7))[1]
+        assert repr(witness) == "StrategyCounts(a=0, b=4, c=3, d=0)"
+        assert witness == StrategyCounts(0, 4, 3, 0) and witness.n == 7
 
     def test_witness_attains_bound(self):
         rng = seeded_generator(5)
@@ -263,8 +290,19 @@ class TestRiojaFamily:
             assert type(member.bound) is type(reference.bound) is Fraction
             assert member.bound_provenance == reference.bound_provenance
             assert reference.name == f"murcia(n={n})"
-        with pytest.raises(ValueError, match="at least two parties"):
-            murcia(1)
+        coeffs = dict(alpha=-2, beta=0, gamma=1, delta=-1, epsilon=1)
+        unchecked = tuple.__new__(PIBellExpression, (1, *coeffs.values(), None, "", ""))
+        builds = [lambda: murcia(1),
+                  lambda: PIBellExpression(1, -2, 0, 1, -1, 1),
+                  lambda: PIBellExpression(n=1, **coeffs),
+                  lambda: PIBellExpression._make([1, -2, 0, 1, -1, 1, None, "", ""]),
+                  lambda: murcia(2)._replace(n=1),
+                  lambda: copy.copy(unchecked),
+                  lambda: pickle.loads(pickle.dumps(unchecked))]
+        for build in builds:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == "two-body sums need at least two parties"
 
     def test_unit_xy_bound_is_2n(self):
         for n in (2, 7, 20):
@@ -375,6 +413,8 @@ class TestExpressionJson:
         back = expression_from_json(doc)
         assert back.coefficients() == expr.coefficients()
         assert back.bound == expr.bound and back.n == 9
+        for expr in (murcia(9), rioja(1, 2, 1, 1, 5), rioja(2, 1, -1, 1, 6, branch="minus")):
+            assert expression_from_json(expression_to_json(expr)) == expr
 
     def test_round_trip_rational(self):
         expr = dicke_expression(5)  # delta = 5/2
@@ -382,6 +422,7 @@ class TestExpressionJson:
         back = expression_from_json(doc)
         assert back.delta == Fraction(5, 2)
         assert back.bound == expr.bound
+        assert back == expr == expression_from_json(expression_to_json(expr))
 
     def test_bound_provenance_preserved(self):
         expr = murcia(4)
