@@ -1,5 +1,5 @@
-"""Bell scenarios: behaviors, deterministic strategies, Bell functionals,
-brute-force local bounds, and translation-invariant ring expressions.
+"""Bell scenarios: behaviors, Bell functionals, brute-force local bounds over
+deterministic strategies, and translation-invariant ring expressions.
 
 Conventions
 -----------
@@ -24,7 +24,6 @@ from .symmetric import number_from_json, number_to_json, to_common_denominator
 __all__ = [
     "Scenario",
     "Behavior",
-    "DeterministicStrategy",
     "BellFunctional",
     "TIExpression",
     "BoundReport",
@@ -117,13 +116,6 @@ class Behavior:
         self.table = t
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Local deterministic strategy: ``responses[i][x]`` is party i's outcome."""
-
-    responses: tuple
-
-
 @dataclass
 class BellFunctional:
     """Linear functional sum_{x,a} c(a,x) P(a|x) + offset.
@@ -156,43 +148,30 @@ class BellFunctional:
 
 @dataclass
 class BoundReport:
-    """Exact deterministic extremes of a functional, with witnesses."""
+    """Exact deterministic extremes of a functional."""
 
     max_value: float
-    max_strategy: DeterministicStrategy
     min_value: float
-    min_strategy: DeterministicStrategy
 
 
 def local_bound_bruteforce(functional):
     """Exact local (LHV) extremes by full deterministic enumeration.
 
     Covers all ``d**(m*n)`` response assignments, at most ``TABLE_GUARD``, and
-    returns both the maximum and the minimum with witnessing strategies:
-    mixtures of deterministic points can never leave ``[min, max]``.
+    returns both the maximum and the minimum: mixtures of deterministic
+    points can never leave ``[min, max]``.
 
     Each party's ``d**m`` response functions are one-hot rows on its (x, a)
-    axis, so one :func:`_map_parties` values every strategy.  Ties go to the
-    first strategy in lexicographic per-party order.
+    axis, so one :func:`_map_parties` values every strategy.
     """
     sc = functional.scenario
     n, m, d = sc.parties, sc.settings, sc.outcomes
     _require_size("enumeration", "strategies d^(m n)", TABLE_GUARD, d, m * n)
-    per_party = np.indices((d,) * m).reshape(m, -1).T  # lexicographic
+    per_party = np.indices((d,) * m).reshape(m, -1).T
     select = _one_hot(per_party, d)
-    values = _map_parties(_pair_axes(functional.coefficients), [select] * n).reshape(-1)
-
-    def witness(flat_index):
-        ks = np.unravel_index(flat_index, (d**m,) * n)
-        return DeterministicStrategy(tuple(tuple(map(int, per_party[k])) for k in ks))
-
-    i_max = int(np.argmax(values))
-    i_min = int(np.argmin(values))
+    values = _map_parties(_pair_axes(functional.coefficients), [select] * n)
     off = functional.offset
-    return BoundReport(
-        float(values[i_max] + off), witness(i_max),
-        float(values[i_min] + off), witness(i_min),
-    )
+    return BoundReport(float(values.max() + off), float(values.min() + off))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ Conventions
   explicit ``base`` argument.  The Haar-average experiment reports natural
   log, matching the asymptotic formula it is checked against.
 * Density operators are validated on construction; eigenvalues in
-  ``[-1e-10, 0)`` are clipped to zero (recorded in ``was_clipped``), anything
-  more negative is rejected.
+  ``[-1e-10, 0)`` are clipped to zero, anything more negative is rejected.
+* The entanglement measures act on states of exactly two factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,13 +97,11 @@ class DensityOperator:
 
     Validation checks Hermiticity (1e-12 relative), unit trace (1e-10) and
     positivity: eigenvalues below ``-1e-10`` raise, eigenvalues in
-    ``[-1e-10, 0)`` are clipped to zero and the operator renormalised, with
-    ``was_clipped`` set so callers can tell repaired inputs apart.
+    ``[-1e-10, 0)`` are clipped to zero and the operator renormalised.
     """
 
     dims: tuple
     matrix: np.ndarray
-    was_clipped: bool = field(default=False)
 
     def __init__(self, dims, matrix, validate=True):
         self.dims = _as_dims(dims)
@@ -111,7 +109,6 @@ class DensityOperator:
         d = math.prod(self.dims)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
-        self.was_clipped = False
         if validate:
             tr = complex(np.trace(m))
             if abs(tr - 1.0) > NORM_TOL:
@@ -125,7 +122,6 @@ class DensityOperator:
                 w = np.clip(w, 0.0, None)
                 m = (v * w) @ v.conj().T
                 m /= np.trace(m).real
-                self.was_clipped = True
         self.matrix = m
 
     def eigenvalues(self):
@@ -153,7 +149,6 @@ class SchmidtData:
 class PPTReport:
     """Outcome of the positive-partial-transpose test."""
 
-    eigenvalues: np.ndarray
     negative_count: int
     min_eigenvalue: float
     entangled: bool
@@ -195,27 +190,20 @@ def haar_state(m, n, rng):
     return StateVector((m, n), _haar_rows(1, m * n, rng)[0])
 
 
-def _bipartition(state, bipartition):
-    if bipartition is not None:
-        m, n = int(bipartition[0]), int(bipartition[1])
-    elif len(state.dims) == 2:
-        m, n = state.dims
-    else:
-        raise ValueError("state is not bipartite; pass bipartition=(m, n)")
-    if m * n != math.prod(state.dims):
-        raise ValueError(
-            f"bipartition {m}x{n} does not match total dimension {math.prod(state.dims)}"
-        )
-    return m, n
+def _bipartition(state):
+    """The factor dimensions ``(m, n)`` of a state of exactly two factors."""
+    if len(state.dims) != 2:
+        raise ValueError(f"need a state of two factors, got dims {state.dims}")
+    return state.dims
 
 
-def schmidt_decompose(psi, bipartition=None):
-    """Schmidt decomposition across an (m, n) bipartition.
+def schmidt_decompose(psi):
+    """Schmidt decomposition of a pure state with ``dims = (m, n)``.
 
     The amplitude vector is reshaped to an m x n matrix (A slow) and an SVD
     taken; singular values are the Schmidt coefficients.
     """
-    m, n = _bipartition(psi, bipartition)
+    m, n = _bipartition(psi)
     mat = psi.amplitudes.reshape(m, n)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0  # s descends
@@ -227,7 +215,7 @@ def _as_density(rho):
     return rho.density() if isinstance(rho, StateVector) else rho
 
 
-def partial_trace(rho, keep, bipartition=None):
+def partial_trace(rho, keep):
     """Trace out one side of a bipartite density operator.
 
     Parameters
@@ -236,7 +224,7 @@ def partial_trace(rho, keep, bipartition=None):
         Which subsystem survives.
     """
     rho = _as_density(rho)
-    m, n = _bipartition(rho, bipartition)
+    m, n = _bipartition(rho)
     r = rho.matrix.reshape(m, n, m, n)
     if keep in ("A", 0):
         out = np.einsum("imjm->ij", r)
@@ -249,10 +237,10 @@ def partial_trace(rho, keep, bipartition=None):
     return DensityOperator(dims, out, validate=False)
 
 
-def partial_transpose(rho, side="B", bipartition=None):
+def partial_transpose(rho, side="B"):
     """Partial transpose on one tensor factor."""
     rho = _as_density(rho)
-    m, n = _bipartition(rho, bipartition)
+    m, n = _bipartition(rho)
     r = rho.matrix.reshape(m, n, m, n)
     if side in ("A", 0):
         r = r.transpose(2, 1, 0, 3)
@@ -263,16 +251,15 @@ def partial_transpose(rho, side="B", bipartition=None):
     return r.reshape(m * n, m * n)
 
 
-def ppt_report(rho, side="B", bipartition=None, tol=1e-10):
-    """Spectrum of the partial transpose and the resulting verdict.
+def ppt_report(rho, side="B", tol=1e-10):
+    """The PPT verdict and negativity from the spectrum of the partial transpose.
 
     A pure state of Schmidt rank r yields exactly r(r-1)/2 negative
     eigenvalues; any eigenvalue below ``-tol`` certifies entanglement.
     """
-    pt = partial_transpose(rho, side=side, bipartition=bipartition)
+    pt = partial_transpose(rho, side=side)
     w, _ = hermitian_eigen(pt)
     return PPTReport(
-        eigenvalues=w,
         negative_count=int(np.count_nonzero(w < -tol)),
         min_eigenvalue=float(w[0]),
         entangled=bool(w[0] < -tol),
@@ -280,14 +267,15 @@ def ppt_report(rho, side="B", bipartition=None, tol=1e-10):
     )
 
 
-def negativity(rho, side="B", bipartition=None):
-    """Entanglement negativity: total weight of negative PT eigenvalues."""
-    return ppt_report(rho, side=side, bipartition=bipartition).negativity
+def negativity(rho):
+    """Entanglement negativity: total weight of negative PT eigenvalues.
+    PT_A is the full transpose of PT_B, so either side gives it."""
+    return ppt_report(rho).negativity
 
 
-def log_negativity(rho, side="B", bipartition=None):
+def log_negativity(rho):
     """Logarithmic negativity log2(2 N + 1) = log2 ||rho^T_B||_1."""
-    return math.log2(2.0 * negativity(rho, side=side, bipartition=bipartition) + 1.0)
+    return math.log2(2.0 * negativity(rho) + 1.0)
 
 
 def _entropy_of_probs(p, base, alpha=1):
@@ -332,11 +320,10 @@ def renyi_entropy(rho, alpha, base=2):
     return _entropy_of_probs(p, base, alpha)
 
 
-def mutual_information(rho, bipartition=None, base=2):
+def mutual_information(rho, base=2):
     """Mutual information I(A:B) = S(A) + S(B) - S(AB)."""
-    m, n = _bipartition(rho, bipartition)
-    rho_a = partial_trace(rho, "A", (m, n))
-    rho_b = partial_trace(rho, "B", (m, n))
+    rho_a = partial_trace(rho, "A")
+    rho_b = partial_trace(rho, "B")
     return vn_entropy(rho_a, base) + vn_entropy(rho_b, base) - vn_entropy(rho, base)
 
 

@@ -7,6 +7,7 @@ checked against code with no shared machinery.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -567,6 +568,13 @@ def settings_first(t, m, d):
     return t.reshape((m, d) * n).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
 
 
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """Local deterministic strategy: ``responses[i][x]`` is party i's outcome."""
+
+    responses: tuple
+
+
 def strategy_behavior(strategy, scenario):
     """Behavior of a deterministic strategy, by one-hot rows party by party."""
     from bellscope.correlations import Behavior, _map_parties, _one_hot
@@ -597,8 +605,7 @@ def strategy_value_loops(coefficients, offset, responses):
 
 def strategy_values_contraction(coefficients, m, d):
     """Values of every deterministic strategy, flat in lexicographic
-    per-party order, by matrix products on moved axes; with the per-party
-    response tuples."""
+    per-party order, by matrix products on moved axes."""
     n = coefficients.ndim // 2
     per_party = list(itertools.product(range(d), repeat=m))
     select = np.zeros((len(per_party), m * d))
@@ -610,22 +617,14 @@ def strategy_values_contraction(coefficients, m, d):
     for r in range(n, 0, -1):
         t = np.moveaxis(t, (0, r), (-2, -1))
         t = t.reshape(t.shape[:-2] + (m * d,)) @ select.T
-    return t.reshape(-1), per_party
+    return t.reshape(-1)
 
 
 def local_bound_contraction(functional):
-    """(max, max responses, min, min responses); first extremum wins."""
+    """(max, min) of the functional over every deterministic strategy."""
     sc = functional.scenario
-    values, per_party = strategy_values_contraction(
-        functional.coefficients, sc.settings, sc.outcomes)
-
-    def witness(flat_index):
-        ks = np.unravel_index(flat_index, (len(per_party),) * sc.parties)
-        return tuple(per_party[k] for k in ks)
-
-    i_max, i_min = int(np.argmax(values)), int(np.argmin(values))
-    return (float(values[i_max] + functional.offset), witness(i_max),
-            float(values[i_min] + functional.offset), witness(i_min))
+    values = strategy_values_contraction(functional.coefficients, sc.settings, sc.outcomes)
+    return float(values.max() + functional.offset), float(values.min() + functional.offset)
 
 
 def sign_profile(present, d=2):

@@ -6,7 +6,10 @@ would strip, no module starts a process pool or a thread, every size
 limit raises through one helper, one function builds every random
 generator, ``src/`` keeps only the functions, classes, constants and
 methods that the CLI, the demos, the benchmark or a named library-only entry
-reaches, and ``src/`` stays within its code budget."""
+reaches, and of those only the record fields that such code reads and the
+defaulted parameters that it passes, and ``src/`` stays within its code
+budget.  ``PYTHONPATH=src python tests/test_exports.py`` prints the
+code/docstring/comment/blank split of ``src/bellscope``."""
 
 import ast
 import importlib
@@ -177,14 +180,15 @@ def test_star_import_binds_exactly_all():
 REPO = Path(__file__).resolve().parents[1]
 
 #: Functions, classes and methods that nothing in the CLI, the demos or the
-#: benchmark calls, kept for library users of the paper's methods; the
-#: README says what each is for.
+#: benchmark calls, and records whose fields they do not all read, kept for
+#: library users of the paper's methods; the README says what each is for.
 LIBRARY_ONLY = (
     "collective.symmetrized_correlators",
     "collective.dicke_state",
     "symmetric.PIBellExpression.value",
     "quantum.state_to_json",
     "quantum.renyi_entropy",
+    "quantum.SchmidtData",
     "correlations.expression_to_json",
     "correlations.Behavior",
     "correlations.BellFunctional.value",
@@ -231,34 +235,42 @@ def class_body(node):
     yield from (child for child in node.body if not isinstance(child, ast.FunctionDef))
 
 
-def test_src_keeps_only_what_runs():
-    # a function, class or constant of a submodule is reached by name from
-    # cli.py, demos/ or benchmarks/, or from a LIBRARY_ONLY entry, directly
-    # or through src/.  ``module.name`` reaches only that module's
-    # definition, and a bare name every definition of it, which errs toward
-    # keeping.  A method or property of a reached class is reached when an
-    # attribute of its name is, ``module.name`` included, since a variable
-    # may share a module's name (``mps``); its dunders always are.
-    package = Path(bellscope.__file__).parent
-    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "cli"}
-    defs, members = {}, {}  # name -> [(module, key, nodes)]; key -> (class key, name, node)
+PACKAGE = Path(bellscope.__file__).parent
+ROOTS = [PACKAGE / "cli.py", *REPO.glob("demos/*.py"), *REPO.glob("benchmarks/*.py")]
+
+
+def reach_src():
+    """``(definitions, reached)``: the node that defines each function,
+    class, constant and method of a submodule, keyed ``module.name`` or
+    ``module.Class.method``, and the nodes that run for each key that
+    cli.py, demos/, benchmarks/ or a LIBRARY_ONLY entry reaches, directly
+    or through src/.  ``module.name`` reaches only that module's
+    definition, and a bare name every definition of it, which errs toward
+    keeping.  A method or property of a reached class is reached when an
+    attribute of its name is, ``module.name`` included, since a variable
+    may share a module's name (``mps``); its dunders always are."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
+    # name -> [(module, key, nodes)]; key -> (class key, name, node); key -> node
+    defs, members, definitions = {}, {}, {}
     for module in modules:
-        for name, node in defined_names(ast.parse((package / f"{module}.py").read_text())):
+        for name, node in defined_names(ast.parse((PACKAGE / f"{module}.py").read_text())):
             key = f"{module}.{name}"
+            definitions[key] = node
             if isinstance(node, ast.ClassDef):
                 defs.setdefault(name, []).append((module, key, list(class_body(node))))
-                members.update((f"{key}.{member.name}", (key, member.name, member))
-                               for member in node.body if isinstance(member, ast.FunctionDef))
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        members[f"{key}.{member.name}"] = (key, member.name, member)
+                        definitions[f"{key}.{member.name}"] = member
             else:
                 defs.setdefault(name, []).append((module, key, [node]))
-    roots = [package / "cli.py", *REPO.glob("demos/*.py"), *REPO.glob("benchmarks/*.py")]
-    todo = [ref for path in roots
+    todo = [ref for path in ROOTS
             for ref in referenced_names(ast.parse(path.read_text()), modules, dotted_strings=True)]
-    reached, attributes = set(), set()
+    reached, attributes = {}, set()
 
     def reach(key, nodes):
         if key not in reached:
-            reached.add(key)
+            reached[key] = nodes
             todo.extend(ref for node in nodes for ref in referenced_names(node, modules))
 
     for entry in LIBRARY_ONLY:
@@ -277,8 +289,120 @@ def test_src_keeps_only_what_runs():
         for key, (class_key, name, node) in members.items():
             if class_key in reached and (name in attributes or re.fullmatch(r"__\w+__", name)):
                 reach(key, [node])
-    every = {key for entries in defs.values() for _, key, _ in entries} | set(members)
-    assert sorted(every - reached) == []
+    return definitions, reached
+
+
+def test_src_keeps_only_what_runs():
+    # every function, class, constant and method of a submodule is reached
+    definitions, reached = reach_src()
+    assert sorted(set(definitions) - set(reached)) == []
+
+
+def record_fields(node):
+    """``(fields, is_namedtuple)`` of a dataclass or a ``namedtuple``
+    subclass; no fields for any other class."""
+    for base in node.bases:
+        if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+            return base.args[1].value.replace(",", " ").split(), True
+    decorators = {getattr(d, "id", None) or getattr(getattr(d, "func", None), "id", None)
+                  for d in node.decorator_list}
+    if "dataclass" in decorators:
+        return [stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)], False
+    return [], False
+
+
+def test_src_records_keep_only_fields_that_are_read():
+    # each field of a reached dataclass or namedtuple that is not a
+    # LIBRARY_ONLY entry is loaded as an attribute by cli.py, demos/,
+    # benchmarks/ or reached src/ code, or its record is unpacked there: a
+    # namedtuple counts as unpacked wherever a tuple target of its length
+    # is assigned.  Attributes match by name alone, so a field that shares
+    # its name with any loaded attribute or method is kept
+    definitions, reached = reach_src()
+    code = [node for root in [*(ast.parse(path.read_text()) for path in ROOTS),
+                              *(node for nodes in reached.values() for node in nodes)]
+            for node in ast.walk(root)]
+    loaded = {node.attr for node in code
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unpacked = {len(node.elts) for node in code
+                if isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Store)}
+    unread = []
+    for key in reached:
+        if isinstance(definitions[key], ast.ClassDef) and key not in LIBRARY_ONLY:
+            fields, namedtuple = record_fields(definitions[key])
+            if not (namedtuple and len(fields) in unpacked):
+                unread += [f"{key}.{field}" for field in fields if field not in loaded]
+    assert sorted(unread) == []
+
+
+def defaulted_parameters(func):
+    """``(position, name)`` of each parameter of ``func`` that has a
+    default; the position counts ``self`` and is None for a keyword-only
+    parameter."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    yield from enumerate((arg.arg for arg in positional[first:]), first)
+    yield from ((None, arg.arg) for arg, default
+                in zip(func.args.kwonlyargs, func.args.kw_defaults) if default is not None)
+
+
+def passed_value(call, position, name):
+    """What ``call`` passes as parameter ``name`` at ``position``: the
+    argument, None when it passes nothing there, or ``call`` itself when a
+    ``*`` or ``**`` argument may pass it."""
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            return call
+        if keyword.arg == name:
+            return keyword.value
+    for index, arg in enumerate(call.args if position is not None else ()):
+        if isinstance(arg, ast.Starred):
+            return call
+        if index == position:
+            return arg
+    return None
+
+
+def test_src_functions_keep_only_parameters_that_are_set():
+    # each defaulted parameter of a reached function or method that is not
+    # a LIBRARY_ONLY entry is passed by cli.py, demos/, benchmarks/ or
+    # tests/test_acceptance.py, or by reached src/ code; src/ code that
+    # passes on a defaulted parameter of its own, by name, counts only when
+    # that one is passed.  A call matches each function or method of
+    # its bare name, a class's name matches its ``__init__``, and a
+    # method's positions start after ``self``
+    definitions, reached = reach_src()
+    functions = {}  # called name -> [(key, positions taken by self)]
+    for key, node in definitions.items():
+        if isinstance(node, ast.FunctionDef):
+            functions.setdefault(node.name, []).append((key, key.count(".") - 1))
+            if node.name == "__init__":
+                functions.setdefault(key.split(".")[1], []).append((key, 1))
+    callers = [(None, ast.parse(path.read_text()))
+               for path in [*ROOTS, REPO / "tests" / "test_acceptance.py"]]
+    callers += [(key, node) for key, nodes in reached.items() for node in nodes]
+    passed, forwarded = set(), set()  # (key, parameter); ((key, parameter), from)
+    for caller, root in callers:
+        own = set()
+        if isinstance(definitions.get(caller), ast.FunctionDef):
+            own = {name for _, name in defaulted_parameters(definitions[caller])}
+        for call in (node for node in ast.walk(root) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            for key, offset in functions.get(name, ()):
+                for position, parameter in defaulted_parameters(definitions[key]):
+                    value = passed_value(
+                        call, None if position is None else position - offset, parameter)
+                    if isinstance(value, ast.Name) and value.id in own:
+                        forwarded.add(((key, parameter), (caller, value.id)))
+                    elif value is not None:
+                        passed.add((key, parameter))
+    while more := {target for target, source in forwarded if source in passed} - passed:
+        passed |= more
+    unset = [f"{key}({parameter})" for key in reached
+             if isinstance(definitions[key], ast.FunctionDef) and key not in LIBRARY_ONLY
+             for _, parameter in defaulted_parameters(definitions[key])
+             if (key, parameter) not in passed]
+    assert sorted(unset) == []
 
 
 def test_readme_says_what_each_library_only_function_is_for():
@@ -294,30 +418,46 @@ def test_readme_says_what_each_library_only_function_is_for():
 
 #: The ROADMAP's ceiling on code lines in ``src/bellscope``; the PRs of its
 #: directions 1, 3 and 8 raise it by exactly the lines they declare.
-CODE_LINE_CEILING = 2020
+CODE_LINE_CEILING = 1992
 
 
-def code_lines(source):
-    """Lines that are not blank, not comment-only and not inside a docstring,
-    the first string statement of a module, class or function."""
+def line_split(source):
+    """``(code, docstring, comment, blank)`` line counts of ``source``.  A
+    docstring is the first string statement of a module, class or function,
+    its blank lines included; a comment line holds nothing but a comment;
+    code is every other nonblank line, and is what the ceiling counts."""
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
                 and ast.get_docstring(node, clean=False) is not None):
             docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-    return sum(1 for number, line in enumerate(source.splitlines(), 1)
-               if number not in docstrings and line.strip()
-               and not line.strip().startswith("#"))
+    counts = [0, 0, 0, 0]
+    for number, line in enumerate(source.splitlines(), 1):
+        kind = (1 if number in docstrings else 3 if not line.strip()
+                else 2 if line.strip().startswith("#") else 0)
+        counts[kind] += 1
+    return tuple(counts)
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
     source = ('"""Module\ndocstring."""\n\nimport os  # kept\n\n\ndef f():\n'
               '    """Docstring."""\n    # comment\n    text = """not a\n    docstring"""\n'
               '    return text\n')
-    assert code_lines(source) == 5
+    assert line_split(source) == (5, 3, 1, 3)
+
+
+def src_line_split():
+    """``{file name: line_split}`` of each module of ``src/bellscope``."""
+    return {path.name: line_split(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_src_stays_within_its_code_budget():
-    package = Path(bellscope.__file__).parent
-    count = sum(code_lines(path.read_text()) for path in package.glob("*.py"))
-    assert count <= CODE_LINE_CEILING
+    assert sum(split[0] for split in src_line_split().values()) <= CODE_LINE_CEILING
+
+
+if __name__ == "__main__":
+    splits = src_line_split()
+    splits["total"] = tuple(map(sum, zip(*splits.values())))
+    print(f"{'file':16}{'code':>6}{'doc':>6}{'comment':>9}{'blank':>7}")
+    for name, (code, doc, comment, blank) in splits.items():
+        print(f"{name:16}{code:6}{doc:6}{comment:9}{blank:7}")

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from golden.regen import GOLDEN, capture
 
 from bellscope.chains import ground_state_exact, transverse_ising_chain
 from bellscope.numerics import seeded_generator
@@ -185,6 +186,12 @@ GOLDEN_STDOUT = {
         'negative_count,min_eigenvalue,entangled,negativity,log_negativity\n'
         '1,-0.48,true,0.48,0.97085365434\n'
     )),
+    # an operator file with a -5e-11 eigenvalue, which validation clips to 0
+    # before renormalising; captured before that repair stopped recording itself
+    "ppt-operator": (["ppt", "--state", "operator.json"], (
+        'negative_count,min_eigenvalue,entangled,negativity,log_negativity\n'
+        '1,-0.49999999995,true,0.49999999995,0.999999999928\n'
+    )),
     "chsh": (["chsh"], (
         'quantity,value\n'
         'probability_form_local_max,3\n'
@@ -200,6 +207,10 @@ GOLDEN_INPUTS = {
                 '"epsilon": 1, "bound": 10, "bound_provenance": "closed-form", '
                 '"name": "pinned"}'),
     "state.json": '{"dims": [2, 2], "re": [0.6, 0.0, 0.0, 0.8], "im": [0.0, 0.0, 0.0, 0.0]}',
+    # the Bell state |00> + |11> plus 5e-11 (|01><01| - |10><10|)
+    "operator.json": ('{"dims": [2, 2], "re": [0.5, 0.0, 0.0, 0.5, 0.0, 5e-11, 0.0, 0.0, '
+                      '0.0, 0.0, -5e-11, 0.0, 0.5, 0.0, 0.0, 0.5], "im": [0.0, 0.0, 0.0, '
+                      '0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}'),
     # the CHSH correlator functional, as correlations.expression_to_json writes it
     "chsh.json": ('{"kind": "functional", "scenario": {"parties": 2, "settings": 2, '
                   '"outcomes": 2}, "offset": 0.0, "direction": "<=", "bound": 2.0, '
@@ -238,3 +249,13 @@ def test_seeded_stdout_matches_golden(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == expected.encode()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_outputs_match_the_golden_corpus(name, tmp_path):
+    # the JSON stdout, the --out file and its sidecar, byte for byte;
+    # tests/golden/regen.py writes the corpus
+    files = capture(name, GOLDEN_STDOUT[name][0], GOLDEN_INPUTS, tmp_path)
+    assert sorted(path.name for path in (GOLDEN / name).iterdir()) == sorted(files)
+    for file_name, text in files.items():
+        assert text == (GOLDEN / name / file_name).read_text(), file_name
