@@ -17,9 +17,8 @@ _EXPORTS = {
         "StateVector", "DensityOperator", "max_entangled", "haar_state",
         "schmidt_decompose",
         "state_to_json", "state_from_json",
-        "partial_trace", "partial_transpose", "ppt_report",
-        "negativity", "log_negativity", "vn_entropy", "renyi_entropy",
-        "mutual_information", "page_experiment",
+        "partial_transpose", "ppt_report",
+        "negativity", "log_negativity", "renyi_entropy", "page_experiment",
     ),
     "correlations": (
         "Scenario", "Behavior", "BellFunctional", "TIExpression",

@@ -59,7 +59,7 @@ DICKE_GUARD = 2**20
 SCREEN_RTOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class SymmetricState:
     """Pure state of the symmetric sector, amplitudes over k = 0..n."""
 

@@ -88,7 +88,7 @@ class Scenario:
         return (self.settings,) * self.parties + (self.outcomes,) * self.parties
 
 
-@dataclass
+@dataclass(eq=False)
 class Behavior:
     """Conditional probability table P(a|x) over a scenario.
 
@@ -116,7 +116,7 @@ class Behavior:
         self.table = t
 
 
-@dataclass
+@dataclass(eq=False)
 class BellFunctional:
     """Linear functional sum_{x,a} c(a,x) P(a|x) + offset.
 
@@ -248,7 +248,8 @@ def chsh_quantum_demo():
     """
     from .quantum import max_entangled
 
-    rho = max_entangled(2).density().matrix.reshape(2, 2, 2, 2)
+    a = max_entangled(2).amplitudes
+    rho = np.outer(a, a.conj()).reshape(2, 2, 2, 2)
     # row k of a party's map, E_k^T flattened, traces its (ket, bra) axis
     observables = np.array([qubit_observable(0.0), qubit_observable(0.5 * math.pi)])
     maps = [observables.transpose(0, 2, 1).reshape(2, -1)] * 2

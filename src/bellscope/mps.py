@@ -44,7 +44,7 @@ __all__ = [
 SVD_CUTOFF = 1e-12  # relative to the largest singular value at each cut
 
 
-@dataclass
+@dataclass(eq=False)
 class MpsState:
     """Open-boundary MPS in canonical form.
 

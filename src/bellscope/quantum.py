@@ -29,14 +29,11 @@ __all__ = [
     "max_entangled",
     "haar_state",
     "schmidt_decompose",
-    "partial_trace",
     "partial_transpose",
     "ppt_report",
     "negativity",
     "log_negativity",
-    "vn_entropy",
     "renyi_entropy",
-    "mutual_information",
     "page_experiment",
     "state_to_json",
     "state_from_json",
@@ -58,7 +55,7 @@ def _as_dims(dims):
     return dims
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Pure state on a tensor product of finite-dimensional factors.
 
@@ -85,13 +82,8 @@ class StateVector:
             raise ValueError(f"state vector is not normalised: |psi| = {nrm!r}")
         self.amplitudes = amp
 
-    def density(self):
-        """Rank-one density operator |psi><psi|."""
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(self.dims, rho, validate=False)
 
-
-@dataclass
+@dataclass(eq=False)
 class DensityOperator:
     """Density operator with subsystem bookkeeping.
 
@@ -103,25 +95,24 @@ class DensityOperator:
     dims: tuple
     matrix: np.ndarray
 
-    def __init__(self, dims, matrix, validate=True):
+    def __init__(self, dims, matrix):
         self.dims = _as_dims(dims)
         m = np.asarray(matrix, dtype=complex)
         d = math.prod(self.dims)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
-        if validate:
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > NORM_TOL:
-                raise ValueError(f"trace is {tr!r}, expected 1")
-            w, v = hermitian_eigen(m)  # rejects non-Hermitian input
-            if w[0] < -EIG_CLIP:
-                raise ValueError(
-                    f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
-                )
-            if w[0] < 0.0:
-                w = np.clip(w, 0.0, None)
-                m = (v * w) @ v.conj().T
-                m /= np.trace(m).real
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > NORM_TOL:
+            raise ValueError(f"trace is {tr!r}, expected 1")
+        w, v = hermitian_eigen(m)  # rejects non-Hermitian input
+        if w[0] < -EIG_CLIP:
+            raise ValueError(
+                f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
+            )
+        if w[0] < 0.0:
+            w = np.clip(w, 0.0, None)
+            m = (v * w) @ v.conj().T
+            m /= np.trace(m).real
         self.matrix = m
 
     def eigenvalues(self):
@@ -130,7 +121,7 @@ class DensityOperator:
         return np.clip(w, 0.0, None)
 
 
-@dataclass
+@dataclass(eq=False)
 class SchmidtData:
     """Schmidt decomposition of a bipartite pure state.
 
@@ -210,41 +201,17 @@ def schmidt_decompose(psi):
     return SchmidtData(coefficients=s[:rank], left=u[:, :rank], right=vh.T[:, :rank], rank=rank)
 
 
-def _as_density(rho):
-    """``rho`` itself, or |psi><psi| for a StateVector."""
-    return rho.density() if isinstance(rho, StateVector) else rho
-
-
-def partial_trace(rho, keep):
-    """Trace out one side of a bipartite density operator.
-
-    Parameters
-    ----------
-    keep : {"A", "B", 0, 1}
-        Which subsystem survives.
-    """
-    rho = _as_density(rho)
-    m, n = _bipartition(rho)
-    r = rho.matrix.reshape(m, n, m, n)
-    if keep in ("A", 0):
-        out = np.einsum("imjm->ij", r)
-        dims = (m,)
-    elif keep in ("B", 1):
-        out = np.einsum("imin->mn", r)
-        dims = (n,)
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityOperator(dims, out, validate=False)
-
-
 def partial_transpose(rho, side="B"):
-    """Partial transpose on one tensor factor."""
-    rho = _as_density(rho)
+    """Partial transpose on tensor factor ``side``, "A" or "B", of a
+    DensityOperator or of |psi><psi| for a StateVector."""
     m, n = _bipartition(rho)
-    r = rho.matrix.reshape(m, n, m, n)
-    if side in ("A", 0):
+    if isinstance(rho, StateVector):
+        r = np.outer(rho.amplitudes, rho.amplitudes.conj()).reshape(m, n, m, n)
+    else:
+        r = rho.matrix.reshape(m, n, m, n)
+    if side == "A":
         r = r.transpose(2, 1, 0, 3)
-    elif side in ("B", 1):
+    elif side == "B":
         r = r.transpose(0, 3, 2, 1)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -290,17 +257,10 @@ def _entropy_of_probs(p, base, alpha=1):
     return h if h.ndim else float(h)
 
 
-def vn_entropy(rho, base=2):
-    """Von Neumann entropy -tr(rho log rho); 0 for a StateVector."""
-    if isinstance(rho, StateVector):
-        return 0.0
-    return _entropy_of_probs(rho.eigenvalues(), base)
-
-
 def renyi_entropy(rho, alpha, base=2):
     """Renyi entropy log(tr rho^alpha) / (1 - alpha).
 
-    ``alpha = 0`` gives log(rank), ``alpha = 1`` the von Neumann limit,
+    ``alpha = 0`` gives log(rank), ``alpha = 1`` the von Neumann entropy,
     ``alpha = inf`` the min-entropy -log(lambda_max).  For every
     ``alpha < 1``, eigenvalues at most ``RANK_TOL`` times the largest count
     as 0, since p**alpha would lift rounding-level ones to real weight.
@@ -318,13 +278,6 @@ def renyi_entropy(rho, alpha, base=2):
     if math.isinf(alpha):
         return float(-math.log(p[-1]) / math.log(base))
     return _entropy_of_probs(p, base, alpha)
-
-
-def mutual_information(rho, base=2):
-    """Mutual information I(A:B) = S(A) + S(B) - S(AB)."""
-    rho_a = partial_trace(rho, "A")
-    rho_b = partial_trace(rho, "B")
-    return vn_entropy(rho_a, base) + vn_entropy(rho_b, base) - vn_entropy(rho, base)
 
 
 def page_experiment(m, n, samples, rng):

@@ -415,6 +415,20 @@ class TestThermalMutualInfo:
         )
         assert report.mutual_info == pytest.approx(want, abs=1e-9)
 
+    def test_one_full_size_eigh_per_call(self, monkeypatch):
+        # S(AB) comes from the Boltzmann weights of H's spectrum, so the
+        # Gibbs state itself is never diagonalised
+        ham = random_chain(4, 2, seeded_generator(8))
+        eigh, sizes = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        thermal_mutual_info_check(ham, 0.7, 2)
+        assert sizes.count(ham.dimension) == 1
+
     def test_periodic_cut_counts_two_terms(self):
         rng = seeded_generator(9)
         ham = random_chain(5, 2, rng, boundary="periodic")

@@ -285,13 +285,15 @@ class TestJsonInputs:
 
         calls = []
         eigen = quantum.hermitian_eigen
+        amp = max_entangled(2).amplitudes
+        bell = quantum.DensityOperator((2, 2), np.outer(amp, amp.conj()))
 
         def counting(matrix):
             calls.append(matrix.shape)
             return eigen(matrix)
 
         path = tmp_path / "bell.json"
-        path.write_text(json.dumps(state_to_json(max_entangled(2).density())))
+        path.write_text(json.dumps(state_to_json(bell)))
         monkeypatch.setattr(quantum, "hermitian_eigen", counting)
         code, out, _ = run_cli(capsys, "ppt", "--state", str(path))
         assert code == 0

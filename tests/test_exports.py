@@ -7,8 +7,9 @@ limit raises through one helper, one function builds every random
 generator, ``src/`` keeps only the functions, classes, constants and
 methods that the CLI, the demos, the benchmark or a named library-only entry
 reaches, and of those only the record fields that such code reads and the
-defaulted parameters that it passes, and ``src/`` stays within its code
-budget.  ``PYTHONPATH=src python tests/test_exports.py`` prints the
+defaulted parameters that it passes, every record that holds an array
+compares by identity, and ``src/`` stays within its code budget.
+``PYTHONPATH=src python tests/test_exports.py`` prints the
 code/docstring/comment/blank split of ``src/bellscope``."""
 
 import ast
@@ -21,6 +22,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellscope
@@ -162,6 +164,29 @@ def test_each_export_is_its_submodules_object():
         else:
             assert obj.__module__.startswith("bellscope.")
             assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+#: A builder of each dataclass that holds an array; ``==`` on them is identity.
+ARRAY_RECORDS = {
+    "StateVector": lambda: bellscope.max_entangled(2),
+    "DensityOperator": lambda: bellscope.DensityOperator((2,), [[0.5, 0.0], [0.0, 0.5]]),
+    "SchmidtData": lambda: bellscope.schmidt_decompose(bellscope.max_entangled(2)),
+    "SymmetricState": lambda: bellscope.dicke_state(4, 2),
+    "ChainHamiltonian": lambda: importlib.import_module("bellscope.chains").heisenberg_chain(3),
+    "MpsState": lambda: importlib.import_module("bellscope.mps").mps_from_dense(
+        bellscope.max_entangled(2).amplitudes),
+    "BellFunctional": lambda: bellscope.chsh_correlator_functional(),
+    "Behavior": lambda: bellscope.Behavior(bellscope.Scenario(2, 2, 2), np.full((2,) * 4, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_array_records_compare_by_identity(name):
+    # a field-wise == would ask numpy for the truth value of an array, and raise
+    record = ARRAY_RECORDS[name]()
+    assert type(record).__name__ == name
+    assert (record == record) is True
+    assert (record == ARRAY_RECORDS[name]()) is False
 
 
 def test_dir_lists_every_export():
@@ -418,7 +443,7 @@ def test_readme_says_what_each_library_only_function_is_for():
 
 #: The ROADMAP's ceiling on code lines in ``src/bellscope``; the PRs of its
 #: directions 1, 3 and 8 raise it by exactly the lines they declare.
-CODE_LINE_CEILING = 1992
+CODE_LINE_CEILING = 1961
 
 
 def line_split(source):

@@ -13,17 +13,14 @@ from bellscope.quantum import (
     haar_state,
     log_negativity,
     max_entangled,
-    mutual_information,
     negativity,
     page_experiment,
-    partial_trace,
     partial_transpose,
     ppt_report,
     renyi_entropy,
     schmidt_decompose,
     state_from_json,
     state_to_json,
-    vn_entropy,
 )
 
 from helpers import (
@@ -70,7 +67,10 @@ class TestMaxEntangled:
 
     def test_entropy_is_log_d(self):
         for d in (2, 3, 4):
-            assert abs(vn_entropy(partial_trace(max_entangled(d), "A")) - math.log2(d)) < 1e-10
+            amp = max_entangled(d).amplitudes
+            rho_a = partial_trace_loops(np.outer(amp, amp.conj()), d, d, "A")
+            entropy = renyi_entropy(DensityOperator(dims=(d,), matrix=rho_a), 1)
+            assert abs(entropy - math.log2(d)) < 1e-10
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
@@ -143,45 +143,20 @@ class TestSchmidt:
             schmidt_decompose(three)
 
 
-class TestPartialTrace:
-    def test_product_state_recovers_factor(self):
-        rng = np.random.default_rng(12)
-        a = haar_vector(2, rng)
-        b = haar_vector(3, rng)
-        rho = pure_density(np.kron(a, b), (2, 3))
-        assert np.allclose(partial_trace(rho, "A").matrix, np.outer(a, a.conj()), atol=1e-12)
-        assert np.allclose(partial_trace(rho, "B").matrix, np.outer(b, b.conj()), atol=1e-12)
-
-    def test_bell_state_is_maximally_mixed(self):
-        rho = pure_density(max_entangled(2).amplitudes, (2, 2))
-        assert np.allclose(partial_trace(rho, "A").matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_matches_loop_oracle_and_linearity(self):
-        rng = np.random.default_rng(13)
-        for trial in range(25):
-            da, db = 2, 4
-            v1 = haar_vector(da * db, rng)
-            v2 = haar_vector(da * db, rng)
-            p = rng.uniform(0.2, 0.8)
-            mixed = p * np.outer(v1, v1.conj()) + (1 - p) * np.outer(v2, v2.conj())
-            rho = DensityOperator(dims=(da, db), matrix=mixed)
-            for side in ("A", "B"):
-                got = partial_trace(rho, side).matrix
-                want = partial_trace_loops(mixed, da, db, side)
-                assert np.allclose(got, want, atol=1e-12)
-                assert abs(np.trace(got) - 1.0) < 1e-10
-
-
 class TestPartialTranspose:
     def test_involution(self):
+        # swapping A's ket and bra axes of the transpose's (2, 3, 2, 3)
+        # reshape transposes A again, which restores rho
         rng = np.random.default_rng(14)
         v = haar_vector(6, rng)
         rho = pure_density(v, (2, 3))
-        twice = partial_transpose(
-            DensityOperator(dims=(2, 3), matrix=partial_transpose(rho, "A"), validate=False),
-            "A",
-        )
-        assert np.allclose(twice, rho.matrix, atol=1e-14)
+        pt = partial_transpose(rho, "A").reshape(2, 3, 2, 3)
+        assert np.allclose(pt.swapaxes(0, 2).reshape(6, 6), rho.matrix, atol=1e-14)
+
+    @pytest.mark.parametrize("side", [0, 1, "C"])
+    def test_side_must_be_a_or_b(self, side):
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            partial_transpose(max_entangled(2), side)
 
     def test_bell_state_spectrum(self):
         rho = pure_density(max_entangled(2).amplitudes, (2, 2))
@@ -269,17 +244,17 @@ class TestNegativity:
 class TestEntropies:
     def test_pure_state_zero(self):
         rho = pure_density([1, 0], (2,))
-        assert abs(vn_entropy(rho)) < 1e-12
+        assert abs(renyi_entropy(rho, 1)) < 1e-12
 
     def test_maximally_mixed(self):
         for d, base in ((2, 2.0), (3, math.e), (4, 2.0)):
             rho = DensityOperator(dims=(d,), matrix=np.eye(d) / d)
-            assert abs(vn_entropy(rho, base=base) - math.log(d) / math.log(base)) < 1e-10
+            assert abs(renyi_entropy(rho, 1, base=base) - math.log(d) / math.log(base)) < 1e-10
 
     def test_renyi_special_orders(self):
         rho = DensityOperator(dims=(4,), matrix=np.diag([0.5, 0.3, 0.2, 0.0]))
         assert abs(renyi_entropy(rho, 0) - math.log2(3)) < 1e-9
-        assert abs(renyi_entropy(rho, 1) - vn_entropy(rho)) < 1e-12
+        assert abs(renyi_entropy(rho, 1) - entropy_of_matrix(rho.matrix)) < 1e-12
         assert abs(renyi_entropy(rho, math.inf) + math.log2(0.5)) < 1e-12
 
     @pytest.mark.parametrize("alpha", [1, 0.5, 2])
@@ -308,7 +283,7 @@ class TestEntropies:
     def test_renyi_below_1_ignores_rounding_level_eigenvalues(self):
         # a pure density's 15 zero eigenvalues come out near 1e-17, which
         # p**0.1 would lift to about 0.02 each
-        rho = haar_state(2, 16, seeded_generator(1)).density()
+        rho = pure_density(haar_state(2, 16, seeded_generator(1)).amplitudes, (2, 16))
         for alpha in (0.0, 0.1, 0.5):
             assert abs(renyi_entropy(rho, alpha)) < 1e-12
         p = np.random.default_rng(24).dirichlet(np.ones(6))
@@ -335,19 +310,29 @@ class TestEntropies:
         rho = DensityOperator(dims=(3, 2), matrix=np.diag(np.kron(pa, pb)))
         sa = entropy_of_matrix(np.diag(pa))
         sb = entropy_of_matrix(np.diag(pb))
-        assert abs(vn_entropy(rho) - sa - sb) < 1e-9
+        assert abs(renyi_entropy(rho, 1) - sa - sb) < 1e-9
 
     def test_entanglement_entropy_sides_agree(self):
         rng = np.random.default_rng(23)
         for trial in range(100):
             v = haar_vector(8, rng)
-            psi = StateVector(dims=(2, 4), amplitudes=v)
             rho = np.outer(v, v.conj())
-            sa = entropy_of_matrix(partial_trace_loops(rho, 2, 4, "A"))
+            rho_a = partial_trace_loops(rho, 2, 4, "A")
+            sa = entropy_of_matrix(rho_a)
             sb = entropy_of_matrix(partial_trace_loops(rho, 2, 4, "B"))
-            e = vn_entropy(partial_trace(psi, "A"))
+            e = renyi_entropy(DensityOperator(dims=(2,), matrix=rho_a), 1)
             assert abs(sa - sb) < 1e-9
             assert abs(e - sa) < 1e-9
+
+
+def mutual_information(rho):
+    """S(A) + S(B) - S(AB) in bits of a two-factor DensityOperator, each
+    entropy by ``renyi_entropy(., 1)`` and each reduced state by the loop
+    partial trace."""
+    da, db = rho.dims
+    reduced = [DensityOperator(dims=(d,), matrix=partial_trace_loops(rho.matrix, da, db, side))
+               for d, side in ((da, "A"), (db, "B"))]
+    return sum(renyi_entropy(r, 1) for r in reduced) - renyi_entropy(rho, 1)
 
 
 class TestMutualInformation:
@@ -418,11 +403,13 @@ class TestHaarSampling:
         src_a = seeded_generator(34)
         src_b = seeded_generator(34)
         plain, rotated = [], []
+
+        def entropy(amp):
+            return entropy_of_matrix(partial_trace_loops(np.outer(amp, amp.conj()), 2, 4, "A"))
+
         for _ in range(400):
-            psi = haar_state(2, 4, src_a)
-            plain.append(vn_entropy(partial_trace(psi, "A")))
-            amp = np.kron(u, np.eye(4)) @ np.asarray(haar_state(2, 4, src_b).amplitudes)
-            rotated.append(vn_entropy(partial_trace(StateVector(dims=(2, 4), amplitudes=amp), "A")))
+            plain.append(entropy(haar_state(2, 4, src_a).amplitudes))
+            rotated.append(entropy(np.kron(u, np.eye(4)) @ haar_state(2, 4, src_b).amplitudes))
         plain, rotated = np.array(plain), np.array(rotated)
         pooled = math.sqrt(plain.var(ddof=1) / plain.size + rotated.var(ddof=1) / rotated.size)
         assert abs(plain.mean() - rotated.mean()) < 4 * pooled

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from golden.regen import GOLDEN, capture
+from golden.regen import GOLDEN, capture, capture_refusal
 
 from bellscope.chains import ground_state_exact, transverse_ising_chain
 from bellscope.numerics import seeded_generator
@@ -108,6 +108,15 @@ GOLDEN_STDOUT = {
         '1,0.296819810542,7.59468032503,true\n'
         '5,0.36591555581,37.9734016252,true\n'
     )),
+    # S(AB) is the Shannon entropy of the Boltzmann weights, so at beta = 0,
+    # where rho_A and rho_B are maximally mixed, the mutual information is 0
+    "thermal-mi-heisenberg": (["thermal-mi", "--model", "heisenberg", "--sites", "6",
+                               "--cut", "3", "--beta", "0,0.1,1"], (
+        'beta,mutual_info,bound,ok\n'
+        '0,0,0,true\n'
+        '0.1,0.000967578417426,0.15,true\n'
+        '1,0.106872229302,1.5,true\n'
+    )),
     "gibbs-mi": (["gibbs-mi", "--sites", "5", "--cut", "2", "--local-dim", "3",
                   "--seed", "5"], (
         'beta,mutual_info,bound,ok\n'
@@ -130,6 +139,16 @@ GOLDEN_STDOUT = {
         '10,20,1.10553389097,0.0552766945483,2.1928616795\n'
         '11,22,1.36203407166,0.0619106396211,2.19277698298\n'
         '12,24,1.60879415166,0.0670330896526,2.18190320541\n'
+    )),
+    "scan-dicke": (["scan", "--family", "dicke", "--n-max", "8"], (
+        'n,beta_c,qv,ratio,theta_star\n'
+        '2,2,0.828427124746,0.414213562373,1.57079632679\n'
+        '3,9,1.01723420991,0.113026023323,1.2903127846\n'
+        '4,18,2.03446841982,0.113026023323,1.29031272931\n'
+        '5,40,2.3615038667,0.0590375966676,1.17080620546\n'
+        '6,60,3.53039920141,0.0588399866902,1.16811512029\n'
+        '7,105,4.05109861277,0.0385818915501,1.10460333195\n'
+        '8,140,5.38569319761,0.0384692371258,1.10266486007\n'
     )),
     "theta-sweep": (["theta-sweep", "--family", "dicke", "--n", "6", "--points", "9"], (
         'n,theta,value,beta_c,violated\n'
@@ -201,8 +220,20 @@ GOLDEN_STDOUT = {
     )),
 }
 
-# the JSON files the pinned ``bound`` and ``ppt`` runs read from their directory
+# one refusal of each kind, each with exit code 2 and one stderr line: the
+# size guard, an integer flag's range, a non-finite float flag and a file
+# that is not JSON
+GOLDEN_REFUSALS = {
+    "refuse-size": ["scan", "--family", "murcia", "--n-max", "1048577"],
+    "refuse-range": ["scan", "--family", "murcia", "--n-max", "4", "--theta-points", "10"],
+    "refuse-non-finite": ["lmg", "--n", "4", "--field", "nan"],
+    "refuse-json": ["bound", "--expr", "broken.json"],
+}
+
+# the files the pinned ``bound`` and ``ppt`` runs and the refused ``bound``
+# read from their directory
 GOLDEN_INPUTS = {
+    "broken.json": "{",
     "pi.json": ('{"n": 5, "alpha": "-7/3", "beta": "1/2", "gamma": 1, "delta": -1, '
                 '"epsilon": 1, "bound": 10, "bound_provenance": "closed-form", '
                 '"name": "pinned"}'),
@@ -256,6 +287,15 @@ def test_outputs_match_the_golden_corpus(name, tmp_path):
     # the JSON stdout, the --out file and its sidecar, byte for byte;
     # tests/golden/regen.py writes the corpus
     files = capture(name, GOLDEN_STDOUT[name][0], GOLDEN_INPUTS, tmp_path)
+    assert sorted(path.name for path in (GOLDEN / name).iterdir()) == sorted(files)
+    for file_name, text in files.items():
+        assert text == (GOLDEN / name / file_name).read_text(), file_name
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REFUSALS))
+def test_refusals_match_the_golden_corpus(name, tmp_path):
+    # capture_refusal raises unless the run exits 2 with an empty stdout
+    files = capture_refusal(name, GOLDEN_REFUSALS[name], GOLDEN_INPUTS, tmp_path)
     assert sorted(path.name for path in (GOLDEN / name).iterdir()) == sorted(files)
     for file_name, text in files.items():
         assert text == (GOLDEN / name / file_name).read_text(), file_name

@@ -451,7 +451,8 @@ class TestScalarMinimizeSlope:
 class TestChshAscent:
     def test_angles_reach_the_planar_optimum(self):
         half = 0.5 * math.pi
-        rho = max_entangled(2).density().matrix
+        amp = max_entangled(2).amplitudes
+        rho = np.outer(amp, amp.conj())
         t = np.array([[pair_correlator(rho, x, y) for y in (0.0, half)] for x in (0.0, half)])
         # max over planar settings: 2 sqrt(|T e|^2 + |T e_perp|^2)
         want = 2.0 * float(np.linalg.norm(t))
